@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
-"""Benchmark the numba kernels against the pure-numpy fallbacks.
+"""Time the exact-denoiser kernels and the AMPD kernels.
 
-Run with numba active (the default):
+    PYTHONPATH=src python benchmarks/bench_kernels.py
 
-    python benchmarks/bench_kernels.py
-
-The same fallbacks are selected package-wide by FSDM_DISABLE_NUMBA=1;
-this script times both implementations side by side regardless.
+Forward-backward (Markov priors) is timed against enumeration (explicit
+priors) on the same inputs where E ≤ 8, and alone on whole-night
+lengths.  The AMPD numba kernel, when numba is installed, is timed
+against its pure-numpy fallback, which FSDM_DISABLE_NUMBA=1 selects
+package-wide.
 """
 
 import time
@@ -14,7 +15,7 @@ import time
 import numpy as np
 
 from fsdm import _kernels
-from fsdm.oracle import hypnogram_table
+from fsdm.oracle import ENUMERATION_CAP, hypnogram_table
 
 
 def timeit(fn, *args, repeat=5, warmup=1):
@@ -29,17 +30,19 @@ def timeit(fn, *args, repeat=5, warmup=1):
 
 
 def bench_mixture():
-    print("mixture_marginals (exact-denoiser inner loop)")
+    print("exact-denoiser marginals: enumeration vs forward-backward")
     rng = np.random.default_rng(0)
-    for n_epochs, batch in ((4, 64), (6, 64), (8, 8)):
-        hyp = hypnogram_table(n_epochs)
-        log_prior = np.log(rng.dirichlet(np.ones(hyp.shape[0])))
+    log_init = np.log(rng.dirichlet(np.ones(5)))
+    log_trans = np.log(rng.dirichlet(np.ones(5), 5))
+    for n_epochs, batch in ((4, 64), (6, 64), (8, 8), (120, 64), (960, 64)):
         a = rng.standard_normal((batch, 5, n_epochs))
-        t_np = timeit(_kernels._mixture_marginals_numpy, log_prior, hyp, a)
-        line = f"  E={n_epochs} B={batch:3d} ({hyp.shape[0]:>6d} components): numpy {t_np*1e3:8.2f} ms"
-        if _kernels.USING_NUMBA:
-            t_nb = timeit(_kernels._mixture_marginals_numba, log_prior, hyp, a)
-            line += f" | numba {t_nb*1e3:8.2f} ms | speedup {t_np/t_nb:5.1f}x"
+        t_fb = timeit(_kernels.markov_marginals, log_init, log_trans, a, repeat=3)
+        line = f"  E={n_epochs:3d} B={batch:3d}: forward-backward {t_fb*1e3:8.2f} ms"
+        if n_epochs <= ENUMERATION_CAP:
+            hyp = hypnogram_table(n_epochs)
+            log_prior = np.log(rng.dirichlet(np.ones(hyp.shape[0])))
+            t_en = timeit(_kernels.mixture_marginals, log_prior, hyp, a, repeat=3)
+            line += f" | enumeration ({hyp.shape[0]:>6d} components) {t_en*1e3:8.2f} ms"
         print(line)
 
 

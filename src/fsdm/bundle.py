@@ -109,6 +109,11 @@ def read_bundle(directory) -> Bundle:
     n_epochs = int(manifest["n_epochs"])
     if len(hypnogram) != n_epochs:
         raise ValueError("hypnogram length does not match manifest n_epochs")
+    valid_epochs = int(manifest["valid_epochs"])
+    if not 1 <= valid_epochs <= n_epochs:
+        raise ValueError(
+            f"manifest valid_epochs={valid_epochs} must lie in 1..n_epochs={n_epochs}"
+        )
     features = {}
     for entry in manifest.get("features", []):
         path = root / entry["file"]
@@ -134,7 +139,7 @@ def read_bundle(directory) -> Bundle:
     return Bundle(
         recording_id=manifest["recording_id"],
         n_epochs=n_epochs,
-        valid_epochs=int(manifest["valid_epochs"]),
+        valid_epochs=valid_epochs,
         hypnogram=hypnogram,
         features=features,
         signals=signals,

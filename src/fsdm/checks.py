@@ -3,8 +3,9 @@ world generators they (and the test suite) share.
 
 Every check compares an implementation path against an independent
 ground truth: closed-form schedule values, the linear-ODE argument for
-point-mass worlds, exact posterior enumeration, or the algebraic
-identities of the combination rule.
+point-mass worlds, exact posterior enumeration (including enumeration
+against the forward-backward denoisers of Markov worlds), or the
+algebraic identities of the combination rule.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import numpy as np
 
 from .hypno import Hypnogram, Hypnodensity, argmax_stages, one_hot
 from .oracle import (
+    ENUMERATION_CAP,
     JOINT,
     PRIOR,
     CategoricalEmission,
@@ -25,10 +27,11 @@ from .oracle import (
     exact_denoiser,
     exact_smoothed_score,
     hypnogram_table,
+    log_prior_table,
 )
 from .sampler import SamplerConfig, sample_many, sample_one
 from .sched import ScheduleParams, time_steps
-from .scorekit import Features, SensorBank, fsdm_combine, fsdm_denoise, fsdm_score
+from .scorekit import ABSENT, Features, SensorBank, fsdm_combine, fsdm_denoise, fsdm_score
 
 
 @dataclass(frozen=True)
@@ -64,6 +67,23 @@ def persistent_markov(rng: np.random.Generator, persistence: float = 0.5) -> Mar
     trans = trans + rng.uniform(0.0, 0.03, (5, 5))
     trans /= trans.sum(axis=1, keepdims=True)
     return MarkovPrior(init, trans)
+
+
+def sparse_markov(rng: np.random.Generator, zero_frac: float = 0.3) -> MarkovPrior:
+    """Persistent Markov prior with some transitions and one initial
+    stage at probability zero; the diagonal stays positive."""
+    dense = persistent_markov(rng)
+    trans = np.where(rng.random((5, 5)) < zero_frac, 0.0, dense.transition)
+    np.fill_diagonal(trans, dense.transition.diagonal())
+    init = dense.initial.copy()
+    init[rng.integers(5)] = 0.0
+    return MarkovPrior(init / init.sum(), trans / trans.sum(axis=1, keepdims=True))
+
+
+def explicit_twin(world: WorldModel) -> WorldModel:
+    """The same world with its prior written out as a 5^E table."""
+    table = ExplicitPrior(np.exp(log_prior_table(world)))
+    return WorldModel(world.n_epochs, table, world.sensors)
 
 
 def random_explicit_prior(rng: np.random.Generator, n_epochs: int) -> ExplicitPrior:
@@ -247,12 +267,79 @@ def suite_identities(seed: int = 0) -> list[CheckResult]:
     return results
 
 
+def suite_forward_backward(seed: int = 0, n_worlds: int = 8,
+                           batch: int = 3) -> list[CheckResult]:
+    """Forward-backward denoisers of Markov worlds against enumeration of
+    their explicit twins, for E = 1..8, σ from 1e-4 to 40 and priors
+    with zero entries.
+
+    The bound applies to states drawn from N(0, I).  States within σ of
+    a vertex are measured only: at small σ their log weights span
+    ~1/σ², and a near-tie between two hypnograms turns the rounding of
+    either path into differences of order 1e-12.  A deterministic sensor
+    observes a sequence the prior forbids in every other world; both
+    paths must reject exactly the same cases.  The same sensor also sees
+    an allowed path at every other epoch.
+    """
+    rng = np.random.default_rng(seed)
+    worst = worst_vertex = 0.0
+    disagreements = 0
+    for w in range(n_worlds):
+        n_epochs = 1 + w % ENUMERATION_CAP
+        sparse = w % 2 == 1
+        prior = sparse_markov(rng) if sparse else persistent_markov(rng)
+        sensors = (("s0", informative_emission(rng, 0.8)),
+                   ("det", CategoricalEmission(np.eye(5))))
+        world = WorldModel(n_epochs, prior, sensors)
+        twin = explicit_twin(world)
+        h = rng.integers(0, 5, n_epochs)
+        forced = rng.integers(0, 5, n_epochs).astype(np.float64)
+        if sparse:
+            forced[0] = np.argmin(prior.initial)
+        # A path the prior allows, seen at even epochs: next to a seen
+        # epoch, the stages a zero transition rules out have no weight.
+        path = [rng.choice(5, p=prior.initial)]
+        for _ in range(n_epochs - 1):
+            path.append(rng.choice(5, p=prior.transition[path[-1]]))
+        seen = np.where(np.arange(n_epochs) % 2 == 0, path, np.nan)
+        targets = ((PRIOR, ABSENT), ("s0", Features(h.astype(np.float64))),
+                   ("s0", ABSENT), ("det", Features(forced)), ("det", Features(seen)))
+        pairs = [(cond, exact_denoiser(world, t), exact_denoiser(twin, t)) for t, cond in targets]
+        vertex = one_hot(Hypnogram.from_indices(h)).values
+        sigmas = (1e-4, 1e-2, 0.3, 1.0, 40.0, float(np.exp(rng.uniform(np.log(1e-4), np.log(40.0)))))
+        for sigma in sigmas:
+            ys = np.concatenate([
+                rng.standard_normal((batch, 5, n_epochs)),
+                vertex + sigma * rng.standard_normal((batch, 5, n_epochs)),
+            ])
+            for cond, *denoisers in pairs:
+                outs = []
+                for denoiser in denoisers:
+                    try:
+                        outs.append(denoiser.evaluate_batch(ys, cond, sigma))
+                    except ValueError:
+                        outs.append(None)
+                if (outs[0] is None) != (outs[1] is None):
+                    disagreements += 1
+                elif outs[0] is not None:
+                    diff = np.abs(outs[0] - outs[1]).max(axis=(1, 2))
+                    worst = max(worst, float(diff[:batch].max()))
+                    worst_vertex = max(worst_vertex, float(diff[batch:].max()))
+    return [
+        CheckResult("forward_backward.max_abs_vs_enumeration", 1e-12, worst, worst <= 1e-12),
+        CheckResult("forward_backward.max_abs_near_vertex", None, worst_vertex, True),
+        CheckResult("forward_backward.zero_weight_disagreements", 0.0, float(disagreements),
+                    disagreements == 0),
+    ]
+
+
 SUITES = {
     "schedule": suite_schedule,
     "single_atom": suite_single_atom,
     "posterior": suite_posterior,
     "factorization": suite_factorization,
     "identities": suite_identities,
+    "forward_backward": suite_forward_backward,
 }
 
 

@@ -123,13 +123,12 @@ def project_manifold(y: Hypnodensity) -> Hypnodensity:
 
 
 def _project_values(v: np.ndarray) -> np.ndarray:
-    sums = v.sum(axis=0)
+    """Column renormalization of a (5, E) or (B, 5, E) array."""
+    sums = v.sum(axis=-2, keepdims=True)
     degenerate = np.abs(sums) < 1e-9
-    safe = np.where(degenerate, 1.0, sums)
-    out = v / safe
+    out = v / np.where(degenerate, 1.0, sums)
     if np.any(degenerate):
-        out = out.copy()
-        out[:, degenerate] = 1.0 / N_STAGES
+        out = np.where(degenerate, 1.0 / N_STAGES, out)
     return out
 
 

@@ -1,16 +1,20 @@
-"""Small synthetic worlds with exact posterior enumeration and
-closed-form Bayes-optimal denoisers.
+"""Synthetic worlds with exact posterior enumeration and closed-form
+Bayes-optimal denoisers.
 
-A world has at most 8 epochs so the full set of 5^E hypnograms can be
-enumerated; emissions are per-epoch independent given the stage.  All
-mixture computations run in log space with log-sum-exp normalization.
-The exact denoiser at noise level σ is the posterior mean of the one-hot
-vertices under Gaussian smoothing:
+Emissions are per-epoch independent given the stage.  The exact
+denoiser at noise level σ is the posterior mean of the one-hot vertices
+under Gaussian smoothing:
 
     D(y, cond, σ) = Σ_h w_h · onehot(h),
     w_h ∝ p(h | cond) · exp(−‖y − onehot(h)‖² / (2σ²)),
 
-whose column e is the smoothed posterior marginal of epoch e.
+whose column e is the smoothed posterior marginal of epoch e.  Since
+‖y − onehot(h)‖² splits over epochs, the mixture under a Markov prior is
+a hidden Markov model and the denoiser runs forward-backward, with no
+epoch cap.  An explicit prior (a table over all 5^E hypnograms) and the
+enumeration oracles (``hypnogram_table``, ``log_prior_table``,
+``enumerate_posterior``) are capped at 8 epochs.  All mixture
+computations run in log space.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._kernels import mixture_marginals
+from ._kernels import markov_marginals, mixture_marginals
 from .hypno import N_STAGES, Hypnodensity
 from .scorekit import ABSENT, Conditioning, Features, tweedie_score
 
@@ -248,15 +252,32 @@ def joint_conditioning(world: WorldModel, obs: dict[str, np.ndarray]) -> Feature
 
 class ExactDenoiser:
     """Bayes-optimal denoiser for a world, for one sensor, the prior, or
-    the joint posterior.  Satisfies the scorekit Denoiser contract."""
+    the joint posterior.  Satisfies the scorekit Denoiser contract.
+
+    A Markov prior is evaluated by forward-backward, an explicit prior
+    by enumeration; the kernel is fixed at construction.
+    """
 
     def __init__(self, world: WorldModel, target: str):
         if target not in (PRIOR, JOINT) and target not in world.sensor_names():
             raise KeyError(f"unknown denoiser target {target!r}")
         self.world = world
         self.target = target
-        self._hyp = hypnogram_table(world.n_epochs)
-        self._log_prior = log_prior_table(world)
+        if isinstance(world.prior, MarkovPrior):
+            with np.errstate(divide="ignore"):
+                self._log_init = np.log(world.prior.initial)
+                self._log_trans = np.log(world.prior.transition)
+            self._marginals = self._forward_backward
+        else:
+            self._hyp = hypnogram_table(world.n_epochs)
+            self._log_prior = log_prior_table(world)
+            self._marginals = self._enumerate
+
+    def _forward_backward(self, a: np.ndarray) -> np.ndarray:
+        return markov_marginals(self._log_init, self._log_trans, a)
+
+    def _enumerate(self, a: np.ndarray) -> np.ndarray:
+        return mixture_marginals(self._log_prior, self._hyp, a)
 
     def _cond_loglik(self, cond: Conditioning) -> np.ndarray:
         zeros = np.zeros((N_STAGES, self.world.n_epochs))
@@ -284,7 +305,7 @@ class ExactDenoiser:
         ys = np.asarray(ys, dtype=np.float64)
         a = self._cond_loglik(cond)[None] + ys / (sigma * sigma)
         try:
-            return mixture_marginals(self._log_prior, self._hyp, a)
+            return self._marginals(a)
         except FloatingPointError as err:
             raise ValueError("conditioning has zero probability under this world") from err
 

@@ -202,8 +202,4 @@ def fsdm_denoise_batch(
     lam: float | None = None,
     parts: dict | None = None,
 ) -> np.ndarray:
-    combined = fsdm_combine_batch(ys, sigma, bank, obs, lam, parts)
-    out = np.empty_like(combined)
-    for b in range(combined.shape[0]):
-        out[b] = _project_values(combined[b])
-    return out
+    return _project_values(fsdm_combine_batch(ys, sigma, bank, obs, lam, parts))

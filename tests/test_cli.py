@@ -213,6 +213,7 @@ def test_oracle_check_all_suites_pass(config_path, tmp_path, capsys):
     assert any(n.startswith("single_atom") for n in names)
     assert any(n.startswith("posterior") for n in names)
     assert any(n.startswith("factorization") for n in names)
+    assert any(n.startswith("forward_backward") for n in names)
     assert any(n.startswith("identities") for n in names)
     assert all(entry["passed"] for entry in report)
     # measured-only rows (large-sigma factorization) carry a null tolerance
@@ -298,3 +299,31 @@ def test_bundle_missing_reference_rejected(tmp_path):
     (tmp_path / "b" / "features" / "s.csv").unlink()
     with pytest.raises(FileNotFoundError):
         read_bundle(tmp_path / "b")
+
+
+@pytest.mark.parametrize("valid_epochs", [0, 3])
+def test_bundle_valid_epochs_out_of_range_rejected(tmp_path, valid_epochs):
+    bundle = Bundle(
+        recording_id="rec_z", n_epochs=2, valid_epochs=valid_epochs,
+        hypnogram=Hypnogram.from_labels(["W", "R"]),
+        features={"s": np.array([[1.0, 2.0]])},
+    )
+    write_bundle(tmp_path / "b", bundle)
+    with pytest.raises(ValueError, match="valid_epochs"):
+        read_bundle(tmp_path / "b")
+
+
+def test_sample_bad_valid_epochs_exits_1(config_path, tmp_path, capsys):
+    cfg = json.loads(config_path.read_text())
+    bundle = Bundle(
+        recording_id="rec_bad", n_epochs=6, valid_epochs=7,
+        hypnogram=Hypnogram.from_indices([0] * 6),
+        features={"pulse": np.zeros((1, 6))},
+    )
+    write_bundle(tmp_path / "rec_bad", bundle)
+    cfg["paths"]["bundle"] = str(tmp_path / "rec_bad")
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    rc = main(["sample", "--config", str(path), "--out", str(tmp_path / "pred")])
+    assert rc == 1
+    assert "valid_epochs" in capsys.readouterr().err

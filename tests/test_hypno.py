@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from fsdm.hypno import (
     Hypnodensity,
+    _project_values,
     Hypnogram,
     SleepStage,
     argmax_stages,
@@ -59,6 +60,18 @@ def test_project_manifold_divides_by_sum():
 def test_project_manifold_degenerate_column_goes_uniform():
     y = project_manifold(Hypnodensity(np.zeros((5, 1))))
     np.testing.assert_array_equal(y.values[:, 0], [0.2] * 5)
+
+
+@pytest.mark.parametrize("n_epochs", [1, 5, 960])
+def test_batched_projection_equals_per_state_bitwise(n_epochs):
+    rng = np.random.default_rng(n_epochs)
+    v = rng.standard_normal((6, 5, n_epochs))
+    v[2, :, 0] = [1e-12, -1e-12, 0.0, 0.0, 0.0]
+    v[4, :, -1] = 0.0
+    batched = _project_values(v)
+    for b in range(v.shape[0]):
+        np.testing.assert_array_equal(batched[b], project_manifold(Hypnodensity(v[b])).values)
+    np.testing.assert_array_equal(batched[2, :, 0], [0.2] * 5)
 
 
 def test_project_manifold_preserves_negative_entries():

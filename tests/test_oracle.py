@@ -3,7 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from fsdm.checks import posterior_marginals, random_world, single_atom_world
+from fsdm import oracle
+from fsdm.checks import (
+    explicit_twin,
+    informative_emission,
+    persistent_markov,
+    posterior_marginals,
+    random_world,
+    single_atom_world,
+    sparse_markov,
+    suite_forward_backward,
+)
 from fsdm.hypno import Hypnodensity, Hypnogram, one_hot
 from fsdm.oracle import (
     JOINT,
@@ -285,3 +295,54 @@ def test_probability_validation():
         CategoricalEmission(np.full((5, 3), 0.2))
     with pytest.raises(ValueError):
         GaussianEmission(np.zeros(5), np.zeros(5))
+
+
+def test_forward_backward_suite_passes():
+    results = suite_forward_backward()
+    assert all(r.passed for r in results)
+    bounded = {r.name: r.measured for r in results if r.tolerance is not None}
+    assert bounded["forward_backward.max_abs_vs_enumeration"] <= 1e-12
+    assert bounded["forward_backward.zero_weight_disagreements"] == 0
+
+
+def test_markov_denoiser_batched_equals_one_at_a_time_bitwise():
+    rng = np.random.default_rng(15)
+    world = WorldModel(12, sparse_markov(rng), (("s0", informative_emission(rng, 0.8)),))
+    denoiser = exact_denoiser(world, "s0")
+    cond = Features(rng.integers(0, 5, 12).astype(float))
+    ys = rng.standard_normal((6, 5, 12)) * 2
+    for sigma in (1e-3, 0.7, 30.0):
+        batch = denoiser.evaluate_batch(ys, cond, sigma)
+        for b in range(ys.shape[0]):
+            single = denoiser.evaluate(Hypnodensity(ys[b]), cond, sigma).values
+            assert np.array_equal(batch[b], single)
+
+
+@pytest.mark.parametrize("markov", [True, False])
+def test_zero_probability_conditioning_raises(markov):
+    rng = np.random.default_rng(16)
+    prior = sparse_markov(rng)
+    world = WorldModel(3, prior, (("det", CategoricalEmission(np.eye(5))),))
+    if not markov:
+        world = explicit_twin(world)
+    forbidden = float(np.argmin(prior.initial))
+    y = Hypnodensity(rng.standard_normal((5, 3)))
+    with pytest.raises(ValueError, match="zero probability"):
+        exact_denoiser(world, "det").evaluate(y, Features(np.array([forbidden, 0.0, 0.0])), 0.5)
+
+
+def test_markov_denoiser_whole_night_without_enumeration(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumeration table built")
+
+    monkeypatch.setattr(oracle, "hypnogram_table", refuse)
+    monkeypatch.setattr(oracle, "log_prior_table", refuse)
+    rng = np.random.default_rng(17)
+    world = WorldModel(960, persistent_markov(rng, 0.9), (("s0", informative_emission(rng)),))
+    denoiser = exact_denoiser(world, "s0")
+    cond = Features(rng.integers(0, 5, 960).astype(float))
+    for sigma in (1e-4, 1.0, 40.0):
+        out = denoiser.evaluate_batch(rng.standard_normal((4, 5, 960)), cond, sigma)
+        assert out.shape == (4, 5, 960)
+        assert np.all(out >= 0)
+        np.testing.assert_allclose(out.sum(axis=1), 1.0, rtol=0, atol=1e-12)
