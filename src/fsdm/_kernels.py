@@ -7,10 +7,14 @@ enumerates all 5^E hypnograms of an explicit prior (E ≤ 8).  Both treat
 every batch item independently, so batched evaluation is bitwise equal
 to one-at-a-time evaluation.
 
-The AMPD scalogram kernels have a numba-compiled path, used when numba
-imports cleanly, and a pure-numpy fallback with identical results; set
-the environment variable ``FSDM_DISABLE_NUMBA=1`` before import to force
-the fallback.
+The AMPD scalogram kernels have a pure-numpy path and a numba-compiled
+one, used when the optional ``numba`` extra imports cleanly; set the
+environment variable ``FSDM_DISABLE_NUMBA=1`` before import to force the
+numpy path.  Both give exactly the same integer scalogram and boolean
+peak mask.  The numpy path compares the float64 samples directly, so
+every comparison with NaN is false, as in the jitted loops.  It writes
+each scale's comparisons into bool buffers allocated once per call and
+counts them with ``np.count_nonzero``.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ if os.environ.get("FSDM_DISABLE_NUMBA", "0") != "1":
         from numba import njit
 
         USING_NUMBA = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
+    except ImportError:  # pragma: no cover - numba is the optional `numba` extra
         USING_NUMBA = False
 
 
@@ -143,13 +147,21 @@ def markov_marginals(log_init, log_trans, a):
 
 def _ampd_gamma_numpy(x, max_scale):
     n = x.shape[0]
-    gamma = np.empty(max_scale, dtype=np.int64)
-    for k in range(1, max_scale + 1):
-        if 2 * k >= n:
-            gamma[k - 1] = n
-            continue
-        core = (x[k:n - k] > x[: n - 2 * k]) & (x[k:n - k] > x[2 * k:])
-        gamma[k - 1] = n - int(core.sum())
+    gamma = np.full(max_scale, n, dtype=np.int64)
+    # Scales with 2k >= n have no interior sample and keep gamma = n.
+    # The masks are allocated once and each scale writes into a prefix;
+    # count_nonzero counts a bool mask without casting it to int64.
+    core = np.empty(max(n - 2, 0), dtype=np.bool_)
+    right = np.empty_like(core)
+    for k in range(1, min(max_scale, (n - 1) // 2) + 1):
+        m = n - 2 * k
+        mid = x[k:n - k]
+        c = core[:m]
+        r = right[:m]
+        np.greater(mid, x[:m], out=c)
+        np.greater(mid, x[2 * k:], out=r)
+        c &= r
+        gamma[k - 1] = n - np.count_nonzero(c)
     return gamma
 
 
@@ -157,12 +169,17 @@ def _ampd_peaks_numpy(x, lam):
     n = x.shape[0]
     is_peak = np.zeros(n, dtype=np.bool_)
     if 2 * lam < n:
-        core = np.ones(n - 2 * lam, dtype=np.bool_)
+        mid = x[lam:n - lam]
+        core = is_peak[lam:n - lam]
+        core[:] = True
+        tmp = np.empty_like(core)
         for k in range(1, lam + 1):
             lo = lam - k
             hi = n - lam - k
-            core &= (x[lam:n - lam] > x[lo:hi]) & (x[lam:n - lam] > x[lo + 2 * k:hi + 2 * k])
-        is_peak[lam:n - lam] = core
+            np.greater(mid, x[lo:hi], out=tmp)
+            core &= tmp
+            np.greater(mid, x[lo + 2 * k:hi + 2 * k], out=tmp)
+            core &= tmp
     return is_peak
 
 

@@ -354,18 +354,21 @@ def preprocess(raw: RawSignal, target_epochs: int = TARGET_EPOCHS) -> ProcessedS
 
 
 def epoch_rate_features(s: np.ndarray, fs: float, category: str, n_epochs: int,
-                        missing_frac: float = 0.5) -> np.ndarray:
+                        missing_frac: float = 0.5, window_s: float = 600.0,
+                        overlap_s: float = 120.0) -> np.ndarray:
     """Per-epoch mean extracted rate; NaN marks missing/unusable epochs.
 
     An epoch is missing when more than missing_frac of its raw samples
     are exact zeros (the pipeline's missing-data convention); when peak
     or interval extraction fails outright every epoch is missing.
+    window_s and overlap_s set the AMPD windows (see ampd_peaks).
     """
     s = np.asarray(s, dtype=np.float64)
     max_scale = CARDIAC_MAX_SCALE_S if category == "cardiac" else RESPIRATORY_MAX_SCALE_S
     rate = None
     try:
-        peaks = ampd_peaks(s, fs, max_scale_s=max_scale)
+        peaks = ampd_peaks(s, fs, window_s=window_s, overlap_s=overlap_s,
+                           max_scale_s=max_scale)
         rate = peaks_to_rate(
             peaks, fs, category, n_out=int(round(s.size / fs * TARGET_FS))
         )

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import Awgn, ZeroSpan, ampd_peaks, degrade, peaks_to_rate
+from .dsp import Awgn, ZeroSpan, degrade, epoch_rate_features
 from .evalkit import MergeScheme, accuracy, cohens_kappa
 from .hypno import Hypnogram, SleepStage
 from .infogain import information_gain, mean_information_gain
@@ -81,33 +81,10 @@ class RateBinning:
         return out
 
 
-def extract_binned_features(
-    wave: np.ndarray,
-    fs: float,
-    n_epochs: int,
-    binning: RateBinning,
-    category: str = "cardiac",
-    window_s: float = 30.0,
-    overlap_s: float = 0.0,
-    missing_frac: float = 0.5,
-) -> np.ndarray:
-    """Waveform → per-epoch bin symbols via AMPD + rate conversion."""
-    wave = np.asarray(wave, dtype=np.float64)
-    rate = None
-    try:
-        peaks = ampd_peaks(wave, fs, window_s=window_s, overlap_s=overlap_s,
-                           max_scale_s=5.0 if category == "cardiac" else 60.0)
-        rate = peaks_to_rate(peaks, fs, category, n_out=int(round(wave.size / fs * 128.0)))
-    except ValueError:
-        rate = None
-    feats = np.full(n_epochs, np.nan)
-    in_epoch = int(round(30 * fs))
-    out_epoch = int(round(30 * 128.0))
-    for e in range(n_epochs):
-        ep = wave[e * in_epoch:(e + 1) * in_epoch]
-        if ep.size == 0 or np.mean(ep == 0.0) > missing_frac or rate is None:
-            continue
-        feats[e] = float(rate[e * out_epoch:(e + 1) * out_epoch].mean())
+def extract_binned_features(wave: np.ndarray, fs: float, n_epochs: int,
+                            binning: RateBinning) -> np.ndarray:
+    """Pulse waveform → per-epoch bin symbols, with AMPD on 30 s windows."""
+    feats = epoch_rate_features(wave, fs, "cardiac", n_epochs, window_s=30.0, overlap_s=0.0)
     return binning.symbols(feats)
 
 

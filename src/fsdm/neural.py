@@ -82,11 +82,15 @@ def input_scale(y, sigma: float, sigma_data: float):
 
 
 def _silu(x: np.ndarray) -> np.ndarray:
-    return x / (1.0 + np.exp(-x))
+    # exp(−x) overflows to inf below x ≈ −709, where x / inf = −0.0 and
+    # 1 / inf = 0.0 are the exact limits, so the overflow is not reported.
+    with np.errstate(over="ignore"):
+        return x / (1.0 + np.exp(-x))
 
 
 def _silu_grad(x: np.ndarray) -> np.ndarray:
-    s = 1.0 / (1.0 + np.exp(-x))
+    with np.errstate(over="ignore"):
+        s = 1.0 / (1.0 + np.exp(-x))
     return s * (1.0 + x * (1.0 - s))
 
 

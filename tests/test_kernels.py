@@ -1,7 +1,7 @@
 """Exact-denoiser kernels (enumeration and forward-backward) and the AMPD
-kernels.  The active AMPD implementation is chosen by the
-FSDM_DISABLE_NUMBA environment flag at import time, so the numpy
-fallback is exercised here explicitly."""
+kernels.  The AMPD kernels are checked against a per-sample loop; both
+the dispatcher (numba when installed) and the numpy path are checked
+explicitly."""
 
 import numpy as np
 import pytest
@@ -98,17 +98,56 @@ def test_markov_marginals_zero_weight_raises():
     assert np.all(np.isfinite(markov_marginals(log_init, log_trans, a[:1])))
 
 
-def test_ampd_kernels_agree():
+def _loop_gamma(x, max_scale):
+    """AMPD scalogram by its per-sample definition (the jitted loop)."""
+    n = len(x)
+    gamma = []
+    for k in range(1, max_scale + 1):
+        if 2 * k >= n:
+            gamma.append(n)
+            continue
+        cnt = sum(1 for i in range(k, n - k) if x[i] > x[i - k] and x[i] > x[i + k])
+        gamma.append(n - cnt)
+    return np.array(gamma, dtype=np.int64)
+
+
+def _loop_peaks(x, lam):
+    """Samples that are local maxima at every scale 1..lam, per sample."""
+    n = len(x)
+    return np.array([
+        lam <= i < n - lam
+        and all(x[i] > x[i - k] and x[i] > x[i + k] for k in range(1, lam + 1))
+        for i in range(n)
+    ], dtype=np.bool_)
+
+
+def _ampd_inputs():
     rng = np.random.default_rng(3)
-    x = np.cumsum(rng.standard_normal(2048)) + np.sin(np.arange(2048) / 10.0)
-    for max_scale in (5, 60, 200):
-        np.testing.assert_array_equal(
-            ampd_gamma(x, max_scale), _ampd_gamma_numpy(x, max_scale)
-        )
-    for lam in (1, 10, 64):
-        np.testing.assert_array_equal(
-            ampd_local_maxima(x, lam), _ampd_peaks_numpy(x, lam)
-        )
+    walk = np.cumsum(rng.standard_normal(300)) + np.sin(np.arange(300) / 4.0)
+    # Ties, runs of exact zeros and plateaus clipped to [-5, 5].
+    ties = np.round(walk * 2.0) / 2.0
+    ties[40:70] = 0.0
+    clipped = np.clip(walk * 3.0, -5.0, 5.0)
+    signed_zero = np.array([0.0, -0.0, 1.0, -0.0, 0.0, 2.0, 0.0, -0.0, 1.0, 0.0, -0.0])
+    with_nan = np.round(np.sin(np.arange(60) / 2.0), 1)
+    with_nan[[7, 8, 23, 40]] = np.nan
+    short = [np.array([1.0]), np.array([1.0, 2.0]), np.array([0.0, 3.0, 0.0]),
+             np.array([1.0, 3.0, 2.0, 0.0])]
+    return [ties, clipped, signed_zero, with_nan, *short]
+
+
+def test_ampd_kernels_agree():
+    for x in _ampd_inputs():
+        n = x.size
+        # Scales past (n-1)//2 (2k >= n) have no interior samples.
+        for max_scale in sorted({1, 2, 5, max((n - 1) // 2, 1), n // 2 + 1, n + 3}):
+            want = _loop_gamma(x, max_scale)
+            np.testing.assert_array_equal(ampd_gamma(x, max_scale), want)
+            np.testing.assert_array_equal(_ampd_gamma_numpy(x, max_scale), want)
+        for lam in sorted({1, 2, 3, 7, max((n - 1) // 2, 1), n // 2, n}):
+            want = _loop_peaks(x, lam)
+            np.testing.assert_array_equal(ampd_local_maxima(x, lam), want)
+            np.testing.assert_array_equal(_ampd_peaks_numpy(x, lam), want)
 
 
 def test_ampd_boundaries_never_peaks():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ import pytest
 from fsdm.hypno import Hypnodensity, Hypnogram, one_hot
 from fsdm.neural import (
     PRIOR,
+    _silu,
+    _silu_grad,
     ReferenceDenoiser,
     TrainConfig,
     grad_check,
@@ -76,6 +79,19 @@ def test_input_scale_large_sigma_shrink():
 
 def test_input_scale_zero_is_zero():
     np.testing.assert_array_equal(input_scale(np.zeros((5, 3)), 2.0, 0.3), np.zeros((5, 3)))
+
+
+def test_silu_saturates_without_overflow_warning():
+    x = np.array([-1000.0, 0.0, 1000.0])
+    with np.errstate(over="warn"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        y = _silu(x)
+        g = _silu_grad(x)
+    np.testing.assert_array_equal(y, [-0.0, 0.0, 1000.0])
+    np.testing.assert_array_equal(g, [-0.0, 0.5, 1.0])
+    # x / inf and 0 · (negative) keep the sign of zero.
+    np.testing.assert_array_equal(np.signbit(y), [True, False, False])
+    np.testing.assert_array_equal(np.signbit(g), [True, False, False])
 
 
 def test_forward_outputs_simplex_columns():
