@@ -12,9 +12,11 @@ one, used when the optional ``numba`` extra imports cleanly; set the
 environment variable ``FSDM_DISABLE_NUMBA=1`` before import to force the
 numpy path.  Both give exactly the same integer scalogram and boolean
 peak mask.  The numpy path compares the float64 samples directly, so
-every comparison with NaN is false, as in the jitted loops.  It writes
-each scale's comparisons into bool buffers allocated once per call and
-counts them with ``np.count_nonzero``.
+every comparison with NaN is false, as in the jitted loops.  The
+scalogram writes each scale's comparisons into bool buffers allocated
+once per call and counts them with ``np.count_nonzero``; the peak mask
+compares every sample until at most 1/16 of them survive, then only the
+survivors.
 """
 
 from __future__ import annotations
@@ -169,17 +171,26 @@ def _ampd_peaks_numpy(x, lam):
     n = x.shape[0]
     is_peak = np.zeros(n, dtype=np.bool_)
     if 2 * lam < n:
+        # Scales run over every interior sample while more than 1/16 of
+        # them survive; after that each scale compares only the survivors,
+        # by index, so wide scales cost little once few candidates remain.
         mid = x[lam:n - lam]
-        core = is_peak[lam:n - lam]
-        core[:] = True
+        core = np.ones(mid.size, dtype=np.bool_)
         tmp = np.empty_like(core)
-        for k in range(1, lam + 1):
-            lo = lam - k
-            hi = n - lam - k
-            np.greater(mid, x[lo:hi], out=tmp)
+        k = 1
+        while k <= lam and 16 * np.count_nonzero(core) > core.size:
+            np.greater(mid, x[lam - k:n - lam - k], out=tmp)
             core &= tmp
-            np.greater(mid, x[lo + 2 * k:hi + 2 * k], out=tmp)
+            np.greater(mid, x[lam + k:n - lam + k], out=tmp)
             core &= tmp
+            k += 1
+        idx = lam + np.flatnonzero(core)
+        for k in range(k, lam + 1):
+            if idx.size == 0:
+                break
+            v = x[idx]
+            idx = idx[(v > x[idx - k]) & (v > x[idx + k])]
+        is_peak[idx] = True
     return is_peak
 
 

@@ -13,6 +13,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import jsonschema
@@ -213,17 +214,19 @@ def _write_samples_csv(path, samples) -> None:
                 writer.writerow([i, e, label])
 
 
-def _write_trajectories_csv(path, results) -> None:
+def _write_trajectories_csv(path, steps) -> None:
+    """Rows per sample, then step, then epoch; ``steps`` holds (m, σ, y batch)."""
+    n_samples = steps[0][2].shape[0] if steps else 0
     with open(path, "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["sample_index", "step", "sigma", "epoch_index",
                          "w", "n1", "n2", "n3", "r"])
-        for i, result in enumerate(results):
-            for step in result.trajectory or ():
-                for e in range(step.y.shape[1]):
+        for i in range(n_samples):
+            for m, sigma, y in steps:
+                for e in range(y.shape[2]):
                     writer.writerow(
-                        [i, step.m, repr(float(step.sigma)), e]
-                        + [repr(float(v)) for v in step.y[:, e]]
+                        [i, m, repr(float(sigma)), e]
+                        + [repr(float(v)) for v in y[i, :, e]]
                     )
 
 
@@ -313,14 +316,22 @@ def cmd_sample(args) -> int:
     bundle = read_bundle(Path(cfg["paths"]["bundle"]))
     bank, obs = _bank_and_obs(cfg, args, bundle)
     sampler_cfg = _sampler_config(cfg, args)
-    result = infer(bank, obs, sampler_cfg, bundle.n_epochs)
+    # The trajectories CSV prints only each step's m, σ and states.
+    steps: list = []
+
+    def keep_states(m, sigma, y, pairs):
+        steps.append((m, sigma, y.copy()))
+
+    result = infer(bank, obs, sampler_cfg, bundle.n_epochs,
+                   observer=keep_states if sampler_cfg.record_trajectory else None,
+                   valid_epochs=bundle.valid_epochs)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_hypnogram(out / "hypnogram.txt", result.hypnogram)
     _write_samples_csv(out / "samples.csv", result.samples)
     dump_json(out / "stats.json", {k: v for k, v in sorted(result.stats.items())})
     if sampler_cfg.record_trajectory:
-        _write_trajectories_csv(out / "trajectories.csv", result.results)
+        _write_trajectories_csv(out / "trajectories.csv", steps)
     acc = evalkit.accuracy(result.hypnogram, bundle.hypnogram)
     print(f"sample: {sampler_cfg.n_samples} samples, "
           f"5-class accuracy vs bundle hypnogram {acc:.3f}")
@@ -352,7 +363,7 @@ def cmd_eval(args) -> int:
             row[f"f1_{stage}"] = float(value)
         est = evalkit.overnight_stats(pred, bundle.valid_epochs)
         ref = evalkit.overnight_stats(bundle.hypnogram, bundle.valid_epochs)
-        for stat, val in evalkit.report_to_dict(est).items():
+        for stat, val in asdict(est).items():
             row[f"est_{stat}"] = val
             ref_val = getattr(ref, stat)
             row[f"ref_{stat}"] = ref_val

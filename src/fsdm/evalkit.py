@@ -174,17 +174,3 @@ def bland_altman(pairs: Sequence[tuple[float, float]]) -> dict[str, float]:
     sd = float(d.std(ddof=1))
     return {"bias": bias, "loa_low": bias - 1.96 * sd, "loa_high": bias + 1.96 * sd}
 
-
-def report_to_dict(report: StatReport) -> dict:
-    return {
-        "tst_min": report.tst_min,
-        "sol_min": report.sol_min,
-        "waso_min": report.waso_min,
-        "rem_latency_min": report.rem_latency_min,
-        "time_in_rem_min": report.time_in_rem_min,
-        "w_min": report.w_min,
-        "n1_min": report.n1_min,
-        "n2_min": report.n2_min,
-        "n3_min": report.n3_min,
-        "r_min": report.r_min,
-    }

@@ -2,20 +2,27 @@
 
 A sensor's information gain at an epoch is the cosine distance between
 its likelihood-denoised and prior-denoised stage-probability columns,
-averaged over the M recorded sampling states and over trajectories
-(a Monte-Carlo expectation over the sampler's initial states).  A value
-of 0 means the sensor never moved the estimate away from the prior.
+averaged over the M sampling states and over trajectories (a Monte-Carlo
+expectation over the sampler's initial states).  A value of 0 means the
+sensor never moved the estimate away from the prior.
+
+The sampler streams the distances into running sums while it runs
+(``GainSums``), so no trajectory is stored; ``information_gain`` only
+averages those sums.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .sampler import SampleResult, SamplerConfig, sample_many
 from .scorekit import Features, Observations, SensorBank
+
+if TYPE_CHECKING:  # the sampler imports GainSums from this module
+    from .sampler import SampleResult, SamplerConfig
 
 _MIN_NORM = 1e-12
 
@@ -49,11 +56,32 @@ def cosine_distance(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _columnwise_cosine_distance(lik: np.ndarray, pri: np.ndarray) -> np.ndarray:
-    na = np.linalg.norm(lik, axis=0)
-    nb = np.linalg.norm(pri, axis=0)
+    """Cosine distance of each stage column; (..., 5, E) inputs give (..., E)."""
+    na = np.linalg.norm(lik, axis=-2)
+    nb = np.linalg.norm(pri, axis=-2)
     if np.any(na < _MIN_NORM) or np.any(nb < _MIN_NORM):
         raise ValueError("cosine distance undefined for (near-)zero-norm column")
-    return 1.0 - (lik * pri).sum(axis=0) / (na * nb)
+    return 1.0 - (lik * pri).sum(axis=-2) / (na * nb)
+
+
+class GainSums:
+    """Sampler observer: per-sample running sums of each observed sensor's
+    column-wise cosine distance, one (B, E) array per sensor name.
+
+    A sensor observed more than once is summed at its first observation.
+    The sums are added step by step, in step order.
+    """
+
+    def __init__(self, names, n_samples: int, n_epochs: int):
+        self._first: dict[str, int] = {}
+        for k, name in enumerate(names):
+            self._first.setdefault(name, k)
+        self.sums = {name: np.zeros((n_samples, n_epochs)) for name in self._first}
+
+    def __call__(self, m, sigma, y, pairs) -> None:
+        for name, k in self._first.items():
+            _, lik, pri = pairs[k]
+            self.sums[name] += _columnwise_cosine_distance(lik, pri)
 
 
 def information_gain(
@@ -67,8 +95,8 @@ def information_gain(
     """Trajectory-averaged per-epoch gain for one observed sensor.
 
     Requires cfg.record_trajectory.  When ``results`` from a previous
-    sample_many call with the same (bank, obs, cfg) are supplied, the
-    recorded denoised pairs are reused instead of re-running the sampler.
+    sample_many call with the same (bank, obs, cfg) are supplied, their
+    streamed gain sums are reused instead of re-running the sampler.
     """
     names = [name for name, _ in obs]
     if sensor_name not in names:
@@ -83,20 +111,16 @@ def information_gain(
         if n_epochs is None:
             raise ValueError("n_epochs is required when no observation carries features")
     if results is None:
+        from .sampler import sample_many
+
         results = sample_many(bank, obs, cfg, n_epochs)
     total = np.zeros(n_epochs)
     for result in results:
-        if result.trajectory is None:
+        if result.gain_sums is None:
             raise ValueError("sample results carry no recorded trajectory")
-        per_traj = np.zeros(n_epochs)
-        for step in result.trajectory:
-            for name, lik, pri in step.pairs:
-                if name == sensor_name:
-                    per_traj += _columnwise_cosine_distance(lik, pri)
-                    break
-            else:
-                raise KeyError(f"trajectory carries no pair for {sensor_name!r}")
-        total += per_traj / len(result.trajectory)
+        if sensor_name not in result.gain_sums:
+            raise KeyError(f"sample results carry no gain for {sensor_name!r}")
+        total += result.gain_sums[sensor_name] / result.n_steps
     values = np.clip(total / len(results), 0.0, 1.0)
     return InfoGain(sensor=sensor_name, values=values, n_trajectories=len(results))
 

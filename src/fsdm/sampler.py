@@ -5,19 +5,29 @@ discrete grid to 0, starting from y_0 ~ N(0, σ(t_0)²·I) drawn from a
 counter-based generator seeded by (base_seed, sample_index), so samples
 are reproducible and independent of execution order.  The second-order
 correction is skipped on the final step where σ(t) = 0.
+
+A per-step observer ``observer(m, σ, y, pairs)`` sees every sampling
+state: ``y`` is the (B, 5, E) batch at step m and ``pairs`` holds each
+observation's (name, likelihood, prior) denoised batches at it.  The
+observer may read these arrays during the call but must not keep them.
+With ``record_trajectory`` set, the information-gain sums are such an
+observer, and nothing else of the trajectory is stored.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass, field, fields
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from . import evalkit
 from .hypno import Hypnodensity, Hypnogram, argmax_stages, majority_vote
+from .infogain import GainSums
 from .sched import ScheduleParams, noise_level, time_steps
 from .scorekit import Observations, SensorBank, fsdm_denoise_batch
+
+Observer = Callable[[int, float, np.ndarray, tuple], None]
 
 
 class SamplingError(RuntimeError):
@@ -38,24 +48,17 @@ class SamplerConfig:
 
 
 @dataclass(frozen=True)
-class TrajectoryStep:
-    """State at which the factorized score was evaluated for step m.
+class SampleResult:
+    """Final state of one sample.
 
-    ``pairs`` holds, per observation (in observation order), the sensor
-    name and the (likelihood, prior) denoised estimates at this state;
-    the information-gain metric consumes them directly.
+    With ``record_trajectory`` set, ``gain_sums`` maps each observed
+    sensor to the sum over the ``n_steps`` sampling states of its
+    per-epoch cosine distance (see ``infogain``); otherwise it is None.
     """
 
-    m: int
-    sigma: float
-    y: np.ndarray
-    pairs: tuple[tuple[str, np.ndarray, np.ndarray], ...]
-
-
-@dataclass(frozen=True)
-class SampleResult:
     y: Hypnodensity
-    trajectory: tuple[TrajectoryStep, ...] | None
+    gain_sums: Mapping[str, np.ndarray] | None
+    n_steps: int
 
 
 @dataclass(frozen=True)
@@ -77,6 +80,7 @@ def _run_indices(
     cfg: SamplerConfig,
     indices: Sequence[int],
     n_epochs: int,
+    observer: Observer | None = None,
 ) -> list[SampleResult]:
     for _, cond in obs:
         if hasattr(cond, "n_epochs") and cond.n_epochs != n_epochs:
@@ -87,23 +91,19 @@ def _run_indices(
     y = np.stack(
         [_initial_state(cfg.base_seed, i, n_epochs, sigma0) for i in indices]
     )
-    trajs: list[list[TrajectoryStep]] | None = (
-        [[] for _ in indices] if cfg.record_trajectory else None
-    )
+    gains = None
+    if cfg.record_trajectory:
+        gains = GainSums([name for name, _ in obs], len(indices), n_epochs)
+    observers = [o for o in (gains, observer) if o is not None]
     for m in range(n_steps):
         t_cur = ts[m]
         t_next = ts[m + 1]
         sigma, _ = noise_level(t_cur)
-        parts: dict | None = {} if cfg.record_trajectory else None
-        denoised = fsdm_denoise_batch(y, sigma, bank, obs, cfg.lam, parts)
+        pairs: list | None = [] if observers else None
+        denoised = fsdm_denoise_batch(y, sigma, bank, obs, cfg.lam, pairs)
+        for o in observers:
+            o(m, sigma, y, tuple(pairs))
         d = (y - denoised) / sigma  # −σ(t)·score
-        if trajs is not None:
-            for b in range(len(indices)):
-                pairs = tuple(
-                    (obs[k][0], parts[k][0][b].copy(), parts[k][1][b].copy())
-                    for k in range(len(obs))
-                )
-                trajs[b].append(TrajectoryStep(m, sigma, y[b].copy(), pairs))
         y_next = y + (t_next - t_cur) * d
         sigma_next, _ = noise_level(t_next)
         if sigma_next != 0.0:
@@ -118,7 +118,8 @@ def _run_indices(
     return [
         SampleResult(
             y=Hypnodensity(y[b]),
-            trajectory=tuple(trajs[b]) if trajs is not None else None,
+            gain_sums=None if gains is None else {k: v[b] for k, v in gains.sums.items()},
+            n_steps=n_steps,
         )
         for b in range(len(indices))
     ]
@@ -140,28 +141,19 @@ def sample_many(
     obs: Observations,
     cfg: SamplerConfig,
     n_epochs: int,
+    observer: Observer | None = None,
 ) -> list[SampleResult]:
     """Run cfg.n_samples samples with indices 0..n−1.
 
     Samples share the time grid and are integrated in lockstep as a
     batch; per-sample arithmetic is independent, so the output equals a
-    sequential run of sample_one bitwise.
+    sequential run of sample_one bitwise.  ``observer`` sees the whole
+    batch at each step, samples in index order.
     """
-    return _run_indices(bank, obs, cfg, range(cfg.n_samples), n_epochs)
+    return _run_indices(bank, obs, cfg, range(cfg.n_samples), n_epochs, observer)
 
 
-_STAT_NAMES = (
-    "tst_min",
-    "sol_min",
-    "waso_min",
-    "rem_latency_min",
-    "time_in_rem_min",
-    "w_min",
-    "n1_min",
-    "n2_min",
-    "n3_min",
-    "r_min",
-)
+_STAT_NAMES = tuple(f.name for f in fields(evalkit.StatReport))
 
 
 def infer(
@@ -169,18 +161,24 @@ def infer(
     obs: Observations,
     cfg: SamplerConfig,
     n_epochs: int,
+    observer: Observer | None = None,
+    valid_epochs: int | None = None,
 ) -> InferenceResult:
     """Sample, majority-vote a hypnogram, and aggregate overnight stats.
 
     The reported statistics are the per-statistic median over the
-    per-sample argmax hypnograms; statistics absent from every sample
-    (e.g. REM latency with no REM) are omitted from the map.
+    per-sample argmax hypnograms, cut to the first ``valid_epochs``
+    epochs (all of them by default), so padding never counts as sleep;
+    statistics absent from every sample (e.g. REM latency with no REM)
+    are omitted from the map.  ``observer`` is passed to sample_many.
     """
-    results = sample_many(bank, obs, cfg, n_epochs)
+    if valid_epochs is None:
+        valid_epochs = n_epochs
+    results = sample_many(bank, obs, cfg, n_epochs, observer=observer)
     samples = tuple(r.y for r in results)
     hypnogram = majority_vote(samples)
     reports = [
-        evalkit.overnight_stats(argmax_stages(y), n_epochs) for y in samples
+        evalkit.overnight_stats(argmax_stages(y), valid_epochs) for y in samples
     ]
     stats: dict[str, float] = {}
     for name in _STAT_NAMES:

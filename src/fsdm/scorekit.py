@@ -136,13 +136,13 @@ def fsdm_combine_batch(
     bank: SensorBank,
     obs: Observations,
     lam: float | None = None,
-    parts: dict | None = None,
+    pairs: list | None = None,
 ) -> np.ndarray:
     """Combined denoised estimate for a batch of states, before projection.
 
-    ``ys`` has shape (B, 5, E).  When ``parts`` is a dict it receives the
-    per-sensor (likelihood, prior) evaluations keyed by observation index,
-    which the trajectory recorder reuses for the information-gain metric.
+    ``ys`` has shape (B, 5, E).  When ``pairs`` is a list, each observation
+    appends its (name, likelihood, prior) evaluations to it, in observation
+    order; the sampler hands them to its per-step observers.
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
@@ -150,13 +150,13 @@ def fsdm_combine_batch(
         bank.get(name)
     lam_eff = _resolve_lambda(lam, len(obs))
     combined = _batch_eval(bank.global_prior, ys, ABSENT, sigma)
-    for idx, (name, cond) in enumerate(obs):
+    for name, cond in obs:
         denoiser = bank.get(name)
         lik = _batch_eval(denoiser, ys, cond, sigma)
         pri = _batch_eval(denoiser, ys, ABSENT, sigma)
         combined = combined + lam_eff * (lik - pri)
-        if parts is not None:
-            parts[idx] = (lik, pri)
+        if pairs is not None:
+            pairs.append((name, lik, pri))
     return combined
 
 
@@ -200,6 +200,6 @@ def fsdm_denoise_batch(
     bank: SensorBank,
     obs: Observations,
     lam: float | None = None,
-    parts: dict | None = None,
+    pairs: list | None = None,
 ) -> np.ndarray:
-    return _project_values(fsdm_combine_batch(ys, sigma, bank, obs, lam, parts))
+    return _project_values(fsdm_combine_batch(ys, sigma, bank, obs, lam, pairs))

@@ -1,17 +1,23 @@
 import filecmp
 import json
+import os
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fsdm
 from fsdm.bundle import Bundle, SignalEntry, read_bundle, write_bundle
 from fsdm.checks import informative_emission, persistent_markov
 from fsdm.cli import emit_plot_data, load_config, main
+from fsdm.evalkit import aggregate_stat, overnight_stats
 from fsdm.hypno import Hypnogram
 from fsdm.oracle import WorldModel, world_to_dict
+from fsdm.sampler import _initial_state
+from fsdm.sched import ScheduleParams, time_steps
 
 
 @pytest.fixture(scope="module")
@@ -230,8 +236,46 @@ def test_sample_emits_trajectories_when_requested(config_path, bundles, tmp_path
     assert main(["sample", "--config", str(path), "--out", str(out)]) == 0
     lines = (out / "trajectories.csv").read_text().strip().splitlines()
     assert lines[0] == "sample_index,step,sigma,epoch_index,w,n1,n2,n3,r"
-    # 2 samples × M=16 steps × 6 epochs data rows
+    # 2 samples × M=16 steps × 6 epochs data rows, sample-major
     assert len(lines) == 1 + 2 * 16 * 6
+    rows = [line.split(",") for line in lines[1:]]
+    assert [(int(r[0]), int(r[1]), int(r[3])) for r in rows] == [
+        (i, m, e) for i in range(2) for m in range(16) for e in range(6)
+    ]
+    ts = time_steps(ScheduleParams(M=16))
+    assert [float(r[2]) for r in rows[:16 * 6:6]] == list(ts[:-1])
+    # Step 0 holds each sample's initial state.
+    for i in range(2):
+        y0 = np.array([[float(v) for v in r[4:]] for r in rows[i * 96:i * 96 + 6]]).T
+        assert np.array_equal(y0, _initial_state(11, i, 6, ts[0]))
+
+
+def test_sample_stats_cover_valid_epochs_only(config_path, bundles, tmp_path):
+    full = read_bundle(bundles / "rec_0000")
+    write_bundle(tmp_path / "rec_pad", Bundle(
+        recording_id="rec_pad", n_epochs=full.n_epochs, valid_epochs=4,
+        hypnogram=full.hypnogram, features=full.features,
+    ))
+    cfg = json.loads(config_path.read_text())
+    cfg["paths"]["bundle"] = str(tmp_path / "rec_pad")
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    out = tmp_path / "pred"
+    assert main(["sample", "--config", str(path), "--out", str(out)]) == 0
+    labels: dict[str, list[str]] = {}
+    for line in (out / "samples.csv").read_text().strip().splitlines()[1:]:
+        i, _, stage = line.split(",")
+        labels.setdefault(i, []).append(stage)
+    assert len(labels) == 6 and all(len(v) == full.n_epochs for v in labels.values())
+
+    def median_stats(n_epochs):
+        reports = [overnight_stats(Hypnogram.from_labels(v), n_epochs) for v in labels.values()]
+        stats = {name: aggregate_stat(reports, name) for name in asdict(reports[0])}
+        return {k: v for k, v in stats.items() if v is not None}
+
+    stats = json.loads((out / "stats.json").read_text())
+    assert stats == median_stats(4)
+    assert stats != median_stats(full.n_epochs)
 
 
 def test_emit_plot_data(tmp_path):
@@ -261,9 +305,12 @@ def test_lambda_flag_parsing(config_path, bundles, tmp_path):
 
 
 def test_console_entry_point_runs():
+    # The child imports the same fsdm as this suite, installed or not.
+    src = str(Path(fsdm.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "fsdm.cli", "--help"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     for cmd in ("synth", "train", "sample", "eval", "infogain", "preprocess",

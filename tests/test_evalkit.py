@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,6 @@ from fsdm.evalkit import (
     f1_per_class,
     merge_classes,
     overnight_stats,
-    report_to_dict,
 )
 from fsdm.hypno import Hypnogram
 
@@ -217,11 +218,12 @@ def test_bland_altman_needs_two_pairs():
         bland_altman([(1.0, 1.0)])
 
 
-def test_report_to_dict_round_trip_fields():
+def test_stat_report_asdict_round_trip_fields():
+    # The eval rows and the sampler's stat names follow this field order.
     report = overnight_stats(_h(["W", "N2", "R"]), 3)
-    doc = report_to_dict(report)
+    doc = asdict(report)
     assert doc["tst_min"] == report.tst_min
-    assert set(doc) == {
+    assert list(doc) == [
         "tst_min", "sol_min", "waso_min", "rem_latency_min", "time_in_rem_min",
         "w_min", "n1_min", "n2_min", "n3_min", "r_min",
-    }
+    ]

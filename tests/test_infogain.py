@@ -7,14 +7,17 @@ from fsdm.checks import oracle_bank, random_world, uniform_emission
 from fsdm.hypno import Hypnogram
 from fsdm.infogain import (
     InfoGain,
+    _columnwise_cosine_distance,
     cosine_distance,
     information_gain,
     mean_information_gain,
     write_infogain_csv,
 )
+from fsdm.neural import ReferenceDenoiser
 from fsdm.oracle import MarkovPrior, WorldModel
 from fsdm.sampler import SamplerConfig, sample_many
-from fsdm.scorekit import ABSENT, Features
+from fsdm.sched import ScheduleParams
+from fsdm.scorekit import ABSENT, Features, SensorBank
 
 
 def test_cosine_distance_parallel_is_zero():
@@ -117,15 +120,69 @@ def test_averaging_order_irrelevant():
     bank = oracle_bank(world)
     obs = [("s0", Features(np.array([0.0, 2.0])))]
     cfg = SamplerConfig(n_samples=3, base_seed=9, record_trajectory=True)
-    results = sample_many(bank, obs, cfg, 2)
-    gain = information_gain(bank, obs, "s0", cfg, results=results)
     flat = []
-    for r in results:
-        for step in r.trajectory:
-            name, lik, pri = step.pairs[0]
-            num = (lik * pri).sum(axis=0)
-            flat.append(1 - num / (np.linalg.norm(lik, axis=0) * np.linalg.norm(pri, axis=0)))
+
+    def by_hand(m, sigma, y, pairs):
+        name, lik, pri = pairs[0]
+        for b in range(lik.shape[0]):
+            num = (lik[b] * pri[b]).sum(axis=0)
+            norms = np.linalg.norm(lik[b], axis=0) * np.linalg.norm(pri[b], axis=0)
+            flat.append(1 - num / norms)
+
+    results = sample_many(bank, obs, cfg, 2, observer=by_hand)
+    gain = information_gain(bank, obs, "s0", cfg, results=results)
+    assert len(flat) == 3 * cfg.schedule.M
     np.testing.assert_allclose(gain.values, np.mean(flat, axis=0), atol=1e-12)
+
+
+class _StoredTrajectories:
+    """Keeps full per-step copies of every state and denoised pair, per sample."""
+
+    def __init__(self, n_samples):
+        self.steps = [[] for _ in range(n_samples)]
+
+    def __call__(self, m, sigma, y, pairs):
+        for b, traj in enumerate(self.steps):
+            traj.append(tuple((name, lik[b].copy(), pri[b].copy()) for name, lik, pri in pairs))
+
+    def gain(self, sensor_name, n_epochs):
+        """Information gain from the stored copies, one sample and step at a time."""
+        total = np.zeros(n_epochs)
+        for traj in self.steps:
+            per_traj = np.zeros(n_epochs)
+            for pairs in traj:
+                name, lik, pri = next(p for p in pairs if p[0] == sensor_name)
+                per_traj += _columnwise_cosine_distance(lik, pri)
+            total += per_traj / len(traj)
+        return np.clip(total / len(self.steps), 0.0, 1.0)
+
+
+def _neural_bank():
+    rng = np.random.default_rng(11)
+    nets = [ReferenceDenoiser.init(n_features=n, rng=rng, channels=8) for n in (0, 1, 1)]
+    return SensorBank(nets[0], (("a", nets[1]), ("b", nets[2])))
+
+
+@pytest.mark.parametrize("kind", ["neural", "oracle"])
+def test_streamed_gain_equals_stored_trajectories_bitwise(kind):
+    # M=7 steps: dividing by a power of two would hide a reordered average.
+    rng = np.random.default_rng(12)
+    if kind == "neural":
+        bank, n_epochs, names = _neural_bank(), 40, ("a", "b")
+    else:
+        n_epochs = 4
+        bank, names = oracle_bank(random_world(n_epochs, 2, rng)), ("s0", "s1")
+    # A sensor observed twice counts at its first observation.
+    obs = [(name, Features(rng.integers(0, 5, n_epochs).astype(float)))
+           for name in (*names, names[0])]
+    cfg = SamplerConfig(schedule=ScheduleParams(M=7), n_samples=5, base_seed=3,
+                        record_trajectory=True)
+    stored = _StoredTrajectories(cfg.n_samples)
+    results = sample_many(bank, obs, cfg, n_epochs, observer=stored)
+    for name in names:
+        streamed = information_gain(bank, obs, name, cfg, n_epochs, results=results)
+        assert np.array_equal(streamed.values, stored.gain(name, n_epochs))
+        assert np.any(streamed.values > 0)
 
 
 def test_deterministic_given_seed():

@@ -148,6 +148,18 @@ def test_ampd_kernels_agree():
             want = _loop_peaks(x, lam)
             np.testing.assert_array_equal(ampd_local_maxima(x, lam), want)
             np.testing.assert_array_equal(_ampd_peaks_numpy(x, lam), want)
+    # A noisy pulse train of a few thousand samples at scales of hundreds:
+    # most samples drop out at scale 1 and the rest thin out scale by scale.
+    rng = np.random.default_rng(8)
+    t = np.arange(4000)
+    x = np.sin(2 * np.pi * t / 230.0) ** 15 + 0.05 * rng.standard_normal(t.size)
+    x[1000:1200] = 0.0
+    x[2500] = np.nan
+    for lam in (200, 230, 499):
+        want = _loop_peaks(x, lam)
+        assert want.any()
+        np.testing.assert_array_equal(ampd_local_maxima(x, lam), want)
+        np.testing.assert_array_equal(_ampd_peaks_numpy(x, lam), want)
 
 
 def test_ampd_boundaries_never_peaks():

@@ -44,8 +44,13 @@ def test_distinct_indices_distinct_initial_states():
     h = Hypnogram.from_indices([1])
     bank = oracle_bank(single_atom_world(h))
     cfg = SamplerConfig(n_samples=64, base_seed=9, record_trajectory=True)
-    results = sample_many(bank, [], cfg, 1)
-    initials = {tuple(r.trajectory[0].y.ravel()) for r in results}
+    initials = set()
+
+    def first_states(m, sigma, y, pairs):
+        if m == 0:
+            initials.update(tuple(state.ravel()) for state in y)
+
+    sample_many(bank, [], cfg, 1, observer=first_states)
     assert len(initials) == 64
 
 
@@ -76,22 +81,30 @@ def test_trajectory_recording_does_not_change_states():
     rng = np.random.default_rng(3)
     world = random_world(3, 1, rng)
     bank = oracle_bank(world)
-    base = SamplerConfig(base_seed=7)
-    recorded = SamplerConfig(base_seed=7, record_trajectory=True)
-    a = sample_one(bank, [], base, 0, 3)
-    b = sample_one(bank, [], recorded, 0, 3)
-    assert a.trajectory is None
-    assert len(b.trajectory) == base.schedule.M
-    assert np.array_equal(a.y.values, b.y.values)
+    obs = [("s0", Features(np.array([0.0, 2.0, 4.0])))]
+    base = SamplerConfig(n_samples=2, base_seed=7)
+    recorded = SamplerConfig(n_samples=2, base_seed=7, record_trajectory=True)
+    steps = []
+    a = sample_many(bank, obs, base, 3)
+    b = sample_many(bank, obs, recorded, 3,
+                    observer=lambda m, sigma, y, pairs: steps.append(m))
+    assert steps == list(range(base.schedule.M))
+    for ra, rb in zip(a, b):
+        assert ra.gain_sums is None
+        assert set(rb.gain_sums) == {"s0"}
+        assert rb.n_steps == base.schedule.M
+        assert np.array_equal(ra.y.values, rb.y.values)
 
 
 def test_trajectory_records_predictor_states_with_positive_sigma():
     h = Hypnogram.from_indices([2, 2])
     bank = oracle_bank(single_atom_world(h))
-    cfg = SamplerConfig(base_seed=1, record_trajectory=True)
-    result = sample_one(bank, [], cfg, 0, 2)
-    sigmas = [step.sigma for step in result.trajectory]
+    cfg = SamplerConfig(n_samples=1, base_seed=1, record_trajectory=True)
+    seen = []
+    sample_many(bank, [], cfg, 2, observer=lambda m, sigma, y, pairs: seen.append((m, sigma)))
+    steps, sigmas = zip(*seen)
     ts = __import__("fsdm.sched", fromlist=["time_steps"]).time_steps(cfg.schedule)
+    assert steps == tuple(range(cfg.schedule.M))
     np.testing.assert_allclose(sigmas, ts[:-1])
     assert all(s > 0 for s in sigmas)
 
