@@ -5,9 +5,8 @@
 
 Forward-backward (Markov priors) is timed against enumeration (explicit
 priors) on the same inputs where E ≤ 8, and alone on whole-night
-lengths.  The AMPD numba kernel, when numba is installed, is timed
-against its pure-numpy fallback, which FSDM_DISABLE_NUMBA=1 selects
-package-wide.
+lengths.  The AMPD scalogram is timed at three window lengths and
+scale ranges.
 """
 
 import time
@@ -54,15 +53,10 @@ def bench_ampd():
         t = np.arange(n) / fs
         x = np.sin(2 * np.pi * t) + 0.05 * rng.standard_normal(n)
         max_scale = min(int(max_scale_s * fs), (n - 1) // 2)
-        t_np = timeit(_kernels._ampd_gamma_numpy, x, max_scale, repeat=3)
-        line = f"  n={n:6d} scales={max_scale:5d}: numpy {t_np*1e3:8.2f} ms"
-        if _kernels.USING_NUMBA:
-            t_nb = timeit(_kernels._ampd_gamma_numba, x, max_scale, repeat=3)
-            line += f" | numba {t_nb*1e3:8.2f} ms | speedup {t_np/t_nb:5.1f}x"
-        print(line)
+        best = timeit(_kernels.ampd_gamma, x, max_scale, repeat=3)
+        print(f"  n={n:6d} scales={max_scale:5d}: {best*1e3:8.2f} ms")
 
 
 if __name__ == "__main__":
-    print(f"numba available: {_kernels.USING_NUMBA}")
     bench_mixture()
     bench_ampd()

@@ -1,8 +1,6 @@
 """Factorized score-based diffusion for categorical stage-sequence
 inference from arbitrary sensor subsets, with exact enumeration oracles."""
 
-from ._kernels import USING_NUMBA
-
 __version__ = "0.1.0"
 
-__all__ = ["USING_NUMBA", "__version__"]
+__all__ = ["__version__"]

@@ -122,6 +122,11 @@ def read_bundle(directory) -> Bundle:
         values = read_features_csv(path)
         if values.shape[1] != n_epochs:
             raise ValueError(f"features {entry['name']} are not epoch-aligned")
+        if np.isinf(values).any():
+            raise ValueError(
+                f"features {entry['name']} hold an infinite value "
+                "(NaN marks a missing epoch)"
+            )
         features[entry["name"]] = values
     signals = {}
     for entry in manifest.get("signals", []):

@@ -3,7 +3,9 @@
 Commands: synth, train, sample, eval, infogain, preprocess, oracle-check,
 degrade.  Every command reads a JSON run configuration (schema-validated,
 unknown keys rejected), writes machine-readable JSON/CSV under --out, and
-prints a short human summary.  Outputs carry no timestamps, so a fixed
+prints a short human summary.  Each command accepts only the flags it
+reads, and a value set in neither the config nor a flag keeps the
+library's default.  Outputs carry no timestamps, so a fixed
 (config, seed) pair reproduces byte-identical files.
 """
 
@@ -13,7 +15,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import jsonschema
@@ -21,11 +23,11 @@ import numpy as np
 
 from . import checks, evalkit, experiments, neural
 from .bundle import Bundle, SignalEntry, dump_json, read_bundle, write_bundle
-from .dsp import KINDS, RawSignal, preprocess, write_signal_f32
+from .dsp import KINDS, TARGET_EPOCHS, TARGET_FS, RawSignal, preprocess, write_signal_f32
 from .hypno import SleepStage, argmax_stages, read_hypnogram, write_hypnogram
 from .infogain import information_gain, write_infogain_csv
 from .oracle import PRIOR, WorldModel, exact_denoiser, world_from_dict
-from .sampler import SamplerConfig, infer
+from .sampler import SamplerConfig, infer, sample_many
 from .sched import ScheduleParams
 from .scorekit import Features, SensorBank
 from .synth import SynthConfig, WaveformSpec, gen_recording, split_of_index
@@ -116,45 +118,35 @@ def load_config(path) -> dict:
     return cfg
 
 
+def _given(**values) -> dict:
+    """The values that are set, as keyword arguments; None means unset."""
+    return {k: v for k, v in values.items() if v is not None}
+
+
+def _flag_or(flag, section: dict, key: str):
+    """A flag's value if given, else the config section's (or None)."""
+    return flag if flag is not None else section.get(key)
+
+
 def _schedule(cfg: dict) -> ScheduleParams:
-    section = cfg.get("schedule", {})
-    return ScheduleParams(
-        sigma_min=section.get("sigma_min", 0.0001),
-        sigma_max=section.get("sigma_max", 40.0),
-        rho=section.get("rho", 7.0),
-        M=section.get("M", 32),
-    )
+    return ScheduleParams(**cfg.get("schedule", {}))
 
 
 def _sampler_config(cfg: dict, args) -> SamplerConfig:
     section = cfg.get("sampler", {})
-    lam = section.get("lambda", "auto")
-    if getattr(args, "lambda_", None) is not None:
-        lam = args.lambda_
-    if isinstance(lam, str):
-        if lam != "auto":
-            raise ValueError(f"lambda must be a number or 'auto', got {lam!r}")
-        lam = None
-    n_samples = section.get("n_samples", 64)
-    if getattr(args, "n_samples", None) is not None:
-        n_samples = args.n_samples
-    base_seed = section.get("base_seed", 0)
-    if getattr(args, "seed", None) is not None:
-        base_seed = args.seed
-    return SamplerConfig(
-        schedule=_schedule(cfg),
-        n_samples=n_samples,
-        lam=lam,
-        base_seed=base_seed,
-        record_trajectory=section.get("record_trajectory", False),
+    settings = _given(
+        n_samples=_flag_or(args.n_samples, section, "n_samples"),
+        lam=_flag_or(args.lambda_, section, "lambda"),
+        base_seed=_flag_or(args.seed, section, "base_seed"),
+        record_trajectory=section.get("record_trajectory"),
     )
+    if settings.get("lam") == "auto":  # SamplerConfig's own 1/N weighting
+        del settings["lam"]
+    return SamplerConfig(schedule=_schedule(cfg), **settings)
 
 
 def _train_config(cfg: dict, args) -> neural.TrainConfig:
-    section = dict(cfg.get("train", {}))
-    if getattr(args, "seed", None) is not None:
-        section["seed"] = args.seed
-    return neural.TrainConfig(**section)
+    return neural.TrainConfig(**{**cfg.get("train", {}), **_given(seed=args.seed)})
 
 
 def _world(cfg: dict) -> WorldModel:
@@ -165,25 +157,19 @@ def _world(cfg: dict) -> WorldModel:
 
 
 def _waveform_specs(cfg: dict) -> dict[str, WaveformSpec]:
-    out = {}
-    for name, spec in cfg.get("world", {}).get("waveform", {}).items():
-        rates = {SleepStage[k]: float(v) for k, v in spec["stage_rates"].items()}
-        out[name] = WaveformSpec(
-            stage_rates=rates,
-            base_amplitude=spec.get("base_amplitude", 1.0),
-            noise_sd=spec.get("noise_sd", 0.01),
-            fs=spec.get("fs", 128.0),
-            jitter_sd=spec.get("jitter_sd", 0.01),
-            pulse_width_s=spec.get("pulse_width_s", 0.08),
-            kind_name=spec.get("kind_name", "finger_ppg"),
-        )
-    return out
+    return {
+        name: WaveformSpec(**{
+            **spec,
+            "stage_rates": {SleepStage[k]: v for k, v in spec["stage_rates"].items()},
+        })
+        for name, spec in cfg.get("world", {}).get("waveform", {}).items()
+    }
 
 
 def _bank_and_obs(cfg: dict, args, bundle: Bundle) -> tuple[SensorBank, list]:
     """Build the denoiser bank (exact or trained) and the observation list."""
     mode = cfg.get("sampler", {}).get("denoisers", "exact")
-    wanted = getattr(args, "sensor", None) or sorted(bundle.features)
+    wanted = args.sensor or sorted(bundle.features)
     missing = [s for s in wanted if s not in bundle.features]
     if missing:
         raise KeyError(f"bundle has no features for sensors {missing}")
@@ -252,10 +238,10 @@ def cmd_synth(args) -> int:
     world = _world(cfg)
     specs = _waveform_specs(cfg)
     n = cfg.get("world", {}).get("n_recordings", 10)
-    seed = args.seed if args.seed is not None else cfg.get("sampler", {}).get("base_seed", 0)
+    seed = _flag_or(args.seed, cfg.get("sampler", {}), "base_seed")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    synth_cfg = SynthConfig(world=world, n_recordings=n, waveform=specs, seed=seed)
+    synth_cfg = SynthConfig(world=world, n_recordings=n, waveform=specs, **_given(seed=seed))
     split: dict[str, list[str]] = {"train": [], "val": [], "test": []}
     for i in range(n):
         rec = gen_recording(synth_cfg, i)
@@ -405,17 +391,13 @@ def cmd_infogain(args) -> int:
         raise ValueError("--sensor is required for infogain")
     bundle = read_bundle(Path(cfg["paths"]["bundle"]))
     bank, obs = _bank_and_obs(cfg, args, bundle)
-    sampler_cfg = _sampler_config(cfg, args)
-    if not sampler_cfg.record_trajectory:
-        sampler_cfg = SamplerConfig(
-            schedule=sampler_cfg.schedule, n_samples=sampler_cfg.n_samples,
-            lam=sampler_cfg.lam, base_seed=sampler_cfg.base_seed,
-            record_trajectory=True,
-        )
+    sampler_cfg = replace(_sampler_config(cfg, args), record_trajectory=True)
+    # One sampler run carries the gain sums of every observed sensor.
+    results = sample_many(bank, obs, sampler_cfg, bundle.n_epochs)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for sensor in args.sensor:
-        gain = information_gain(bank, obs, sensor, sampler_cfg, bundle.n_epochs)
+        gain = information_gain(bank, obs, sensor, sampler_cfg, bundle.n_epochs, results)
         write_infogain_csv(out / f"infogain_{sensor}.csv", gain)
         print(f"infogain: {sensor} mean {float(gain.values.mean()):.4f} "
               f"over {gain.values.size} epochs")
@@ -425,7 +407,7 @@ def cmd_infogain(args) -> int:
 def cmd_preprocess(args) -> int:
     cfg = load_config(args.config)
     bundle = read_bundle(Path(cfg["paths"]["bundle"]))
-    pad_epochs = cfg.get("paths", {}).get("pad_epochs", 1792)
+    pad_epochs = cfg.get("paths", {}).get("pad_epochs", TARGET_EPOCHS)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     summary = {}
@@ -436,7 +418,7 @@ def cmd_preprocess(args) -> int:
         processed = preprocess(raw, target_epochs=pad_epochs)
         write_signal_f32(out / f"{name}_proc.f32", processed.samples)
         dump_json(out / f"{name}_proc.json",
-                  {"fs": 128.0, "kind": entry.kind, "unit": entry.unit})
+                  {"fs": TARGET_FS, "kind": entry.kind, "unit": entry.unit})
         info = {"valid_epochs": processed.valid_epochs,
                 "n_missing": int(processed.missing_indices.size)}
         if processed.rate is not None:
@@ -473,12 +455,14 @@ def cmd_oracle_check(args) -> int:
 
 def cmd_degrade(args) -> int:
     cfg = load_config(args.config)
-    seed = args.seed if args.seed is not None else cfg.get("sampler", {}).get("base_seed", 0)
-    n_samples = args.n_samples or cfg.get("sampler", {}).get("n_samples", 16)
-    n_recordings = cfg.get("world", {}).get("n_recordings", 12)
+    sampler = cfg.get("sampler", {})
     rows, summaries = experiments.degradation_sweep(
-        n_recordings=n_recordings, n_samples=n_samples, seed=seed,
         schedule=_schedule(cfg),
+        **_given(
+            n_recordings=cfg.get("world", {}).get("n_recordings"),
+            n_samples=_flag_or(args.n_samples, sampler, "n_samples"),
+            seed=_flag_or(args.seed, sampler, "base_seed"),
+        ),
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -500,6 +484,15 @@ def cmd_degrade(args) -> int:
     return 0
 
 
+# The optional flags; build_parser gives each command only those it reads.
+_FLAGS = {
+    "--seed": {"type": int, "help": "override config seed"},
+    "--sensor": {"action": "append", "help": "sensor name (repeatable)"},
+    "--n-samples": {"type": int},
+    "--lambda": {"dest": "lambda_", "help": "combination weight or 'auto'"},
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fsdm",
@@ -507,29 +500,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kwargs):
+    def add(name, fn, flags, **kwargs):
         p = sub.add_parser(name, **kwargs)
         p.add_argument("--config", required=True, help="run configuration JSON")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="override config seed")
-        p.add_argument("--sensor", action="append", default=None,
-                       help="sensor name (repeatable)")
-        p.add_argument("--n-samples", type=int, default=None, dest="n_samples")
-        p.add_argument("--lambda", dest="lambda_", default=None,
-                       help="combination weight or 'auto'")
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
         p.set_defaults(fn=fn)
         return p
 
-    add("synth", cmd_synth, help="generate synthetic recording bundles")
-    add("train", cmd_train, help="train denoisers on bundles")
-    add("sample", cmd_sample, help="run posterior sampling on a bundle")
-    add("eval", cmd_eval, help="score predictions against bundle hypnograms")
-    add("infogain", cmd_infogain, help="per-epoch information gain for a sensor")
-    add("preprocess", cmd_preprocess, help="run the signal pipeline on a bundle")
-    p = add("oracle-check", cmd_oracle_check, help="run verification suites")
+    sampling = ("--seed", "--sensor", "--n-samples", "--lambda")
+    add("synth", cmd_synth, ("--seed",), help="generate synthetic recording bundles")
+    add("train", cmd_train, ("--seed", "--sensor"), help="train denoisers on bundles")
+    add("sample", cmd_sample, sampling, help="run posterior sampling on a bundle")
+    add("eval", cmd_eval, (), help="score predictions against bundle hypnograms")
+    add("infogain", cmd_infogain, sampling, help="per-epoch information gain for a sensor")
+    add("preprocess", cmd_preprocess, (), help="run the signal pipeline on a bundle")
+    p = add("oracle-check", cmd_oracle_check, (), help="run verification suites")
     p.add_argument("--suite", default="all",
                    help="suite name or 'all' (%s)" % ", ".join(sorted(checks.SUITES)))
-    add("degrade", cmd_degrade, help="degradation sweep (zero spans, added noise)")
+    add("degrade", cmd_degrade, ("--seed", "--n-samples"),
+        help="degradation sweep (zero spans, added noise)")
     return parser
 
 

@@ -162,7 +162,8 @@ class ReferenceDenoiser:
                 f"conditioning shape {v.shape} does not match "
                 f"({self.n_features}, {n_epochs})"
             )
-        return v
+        # NaN marks a missing epoch; training writes 0.0 into blanked spans.
+        return np.where(np.isnan(v), 0.0, v)
 
     def _forward(self, y: np.ndarray, x: np.ndarray, sigma: float) -> dict:
         w = self.weights

@@ -66,14 +66,18 @@ class Denoiser(Protocol):
     """Evaluable denoiser: (noisy hypnodensity, conditioning, σ) → clean estimate.
 
     Output columns must lie on the probability simplex; evaluation must be
-    deterministic and side-effect-free.  Implementations may additionally
-    provide ``evaluate_batch(ys, cond, sigma) -> (B,5,E) array`` for the
-    sampler's vectorized path; it must equal per-sample evaluation bitwise.
+    deterministic and side-effect-free.  ``evaluate_batch`` maps a (B,5,E)
+    batch of states to a (B,5,E) array; it is what the sampler calls, and
+    it must equal per-sample ``evaluate`` bitwise.
     """
 
     def evaluate(
         self, y_noisy: Hypnodensity, cond: Conditioning, sigma: float
     ) -> Hypnodensity: ...
+
+    def evaluate_batch(
+        self, ys: np.ndarray, cond: Conditioning, sigma: float
+    ) -> np.ndarray: ...
 
 
 @dataclass(frozen=True)
@@ -114,16 +118,6 @@ def tweedie_score(
     return (d - y) / (sigma * sigma)
 
 
-def _batch_eval(denoiser: Denoiser, ys: np.ndarray, cond: Conditioning, sigma: float) -> np.ndarray:
-    batch_fn = getattr(denoiser, "evaluate_batch", None)
-    if batch_fn is not None:
-        return np.asarray(batch_fn(ys, cond, sigma))
-    out = np.empty_like(ys)
-    for b in range(ys.shape[0]):
-        out[b] = denoiser.evaluate(Hypnodensity(ys[b]), cond, sigma).values
-    return out
-
-
 def _resolve_lambda(lam: float | None, n_obs: int) -> float:
     if lam is not None:
         return float(lam)
@@ -149,11 +143,11 @@ def fsdm_combine_batch(
     for name, _ in obs:
         bank.get(name)
     lam_eff = _resolve_lambda(lam, len(obs))
-    combined = _batch_eval(bank.global_prior, ys, ABSENT, sigma)
+    combined = bank.global_prior.evaluate_batch(ys, ABSENT, sigma)
     for name, cond in obs:
         denoiser = bank.get(name)
-        lik = _batch_eval(denoiser, ys, cond, sigma)
-        pri = _batch_eval(denoiser, ys, ABSENT, sigma)
+        lik = denoiser.evaluate_batch(ys, cond, sigma)
+        pri = denoiser.evaluate_batch(ys, ABSENT, sigma)
         combined = combined + lam_eff * (lik - pri)
         if pairs is not None:
             pairs.append((name, lik, pri))

@@ -1,3 +1,4 @@
+import argparse
 import filecmp
 import json
 import os
@@ -10,14 +11,17 @@ import numpy as np
 import pytest
 
 import fsdm
+import fsdm.sampler
 from fsdm.bundle import Bundle, SignalEntry, read_bundle, write_bundle
-from fsdm.checks import informative_emission, persistent_markov
-from fsdm.cli import emit_plot_data, load_config, main
+from fsdm.checks import informative_emission, oracle_bank, persistent_markov, random_world
+from fsdm.cli import build_parser, emit_plot_data, load_config, main
 from fsdm.evalkit import aggregate_stat, overnight_stats
 from fsdm.hypno import Hypnogram
+from fsdm.infogain import information_gain, write_infogain_csv
 from fsdm.oracle import WorldModel, world_to_dict
-from fsdm.sampler import _initial_state
+from fsdm.sampler import SamplerConfig, _initial_state
 from fsdm.sched import ScheduleParams, time_steps
+from fsdm.scorekit import Features
 
 
 @pytest.fixture(scope="module")
@@ -304,6 +308,86 @@ def test_lambda_flag_parsing(config_path, bundles, tmp_path):
     assert rc != 0
 
 
+_SAMPLING_FLAGS = {"--seed", "--sensor", "--n-samples", "--lambda"}
+_COMMAND_FLAGS = {
+    "synth": {"--seed"},
+    "train": {"--seed", "--sensor"},
+    "sample": _SAMPLING_FLAGS,
+    "infogain": _SAMPLING_FLAGS,
+    "degrade": {"--seed", "--n-samples"},
+    "eval": set(),
+    "preprocess": set(),
+    "oracle-check": {"--suite"},
+}
+
+
+def test_each_command_declares_only_the_flags_it_reads():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(_COMMAND_FLAGS)
+    for name, parser in sub.choices.items():
+        flags = {flag for action in parser._actions for flag in action.option_strings}
+        assert {"--config", "--out"} <= flags
+        assert flags - {"-h", "--help", "--config", "--out"} == _COMMAND_FLAGS[name], name
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--seed", "1"],
+    ["preprocess", "--sensor", "x"],
+    ["preprocess", "--lambda", "0.3"],
+    ["oracle-check", "--n-samples", "2"],
+    ["synth", "--sensor", "pulse"],
+])
+def test_unread_flag_is_a_usage_error(argv, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--config", str(tmp_path / "c.json"), "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_degrade_zero_samples_exits_1(config_path, tmp_path, capsys):
+    rc = main(["degrade", "--config", str(config_path), "--out", str(tmp_path / "d"),
+               "--n-samples", "0"])
+    assert rc == 1
+    assert "n_samples" in capsys.readouterr().err
+
+
+def test_infogain_runs_the_sampler_once(tmp_path, monkeypatch):
+    rng = np.random.default_rng(2)
+    world = random_world(5, 2, rng)
+    features = {name: rng.integers(0, 5, (1, 5)).astype(np.float64) for name in ("s0", "s1")}
+    write_bundle(tmp_path / "rec", Bundle(
+        recording_id="rec", n_epochs=5, valid_epochs=5,
+        hypnogram=Hypnogram.from_indices([0] * 5), features=features,
+    ))
+    cfg = {"schedule": {"M": 6}, "sampler": {"n_samples": 3, "base_seed": 4},
+           "world": {"model": world_to_dict(world)},
+           "paths": {"bundle": str(tmp_path / "rec")}}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    runs = []
+    run_indices = fsdm.sampler._run_indices
+
+    def counting(*args, **kwargs):
+        runs.append(1)
+        return run_indices(*args, **kwargs)
+
+    monkeypatch.setattr(fsdm.sampler, "_run_indices", counting)
+    out = tmp_path / "ig"
+    assert main(["infogain", "--config", str(path), "--out", str(out),
+                 "--sensor", "s0", "--sensor", "s1"]) == 0
+    assert len(runs) == 1
+    # Each file is what a sampler run of its own gives for that sensor.
+    obs = [(name, Features(features[name])) for name in ("s0", "s1")]
+    sampler_cfg = SamplerConfig(schedule=ScheduleParams(M=6), n_samples=3, base_seed=4,
+                                record_trajectory=True)
+    for name in ("s0", "s1"):
+        gain = information_gain(oracle_bank(world), obs, name, sampler_cfg, 5)
+        write_infogain_csv(tmp_path / f"want_{name}.csv", gain)
+        assert filecmp.cmp(out / f"infogain_{name}.csv", tmp_path / f"want_{name}.csv",
+                           shallow=False)
+
+
 def test_console_entry_point_runs():
     # The child imports the same fsdm as this suite, installed or not.
     src = str(Path(fsdm.__file__).resolve().parent.parent)
@@ -358,6 +442,68 @@ def test_bundle_valid_epochs_out_of_range_rejected(tmp_path, valid_epochs):
     write_bundle(tmp_path / "b", bundle)
     with pytest.raises(ValueError, match="valid_epochs"):
         read_bundle(tmp_path / "b")
+
+
+def test_bundle_infinite_features_rejected(tmp_path):
+    bundle = Bundle(
+        recording_id="rec_inf", n_epochs=3, valid_epochs=3,
+        hypnogram=Hypnogram.from_labels(["W", "N2", "R"]),
+        features={"ok": np.array([[1.0, np.nan, 2.0]]),
+                  "s": np.array([[1.0, np.inf, -np.inf]])},
+    )
+    write_bundle(tmp_path / "b", bundle)
+    with pytest.raises(ValueError, match="features s hold an infinite value"):
+        read_bundle(tmp_path / "b")
+    # NaN alone marks missing epochs and is kept.
+    write_bundle(tmp_path / "c", Bundle(
+        recording_id="rec_nan", n_epochs=3, valid_epochs=3,
+        hypnogram=bundle.hypnogram, features={"ok": bundle.features["ok"]},
+    ))
+    assert np.isnan(read_bundle(tmp_path / "c").features["ok"][0, 1])
+
+
+def test_sample_infinite_features_exits_1(config_path, tmp_path, capsys):
+    cfg = json.loads(config_path.read_text())
+    values = np.zeros((1, 6))
+    values[0, 1], values[0, 4] = np.inf, -np.inf
+    write_bundle(tmp_path / "rec_inf", Bundle(
+        recording_id="rec_inf", n_epochs=6, valid_epochs=6,
+        hypnogram=Hypnogram.from_indices([0] * 6), features={"pulse": values},
+    ))
+    cfg["paths"]["bundle"] = str(tmp_path / "rec_inf")
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    rc = main(["sample", "--config", str(path), "--out", str(tmp_path / "pred")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: features pulse hold an infinite value")
+    assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "pred").exists()
+
+
+def test_trained_denoisers_read_nan_features_as_zero(config_path, bundles, tmp_path):
+    cfg = json.loads(config_path.read_text())
+    models = Path(cfg["paths"]["models_dir"])
+    if not (models / "prior.json").exists():
+        assert main(["train", "--config", str(config_path), "--out", str(models)]) == 0
+    cfg["sampler"] = dict(cfg["sampler"], denoisers="trained", n_samples=2,
+                          record_trajectory=True)
+    full = read_bundle(bundles / "rec_0000")
+    outputs = []
+    for fill in (np.nan, 0.0):
+        values = full.features["pulse"].copy()
+        values[0, 2] = fill
+        name = f"rec_{fill}"
+        write_bundle(tmp_path / name, Bundle(
+            recording_id="rec", n_epochs=full.n_epochs, valid_epochs=full.n_epochs,
+            hypnogram=full.hypnogram, features={"pulse": values},
+        ))
+        cfg["paths"]["bundle"] = str(tmp_path / name)
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        outputs.append(tmp_path / f"pred_{fill}")
+        assert main(["sample", "--config", str(path), "--out", str(outputs[-1])]) == 0
+    assert _same_tree(*outputs)
 
 
 def test_sample_bad_valid_epochs_exits_1(config_path, tmp_path, capsys):

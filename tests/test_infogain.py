@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fsdm.checks import oracle_bank, random_world, uniform_emission
 from fsdm.hypno import Hypnogram
@@ -69,6 +71,24 @@ def test_absent_observation_gain_exactly_zero():
     cfg = SamplerConfig(n_samples=4, base_seed=1, record_trajectory=True)
     gain = information_gain(bank, obs, "s0", cfg, n_epochs=3)
     np.testing.assert_array_equal(gain.values, np.zeros(3))
+
+
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_epochs=st.integers(1, 6))
+def test_all_missing_sensor_gain_equals_absent(seed, n_epochs):
+    # An all-NaN sensor beside an informative one gains exactly what the
+    # same sensor passed as ABSENT gains: nothing.
+    rng = np.random.default_rng(seed)
+    world = random_world(n_epochs, 2, rng)
+    bank = oracle_bank(world)
+    seen = Features(rng.integers(0, 5, n_epochs).astype(np.float64))
+    cfg = SamplerConfig(schedule=ScheduleParams(M=8), n_samples=3,
+                        base_seed=seed, record_trajectory=True)
+    missing = information_gain(
+        bank, [("s0", Features(np.full(n_epochs, np.nan))), ("s1", seen)], "s0", cfg)
+    absent = information_gain(bank, [("s0", ABSENT), ("s1", seen)], "s0", cfg, n_epochs)
+    np.testing.assert_array_equal(missing.values, absent.values)
+    assert missing.values.max() <= 1e-12
 
 
 def test_informative_sensor_has_positive_gain_in_bounds():

@@ -1,14 +1,10 @@
 """Exact-denoiser kernels (enumeration and forward-backward) and the AMPD
-kernels.  The AMPD kernels are checked against a per-sample loop; both
-the dispatcher (numba when installed) and the numpy path are checked
-explicitly."""
+kernels.  The AMPD kernels are checked against a per-sample loop."""
 
 import numpy as np
 import pytest
 
 from fsdm._kernels import (
-    _ampd_gamma_numpy,
-    _ampd_peaks_numpy,
     ampd_gamma,
     ampd_local_maxima,
     markov_marginals,
@@ -99,7 +95,7 @@ def test_markov_marginals_zero_weight_raises():
 
 
 def _loop_gamma(x, max_scale):
-    """AMPD scalogram by its per-sample definition (the jitted loop)."""
+    """AMPD scalogram by its per-sample definition."""
     n = len(x)
     gamma = []
     for k in range(1, max_scale + 1):
@@ -143,11 +139,9 @@ def test_ampd_kernels_agree():
         for max_scale in sorted({1, 2, 5, max((n - 1) // 2, 1), n // 2 + 1, n + 3}):
             want = _loop_gamma(x, max_scale)
             np.testing.assert_array_equal(ampd_gamma(x, max_scale), want)
-            np.testing.assert_array_equal(_ampd_gamma_numpy(x, max_scale), want)
         for lam in sorted({1, 2, 3, 7, max((n - 1) // 2, 1), n // 2, n}):
             want = _loop_peaks(x, lam)
             np.testing.assert_array_equal(ampd_local_maxima(x, lam), want)
-            np.testing.assert_array_equal(_ampd_peaks_numpy(x, lam), want)
     # A noisy pulse train of a few thousand samples at scales of hundreds:
     # most samples drop out at scale 1 and the rest thin out scale by scale.
     rng = np.random.default_rng(8)
@@ -159,7 +153,6 @@ def test_ampd_kernels_agree():
         want = _loop_peaks(x, lam)
         assert want.any()
         np.testing.assert_array_equal(ampd_local_maxima(x, lam), want)
-        np.testing.assert_array_equal(_ampd_peaks_numpy(x, lam), want)
 
 
 def test_ampd_boundaries_never_peaks():
