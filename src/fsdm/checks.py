@@ -1,5 +1,7 @@
-"""Verification suites behind the oracle-check command, plus the random
-world generators they (and the test suite) share.
+"""Verification suites behind the oracle-check command and acceptance
+tests A1–A4, plus the random world generators they (and the test suite)
+share.  A1–A4 call the suites with their pinned seeds and counts; the
+oracle-check command runs them with the defaults.
 
 Every check compares an implementation path against an independent
 ground truth: closed-form schedule values, the linear-ODE argument for
@@ -172,13 +174,14 @@ def suite_single_atom(seed: int = 0, n_worlds: int = 6, n_seeds: int = 2) -> lis
         bank = oracle_bank(single_atom_world(h))
         target = one_hot(h).values
         for s in range(n_seeds):
-            cfg = SamplerConfig(base_seed=1000 * w + s)
+            cfg = SamplerConfig(base_seed=100 * w + s)
             result = sample_one(bank, [], cfg, 0, n_epochs)
             worst = max(worst, float(np.abs(result.y.values - target).max()))
     return [CheckResult("single_atom.inf_norm", 1e-6, worst, worst <= 1e-6)]
 
 
-def suite_posterior(seed: int = 0, n_worlds: int = 2, n_samples: int = 1024) -> list[CheckResult]:
+def suite_posterior(seed: int | np.random.Generator = 0, n_worlds: int = 2,
+                    n_samples: int = 1024) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
     results = []
     for w in range(n_worlds):
@@ -226,8 +229,9 @@ def suite_factorization(seed: int = 0, n_worlds: int = 4, n_points: int = 20) ->
 def suite_identities(seed: int = 0) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
     world = random_world(4, 1, rng)
-    h = Hypnogram.from_indices(rng.integers(0, 5, 4))
+    h = Hypnogram.from_indices([0, 2, 4, 1])
     obs_seq = stage_observations(world, h)["s0"]
+    cond = Features(obs_seq)
     bank = oracle_bank(world)
     likelihood = exact_denoiser(world, "s0")
     results = []
@@ -237,12 +241,10 @@ def suite_identities(seed: int = 0) -> list[CheckResult]:
     worst_colsum = 0.0
     for _ in range(10):
         y = Hypnodensity(rng.standard_normal((5, 4)))
-        sigma = float(rng.uniform(0.3, 3.0))
-        cond = Features(obs_seq)
+        sigma = float(rng.uniform(0.2, 4.0))
         single = fsdm_denoise(y, sigma, bank, [("s0", cond)], lam=None)
-        direct = likelihood.evaluate(y, cond, sigma)
-        worst_identity = max(worst_identity,
-                             float(np.abs(single.values - direct.values).max()))
+        direct = likelihood.evaluate_batch(y.values[None], cond, sigma)[0]
+        worst_identity = max(worst_identity, float(np.abs(single.values - direct).max()))
         for k in (2, 4, 8):
             dup = fsdm_denoise(y, sigma, bank, [("s0", cond)] * k, lam=None)
             worst_dup = max(worst_dup, float(np.abs(dup.values - single.values).max()))
@@ -259,8 +261,7 @@ def suite_identities(seed: int = 0) -> list[CheckResult]:
     joint = exact_denoiser(world, JOINT)
     post = enumerate_posterior(world, {"s0": obs_seq})
     marg = posterior_marginals(world, post)
-    y = Hypnodensity(one_hot(h).values)
-    big = joint.evaluate(y, Features(obs_seq[None, :]), 1e6).values
+    big = joint.evaluate_batch(one_hot(h).values[None], cond, 1e6)[0]
     err = float(np.abs(big - marg).max())
     results.append(CheckResult("identities.large_sigma_prior_marginals", 1e-6,
                                err, err <= 1e-6))

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -528,10 +529,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if getattr(args, "lambda_", None) not in (None, "auto"):
         try:
-            args.lambda_ = float(args.lambda_)
+            lam = float(args.lambda_)
         except ValueError:
+            lam = math.nan
+        if not math.isfinite(lam):
             print(f"error: invalid --lambda {args.lambda_!r}", file=sys.stderr)
             return 2
+        args.lambda_ = lam
     try:
         return args.fn(args)
     except (ValueError, KeyError, TypeError, OSError,

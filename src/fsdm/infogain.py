@@ -44,19 +44,11 @@ class InfoGain:
         object.__setattr__(self, "values", v)
 
 
-def cosine_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """1 − cos(a, b); lies in [0, 1] for nonnegative inputs."""
-    a = np.asarray(a, dtype=np.float64).ravel()
-    b = np.asarray(b, dtype=np.float64).ravel()
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na < _MIN_NORM or nb < _MIN_NORM:
-        raise ValueError("cosine distance undefined for (near-)zero-norm input")
-    return float(1.0 - float(a @ b) / (na * nb))
+def cosine_distance(lik: np.ndarray, pri: np.ndarray) -> np.ndarray:
+    """1 − cos of each stage column; (..., 5, E) inputs give (..., E).
 
-
-def _columnwise_cosine_distance(lik: np.ndarray, pri: np.ndarray) -> np.ndarray:
-    """Cosine distance of each stage column; (..., 5, E) inputs give (..., E)."""
+    Lies in [0, 1] for nonnegative inputs.
+    """
     na = np.linalg.norm(lik, axis=-2)
     nb = np.linalg.norm(pri, axis=-2)
     if np.any(na < _MIN_NORM) or np.any(nb < _MIN_NORM):
@@ -81,7 +73,7 @@ class GainSums:
     def __call__(self, m, sigma, y, pairs) -> None:
         for name, k in self._first.items():
             _, lik, pri = pairs[k]
-            self.sums[name] += _columnwise_cosine_distance(lik, pri)
+            self.sums[name] += cosine_distance(lik, pri)
 
 
 def information_gain(

@@ -200,10 +200,6 @@ class ReferenceDenoiser:
         x = self._cond_matrix(cond, y.shape[1])
         return self._forward(y, x, sigma)["probs"].T
 
-    def evaluate(self, y_noisy: Hypnodensity, cond: Conditioning,
-                 sigma: float) -> Hypnodensity:
-        return Hypnodensity(self.forward(y_noisy, cond, sigma))
-
     def evaluate_batch(self, ys: np.ndarray, cond: Conditioning,
                        sigma: float) -> np.ndarray:
         out = np.empty_like(ys, dtype=np.float64)

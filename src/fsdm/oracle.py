@@ -309,10 +309,6 @@ class ExactDenoiser:
         except FloatingPointError as err:
             raise ValueError("conditioning has zero probability under this world") from err
 
-    def evaluate(self, y_noisy: Hypnodensity, cond: Conditioning, sigma: float) -> Hypnodensity:
-        out = self.evaluate_batch(y_noisy.values[None], cond, sigma)
-        return Hypnodensity(out[0])
-
 
 def exact_denoiser(world: WorldModel, target: str) -> ExactDenoiser:
     return ExactDenoiser(world, target)
@@ -328,7 +324,7 @@ def exact_smoothed_score(
     y = y if isinstance(y, Hypnodensity) else Hypnodensity(y)
     denoiser = ExactDenoiser(world, JOINT)
     cond: Conditioning = joint_conditioning(world, obs) if obs else ABSENT
-    return tweedie_score(denoiser.evaluate(y, cond, sigma), y, sigma)
+    return tweedie_score(denoiser.evaluate_batch(y.values[None], cond, sigma)[0], y, sigma)
 
 
 # ---------------------------------------------------------------------------

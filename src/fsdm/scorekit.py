@@ -1,5 +1,6 @@
-"""Denoiser contract, Tweedie score conversion, and the factorized
-combination rule that fuses per-sensor denoisers with a shared prior.
+"""Denoiser contract (``evaluate_batch``), Tweedie score conversion, and
+the factorized combination rule that fuses per-sensor denoisers with a
+shared prior.
 
 The combined denoised estimate is
 
@@ -13,7 +14,7 @@ feeding the same signal once or many times yields the same estimate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Protocol, Sequence, runtime_checkable
+from typing import Protocol, Sequence
 
 import numpy as np
 
@@ -61,19 +62,14 @@ class Features:
 Conditioning = Features | _Absent
 
 
-@runtime_checkable
 class Denoiser(Protocol):
-    """Evaluable denoiser: (noisy hypnodensity, conditioning, σ) → clean estimate.
+    """Evaluable denoiser: (noisy states, conditioning, σ) → clean estimates.
 
-    Output columns must lie on the probability simplex; evaluation must be
-    deterministic and side-effect-free.  ``evaluate_batch`` maps a (B,5,E)
-    batch of states to a (B,5,E) array; it is what the sampler calls, and
-    it must equal per-sample ``evaluate`` bitwise.
+    ``evaluate_batch`` maps a (B,5,E) batch of states to a (B,5,E) array,
+    each sample independently of the others; a single state is a batch of
+    one.  Output columns must lie on the probability simplex; evaluation
+    must be deterministic and side-effect-free.
     """
-
-    def evaluate(
-        self, y_noisy: Hypnodensity, cond: Conditioning, sigma: float
-    ) -> Hypnodensity: ...
 
     def evaluate_batch(
         self, ys: np.ndarray, cond: Conditioning, sigma: float

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import asdict
 from pathlib import Path
 
@@ -18,7 +19,7 @@ from fsdm.cli import build_parser, emit_plot_data, load_config, main
 from fsdm.evalkit import aggregate_stat, overnight_stats
 from fsdm.hypno import Hypnogram
 from fsdm.infogain import information_gain, write_infogain_csv
-from fsdm.oracle import WorldModel, world_to_dict
+from fsdm.oracle import CategoricalEmission, MarkovPrior, WorldModel, world_to_dict
 from fsdm.sampler import SamplerConfig, _initial_state
 from fsdm.sched import ScheduleParams, time_steps
 from fsdm.scorekit import Features
@@ -303,9 +304,38 @@ def test_lambda_flag_parsing(config_path, bundles, tmp_path):
     out = tmp_path / "lam"
     assert main(["sample", "--config", str(config_path), "--out", str(out),
                  "--lambda", "1.0", "--n-samples", "2"]) == 0
-    rc = main(["sample", "--config", str(config_path), "--out", str(tmp_path / "bad"),
-               "--lambda", "xyz"])
-    assert rc != 0
+
+
+@pytest.mark.parametrize("flag", [["--lambda", "xyz"], ["--lambda", "nan"], ["--lambda", "inf"],
+                                  ["--lambda=-inf"]])
+def test_invalid_lambda_is_a_usage_error(config_path, bundles, tmp_path, capsys, flag):
+    out = tmp_path / "pred"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["sample", "--config", str(config_path), "--out", str(out), *flag])
+    assert rc == 2
+    value = flag[-1].removeprefix("--lambda=")
+    assert capsys.readouterr().err == f"error: invalid --lambda {value!r}\n"
+    assert not out.exists()
+
+
+def test_sample_zero_probability_observation_exits_1(tmp_path, capsys):
+    # Stages never change, yet the deterministic sensor reports a change.
+    world = WorldModel(3, MarkovPrior(np.full(5, 0.2), np.eye(5)),
+                       (("det", CategoricalEmission(np.eye(5))),))
+    write_bundle(tmp_path / "rec", Bundle(
+        recording_id="rec", n_epochs=3, valid_epochs=3,
+        hypnogram=Hypnogram.from_indices([0] * 3),
+        features={"det": np.array([[0.0, 1.0, 0.0]])},
+    ))
+    cfg = {"sampler": {"n_samples": 2}, "world": {"model": world_to_dict(world)},
+           "paths": {"bundle": str(tmp_path / "rec")}}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    rc = main(["sample", "--config", str(path), "--out", str(tmp_path / "pred")])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: conditioning has zero probability under this world\n"
+    assert not (tmp_path / "pred").exists()
 
 
 _SAMPLING_FLAGS = {"--seed", "--sensor", "--n-samples", "--lambda"}

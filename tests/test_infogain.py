@@ -9,7 +9,6 @@ from fsdm.checks import oracle_bank, random_world, uniform_emission
 from fsdm.hypno import Hypnogram
 from fsdm.infogain import (
     InfoGain,
-    _columnwise_cosine_distance,
     cosine_distance,
     information_gain,
     mean_information_gain,
@@ -23,26 +22,26 @@ from fsdm.scorekit import ABSENT, Features, SensorBank
 
 
 def test_cosine_distance_parallel_is_zero():
-    v = np.array([0.2, 0.3, 0.1, 0.25, 0.15])
-    assert cosine_distance(v, v) == pytest.approx(0.0, abs=1e-12)
-    assert cosine_distance(v, 3.0 * v) == pytest.approx(0.0, abs=1e-12)
+    v = np.array([[0.2], [0.3], [0.1], [0.25], [0.15]])
+    assert cosine_distance(v, v) == pytest.approx([0.0], abs=1e-12)
+    assert cosine_distance(v, 3.0 * v) == pytest.approx([0.0], abs=1e-12)
 
 
 def test_cosine_distance_orthogonal_is_one():
-    a = np.array([1.0, 0, 0, 0, 0])
-    b = np.array([0, 1.0, 0, 0, 0])
-    assert cosine_distance(a, b) == pytest.approx(1.0, abs=1e-15)
+    a = np.array([[1.0], [0], [0], [0], [0]])
+    b = np.array([[0], [1.0], [0], [0], [0]])
+    assert cosine_distance(a, b) == pytest.approx([1.0], abs=1e-15)
 
 
 def test_cosine_distance_halfway_fixture():
-    a = np.array([0.5, 0.5, 0, 0, 0])
-    b = np.array([1.0, 0, 0, 0, 0])
-    assert cosine_distance(a, b) == pytest.approx(1 - 1 / math.sqrt(2), abs=1e-12)
+    a = np.array([[0.5], [0.5], [0], [0], [0]])
+    b = np.array([[1.0], [0], [0], [0], [0]])
+    assert cosine_distance(a, b) == pytest.approx([1 - 1 / math.sqrt(2)], abs=1e-12)
 
 
 def test_cosine_distance_rejects_zero_norm():
     with pytest.raises(ValueError):
-        cosine_distance(np.zeros(5), np.ones(5))
+        cosine_distance(np.zeros((5, 1)), np.ones((5, 1)))
 
 
 def _uniform_world(n_epochs=3):
@@ -172,7 +171,7 @@ class _StoredTrajectories:
             per_traj = np.zeros(n_epochs)
             for pairs in traj:
                 name, lik, pri = next(p for p in pairs if p[0] == sensor_name)
-                per_traj += _columnwise_cosine_distance(lik, pri)
+                per_traj += cosine_distance(lik, pri)
             total += per_traj / len(traj)
         return np.clip(total / len(self.steps), 0.0, 1.0)
 

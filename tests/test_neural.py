@@ -254,8 +254,8 @@ def test_trained_denoiser_satisfies_contract_and_plugs_into_bank():
     net = train(dataset, "s", TrainConfig(steps=30, seed=2))
     prior = train(dataset, PRIOR, TrainConfig(steps=30, seed=3))
     y = Hypnodensity(rng.standard_normal((5, 3)))
-    out = net.evaluate(y, Features(rng.standard_normal((1, 3))), 0.8)
-    assert out.on_manifold(1e-9)
+    out = net.evaluate_batch(y.values[None], Features(rng.standard_normal((1, 3))), 0.8)[0]
+    assert Hypnodensity(out).on_manifold(1e-9)
     bank = SensorBank(prior, (("s", net),))
     combined = fsdm_denoise(y, 0.8, bank, [("s", Features(rng.standard_normal((1, 3))))])
     assert combined.on_manifold(1e-9)

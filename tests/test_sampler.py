@@ -9,7 +9,7 @@ from fsdm.checks import (
     single_atom_world,
     stage_observations,
 )
-from fsdm.hypno import Hypnodensity, Hypnogram, argmax_stages, one_hot
+from fsdm.hypno import Hypnogram, argmax_stages, one_hot
 from fsdm.oracle import enumerate_posterior
 from fsdm.sampler import (
     SampleResult,
@@ -157,9 +157,6 @@ def test_posterior_recovery_sanity():
 
 
 class ExplodingDenoiser:
-    def evaluate(self, y_noisy, cond, sigma):
-        return Hypnodensity(np.full((5, y_noisy.n_epochs), 0.2))
-
     def evaluate_batch(self, ys, cond, sigma):
         out = np.full_like(ys, 0.2)
         out[..., 0, 0] = np.nan  # drives the state non-finite within a step
