@@ -8,6 +8,11 @@ Layout of a bundle directory:
     signals/<name>.json      sidecar: {"fs": ..., "kind": ..., "unit": ...}
     features/<name>.csv      epoch-aligned features, header row
 
+``write_bundle`` always writes float32 signals and marks them
+``"encoding": "f32"``; ``read_bundle`` also reads a signal whose
+manifest entry says ``"encoding": "csv"`` (a single-column CSV), as
+bundles written by other tools may hold.
+
 All payloads are timestamp-free and written with stable key ordering,
 so identical inputs produce byte-identical bundles.
 """
@@ -18,6 +23,7 @@ import csv
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -31,7 +37,6 @@ class SignalEntry:
     kind: str
     fs: float
     file: str
-    encoding: str = "f32"
     unit: str = ""
 
 
@@ -51,15 +56,30 @@ def dump_json(path, doc) -> None:
         f.write("\n")
 
 
+def _csv_cell(v):
+    if v is None:
+        return ""
+    if isinstance(v, float):  # np.float64 too; repr keeps every digit
+        return repr(float(v))
+    return v
+
+
+def write_csv(path, header: list[str], rows: Iterable[Iterable]) -> None:
+    """Write a header and rows.  A str cell is written as is, None as an
+    empty cell and a float as ``repr(float(v))``; anything else as the
+    csv module writes it."""
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(header)
+        writer.writerows([_csv_cell(v) for v in row] for row in rows)
+
+
 def write_features_csv(path, values: np.ndarray) -> None:
     values = np.asarray(values, dtype=np.float64)
     if values.ndim == 1:
         values = values[None, :]
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["epoch_index"] + [f"f{i}" for i in range(values.shape[0])])
-        for e in range(values.shape[1]):
-            writer.writerow([e] + [repr(float(v)) for v in values[:, e]])
+    write_csv(path, ["epoch_index"] + [f"f{i}" for i in range(values.shape[0])],
+              ([e, *column] for e, column in enumerate(values.T)))
 
 
 def read_features_csv(path) -> np.ndarray:
@@ -90,7 +110,7 @@ def write_bundle(directory, bundle: Bundle) -> None:
                   {"fs": entry.fs, "kind": entry.kind, "unit": entry.unit})
         signal_entries.append({
             "name": name, "kind": entry.kind, "fs": entry.fs,
-            "file": rel, "encoding": entry.encoding,
+            "file": rel, "encoding": "f32",
         })
     dump_json(root / "manifest.json", {
         "recording_id": bundle.recording_id,
@@ -139,7 +159,7 @@ def read_bundle(directory) -> Bundle:
             samples = read_signal_f32(path)
         signals[entry["name"]] = (samples, SignalEntry(
             name=entry["name"], kind=entry["kind"], fs=float(entry["fs"]),
-            file=entry["file"], encoding=entry.get("encoding", "f32"),
+            file=entry["file"],
         ))
     return Bundle(
         recording_id=manifest["recording_id"],

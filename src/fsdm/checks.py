@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hypno import Hypnogram, Hypnodensity, argmax_stages, one_hot
+from .hypno import Hypnogram, argmax_stages, one_hot
 from .oracle import (
     ENUMERATION_CAP,
     JOINT,
@@ -26,6 +26,7 @@ from .oracle import (
     MarkovPrior,
     WorldModel,
     enumerate_posterior,
+    exact_bank,
     exact_denoiser,
     exact_smoothed_score,
     hypnogram_table,
@@ -33,7 +34,7 @@ from .oracle import (
 )
 from .sampler import SamplerConfig, sample_many, sample_one
 from .sched import ScheduleParams, time_steps
-from .scorekit import ABSENT, Features, SensorBank, fsdm_combine, fsdm_denoise, fsdm_score
+from .scorekit import ABSENT, Features, fsdm_combine_batch, fsdm_denoise_batch, tweedie_score
 
 
 @dataclass(frozen=True)
@@ -118,13 +119,6 @@ def stage_observations(world: WorldModel, h: Hypnogram) -> dict[str, np.ndarray]
     return {name: seq.copy() for name, _ in world.sensors}
 
 
-def oracle_bank(world: WorldModel) -> SensorBank:
-    return SensorBank(
-        exact_denoiser(world, PRIOR),
-        tuple((name, exact_denoiser(world, name)) for name, _ in world.sensors),
-    )
-
-
 def posterior_marginals(world: WorldModel, post: np.ndarray) -> np.ndarray:
     """Per-epoch stage marginals of an enumerated posterior table (5×E)."""
     ht = hypnogram_table(world.n_epochs)
@@ -140,14 +134,15 @@ def hypnogram_index(h: Hypnogram) -> int:
 
 
 def near_vertex_states(rng: np.random.Generator, h: Hypnogram, n_points: int,
-                       radius: float = 0.05) -> list[Hypnodensity]:
+                       radius: float = 0.05) -> np.ndarray:
+    """An (n_points, 5, E) batch of states within ``radius`` of onehot(h)."""
     base = one_hot(h).values
     out = []
     for _ in range(n_points):
         u = rng.standard_normal(base.shape)
         u /= np.linalg.norm(u)
-        out.append(Hypnodensity(base + u * rng.uniform(0.0, radius)))
-    return out
+        out.append(base + u * rng.uniform(0.0, radius))
+    return np.stack(out)
 
 
 # -- suites -------------------------------------------------------------------
@@ -171,7 +166,7 @@ def suite_single_atom(seed: int = 0, n_worlds: int = 6, n_seeds: int = 2) -> lis
     for w in range(n_worlds):
         n_epochs = 1 + w % 6
         h = Hypnogram.from_indices(rng.integers(0, 5, n_epochs))
-        bank = oracle_bank(single_atom_world(h))
+        bank = exact_bank(single_atom_world(h))
         target = one_hot(h).values
         for s in range(n_seeds):
             cfg = SamplerConfig(base_seed=100 * w + s)
@@ -189,7 +184,7 @@ def suite_posterior(seed: int | np.random.Generator = 0, n_worlds: int = 2,
         h = Hypnogram.from_indices(rng.integers(0, 5, 4))
         obs = stage_observations(world, h)
         post = enumerate_posterior(world, obs)
-        bank = oracle_bank(world)
+        bank = exact_bank(world)
         obs_list = [("s0", Features(obs["s0"]))]
         cfg = SamplerConfig(n_samples=n_samples, base_seed=w, lam=1.0)
         counts = np.zeros(post.size)
@@ -207,14 +202,13 @@ def suite_factorization(seed: int = 0, n_worlds: int = 4, n_points: int = 20) ->
         world = random_world(4, 2, rng)
         h = Hypnogram.from_indices(rng.integers(0, 5, 4))
         obs = stage_observations(world, h)
-        bank = oracle_bank(world)
+        bank = exact_bank(world)
         obs_list = [(name, Features(seq)) for name, seq in obs.items()]
-        for y in near_vertex_states(rng, h, n_points):
-            for sigma in by_sigma:
-                s_f = fsdm_score(y, sigma, bank, obs_list, lam=1.0)
-                s_j = exact_smoothed_score(world, obs, y, sigma)
-                denom = np.linalg.norm(s_j)
-                by_sigma[sigma].append(float(np.linalg.norm(s_f - s_j) / denom))
+        ys = near_vertex_states(rng, h, n_points)
+        for sigma, rel in by_sigma.items():
+            s_f = tweedie_score(fsdm_denoise_batch(ys, sigma, bank, obs_list, lam=1.0), ys, sigma)
+            s_j = exact_smoothed_score(world, obs, ys, sigma)
+            rel.extend(float(np.linalg.norm(f - j) / np.linalg.norm(j)) for f, j in zip(s_f, s_j))
     worst_small = max(by_sigma[0.01])
     results = [CheckResult("factorization.rel_l2_sigma_0.01", 1e-3, worst_small,
                            worst_small <= 1e-3)]
@@ -232,7 +226,7 @@ def suite_identities(seed: int = 0) -> list[CheckResult]:
     h = Hypnogram.from_indices([0, 2, 4, 1])
     obs_seq = stage_observations(world, h)["s0"]
     cond = Features(obs_seq)
-    bank = oracle_bank(world)
+    bank = exact_bank(world)
     likelihood = exact_denoiser(world, "s0")
     results = []
 
@@ -240,17 +234,16 @@ def suite_identities(seed: int = 0) -> list[CheckResult]:
     worst_dup = 0.0
     worst_colsum = 0.0
     for _ in range(10):
-        y = Hypnodensity(rng.standard_normal((5, 4)))
+        ys = rng.standard_normal((5, 4))[None]
         sigma = float(rng.uniform(0.2, 4.0))
-        single = fsdm_denoise(y, sigma, bank, [("s0", cond)], lam=None)
-        direct = likelihood.evaluate_batch(y.values[None], cond, sigma)[0]
-        worst_identity = max(worst_identity, float(np.abs(single.values - direct).max()))
+        single = fsdm_denoise_batch(ys, sigma, bank, [("s0", cond)])
+        direct = likelihood.evaluate_batch(ys, cond, sigma)
+        worst_identity = max(worst_identity, float(np.abs(single - direct).max()))
         for k in (2, 4, 8):
-            dup = fsdm_denoise(y, sigma, bank, [("s0", cond)] * k, lam=None)
-            worst_dup = max(worst_dup, float(np.abs(dup.values - single.values).max()))
-        combined = fsdm_combine(y, sigma, bank, [("s0", cond)], lam=None)
-        worst_colsum = max(worst_colsum,
-                           float(np.abs(combined.values.sum(axis=0) - 1.0).max()))
+            dup = fsdm_denoise_batch(ys, sigma, bank, [("s0", cond)] * k)
+            worst_dup = max(worst_dup, float(np.abs(dup - single).max()))
+        combined = fsdm_combine_batch(ys, sigma, bank, [("s0", cond)])
+        worst_colsum = max(worst_colsum, float(np.abs(combined.sum(axis=-2) - 1.0).max()))
     results.append(CheckResult("identities.n1_equals_likelihood", 1e-12,
                                worst_identity, worst_identity <= 1e-12))
     results.append(CheckResult("identities.duplication_invariance", 1e-12,

@@ -12,7 +12,6 @@ library's default.  Outputs carry no timestamps, so a fixed
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -23,11 +22,11 @@ import jsonschema
 import numpy as np
 
 from . import checks, evalkit, experiments, neural
-from .bundle import Bundle, SignalEntry, dump_json, read_bundle, write_bundle
+from .bundle import Bundle, SignalEntry, dump_json, read_bundle, write_bundle, write_csv
 from .dsp import KINDS, TARGET_EPOCHS, TARGET_FS, RawSignal, preprocess, write_signal_f32
 from .hypno import SleepStage, argmax_stages, read_hypnogram, write_hypnogram
 from .infogain import information_gain, write_infogain_csv
-from .oracle import PRIOR, WorldModel, exact_denoiser, world_from_dict
+from .oracle import WorldModel, exact_bank, world_from_dict
 from .sampler import SamplerConfig, infer, sample_many
 from .sched import ScheduleParams
 from .scorekit import Features, SensorBank
@@ -176,11 +175,7 @@ def _bank_and_obs(cfg: dict, args, bundle: Bundle) -> tuple[SensorBank, list]:
         raise KeyError(f"bundle has no features for sensors {missing}")
     obs = [(name, Features(bundle.features[name])) for name in wanted]
     if mode == "exact":
-        world = _world(cfg)
-        bank = SensorBank(
-            exact_denoiser(world, PRIOR),
-            tuple((name, exact_denoiser(world, name)) for name in wanted),
-        )
+        bank = exact_bank(_world(cfg), wanted)
     else:
         models_dir = Path(cfg.get("paths", {}).get("models_dir", "models"))
         prior = neural.load_model(models_dir / "prior.json")
@@ -191,44 +186,10 @@ def _bank_and_obs(cfg: dict, args, bundle: Bundle) -> tuple[SensorBank, list]:
     return bank, obs
 
 
-def _write_samples_csv(path, samples) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["sample_index", "epoch_index", "stage"])
-        for i, y in enumerate(samples):
-            h = argmax_stages(y)
-            for e, label in enumerate(h.to_labels()):
-                writer.writerow([i, e, label])
-
-
-def _write_trajectories_csv(path, steps) -> None:
-    """Rows per sample, then step, then epoch; ``steps`` holds (m, σ, y batch)."""
-    n_samples = steps[0][2].shape[0] if steps else 0
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["sample_index", "step", "sigma", "epoch_index",
-                         "w", "n1", "n2", "n3", "r"])
-        for i in range(n_samples):
-            for m, sigma, y in steps:
-                for e in range(y.shape[2]):
-                    writer.writerow(
-                        [i, m, repr(float(sigma)), e]
-                        + [repr(float(v)) for v in y[i, :, e]]
-                    )
-
-
 def emit_plot_data(rows: list[dict], path) -> None:
     """One CSV row per (sensor-set, recording): gain, accuracy, kappa."""
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["sensor_set", "recording", "mean_info_gain", "accuracy", "kappa"])
-        for row in rows:
-            writer.writerow([
-                row["sensor_set"], row["recording"],
-                repr(float(row["mean_info_gain"])),
-                repr(float(row["accuracy"])),
-                repr(float(row["kappa"])),
-            ])
+    header = ["sensor_set", "recording", "mean_info_gain", "accuracy", "kappa"]
+    write_csv(path, header, ([row[k] for k in header] for row in rows))
 
 
 # -- commands ------------------------------------------------------------------
@@ -315,10 +276,21 @@ def cmd_sample(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_hypnogram(out / "hypnogram.txt", result.hypnogram)
-    _write_samples_csv(out / "samples.csv", result.samples)
+    write_csv(out / "samples.csv", ["sample_index", "epoch_index", "stage"], (
+        [i, e, label]
+        for i, y in enumerate(result.samples)
+        for e, label in enumerate(argmax_stages(y).to_labels())
+    ))
     dump_json(out / "stats.json", {k: v for k, v in sorted(result.stats.items())})
     if sampler_cfg.record_trajectory:
-        _write_trajectories_csv(out / "trajectories.csv", steps)
+        # Rows per sample, then step, then epoch.
+        write_csv(out / "trajectories.csv",
+                  ["sample_index", "step", "sigma", "epoch_index", "w", "n1", "n2", "n3", "r"], (
+                      [i, m, sigma, e, *y[i, :, e]]
+                      for i in range(sampler_cfg.n_samples)
+                      for m, sigma, y in steps
+                      for e in range(y.shape[2])
+                  ))
     acc = evalkit.accuracy(result.hypnogram, bundle.hypnogram)
     print(f"sample: {sampler_cfg.n_samples} samples, "
           f"5-class accuracy vs bundle hypnogram {acc:.3f}")
@@ -362,15 +334,7 @@ def cmd_eval(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     header = list(rows[0].keys())
-    with open(out / "rows.csv", "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([
-                row[k] if isinstance(row[k], str)
-                else ("" if row[k] is None else repr(float(row[k])))
-                for k in header
-            ])
+    write_csv(out / "rows.csv", header, ([row[k] for k in header] for row in rows))
     report = {
         "n_recordings": len(rows),
         "mean_accuracy_five": float(np.mean([r["accuracy_five"] for r in rows])),
@@ -467,12 +431,9 @@ def cmd_degrade(args) -> int:
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "sweep.csv", "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["mode", "level", "mean_info_gain", "accuracy", "kappa"])
-        for s in summaries:
-            writer.writerow([s.mode, repr(s.level), repr(s.mean_info_gain),
-                             repr(s.accuracy), repr(s.kappa)])
+    write_csv(out / "sweep.csv", ["mode", "level", "mean_info_gain", "accuracy", "kappa"], (
+        [s.mode, s.level, s.mean_info_gain, s.accuracy, s.kappa] for s in summaries
+    ))
     emit_plot_data([
         {"sensor_set": f"{r.mode}:{r.level:g}", "recording": r.recording,
          "mean_info_gain": r.mean_info_gain, "accuracy": r.accuracy,

@@ -25,10 +25,10 @@ from .dsp import Awgn, ZeroSpan, degrade, epoch_rate_features
 from .evalkit import MergeScheme, accuracy, cohens_kappa
 from .hypno import Hypnogram, SleepStage
 from .infogain import information_gain, mean_information_gain
-from .oracle import PRIOR, CategoricalEmission, MarkovPrior, WorldModel, exact_denoiser
+from .oracle import CategoricalEmission, MarkovPrior, WorldModel, exact_bank
 from .sampler import SamplerConfig, infer
 from .sched import ScheduleParams
-from .scorekit import Features, SensorBank
+from .scorekit import Features
 from .synth import WaveformSpec, render_waveform, sample_hypnogram
 
 DEFAULT_STAGE_RATES = {
@@ -156,10 +156,7 @@ def degradation_sweep(
     world = WorldModel(
         n_epochs, MarkovPrior(np.full(5, 0.2), trans), ((sensor_name, emission),)
     )
-    bank = SensorBank(
-        exact_denoiser(world, PRIOR),
-        ((sensor_name, exact_denoiser(world, sensor_name)),),
-    )
+    bank = exact_bank(world)
     recordings = []
     for i in range(n_recordings):
         rng = np.random.default_rng([seed, 2, i])

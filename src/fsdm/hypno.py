@@ -14,7 +14,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-EPOCH_SECONDS = 30
 N_STAGES = 5
 
 
@@ -26,9 +25,6 @@ class SleepStage(IntEnum):
     N2 = 2
     N3 = 3
     R = 4
-
-
-STAGE_LABELS = tuple(s.name for s in SleepStage)
 
 
 @dataclass(frozen=True)
@@ -112,18 +108,14 @@ def one_hot(h: Hypnogram) -> Hypnodensity:
     return Hypnodensity(v)
 
 
-def project_manifold(y: Hypnodensity) -> Hypnodensity:
-    """Renormalize each column to sum to 1 (the projection τ).
+def project_manifold(v: np.ndarray) -> np.ndarray:
+    """Renormalize each column of a (5, E) or (B, 5, E) array to sum to 1
+    (the projection τ).
 
     Only divides; negative entries survive.  Columns whose sum has
     absolute value below 1e-9 are replaced by the uniform column, since
     the division is undefined there.
     """
-    return Hypnodensity(_project_values(y.values))
-
-
-def _project_values(v: np.ndarray) -> np.ndarray:
-    """Column renormalization of a (5, E) or (B, 5, E) array."""
     sums = v.sum(axis=-2, keepdims=True)
     degenerate = np.abs(sums) < 1e-9
     out = v / np.where(degenerate, 1.0, sums)

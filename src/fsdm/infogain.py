@@ -13,12 +13,12 @@ averages those sums.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .bundle import write_csv
 from .scorekit import Features, Observations, SensorBank
 
 if TYPE_CHECKING:  # the sampler imports GainSums from this module
@@ -131,8 +131,4 @@ def mean_information_gain(gain: InfoGain, mask: np.ndarray | None = None) -> flo
 
 def write_infogain_csv(path, gain: InfoGain) -> None:
     """Emit per-epoch gain as (epoch_index, value) rows with a header."""
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["epoch_index", "value"])
-        for e, v in enumerate(gain.values):
-            writer.writerow([e, repr(float(v))])
+    write_csv(path, ["epoch_index", "value"], enumerate(gain.values))

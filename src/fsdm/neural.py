@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .hypno import Hypnodensity, Hypnogram, one_hot
+from .hypno import Hypnogram, one_hot
 from .scorekit import ABSENT, Conditioning, Features
 
 PRIOR = "PRIOR"
@@ -69,15 +69,13 @@ def timestep_embedding(sigma: float, channels: int) -> np.ndarray:
     return np.concatenate([np.cos(scaled * freqs), np.sin(scaled * freqs)])
 
 
-def input_scale(y, sigma: float, sigma_data: float):
+def input_scale(y: np.ndarray, sigma: float, sigma_data: float) -> np.ndarray:
     """Divide the state by √(σ_data² + σ²)."""
     if sigma_data <= 0:
         raise ValueError("sigma_data must be positive")
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
     factor = 1.0 / math.sqrt(sigma_data * sigma_data + sigma * sigma)
-    if isinstance(y, Hypnodensity):
-        return Hypnodensity(y.values * factor)
     return np.asarray(y, dtype=np.float64) * factor
 
 
@@ -189,12 +187,11 @@ class ReferenceDenoiser:
             "log_probs": log_probs, "probs": np.exp(log_probs),
         }
 
-    def forward(self, y_noisy: np.ndarray | Hypnodensity, cond: Conditioning,
-                sigma: float) -> np.ndarray:
+    def forward(self, y_noisy: np.ndarray, cond: Conditioning, sigma: float) -> np.ndarray:
         """Denoised estimate as a raw (5, E) array with simplex columns."""
         if sigma <= 0:
             raise ValueError("sigma must be positive")
-        y = y_noisy.values if isinstance(y_noisy, Hypnodensity) else np.asarray(y_noisy)
+        y = np.asarray(y_noisy)
         if y.ndim != 2 or y.shape[0] != 5:
             raise ValueError("state must be a 5×E matrix")
         x = self._cond_matrix(cond, y.shape[1])

@@ -19,15 +19,15 @@ computations run in log space.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterable
 
 import numpy as np
 
 from ._kernels import markov_marginals, mixture_marginals
-from .hypno import N_STAGES, Hypnodensity
-from .scorekit import ABSENT, Conditioning, Features, tweedie_score
+from .hypno import N_STAGES
+from .scorekit import ABSENT, Conditioning, Features, SensorBank, tweedie_score
 
 ENUMERATION_CAP = 8
 PRIOR = "PRIOR"
@@ -314,17 +314,28 @@ def exact_denoiser(world: WorldModel, target: str) -> ExactDenoiser:
     return ExactDenoiser(world, target)
 
 
+def exact_bank(world: WorldModel, names: Iterable[str] | None = None) -> SensorBank:
+    """Exact prior denoiser plus one exact denoiser per named sensor
+    (every world sensor, in world order, when ``names`` is None)."""
+    if names is None:
+        names = world.sensor_names()
+    return SensorBank(
+        exact_denoiser(world, PRIOR),
+        tuple((name, exact_denoiser(world, name)) for name in names),
+    )
+
+
 def exact_smoothed_score(
     world: WorldModel,
     obs: dict[str, np.ndarray],
-    y: Hypnodensity | np.ndarray,
+    ys: np.ndarray,
     sigma: float,
 ) -> np.ndarray:
-    """∇_y log of the σ-smoothed posterior mixture, via the JOINT denoiser."""
-    y = y if isinstance(y, Hypnodensity) else Hypnodensity(y)
+    """∇_y log of the σ-smoothed posterior mixture at each state of a
+    (B, 5, E) batch, via the JOINT denoiser."""
     denoiser = ExactDenoiser(world, JOINT)
     cond: Conditioning = joint_conditioning(world, obs) if obs else ABSENT
-    return tweedie_score(denoiser.evaluate_batch(y.values[None], cond, sigma)[0], y, sigma)
+    return tweedie_score(denoiser.evaluate_batch(ys, cond, sigma), ys, sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -377,14 +388,3 @@ def world_from_dict(d: dict) -> WorldModel:
         (s["name"], _emission_from_dict(s["emission"])) for s in d.get("sensors", [])
     )
     return WorldModel(n_epochs=int(d["n_epochs"]), prior=prior, sensors=sensors)
-
-
-def save_world(path, world: WorldModel) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(world_to_dict(world), f, indent=2, sort_keys=True)
-        f.write("\n")
-
-
-def load_world(path) -> WorldModel:
-    with open(path, "r", encoding="utf-8") as f:
-        return world_from_dict(json.load(f))

@@ -2,12 +2,14 @@
 the factorized combination rule that fuses per-sensor denoisers with a
 shared prior.
 
-The combined denoised estimate is
+Every function here works on (B, 5, E) batches of states; a single state
+is a batch of one.  The combined denoised estimate is
 
     D_all = D_prior(y, absent, σ) + λ · Σ_i [D_i(y, x_i, σ) − D_i(y, absent, σ)]
 
-followed by per-column renormalization, and the posterior score is
-recovered from it through (D_all − y) / σ².  λ defaults to 1/N so that
+(``fsdm_combine_batch``), followed by per-column renormalization
+(``fsdm_denoise_batch``); the posterior score is recovered from it
+through (D_all − y) / σ² (``tweedie_score``).  λ defaults to 1/N so that
 feeding the same signal once or many times yields the same estimate.
 """
 
@@ -18,7 +20,7 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from .hypno import Hypnodensity, _project_values, project_manifold
+from .hypno import project_manifold
 
 
 class _Absent:
@@ -99,19 +101,13 @@ class SensorBank:
 Observations = Sequence[tuple[str, Conditioning]]
 
 
-def tweedie_score(
-    denoised: np.ndarray | Hypnodensity,
-    y_noisy: np.ndarray | Hypnodensity,
-    sigma: float,
-) -> np.ndarray:
+def tweedie_score(denoised: np.ndarray, y_noisy: np.ndarray, sigma: float) -> np.ndarray:
     """Convert a denoised estimate into a score: (denoised − y) / σ²."""
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    d = denoised.values if isinstance(denoised, Hypnodensity) else np.asarray(denoised)
-    y = y_noisy.values if isinstance(y_noisy, Hypnodensity) else np.asarray(y_noisy)
-    if d.shape != y.shape:
+    if denoised.shape != y_noisy.shape:
         raise ValueError("shape mismatch between denoised estimate and state")
-    return (d - y) / (sigma * sigma)
+    return (denoised - y_noisy) / (sigma * sigma)
 
 
 def _resolve_lambda(lam: float | None, n_obs: int) -> float:
@@ -150,40 +146,6 @@ def fsdm_combine_batch(
     return combined
 
 
-def fsdm_combine(
-    y_noisy: Hypnodensity,
-    sigma: float,
-    bank: SensorBank,
-    obs: Observations,
-    lam: float | None = None,
-) -> Hypnodensity:
-    """Single-state combined estimate before the manifold projection."""
-    out = fsdm_combine_batch(y_noisy.values[None], sigma, bank, obs, lam)
-    return Hypnodensity(out[0])
-
-
-def fsdm_denoise(
-    y_noisy: Hypnodensity,
-    sigma: float,
-    bank: SensorBank,
-    obs: Observations,
-    lam: float | None = None,
-) -> Hypnodensity:
-    """Combined denoised estimate, projected back onto the manifold."""
-    return project_manifold(fsdm_combine(y_noisy, sigma, bank, obs, lam))
-
-
-def fsdm_score(
-    y_noisy: Hypnodensity,
-    sigma: float,
-    bank: SensorBank,
-    obs: Observations,
-    lam: float | None = None,
-) -> np.ndarray:
-    """Posterior score estimate at noise level σ."""
-    return tweedie_score(fsdm_denoise(y_noisy, sigma, bank, obs, lam), y_noisy, sigma)
-
-
 def fsdm_denoise_batch(
     ys: np.ndarray,
     sigma: float,
@@ -192,4 +154,6 @@ def fsdm_denoise_batch(
     lam: float | None = None,
     pairs: list | None = None,
 ) -> np.ndarray:
-    return _project_values(fsdm_combine_batch(ys, sigma, bank, obs, lam, pairs))
+    """Combined denoised estimate of a (B, 5, E) batch, projected back
+    onto the manifold."""
+    return project_manifold(fsdm_combine_batch(ys, sigma, bank, obs, lam, pairs))

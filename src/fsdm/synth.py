@@ -68,13 +68,6 @@ class Recording:
     waveforms: dict[str, np.ndarray]  # sensor -> samples at its spec fs
 
 
-@dataclass(frozen=True)
-class DatasetSplit:
-    train: tuple[Recording, ...]
-    val: tuple[Recording, ...]
-    test: tuple[Recording, ...]
-
-
 def sample_hypnogram(world: WorldModel, rng: np.random.Generator) -> Hypnogram:
     if isinstance(world.prior, ExplicitPrior):
         table = world.prior.table
@@ -155,16 +148,3 @@ def split_of_index(index: int) -> str:
     if r == 7:
         return "val"
     return "test"
-
-
-def gen_dataset(cfg: SynthConfig) -> DatasetSplit:
-    if cfg.n_recordings < 3:
-        raise ValueError("a split needs at least 3 recordings")
-    buckets: dict[str, list[Recording]] = {"train": [], "val": [], "test": []}
-    for i in range(cfg.n_recordings):
-        buckets[split_of_index(i)].append(gen_recording(cfg, i))
-    return DatasetSplit(
-        train=tuple(buckets["train"]),
-        val=tuple(buckets["val"]),
-        test=tuple(buckets["test"]),
-    )

@@ -16,7 +16,6 @@ import pytest
 
 from fsdm import checks, evalkit, experiments, neural
 from fsdm.checks import (
-    oracle_bank,
     posterior_marginals,
     random_world,
     stage_observations,
@@ -26,7 +25,7 @@ from fsdm.dsp import ampd_peaks, apply_filter, clip, design_butterworth, peaks_t
 from fsdm.dsp import KINDS
 from fsdm.hypno import Hypnogram, one_hot
 from fsdm.infogain import information_gain
-from fsdm.oracle import MarkovPrior, WorldModel, enumerate_posterior
+from fsdm.oracle import MarkovPrior, WorldModel, enumerate_posterior, exact_bank
 from fsdm.sampler import SamplerConfig, infer
 from fsdm.sched import ScheduleParams, time_steps
 from fsdm.scorekit import Features, SensorBank
@@ -59,7 +58,7 @@ def test_a2_posterior_recovery():
         expected = np.argmax(
             posterior_marginals(world, enumerate_posterior(world, obs)), axis=0
         )
-        bank = oracle_bank(world)
+        bank = exact_bank(world)
         cfg = SamplerConfig(n_samples=32, base_seed=w, lam=1.0)
         result = infer(bank, [("s0", Features(obs["s0"]))], cfg, 4)
         agree += int(np.sum(result.hypnogram.to_indices() == expected))
@@ -102,7 +101,7 @@ def test_a5_information_gain(sweep):
     trans = np.full((5, 5), 0.2)
     world = WorldModel(3, MarkovPrior(np.full(5, 0.2), trans),
                        (("flat", uniform_emission()),))
-    bank = oracle_bank(world)
+    bank = exact_bank(world)
     cfg = SamplerConfig(n_samples=8, base_seed=0, record_trajectory=True)
     gain = information_gain(bank, [("flat", Features(np.array([0.0, 3.0, 1.0])))],
                             "flat", cfg)

@@ -14,12 +14,12 @@ import pytest
 import fsdm
 import fsdm.sampler
 from fsdm.bundle import Bundle, SignalEntry, read_bundle, write_bundle
-from fsdm.checks import informative_emission, oracle_bank, persistent_markov, random_world
+from fsdm.checks import informative_emission, persistent_markov, random_world
 from fsdm.cli import build_parser, emit_plot_data, load_config, main
 from fsdm.evalkit import aggregate_stat, overnight_stats
 from fsdm.hypno import Hypnogram
 from fsdm.infogain import information_gain, write_infogain_csv
-from fsdm.oracle import CategoricalEmission, MarkovPrior, WorldModel, world_to_dict
+from fsdm.oracle import CategoricalEmission, MarkovPrior, WorldModel, exact_bank, world_to_dict
 from fsdm.sampler import SamplerConfig, _initial_state
 from fsdm.sched import ScheduleParams, time_steps
 from fsdm.scorekit import Features
@@ -90,6 +90,8 @@ def test_synth_writes_readable_bundles(config_path, tmp_path):
     assert main(["synth", "--config", str(config_path), "--out", str(out)]) == 0
     split = json.loads((out / "split.json").read_text())
     assert sorted(split) == ["test", "train", "val"]
+    # Every recording lands in exactly one part (split_of_index).
+    assert sorted(sum(split.values(), [])) == [f"rec_{i:04d}" for i in range(4)]
     bundle = read_bundle(out / "rec_0000")
     assert bundle.n_epochs == 6
     assert "pulse" in bundle.features
@@ -412,7 +414,7 @@ def test_infogain_runs_the_sampler_once(tmp_path, monkeypatch):
     sampler_cfg = SamplerConfig(schedule=ScheduleParams(M=6), n_samples=3, base_seed=4,
                                 record_trajectory=True)
     for name in ("s0", "s1"):
-        gain = information_gain(oracle_bank(world), obs, name, sampler_cfg, 5)
+        gain = information_gain(exact_bank(world), obs, name, sampler_cfg, 5)
         write_infogain_csv(tmp_path / f"want_{name}.csv", gain)
         assert filecmp.cmp(out / f"infogain_{name}.csv", tmp_path / f"want_{name}.csv",
                            shallow=False)
@@ -448,6 +450,23 @@ def test_bundle_round_trip(tmp_path):
     assert loaded.hypnogram == bundle.hypnogram
     np.testing.assert_array_equal(loaded.features["s"], bundle.features["s"])
     np.testing.assert_allclose(loaded.signals["raw"][0], [0.5, 0.25])
+    manifest = json.loads((tmp_path / "b" / "manifest.json").read_text())
+    assert manifest["signals"][0]["encoding"] == "f32"
+
+
+def test_bundle_reads_csv_signal_payload(tmp_path):
+    root = tmp_path / "b"
+    (root / "signals").mkdir(parents=True)
+    (root / "hypnogram.txt").write_text("W\nR\n", encoding="utf-8")
+    (root / "signals" / "raw.csv").write_text("value\n0.5\n-1.25\n3.0\n", encoding="utf-8")
+    (root / "manifest.json").write_text(json.dumps({
+        "recording_id": "rec_csv", "n_epochs": 2, "valid_epochs": 2,
+        "signals": [{"name": "raw", "kind": "eeg", "fs": 2.0,
+                     "file": "signals/raw.csv", "encoding": "csv"}],
+    }), encoding="utf-8")
+    samples, entry = read_bundle(root).signals["raw"]
+    np.testing.assert_array_equal(samples, [0.5, -1.25, 3.0])
+    assert (entry.name, entry.kind, entry.fs, entry.file) == ("raw", "eeg", 2.0, "signals/raw.csv")
 
 
 def test_bundle_missing_reference_rejected(tmp_path):

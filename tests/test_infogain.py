@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fsdm.checks import oracle_bank, random_world, uniform_emission
+from fsdm.checks import random_world, uniform_emission
 from fsdm.hypno import Hypnogram
 from fsdm.infogain import (
     InfoGain,
@@ -15,7 +15,7 @@ from fsdm.infogain import (
     write_infogain_csv,
 )
 from fsdm.neural import ReferenceDenoiser
-from fsdm.oracle import MarkovPrior, WorldModel
+from fsdm.oracle import MarkovPrior, WorldModel, exact_bank
 from fsdm.sampler import SamplerConfig, sample_many
 from fsdm.sched import ScheduleParams
 from fsdm.scorekit import ABSENT, Features, SensorBank
@@ -55,7 +55,7 @@ def _uniform_world(n_epochs=3):
 
 def test_zero_evidence_sensor_has_zero_gain():
     world = _uniform_world()
-    bank = oracle_bank(world)
+    bank = exact_bank(world)
     obs = [("flat", Features(np.array([0.0, 3.0, 1.0])))]
     cfg = SamplerConfig(n_samples=8, base_seed=0, record_trajectory=True)
     gain = information_gain(bank, obs, "flat", cfg)
@@ -65,7 +65,7 @@ def test_zero_evidence_sensor_has_zero_gain():
 def test_absent_observation_gain_exactly_zero():
     rng = np.random.default_rng(0)
     world = random_world(3, 1, rng)
-    bank = oracle_bank(world)
+    bank = exact_bank(world)
     obs = [("s0", ABSENT)]
     cfg = SamplerConfig(n_samples=4, base_seed=1, record_trajectory=True)
     gain = information_gain(bank, obs, "s0", cfg, n_epochs=3)
@@ -79,7 +79,7 @@ def test_all_missing_sensor_gain_equals_absent(seed, n_epochs):
     # same sensor passed as ABSENT gains: nothing.
     rng = np.random.default_rng(seed)
     world = random_world(n_epochs, 2, rng)
-    bank = oracle_bank(world)
+    bank = exact_bank(world)
     seen = Features(rng.integers(0, 5, n_epochs).astype(np.float64))
     cfg = SamplerConfig(schedule=ScheduleParams(M=8), n_samples=3,
                         base_seed=seed, record_trajectory=True)
@@ -93,7 +93,7 @@ def test_all_missing_sensor_gain_equals_absent(seed, n_epochs):
 def test_informative_sensor_has_positive_gain_in_bounds():
     rng = np.random.default_rng(1)
     world = random_world(4, 1, rng)
-    bank = oracle_bank(world)
+    bank = exact_bank(world)
     h = Hypnogram.from_indices([0, 2, 4, 1])
     obs = [("s0", Features(h.to_indices().astype(float)))]
     cfg = SamplerConfig(n_samples=8, base_seed=2, record_trajectory=True)
@@ -105,7 +105,7 @@ def test_informative_sensor_has_positive_gain_in_bounds():
 
 def test_requires_trajectory_recording():
     world = _uniform_world()
-    bank = oracle_bank(world)
+    bank = exact_bank(world)
     obs = [("flat", Features(np.zeros(3)))]
     with pytest.raises(ValueError):
         information_gain(bank, obs, "flat", SamplerConfig(n_samples=2))
@@ -113,7 +113,7 @@ def test_requires_trajectory_recording():
 
 def test_sensor_must_be_observed():
     world = _uniform_world()
-    bank = oracle_bank(world)
+    bank = exact_bank(world)
     cfg = SamplerConfig(n_samples=2, record_trajectory=True)
     with pytest.raises(KeyError):
         information_gain(bank, [("flat", Features(np.zeros(3)))], "other", cfg)
@@ -122,7 +122,7 @@ def test_sensor_must_be_observed():
 def test_reusing_sampler_results_matches_fresh_run():
     rng = np.random.default_rng(2)
     world = random_world(3, 1, rng)
-    bank = oracle_bank(world)
+    bank = exact_bank(world)
     obs = [("s0", Features(np.array([1.0, 1.0, 4.0])))]
     cfg = SamplerConfig(n_samples=4, base_seed=5, record_trajectory=True)
     results = sample_many(bank, obs, cfg, 3)
@@ -136,7 +136,7 @@ def test_averaging_order_irrelevant():
     # when every trajectory has the same length; recompute by hand.
     rng = np.random.default_rng(3)
     world = random_world(2, 1, rng)
-    bank = oracle_bank(world)
+    bank = exact_bank(world)
     obs = [("s0", Features(np.array([0.0, 2.0])))]
     cfg = SamplerConfig(n_samples=3, base_seed=9, record_trajectory=True)
     flat = []
@@ -190,7 +190,7 @@ def test_streamed_gain_equals_stored_trajectories_bitwise(kind):
         bank, n_epochs, names = _neural_bank(), 40, ("a", "b")
     else:
         n_epochs = 4
-        bank, names = oracle_bank(random_world(n_epochs, 2, rng)), ("s0", "s1")
+        bank, names = exact_bank(random_world(n_epochs, 2, rng)), ("s0", "s1")
     # A sensor observed twice counts at its first observation.
     obs = [(name, Features(rng.integers(0, 5, n_epochs).astype(float)))
            for name in (*names, names[0])]
@@ -207,7 +207,7 @@ def test_streamed_gain_equals_stored_trajectories_bitwise(kind):
 def test_deterministic_given_seed():
     rng = np.random.default_rng(4)
     world = random_world(3, 1, rng)
-    bank = oracle_bank(world)
+    bank = exact_bank(world)
     obs = [("s0", Features(np.array([3.0, 0.0, 2.0])))]
     cfg = SamplerConfig(n_samples=4, base_seed=21, record_trajectory=True)
     a = information_gain(bank, obs, "s0", cfg)

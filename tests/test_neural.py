@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fsdm.hypno import Hypnodensity, Hypnogram, one_hot
+from fsdm.hypno import Hypnogram, one_hot
 from fsdm.neural import (
     PRIOR,
     _silu,
@@ -18,7 +18,7 @@ from fsdm.neural import (
     timestep_embedding,
     train,
 )
-from fsdm.scorekit import ABSENT, Features, SensorBank, fsdm_denoise
+from fsdm.scorekit import ABSENT, Features, SensorBank, fsdm_denoise_batch
 
 
 def _sample_net(n_features=2, seed=0, channels=32):
@@ -253,12 +253,12 @@ def test_trained_denoiser_satisfies_contract_and_plugs_into_bank():
     dataset = [(h, {"s": rng.standard_normal(3)})]
     net = train(dataset, "s", TrainConfig(steps=30, seed=2))
     prior = train(dataset, PRIOR, TrainConfig(steps=30, seed=3))
-    y = Hypnodensity(rng.standard_normal((5, 3)))
-    out = net.evaluate_batch(y.values[None], Features(rng.standard_normal((1, 3))), 0.8)[0]
-    assert Hypnodensity(out).on_manifold(1e-9)
+    ys = rng.standard_normal((2, 5, 3))
+    out = net.evaluate_batch(ys, Features(rng.standard_normal((1, 3))), 0.8)
+    np.testing.assert_allclose(out.sum(axis=1), 1.0, rtol=0, atol=1e-9)
     bank = SensorBank(prior, (("s", net),))
-    combined = fsdm_denoise(y, 0.8, bank, [("s", Features(rng.standard_normal((1, 3))))])
-    assert combined.on_manifold(1e-9)
+    combined = fsdm_denoise_batch(ys, 0.8, bank, [("s", Features(rng.standard_normal((1, 3))))])
+    np.testing.assert_allclose(combined.sum(axis=1), 1.0, rtol=0, atol=1e-9)
 
 
 def test_model_json_round_trip(tmp_path):

@@ -3,14 +3,13 @@ import pytest
 
 from fsdm.checks import (
     hypnogram_index,
-    oracle_bank,
     posterior_marginals,
     random_world,
     single_atom_world,
     stage_observations,
 )
 from fsdm.hypno import Hypnogram, argmax_stages, one_hot
-from fsdm.oracle import enumerate_posterior
+from fsdm.oracle import enumerate_posterior, exact_bank
 from fsdm.sampler import (
     SampleResult,
     SamplerConfig,
@@ -25,7 +24,7 @@ from fsdm.scorekit import ABSENT, Features, SensorBank
 
 def test_single_atom_lands_on_vertex():
     h = Hypnogram.from_indices([0, 3, 2, 4])
-    bank = oracle_bank(single_atom_world(h))
+    bank = exact_bank(single_atom_world(h))
     result = sample_one(bank, [], SamplerConfig(base_seed=5), 0, 4)
     assert np.abs(result.y.values - one_hot(h).values).max() <= 1e-6
 
@@ -33,7 +32,7 @@ def test_single_atom_lands_on_vertex():
 def test_same_seed_bitwise_identical():
     rng = np.random.default_rng(0)
     world = random_world(3, 1, rng)
-    bank = oracle_bank(world)
+    bank = exact_bank(world)
     cfg = SamplerConfig(base_seed=123)
     a = sample_one(bank, [], cfg, 4, 3)
     b = sample_one(bank, [], cfg, 4, 3)
@@ -42,7 +41,7 @@ def test_same_seed_bitwise_identical():
 
 def test_distinct_indices_distinct_initial_states():
     h = Hypnogram.from_indices([1])
-    bank = oracle_bank(single_atom_world(h))
+    bank = exact_bank(single_atom_world(h))
     cfg = SamplerConfig(n_samples=64, base_seed=9, record_trajectory=True)
     initials = set()
 
@@ -57,7 +56,7 @@ def test_distinct_indices_distinct_initial_states():
 def test_sample_many_n1_equals_sample_one():
     rng = np.random.default_rng(1)
     world = random_world(2, 1, rng)
-    bank = oracle_bank(world)
+    bank = exact_bank(world)
     cfg = SamplerConfig(n_samples=1, base_seed=3)
     many = sample_many(bank, [], cfg, 2)
     one = sample_one(bank, [], cfg, 0, 2)
@@ -68,7 +67,7 @@ def test_sample_many_n1_equals_sample_one():
 def test_batched_run_equals_sequential_bitwise():
     rng = np.random.default_rng(2)
     world = random_world(3, 1, rng)
-    bank = oracle_bank(world)
+    bank = exact_bank(world)
     obs = [("s0", Features(np.array([0.0, 2.0, 4.0])))]
     cfg = SamplerConfig(n_samples=6, base_seed=17)
     batch = sample_many(bank, obs, cfg, 3)
@@ -80,7 +79,7 @@ def test_batched_run_equals_sequential_bitwise():
 def test_trajectory_recording_does_not_change_states():
     rng = np.random.default_rng(3)
     world = random_world(3, 1, rng)
-    bank = oracle_bank(world)
+    bank = exact_bank(world)
     obs = [("s0", Features(np.array([0.0, 2.0, 4.0])))]
     base = SamplerConfig(n_samples=2, base_seed=7)
     recorded = SamplerConfig(n_samples=2, base_seed=7, record_trajectory=True)
@@ -98,7 +97,7 @@ def test_trajectory_recording_does_not_change_states():
 
 def test_trajectory_records_predictor_states_with_positive_sigma():
     h = Hypnogram.from_indices([2, 2])
-    bank = oracle_bank(single_atom_world(h))
+    bank = exact_bank(single_atom_world(h))
     cfg = SamplerConfig(n_samples=1, base_seed=1, record_trajectory=True)
     seen = []
     sample_many(bank, [], cfg, 2, observer=lambda m, sigma, y, pairs: seen.append((m, sigma)))
@@ -112,7 +111,7 @@ def test_trajectory_records_predictor_states_with_positive_sigma():
 def test_final_state_near_manifold_for_peaked_world():
     rng = np.random.default_rng(4)
     world = random_world(4, 1, rng)
-    bank = oracle_bank(world)
+    bank = exact_bank(world)
     h = Hypnogram.from_indices(rng.integers(0, 5, 4))
     obs = [("s0", Features(stage_observations(world, h)["s0"]))]
     result = sample_one(bank, obs, SamplerConfig(base_seed=2, lam=1.0), 0, 4)
@@ -127,7 +126,7 @@ def test_self_convergence_factor_two():
     # t_{M-1} = sigma_min is pinned on every grid so states are comparable.
     rng = np.random.default_rng(5)
     world = random_world(3, 1, rng, base=0.7)
-    bank = oracle_bank(world)
+    bank = exact_bank(world)
     obs = [("s0", Features(np.array([1.0, 3.0, 2.0])))]
 
     def final_state(m_steps):
@@ -147,7 +146,7 @@ def test_posterior_recovery_sanity():
     h = Hypnogram.from_indices(rng.integers(0, 5, 3))
     obs_map = stage_observations(world, h)
     post = enumerate_posterior(world, obs_map)
-    bank = oracle_bank(world)
+    bank = exact_bank(world)
     cfg = SamplerConfig(n_samples=256, base_seed=0, lam=1.0)
     counts = np.zeros(post.size)
     for result in sample_many(bank, [("s0", Features(obs_map["s0"]))], cfg, 3):
@@ -172,14 +171,14 @@ def test_non_finite_state_raises_with_diagnostics():
 def test_observation_epoch_mismatch_rejected():
     rng = np.random.default_rng(7)
     world = random_world(3, 1, rng)
-    bank = oracle_bank(world)
+    bank = exact_bank(world)
     with pytest.raises(ValueError):
         sample_one(bank, [("s0", Features(np.zeros(4)))], SamplerConfig(), 0, 3)
 
 
 def test_infer_identical_one_hot_samples():
     h = Hypnogram.from_indices([0, 0, 3, 3, 4, 2])
-    bank = oracle_bank(single_atom_world(h))
+    bank = exact_bank(single_atom_world(h))
     result = infer(bank, [], SamplerConfig(n_samples=5, base_seed=3), 6)
     assert result.hypnogram == h
     assert len(result.samples) == 5
@@ -205,7 +204,7 @@ def test_infer_matches_posterior_marginal_argmax():
         obs_map = stage_observations(world, h)
         marg = posterior_marginals(world, enumerate_posterior(world, obs_map))
         expected = np.argmax(marg, axis=0)
-        bank = oracle_bank(world)
+        bank = exact_bank(world)
         cfg = SamplerConfig(n_samples=32, base_seed=trial, lam=1.0)
         result = infer(bank, [("s0", Features(obs_map["s0"]))], cfg, 4)
         hits += int(np.sum(result.hypnogram.to_indices() == expected))

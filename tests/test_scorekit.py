@@ -3,16 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fsdm.checks import oracle_bank, random_world
-from fsdm.hypno import Hypnodensity, Hypnogram, one_hot
-from fsdm.oracle import exact_denoiser
+from fsdm.checks import random_world
+from fsdm.hypno import Hypnogram, one_hot
+from fsdm.oracle import exact_bank, exact_denoiser
 from fsdm.scorekit import (
     ABSENT,
     Features,
     SensorBank,
-    fsdm_combine,
-    fsdm_denoise,
-    fsdm_score,
+    fsdm_combine_batch,
+    fsdm_denoise_batch,
     tweedie_score,
 )
 
@@ -35,8 +34,8 @@ def _simplex(rng, n_epochs=3):
 
 
 def test_tweedie_fixed_point_is_zero():
-    y = Hypnodensity(np.full((5, 2), 0.2))
-    np.testing.assert_array_equal(tweedie_score(y, y, 0.7), np.zeros((5, 2)))
+    y = np.full((3, 5, 2), 0.2)
+    np.testing.assert_array_equal(tweedie_score(y, y, 0.7), np.zeros((3, 5, 2)))
 
 
 def test_tweedie_unit_sigma_returns_difference():
@@ -75,18 +74,17 @@ def test_unknown_sensor_name_rejected():
     rng = np.random.default_rng(0)
     d = ConstantDenoiser(_simplex(rng), _simplex(rng))
     bank = SensorBank(d, (("a", d),))
-    y = Hypnodensity(_simplex(rng))
     with pytest.raises(KeyError):
-        fsdm_denoise(y, 1.0, bank, [("b", ABSENT)])
+        fsdm_denoise_batch(_simplex(rng)[None], 1.0, bank, [("b", ABSENT)])
 
 
 def test_no_observations_returns_projected_prior():
     rng = np.random.default_rng(1)
     prior_out = _simplex(rng)
     bank = SensorBank(ConstantDenoiser(prior_out, prior_out), ())
-    y = Hypnodensity(rng.standard_normal((5, 3)))
-    out = fsdm_denoise(y, 1.0, bank, [])
-    np.testing.assert_allclose(out.values, prior_out / prior_out.sum(axis=0), atol=1e-15)
+    out = fsdm_denoise_batch(rng.standard_normal((2, 5, 3)), 1.0, bank, [])
+    np.testing.assert_allclose(out, np.broadcast_to(prior_out / prior_out.sum(axis=0), out.shape),
+                               atol=1e-15)
 
 
 def test_column_sums_preserved_before_projection():
@@ -96,40 +94,41 @@ def test_column_sums_preserved_before_projection():
         (("a", ConstantDenoiser(_simplex(rng), _simplex(rng))),
          ("b", ConstantDenoiser(_simplex(rng), _simplex(rng)))),
     )
-    y = Hypnodensity(rng.standard_normal((5, 3)))
-    combined = fsdm_combine(y, 1.3, bank, [("a", ABSENT), ("b", ABSENT)], lam=0.7)
-    np.testing.assert_allclose(combined.values.sum(axis=0), 1.0, rtol=0, atol=1e-9)
+    ys = rng.standard_normal((2, 5, 3))
+    combined = fsdm_combine_batch(ys, 1.3, bank, [("a", ABSENT), ("b", ABSENT)], lam=0.7)
+    np.testing.assert_allclose(combined.sum(axis=1), 1.0, rtol=0, atol=1e-9)
 
 
 @settings(max_examples=100, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n_epochs=st.integers(1, 6),
-       log_sigma=st.floats(np.log(1e-3), np.log(40.0)))
-def test_combination_rule_identities_on_random_markov_worlds(seed, n_epochs, log_sigma):
+       batch=st.integers(1, 4), log_sigma=st.floats(np.log(1e-3), np.log(40.0)))
+def test_combination_rule_identities_on_random_markov_worlds(seed, n_epochs, batch, log_sigma):
     rng = np.random.default_rng(seed)
     world = random_world(n_epochs, 2, rng)
-    bank = oracle_bank(world)
+    bank = exact_bank(world)
     conds = [Features(rng.integers(0, 5, n_epochs).astype(float)) for _ in range(2)]
-    y = Hypnodensity(rng.standard_normal((5, n_epochs)))
+    ys = rng.standard_normal((batch, 5, n_epochs))
     sigma = float(np.exp(log_sigma))
     s0 = [("s0", conds[0])]
     # N = 1 with λ = 1/N: the combined estimate is the sensor's own denoiser.
-    single = fsdm_denoise(y, sigma, bank, s0)
-    direct = exact_denoiser(world, "s0").evaluate_batch(y.values[None], conds[0], sigma)[0]
-    assert np.abs(single.values - direct).max() <= 1e-12
+    single = fsdm_denoise_batch(ys, sigma, bank, s0)
+    direct = exact_denoiser(world, "s0").evaluate_batch(ys, conds[0], sigma)
+    assert np.abs(single - direct).max() <= 1e-12
     for k in (2, 3, 8):
-        dup = fsdm_denoise(y, sigma, bank, s0 * k)
-        assert np.abs(dup.values - single.values).max() <= 1e-12
+        dup = fsdm_denoise_batch(ys, sigma, bank, s0 * k)
+        assert np.abs(dup - single).max() <= 1e-12
     both = [("s0", conds[0]), ("s1", conds[1])]
     for lam in (None, 1.0):
-        combined = fsdm_combine(y, sigma, bank, both, lam=lam)
-        assert np.abs(combined.values.sum(axis=0) - 1.0).max() <= 1e-9
+        combined = fsdm_combine_batch(ys, sigma, bank, both, lam=lam)
+        assert np.abs(combined.sum(axis=1) - 1.0).max() <= 1e-9
 
 
 def test_score_zero_at_combined_fixed_point():
     rng = np.random.default_rng(5)
     out = _simplex(rng)
     bank = SensorBank(ConstantDenoiser(out, out), ())
-    score = fsdm_score(Hypnodensity(out), 0.9, bank, [])
+    ys = out[None]
+    score = tweedie_score(fsdm_denoise_batch(ys, 0.9, bank, []), ys, 0.9)
     np.testing.assert_allclose(score, 0.0, atol=1e-12)
 
 
@@ -137,12 +136,13 @@ def test_single_atom_score_closed_form():
     from fsdm.checks import single_atom_world
 
     h = Hypnogram.from_indices([1, 4, 0])
-    bank = oracle_bank(single_atom_world(h))
+    bank = exact_bank(single_atom_world(h))
     rng = np.random.default_rng(6)
-    y = Hypnodensity(rng.standard_normal((5, 3)))
+    ys = rng.standard_normal((2, 5, 3))
     sigma = 0.7
-    expected = (one_hot(h).values - y.values) / sigma**2
-    np.testing.assert_allclose(fsdm_score(y, sigma, bank, []), expected, atol=1e-10)
+    expected = (one_hot(h).values - ys) / sigma**2
+    score = tweedie_score(fsdm_denoise_batch(ys, sigma, bank, []), ys, sigma)
+    np.testing.assert_allclose(score, expected, atol=1e-10)
 
 
 def test_absent_is_a_singleton_distinct_from_zero_features():
@@ -156,4 +156,4 @@ def test_rejects_nonpositive_sigma():
     out = _simplex(rng)
     bank = SensorBank(ConstantDenoiser(out, out), ())
     with pytest.raises(ValueError):
-        fsdm_denoise(Hypnodensity(out), 0.0, bank, [])
+        fsdm_denoise_batch(out[None], 0.0, bank, [])

@@ -8,7 +8,6 @@ from fsdm.oracle import enumerate_posterior
 from fsdm.synth import (
     SynthConfig,
     WaveformSpec,
-    gen_dataset,
     gen_recording,
     render_waveform,
     sample_hypnogram,
@@ -50,38 +49,21 @@ def test_gen_recording_deterministic():
 def test_seed_changes_contents_not_sizes():
     rng = np.random.default_rng(1)
     world = random_world(3, 1, rng)
-    a = gen_dataset(SynthConfig(world=world, n_recordings=10, seed=1))
-    b = gen_dataset(SynthConfig(world=world, n_recordings=10, seed=2))
-    assert (len(a.train), len(a.val), len(a.test)) == (len(b.train), len(b.val), len(b.test))
+    a = [gen_recording(SynthConfig(world=world, n_recordings=10, seed=1), i) for i in range(10)]
+    b = [gen_recording(SynthConfig(world=world, n_recordings=10, seed=2), i) for i in range(10)]
+    assert [r.recording_id for r in a] == [r.recording_id for r in b]
+    assert all(len(ra.hypnogram) == len(rb.hypnogram) == 3 for ra, rb in zip(a, b))
+    assert all(ra.features["s0"].shape == rb.features["s0"].shape for ra, rb in zip(a, b))
     assert any(
-        ra.hypnogram != rb.hypnogram for ra, rb in zip(a.train, b.train)
-    ) or any(
-        not np.array_equal(ra.features["s0"], rb.features["s0"])
-        for ra, rb in zip(a.train, b.train)
+        ra.hypnogram != rb.hypnogram or not np.array_equal(ra.features["s0"], rb.features["s0"])
+        for ra, rb in zip(a, b)
     )
-
-
-def test_default_split_sizes_and_partition():
-    rng = np.random.default_rng(2)
-    world = random_world(2, 1, rng)
-    splits = gen_dataset(SynthConfig(world=world, n_recordings=10, seed=0))
-    assert (len(splits.train), len(splits.val), len(splits.test)) == (7, 1, 2)
-    ids = [r.recording_id for part in (splits.train, splits.val, splits.test) for r in part]
-    assert sorted(ids) == [f"rec_{i:04d}" for i in range(10)]
-    assert len(set(ids)) == 10
 
 
 def test_split_by_index_stable():
     assert [split_of_index(i) for i in range(10)] == (
         ["train"] * 7 + ["val"] + ["test"] * 2
     )
-
-
-def test_dataset_needs_three_recordings():
-    rng = np.random.default_rng(3)
-    world = random_world(2, 1, rng)
-    with pytest.raises(ValueError):
-        gen_dataset(SynthConfig(world=world, n_recordings=2, seed=0))
 
 
 def test_features_exchangeable_with_oracle():
