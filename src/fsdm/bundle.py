@@ -5,7 +5,7 @@ Layout of a bundle directory:
     manifest.json            id, epoch counts, signal and feature entries
     hypnogram.txt            one stage label per line
     signals/<name>.f32       raw little-endian float32 samples
-    signals/<name>.json      sidecar: {"fs": ..., "kind": ..., "unit": ...}
+    signals/<name>.json      sidecar: {"fs": ..., "kind": ..., "unit": ""}
     features/<name>.csv      epoch-aligned features, header row
 
 ``write_bundle`` always writes float32 signals and marks them
@@ -37,7 +37,6 @@ class SignalEntry:
     kind: str
     fs: float
     file: str
-    unit: str = ""
 
 
 @dataclass(frozen=True)
@@ -107,7 +106,7 @@ def write_bundle(directory, bundle: Bundle) -> None:
         rel = f"signals/{name}.f32"
         write_signal_f32(root / rel, samples)
         dump_json(root / f"signals/{name}.json",
-                  {"fs": entry.fs, "kind": entry.kind, "unit": entry.unit})
+                  {"fs": entry.fs, "kind": entry.kind, "unit": ""})
         signal_entries.append({
             "name": name, "kind": entry.kind, "fs": entry.fs,
             "file": rel, "encoding": "f32",

@@ -246,6 +246,8 @@ def cmd_train(args) -> int:
     else:
         ids = sorted(p.name for p in bundles_dir.iterdir() if p.is_dir())
     dataset = _load_dataset(bundles_dir, ids)
+    if not dataset:
+        raise ValueError(f"no training recordings in {bundles_dir}")
     sensors = args.sensor or sorted(dataset[0][1])
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -383,7 +385,7 @@ def cmd_preprocess(args) -> int:
         processed = preprocess(raw, target_epochs=pad_epochs)
         write_signal_f32(out / f"{name}_proc.f32", processed.samples)
         dump_json(out / f"{name}_proc.json",
-                  {"fs": TARGET_FS, "kind": entry.kind, "unit": entry.unit})
+                  {"fs": TARGET_FS, "kind": entry.kind, "unit": ""})
         info = {"valid_epochs": processed.valid_epochs,
                 "n_missing": int(processed.missing_indices.size)}
         if processed.rate is not None:

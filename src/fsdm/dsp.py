@@ -31,6 +31,9 @@ CARDIAC_INTERVAL_S = (0.3, 2.0)
 RESPIRATORY_INTERVAL_S = (1.0, 30.0)
 CARDIAC_MAX_SCALE_S = 5.0
 RESPIRATORY_MAX_SCALE_S = 60.0
+AMPD_WINDOW_S, AMPD_OVERLAP_S = 600.0, 120.0
+# An epoch with more than this fraction of exact-zero samples is missing.
+MISSING_FRAC = 0.5
 
 # Kaiser beta 7.0 puts the resampler's stopband past 70 dB.
 _KAISER_BETA = 7.0
@@ -168,19 +171,18 @@ def restore_zeros(s: np.ndarray, missing: np.ndarray) -> np.ndarray:
     return out
 
 
-def clip(s: np.ndarray, lo: float = CLIP_LO, hi: float = CLIP_HI) -> np.ndarray:
-    return np.clip(np.asarray(s, dtype=np.float64), lo, hi)
+def clip(s: np.ndarray) -> np.ndarray:
+    return np.clip(np.asarray(s, dtype=np.float64), CLIP_LO, CLIP_HI)
 
 
-def zero_pad(s: np.ndarray, target_epochs: int = TARGET_EPOCHS,
-             fs: float = TARGET_FS) -> tuple[np.ndarray, int]:
-    """Pad to target_epochs·30·fs samples; returns (padded, valid_epochs).
+def zero_pad(s: np.ndarray, target_epochs: int = TARGET_EPOCHS) -> tuple[np.ndarray, int]:
+    """Pad 128 Hz samples to target_epochs epochs; returns (padded, valid_epochs).
 
     valid_epochs counts epochs containing any real data; padding must be
     excluded from every downstream metric.
     """
     s = np.asarray(s, dtype=np.float64)
-    epoch_samples = int(round(30 * fs))
+    epoch_samples = int(round(30 * TARGET_FS))
     target = target_epochs * epoch_samples
     if s.size > target:
         raise ValueError(f"signal of {s.size} samples exceeds the {target}-sample target")
@@ -211,8 +213,9 @@ def _map_missing_indices(missing: np.ndarray, fs_from: float, fs_to: float,
     return np.concatenate(mapped) if mapped else np.array([], dtype=np.int64)
 
 
-def ampd_peaks(s: np.ndarray, fs: float, window_s: float = 600.0,
-               overlap_s: float = 120.0, max_scale_s: float = CARDIAC_MAX_SCALE_S) -> np.ndarray:
+def ampd_peaks(s: np.ndarray, fs: float, window_s: float = AMPD_WINDOW_S,
+               overlap_s: float = AMPD_OVERLAP_S,
+               max_scale_s: float = CARDIAC_MAX_SCALE_S) -> np.ndarray:
     """Automatic multi-scale peak detection over overlapping windows.
 
     Within each window the scale with the most local maxima is selected
@@ -245,7 +248,7 @@ def ampd_peaks(s: np.ndarray, fs: float, window_s: float = 600.0,
 
 
 def peaks_to_rate(peaks: np.ndarray, fs: float, category: str,
-                  n_out: int | None = None, fs_out: float = TARGET_FS) -> np.ndarray:
+                  n_out: int | None = None) -> np.ndarray:
     """Convert peak indices to an events/second signal at 128 Hz.
 
     Intervals outside the plausible range (cardiac [0.3, 2] s,
@@ -273,8 +276,8 @@ def peaks_to_rate(peaks: np.ndarray, fs: float, category: str,
             last = rates[i]
         filled[i] = last
     if n_out is None:
-        n_out = int(np.ceil((peaks[-1] + 1) / fs * fs_out))
-    bounds = np.round(peaks / fs * fs_out).astype(np.int64)
+        n_out = int(np.ceil((peaks[-1] + 1) / fs * TARGET_FS))
+    bounds = np.round(peaks / fs * TARGET_FS).astype(np.int64)
     bounds = np.clip(bounds, 0, n_out)
     out = np.empty(n_out)
     out[: bounds[0]] = filled[0]
@@ -284,6 +287,22 @@ def peaks_to_rate(peaks: np.ndarray, fs: float, category: str,
     if bounds[-1] < n_out:
         out[bounds[-1]:] = filled[-1]
     return out
+
+
+def _rate(s: np.ndarray, fs: float, category: str, n_out: int,
+          window_s: float, overlap_s: float) -> np.ndarray | None:
+    """AMPD peaks → n_out-sample rate at 128 Hz; None when extraction fails.
+
+    Calls ampd_peaks and peaks_to_rate through this module's names, so a
+    caller that replaces either name here replaces it for every path.
+    """
+    max_scale = CARDIAC_MAX_SCALE_S if category == "cardiac" else RESPIRATORY_MAX_SCALE_S
+    try:
+        peaks = ampd_peaks(s, fs, window_s=window_s, overlap_s=overlap_s,
+                           max_scale_s=max_scale)
+        return peaks_to_rate(peaks, fs, category, n_out=n_out)
+    except ValueError:
+        return None
 
 
 @dataclass(frozen=True)
@@ -340,46 +359,30 @@ def preprocess(raw: RawSignal, target_epochs: int = TARGET_EPOCHS) -> ProcessedS
     s = clip(s)
     rate = None
     if kind.category in ("cardiac", "respiratory"):
-        max_scale = (
-            CARDIAC_MAX_SCALE_S if kind.category == "cardiac" else RESPIRATORY_MAX_SCALE_S
-        )
-        try:
-            peaks = ampd_peaks(s, TARGET_FS, max_scale_s=max_scale)
-            rate = peaks_to_rate(peaks, TARGET_FS, kind.category, n_out=s.size)
-        except ValueError:
-            rate = np.zeros(s.size)
-        rate, _ = zero_pad(rate, target_epochs, TARGET_FS)
-    s, valid = zero_pad(s, target_epochs, TARGET_FS)
+        rate = _rate(s, TARGET_FS, kind.category, s.size, AMPD_WINDOW_S, AMPD_OVERLAP_S)
+        rate, _ = zero_pad(np.zeros(s.size) if rate is None else rate, target_epochs)
+    s, valid = zero_pad(s, target_epochs)
     return ProcessedSignal(samples=s, valid_epochs=valid, rate=rate, missing_indices=mapped)
 
 
 def epoch_rate_features(s: np.ndarray, fs: float, category: str, n_epochs: int,
-                        missing_frac: float = 0.5, window_s: float = 600.0,
-                        overlap_s: float = 120.0) -> np.ndarray:
+                        window_s: float = AMPD_WINDOW_S,
+                        overlap_s: float = AMPD_OVERLAP_S) -> np.ndarray:
     """Per-epoch mean extracted rate; NaN marks missing/unusable epochs.
 
-    An epoch is missing when more than missing_frac of its raw samples
+    An epoch is missing when more than MISSING_FRAC of its raw samples
     are exact zeros (the pipeline's missing-data convention); when peak
     or interval extraction fails outright every epoch is missing.
     window_s and overlap_s set the AMPD windows (see ampd_peaks).
     """
     s = np.asarray(s, dtype=np.float64)
-    max_scale = CARDIAC_MAX_SCALE_S if category == "cardiac" else RESPIRATORY_MAX_SCALE_S
-    rate = None
-    try:
-        peaks = ampd_peaks(s, fs, window_s=window_s, overlap_s=overlap_s,
-                           max_scale_s=max_scale)
-        rate = peaks_to_rate(
-            peaks, fs, category, n_out=int(round(s.size / fs * TARGET_FS))
-        )
-    except ValueError:
-        rate = None
+    rate = _rate(s, fs, category, int(round(s.size / fs * TARGET_FS)), window_s, overlap_s)
     feats = np.full(n_epochs, np.nan)
     in_epoch = int(round(30 * fs))
     out_epoch = int(round(30 * TARGET_FS))
     for e in range(n_epochs):
         raw_ep = s[e * in_epoch:(e + 1) * in_epoch]
-        if raw_ep.size == 0 or np.mean(raw_ep == 0.0) > missing_frac:
+        if raw_ep.size == 0 or np.mean(raw_ep == 0.0) > MISSING_FRAC:
             continue
         if rate is None:
             continue

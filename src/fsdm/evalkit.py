@@ -35,13 +35,6 @@ _MERGE_MAPS = {
     MergeScheme.TWO: np.array([0, 1, 1, 1, 1]),
 }
 
-_N_CLASSES = {
-    MergeScheme.FIVE: 5,
-    MergeScheme.FOUR: 4,
-    MergeScheme.THREE: 3,
-    MergeScheme.TWO: 2,
-}
-
 
 def merge_classes(h: Hypnogram, scheme: MergeScheme) -> np.ndarray:
     """Relabel stages under the merge scheme, as an integer sequence."""
@@ -73,7 +66,7 @@ def accuracy(pred: Hypnogram, ref: Hypnogram, scheme: MergeScheme = MergeScheme.
 def cohens_kappa(pred: Hypnogram, ref: Hypnogram, scheme: MergeScheme = MergeScheme.FIVE,
                  valid_mask: np.ndarray | None = None) -> float:
     a, b = _masked_labels(pred, ref, scheme, valid_mask)
-    k = _N_CLASSES[scheme]
+    k = int(_MERGE_MAPS[scheme].max()) + 1
     p_o = float(np.mean(a == b))
     pa = np.bincount(a, minlength=k) / a.size
     pb = np.bincount(b, minlength=k) / b.size

@@ -11,8 +11,8 @@ end-anchored and nested across fractions, and the noise realization is
 shared across SNR levels, so corruption grows pathwise with severity.
 
 AMPD runs on epoch-aligned 30 s windows here: the pipeline's 600 s
-default targets whole-night signals, while these recordings are minutes
-long and enumeration-sized.
+default targets whole-night signals, while these recordings are
+N_EPOCHS = 6 epochs (three minutes) long.
 """
 
 from __future__ import annotations
@@ -31,85 +31,74 @@ from .sched import ScheduleParams
 from .scorekit import Features
 from .synth import WaveformSpec, render_waveform, sample_hypnogram
 
-DEFAULT_STAGE_RATES = {
-    SleepStage.W: 1.4,
-    SleepStage.N1: 1.2,
-    SleepStage.N2: 1.0,
-    SleepStage.N3: 0.8,
-    SleepStage.R: 1.1,
-}
+SENSOR = "pulse"
+N_EPOCHS = 6
+PERSISTENCE = 0.6  # diagonal of the Markov prior's transition matrix
+ZERO_FRACS = (0.0, 0.25, 0.5, 0.75)
+SNRS_DB = (40.0, 20.0, 10.0, 0.0)
 
-DEFAULT_ZERO_FRACS = (0.0, 0.25, 0.5, 0.75)
-DEFAULT_SNRS_DB = (40.0, 20.0, 10.0, 0.0)
+# The broad, flat-crested pulse makes detected peak positions respond
+# smoothly to additive noise, so every SNR level in the sweep bites.
+PULSE_SPEC = WaveformSpec(
+    stage_rates={
+        SleepStage.W: 1.4,
+        SleepStage.N1: 1.2,
+        SleepStage.N2: 1.0,
+        SleepStage.N3: 0.8,
+        SleepStage.R: 1.1,
+    },
+    base_amplitude=0.4,
+    noise_sd=0.02,
+    fs=64.0,
+    jitter_sd=0.01,
+    pulse_width_s=0.65,
+    kind_name="finger_ppg",
+)
 
+# Uniform rate bins over [RATE_LO, RATE_HI]; symbol 0 marks missing epochs.
+RATE_LO, RATE_HI = 0.2, 3.4
+N_RATE_BINS = 64
+N_SYMBOLS = N_RATE_BINS + 1
 
-def default_pulse_spec() -> WaveformSpec:
-    # The broad, flat-crested pulse makes detected peak positions respond
-    # smoothly to additive noise, so every SNR level in the sweep bites.
-    return WaveformSpec(
-        stage_rates=dict(DEFAULT_STAGE_RATES),
-        base_amplitude=0.4,
-        noise_sd=0.02,
-        fs=64.0,
-        jitter_sd=0.01,
-        pulse_width_s=0.65,
-        kind_name="finger_ppg",
-    )
-
-
-@dataclass(frozen=True)
-class RateBinning:
-    """Uniform rate bins over [lo, hi]; symbol 0 marks missing epochs."""
-
-    lo: float = 0.2
-    hi: float = 3.4
-    n_bins: int = 64
-
-    @property
-    def n_symbols(self) -> int:
-        return self.n_bins + 1
-
-    def symbols(self, feats: np.ndarray) -> np.ndarray:
-        feats = np.asarray(feats, dtype=np.float64)
-        width = (self.hi - self.lo) / self.n_bins
-        out = np.zeros(feats.shape[0])
-        for i, x in enumerate(feats):
-            if np.isnan(x):
-                out[i] = 0.0
-            else:
-                out[i] = 1.0 + np.clip(int((x - self.lo) / width), 0, self.n_bins - 1)
-        return out
+# Emission fit: clean renders per stage and additive smoothing.
+N_PER_STAGE = 8
+ALPHA = 0.5
 
 
-def extract_binned_features(wave: np.ndarray, fs: float, n_epochs: int,
-                            binning: RateBinning) -> np.ndarray:
+def rate_symbols(feats: np.ndarray) -> np.ndarray:
+    """Per-epoch rates → symbols: 0 for NaN, else 1 + the rate's bin."""
+    feats = np.asarray(feats, dtype=np.float64)
+    width = (RATE_HI - RATE_LO) / N_RATE_BINS
+    out = np.zeros(feats.shape[0])
+    for i, x in enumerate(feats):
+        if np.isnan(x):
+            out[i] = 0.0
+        else:
+            out[i] = 1.0 + np.clip(int((x - RATE_LO) / width), 0, N_RATE_BINS - 1)
+    return out
+
+
+def extract_binned_features(wave: np.ndarray) -> np.ndarray:
     """Pulse waveform → per-epoch bin symbols, with AMPD on 30 s windows."""
-    feats = epoch_rate_features(wave, fs, "cardiac", n_epochs, window_s=30.0, overlap_s=0.0)
-    return binning.symbols(feats)
+    feats = epoch_rate_features(wave, PULSE_SPEC.fs, "cardiac", N_EPOCHS,
+                                window_s=30.0, overlap_s=0.0)
+    return rate_symbols(feats)
 
 
-def fit_rate_emission(
-    spec: WaveformSpec,
-    binning: RateBinning,
-    n_per_stage: int = 8,
-    epochs_per_recording: int = 6,
-    seed: int = 0,
-    alpha: float = 0.5,
-) -> CategoricalEmission:
+def fit_rate_emission(seed: int) -> CategoricalEmission:
     """Fit the sensor's categorical emission from clean per-stage renders.
 
     Balanced per-stage counts keep the smoothed probability of unseen
     bins (nearly) equal across stages, so they carry no stage evidence.
     """
-    counts = np.zeros((5, binning.n_symbols))
+    counts = np.zeros((5, N_SYMBOLS))
     for s in range(5):
-        for r in range(n_per_stage):
-            h = Hypnogram.from_indices([s] * epochs_per_recording)
+        for r in range(N_PER_STAGE):
+            h = Hypnogram.from_indices([s] * N_EPOCHS)
             rng = np.random.default_rng([seed, 1, s, r])
-            wave = render_waveform(h, spec, rng)
-            syms = extract_binned_features(wave, spec.fs, epochs_per_recording, binning)
-            counts[s] += np.bincount(syms.astype(int), minlength=binning.n_symbols)
-    table = (counts + alpha) / (counts.sum(axis=1, keepdims=True) + alpha * binning.n_symbols)
+            syms = extract_binned_features(render_waveform(h, PULSE_SPEC, rng))
+            counts[s] += np.bincount(syms.astype(int), minlength=N_SYMBOLS)
+    table = (counts + ALPHA) / (counts.sum(axis=1, keepdims=True) + ALPHA * N_SYMBOLS)
     return CategoricalEmission(table)
 
 
@@ -133,38 +122,28 @@ class SweepSummary:
 
 
 def degradation_sweep(
-    sensor_name: str = "pulse",
-    zero_fracs: tuple[float, ...] = DEFAULT_ZERO_FRACS,
-    snrs_db: tuple[float, ...] = DEFAULT_SNRS_DB,
     n_recordings: int = 12,
-    n_epochs: int = 6,
     n_samples: int = 16,
     seed: int = 0,
-    spec: WaveformSpec | None = None,
-    binning: RateBinning | None = None,
-    persistence: float = 0.6,
     schedule: ScheduleParams | None = None,
 ) -> tuple[list[SweepRow], list[SweepSummary]]:
     """Run both sweeps; returns per-recording rows and per-level summaries."""
-    spec = spec or default_pulse_spec()
-    binning = binning or RateBinning()
     schedule = schedule or ScheduleParams()
-    emission = fit_rate_emission(spec, binning, seed=seed,
-                                 epochs_per_recording=n_epochs)
-    trans = np.full((5, 5), (1 - persistence) / 4)
-    np.fill_diagonal(trans, persistence)
+    emission = fit_rate_emission(seed)
+    trans = np.full((5, 5), (1 - PERSISTENCE) / 4)
+    np.fill_diagonal(trans, PERSISTENCE)
     world = WorldModel(
-        n_epochs, MarkovPrior(np.full(5, 0.2), trans), ((sensor_name, emission),)
+        N_EPOCHS, MarkovPrior(np.full(5, 0.2), trans), ((SENSOR, emission),)
     )
     bank = exact_bank(world)
     recordings = []
     for i in range(n_recordings):
         rng = np.random.default_rng([seed, 2, i])
         h = sample_hypnogram(world, rng)
-        recordings.append((f"rec_{i:04d}", h, render_waveform(h, spec, rng)))
+        recordings.append((f"rec_{i:04d}", h, render_waveform(h, PULSE_SPEC, rng)))
 
-    levels: list[tuple[str, float]] = [("zero", f) for f in zero_fracs]
-    levels += [("awgn", snr) for snr in snrs_db]
+    levels: list[tuple[str, float]] = [("zero", f) for f in ZERO_FRACS]
+    levels += [("awgn", snr) for snr in SNRS_DB]
     rows: list[SweepRow] = []
     summaries: list[SweepSummary] = []
     for mode, level in levels:
@@ -177,12 +156,12 @@ def degradation_sweep(
                 )
             else:
                 degraded = degrade(wave, Awgn(level), seed=[seed, 3, i])
-            syms = extract_binned_features(degraded, spec.fs, n_epochs, binning)
-            obs = [(sensor_name, Features(syms))]
+            syms = extract_binned_features(degraded)
+            obs = [(SENSOR, Features(syms))]
             cfg = SamplerConfig(schedule=schedule, n_samples=n_samples,
                                 base_seed=i, record_trajectory=True)
-            result = infer(bank, obs, cfg, n_epochs)
-            gain = information_gain(bank, obs, sensor_name, cfg, n_epochs,
+            result = infer(bank, obs, cfg, N_EPOCHS)
+            gain = information_gain(bank, obs, SENSOR, cfg, N_EPOCHS,
                                     results=list(result.results))
             level_rows.append(SweepRow(
                 mode=mode, level=float(level), recording=rec_id,

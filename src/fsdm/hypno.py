@@ -70,8 +70,7 @@ class Hypnodensity:
     """5×E matrix of per-epoch stage weights; entries must be finite.
 
     Columns are not required to lie on the probability simplex: the
-    diffusion state wanders off it by construction.  ``on_manifold``
-    and ``is_one_hot`` test the two interesting special cases.
+    diffusion state wanders off it by construction.
     """
 
     values: np.ndarray
@@ -91,14 +90,6 @@ class Hypnodensity:
     @property
     def n_epochs(self) -> int:
         return self.values.shape[1]
-
-    def on_manifold(self, tol: float = 1e-9) -> bool:
-        return bool(np.all(np.abs(self.values.sum(axis=0) - 1.0) <= tol))
-
-    def is_one_hot(self, tol: float = 1e-9) -> bool:
-        if not self.on_manifold(tol):
-            return False
-        return bool(np.all(np.sum(self.values == 1.0, axis=0) == 1))
 
 
 def one_hot(h: Hypnogram) -> Hypnodensity:

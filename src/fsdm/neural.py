@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -31,6 +31,8 @@ from .scorekit import ABSENT, Conditioning, Features
 PRIOR = "PRIOR"
 MODEL_FORMAT = "fsdm-model-v1"
 _SKIP_SCALE = math.sqrt(0.5)
+# Adam moment decay rates.
+ADAM_BETA1, ADAM_BETA2 = 0.9, 0.999
 
 
 @dataclass(frozen=True)
@@ -41,8 +43,6 @@ class TrainConfig:
     sigma_log_sd: float = 1.4
     steps: int = 2000
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
     seed: int = 0
     window_radius: int = 2
     channels: int = 32
@@ -266,13 +266,7 @@ def _feature_matrix(features: dict[str, np.ndarray], sensor: str, n_epochs: int)
     return v
 
 
-def train(
-    dataset: Dataset,
-    target: str,
-    cfg: TrainConfig,
-    callback: Callable[[int, ReferenceDenoiser], None] | None = None,
-    callback_every: int = 10,
-) -> ReferenceDenoiser:
+def train(dataset: Dataset, target: str, cfg: TrainConfig) -> ReferenceDenoiser:
     """Train a denoiser for one sensor (or the prior) on a recording set.
 
     One recording per step; the conditioning span blanked under the
@@ -319,13 +313,11 @@ def train(
 
         _, grads = net.loss_and_grads(clean + noise, cond, sigma, clean)
         for key, grad in grads.items():
-            adam_m[key] = cfg.beta1 * adam_m[key] + (1 - cfg.beta1) * grad
-            adam_v[key] = cfg.beta2 * adam_v[key] + (1 - cfg.beta2) * grad * grad
-            m_hat = adam_m[key] / (1 - cfg.beta1**step)
-            v_hat = adam_v[key] / (1 - cfg.beta2**step)
+            adam_m[key] = ADAM_BETA1 * adam_m[key] + (1 - ADAM_BETA1) * grad
+            adam_v[key] = ADAM_BETA2 * adam_v[key] + (1 - ADAM_BETA2) * grad * grad
+            m_hat = adam_m[key] / (1 - ADAM_BETA1**step)
+            v_hat = adam_v[key] / (1 - ADAM_BETA2**step)
             net.weights[key] -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + 1e-8)
-        if callback is not None and step % callback_every == 0:
-            callback(step, net)
     return net
 
 

@@ -24,7 +24,7 @@ import numpy as np
 from . import evalkit
 from .hypno import Hypnodensity, Hypnogram, argmax_stages, majority_vote
 from .infogain import GainSums
-from .sched import ScheduleParams, noise_level, time_steps
+from .sched import ScheduleParams, time_steps
 from .scorekit import Observations, SensorBank, fsdm_denoise_batch
 
 Observer = Callable[[int, float, np.ndarray, tuple], None]
@@ -87,9 +87,8 @@ def _run_indices(
             raise ValueError("observation epoch count does not match n_epochs")
     ts = time_steps(cfg.schedule)
     n_steps = cfg.schedule.M
-    sigma0, _ = noise_level(ts[0])
     y = np.stack(
-        [_initial_state(cfg.base_seed, i, n_epochs, sigma0) for i in indices]
+        [_initial_state(cfg.base_seed, i, n_epochs, ts[0]) for i in indices]
     )
     gains = None
     if cfg.record_trajectory:
@@ -98,14 +97,14 @@ def _run_indices(
     for m in range(n_steps):
         t_cur = ts[m]
         t_next = ts[m + 1]
-        sigma, _ = noise_level(t_cur)
+        sigma = float(t_cur)  # σ(t) = t, as a Python float for SamplingError's repr
         pairs: list | None = [] if observers else None
         denoised = fsdm_denoise_batch(y, sigma, bank, obs, cfg.lam, pairs)
         for o in observers:
             o(m, sigma, y, tuple(pairs))
         d = (y - denoised) / sigma  # −σ(t)·score
         y_next = y + (t_next - t_cur) * d
-        sigma_next, _ = noise_level(t_next)
+        sigma_next = float(t_next)
         if sigma_next != 0.0:
             denoised2 = fsdm_denoise_batch(y_next, sigma_next, bank, obs, cfg.lam)
             d2 = (y_next - denoised2) / sigma_next

@@ -1,8 +1,9 @@
-"""Discrete time grid and noise schedule for the probability-flow ODE.
+"""Discrete time grid for the probability-flow ODE.
 
 The grid interpolates between sigma_max and sigma_min in 1/rho power
 space over M points and appends an exact zero, so a full run makes M
-steps.  The noise schedule is the identity: sigma(t) = t, d(sigma)/dt = 1.
+steps.  The noise level at each grid point is the grid time itself,
+sigma(t) = t (Karras et al. 2022), so the grid is also the sigma grid.
 """
 
 from __future__ import annotations
@@ -45,10 +46,3 @@ def time_steps(p: ScheduleParams) -> np.ndarray:
     if not np.all(np.diff(out) < 0):
         raise ValueError("time grid is not strictly decreasing")
     return out
-
-
-def noise_level(t: float) -> tuple[float, float]:
-    """Return (sigma(t), sigma_dot(t)) = (t, 1)."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    return float(t), 1.0

@@ -186,6 +186,17 @@ def test_train_writes_models(config_path, bundles, tmp_path):
     assert net.n_features == 1
 
 
+def test_train_on_empty_bundles_dir_exits_1(tmp_path, capsys):
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"paths": {"bundles_dir": str(empty)}}), encoding="utf-8")
+    assert main(["train", "--config", str(path), "--out", str(tmp_path / "models")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(empty) in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_trained_models_usable_for_sampling(config_path, bundles, tmp_path):
     cfg = json.loads(Path(config_path).read_text())
     models = Path(cfg["paths"]["models_dir"])
@@ -452,6 +463,8 @@ def test_bundle_round_trip(tmp_path):
     np.testing.assert_allclose(loaded.signals["raw"][0], [0.5, 0.25])
     manifest = json.loads((tmp_path / "b" / "manifest.json").read_text())
     assert manifest["signals"][0]["encoding"] == "f32"
+    sidecar = json.loads((tmp_path / "b" / "signals" / "raw.json").read_text())
+    assert sidecar == {"fs": 2.0, "kind": "eeg", "unit": ""}
 
 
 def test_bundle_reads_csv_signal_payload(tmp_path):

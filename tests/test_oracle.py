@@ -236,7 +236,7 @@ def test_denoiser_output_on_simplex():
     denoiser = exact_denoiser(world, "s1")
     ys = rng.standard_normal((1, 5, 3)) * 3
     out = Hypnodensity(denoiser.evaluate_batch(ys, Features(np.array([4.0, 0.0, 2.0])), 0.7)[0])
-    assert out.on_manifold(1e-9)
+    np.testing.assert_allclose(out.values.sum(axis=0), 1.0, rtol=0, atol=1e-9)
     assert np.all(out.values >= 0)
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fsdm.sched import ScheduleParams, noise_level, time_steps
+from fsdm.sched import ScheduleParams, time_steps
 
 # Closed-form interpolant at m=16 with default parameters, evaluated
 # independently at 40-digit precision and rounded to double.
@@ -41,15 +41,3 @@ def test_strictly_decreasing():
 def test_invalid_params_rejected(kwargs):
     with pytest.raises(ValueError):
         ScheduleParams(**kwargs)
-
-
-@pytest.mark.parametrize("t", [0.0, 0.741, 40.0])
-def test_noise_level_identity(t):
-    sigma, sigma_dot = noise_level(t)
-    assert sigma == t
-    assert sigma_dot == 1.0
-
-
-def test_noise_level_rejects_negative():
-    with pytest.raises(ValueError):
-        noise_level(-0.1)
