@@ -15,7 +15,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import jsonschema
@@ -25,7 +25,7 @@ from . import checks, evalkit, experiments, neural
 from .bundle import Bundle, SignalEntry, dump_json, read_bundle, write_bundle, write_csv
 from .dsp import KINDS, TARGET_EPOCHS, TARGET_FS, RawSignal, preprocess, write_signal_f32
 from .hypno import SleepStage, argmax_stages, read_hypnogram, write_hypnogram
-from .infogain import information_gain, write_infogain_csv
+from .infogain import information_gain, mean_information_gain, write_infogain_csv
 from .oracle import WorldModel, exact_bank, world_from_dict
 from .sampler import SamplerConfig, infer, sample_many
 from .sched import ScheduleParams
@@ -34,19 +34,31 @@ from .synth import SynthConfig, WaveformSpec, gen_recording, split_of_index
 
 _NUMBER = {"type": "number"}
 _INT = {"type": "integer"}
+# JSON schema of each dataclass field annotation a config section holds;
+# stage rates map stage names (W, N1, ...) to numbers.
+_JSON_TYPES = {
+    "float": _NUMBER, "int": _INT, "str": {"type": "string"},
+    "dict[SleepStage, float]": {"type": "object", "additionalProperties": _NUMBER},
+}
+# Column names of per-stage values (F1 scores, trajectory states).
+_STAGE_COLUMNS = [stage.name.lower() for stage in SleepStage]
+
+
+def _fields_schema(cls) -> dict:
+    """Object schema accepting exactly the dataclass's fields, typed by
+    their annotations."""
+    return {
+        "type": "object",
+        "additionalProperties": False,
+        "properties": {f.name: _JSON_TYPES[f.type] for f in fields(cls)},
+    }
+
 
 CONFIG_SCHEMA = {
     "type": "object",
     "additionalProperties": False,
     "properties": {
-        "schedule": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "sigma_min": _NUMBER, "sigma_max": _NUMBER,
-                "rho": _NUMBER, "M": _INT,
-            },
-        },
+        "schedule": _fields_schema(ScheduleParams),
         "sampler": {
             "type": "object",
             "additionalProperties": False,
@@ -58,17 +70,7 @@ CONFIG_SCHEMA = {
                 "denoisers": {"enum": ["exact", "trained"]},
             },
         },
-        "train": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "p_augment": _NUMBER, "p_zero": _NUMBER,
-                "sigma_log_mean": _NUMBER, "sigma_log_sd": _NUMBER,
-                "steps": _INT, "learning_rate": _NUMBER,
-                "seed": _INT, "window_radius": _INT, "channels": _INT,
-                "sigma_data": _NUMBER,
-            },
-        },
+        "train": _fields_schema(neural.TrainConfig),
         "world": {
             "type": "object",
             "additionalProperties": False,
@@ -77,22 +79,7 @@ CONFIG_SCHEMA = {
                 "n_recordings": _INT,
                 "waveform": {
                     "type": "object",
-                    "additionalProperties": {
-                        "type": "object",
-                        "additionalProperties": False,
-                        "properties": {
-                            "stage_rates": {
-                                "type": "object",
-                                "additionalProperties": _NUMBER,
-                            },
-                            "base_amplitude": _NUMBER,
-                            "noise_sd": _NUMBER,
-                            "fs": _NUMBER,
-                            "jitter_sd": _NUMBER,
-                            "pulse_width_s": _NUMBER,
-                            "kind_name": {"type": "string"},
-                        },
-                    },
+                    "additionalProperties": _fields_schema(WaveformSpec),
                 },
             },
         },
@@ -287,7 +274,7 @@ def cmd_sample(args) -> int:
     if sampler_cfg.record_trajectory:
         # Rows per sample, then step, then epoch.
         write_csv(out / "trajectories.csv",
-                  ["sample_index", "step", "sigma", "epoch_index", "w", "n1", "n2", "n3", "r"], (
+                  ["sample_index", "step", "sigma", "epoch_index", *_STAGE_COLUMNS], (
                       [i, m, sigma, e, *y[i, :, e]]
                       for i in range(sampler_cfg.n_samples)
                       for m, sigma, y in steps
@@ -311,19 +298,18 @@ def cmd_eval(args) -> int:
             continue
         bundle = read_bundle(rec_dir)
         pred = read_hypnogram(pred_file)
-        mask = np.zeros(bundle.n_epochs, dtype=bool)
-        mask[: bundle.valid_epochs] = True
+        valid = bundle.valid_epochs
         row = {"recording": bundle.recording_id}
         for scheme in evalkit.MergeScheme:
             row[f"accuracy_{scheme.value}"] = evalkit.accuracy(
-                pred, bundle.hypnogram, scheme, mask)
+                pred, bundle.hypnogram, scheme, valid)
             row[f"kappa_{scheme.value}"] = evalkit.cohens_kappa(
-                pred, bundle.hypnogram, scheme, mask)
-        f1 = evalkit.f1_per_class(pred, bundle.hypnogram, mask)
-        for stage, value in zip(("w", "n1", "n2", "n3", "r"), f1):
+                pred, bundle.hypnogram, scheme, valid)
+        f1 = evalkit.f1_per_class(pred, bundle.hypnogram, valid)
+        for stage, value in zip(_STAGE_COLUMNS, f1):
             row[f"f1_{stage}"] = float(value)
-        est = evalkit.overnight_stats(pred, bundle.valid_epochs)
-        ref = evalkit.overnight_stats(bundle.hypnogram, bundle.valid_epochs)
+        est = evalkit.overnight_stats(pred, valid)
+        ref = evalkit.overnight_stats(bundle.hypnogram, valid)
         for stat, val in asdict(est).items():
             row[f"est_{stat}"] = val
             ref_val = getattr(ref, stat)
@@ -366,8 +352,8 @@ def cmd_infogain(args) -> int:
     for sensor in args.sensor:
         gain = information_gain(bank, obs, sensor, sampler_cfg, bundle.n_epochs, results)
         write_infogain_csv(out / f"infogain_{sensor}.csv", gain)
-        print(f"infogain: {sensor} mean {float(gain.values.mean()):.4f} "
-              f"over {gain.values.size} epochs")
+        mean = mean_information_gain(gain, bundle.valid_epochs)
+        print(f"infogain: {sensor} mean {mean:.4f} over {bundle.valid_epochs} epochs")
     return 0
 
 

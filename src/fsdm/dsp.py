@@ -27,10 +27,14 @@ TARGET_FS = 128.0
 TARGET_EPOCHS = 1792
 CLIP_LO, CLIP_HI = -5.0, 5.0
 
-CARDIAC_INTERVAL_S = (0.3, 2.0)
-RESPIRATORY_INTERVAL_S = (1.0, 30.0)
 CARDIAC_MAX_SCALE_S = 5.0
 RESPIRATORY_MAX_SCALE_S = 60.0
+# Per rate category: the AMPD scale cap and the plausible inter-event
+# interval range, in seconds.  Other categories yield no rate.
+RATE_CATEGORIES = {
+    "cardiac": (CARDIAC_MAX_SCALE_S, (0.3, 2.0)),
+    "respiratory": (RESPIRATORY_MAX_SCALE_S, (1.0, 30.0)),
+}
 AMPD_WINDOW_S, AMPD_OVERLAP_S = 600.0, 120.0
 # An epoch with more than this fraction of exact-zero samples is missing.
 MISSING_FRAC = 0.5
@@ -49,7 +53,7 @@ class SignalKind:
     sample_hold: bool = False
 
     def __post_init__(self):
-        if self.category not in ("cardiac", "respiratory", "other"):
+        if self.category not in (*RATE_CATEGORIES, "other"):
             raise ValueError(f"unknown category {self.category!r}")
 
 
@@ -247,6 +251,13 @@ def ampd_peaks(s: np.ndarray, fs: float, window_s: float = AMPD_WINDOW_S,
     return np.array(sorted(peaks), dtype=np.int64)
 
 
+def _rate_category(category: str) -> tuple[float, tuple[float, float]]:
+    """The category's (AMPD scale cap, interval range); ValueError if it has none."""
+    if category not in RATE_CATEGORIES:
+        raise ValueError(f"no rate extraction for category {category!r}")
+    return RATE_CATEGORIES[category]
+
+
 def peaks_to_rate(peaks: np.ndarray, fs: float, category: str,
                   n_out: int | None = None) -> np.ndarray:
     """Convert peak indices to an events/second signal at 128 Hz.
@@ -255,15 +266,10 @@ def peaks_to_rate(peaks: np.ndarray, fs: float, category: str,
     respiratory [1, 30] s) hold the previous valid value; invalid
     intervals before the first valid one take the first valid value.
     """
+    _, (lo, hi) = _rate_category(category)
     peaks = np.asarray(peaks, dtype=np.int64)
     if peaks.size < 2:
         raise ValueError("rate extraction requires at least 2 peaks")
-    if category == "cardiac":
-        lo, hi = CARDIAC_INTERVAL_S
-    elif category == "respiratory":
-        lo, hi = RESPIRATORY_INTERVAL_S
-    else:
-        raise ValueError(f"no interval validity range for category {category!r}")
     intervals = np.diff(peaks) / fs
     valid = (intervals >= lo) & (intervals <= hi)
     if not np.any(valid):
@@ -293,10 +299,11 @@ def _rate(s: np.ndarray, fs: float, category: str, n_out: int,
           window_s: float, overlap_s: float) -> np.ndarray | None:
     """AMPD peaks → n_out-sample rate at 128 Hz; None when extraction fails.
 
+    An unknown category is an error, not a failed extraction.
     Calls ampd_peaks and peaks_to_rate through this module's names, so a
     caller that replaces either name here replaces it for every path.
     """
-    max_scale = CARDIAC_MAX_SCALE_S if category == "cardiac" else RESPIRATORY_MAX_SCALE_S
+    max_scale, _ = _rate_category(category)
     try:
         peaks = ampd_peaks(s, fs, window_s=window_s, overlap_s=overlap_s,
                            max_scale_s=max_scale)
@@ -358,7 +365,7 @@ def preprocess(raw: RawSignal, target_epochs: int = TARGET_EPOCHS) -> ProcessedS
     s = restore_zeros(s, mapped)
     s = clip(s)
     rate = None
-    if kind.category in ("cardiac", "respiratory"):
+    if kind.category in RATE_CATEGORIES:
         rate = _rate(s, TARGET_FS, kind.category, s.size, AMPD_WINDOW_S, AMPD_OVERLAP_S)
         rate, _ = zero_pad(np.zeros(s.size) if rate is None else rate, target_epochs)
     s, valid = zero_pad(s, target_epochs)

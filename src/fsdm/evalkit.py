@@ -5,6 +5,8 @@ Conventions (documented because the literature varies): WASO excludes
 terminal wake after the last sleep epoch; classes absent from both
 prediction and reference contribute F1 = 1; Cohen's kappa is 0 when the
 chance agreement is already 1 (single class in both marginals).
+Every metric and statistic scores the first ``valid_epochs`` epochs
+(``scored_epochs``); the rest of a padded recording counts nowhere.
 """
 
 from __future__ import annotations
@@ -41,31 +43,37 @@ def merge_classes(h: Hypnogram, scheme: MergeScheme) -> np.ndarray:
     return _MERGE_MAPS[scheme][h.to_indices()]
 
 
-def _masked_labels(pred: Hypnogram, ref: Hypnogram, scheme: MergeScheme,
-                   valid_mask: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+def scored_epochs(n_epochs: int, valid_epochs: int | None) -> int:
+    """How many leading epochs are scored: valid_epochs, or all when None.
+
+    Epochs past the first valid_epochs are padding and count in no
+    metric, statistic or mean.
+    """
+    n = n_epochs if valid_epochs is None else valid_epochs
+    if not 1 <= n <= n_epochs:
+        raise ValueError(f"valid_epochs={n} must lie in 1..n_epochs={n_epochs}")
+    return n
+
+
+def _scored_labels(pred: Hypnogram, ref: Hypnogram, scheme: MergeScheme,
+                   valid_epochs: int | None) -> tuple[np.ndarray, np.ndarray]:
     a = merge_classes(pred, scheme)
     b = merge_classes(ref, scheme)
     if a.shape != b.shape:
         raise ValueError("prediction and reference lengths differ")
-    if valid_mask is not None:
-        valid_mask = np.asarray(valid_mask, dtype=bool)
-        if valid_mask.shape != a.shape:
-            raise ValueError("mask length mismatch")
-        a, b = a[valid_mask], b[valid_mask]
-    if a.size == 0:
-        raise ValueError("no valid epochs to score")
-    return a, b
+    n = scored_epochs(a.size, valid_epochs)
+    return a[:n], b[:n]
 
 
 def accuracy(pred: Hypnogram, ref: Hypnogram, scheme: MergeScheme = MergeScheme.FIVE,
-             valid_mask: np.ndarray | None = None) -> float:
-    a, b = _masked_labels(pred, ref, scheme, valid_mask)
+             valid_epochs: int | None = None) -> float:
+    a, b = _scored_labels(pred, ref, scheme, valid_epochs)
     return float(np.mean(a == b))
 
 
 def cohens_kappa(pred: Hypnogram, ref: Hypnogram, scheme: MergeScheme = MergeScheme.FIVE,
-                 valid_mask: np.ndarray | None = None) -> float:
-    a, b = _masked_labels(pred, ref, scheme, valid_mask)
+                 valid_epochs: int | None = None) -> float:
+    a, b = _scored_labels(pred, ref, scheme, valid_epochs)
     k = int(_MERGE_MAPS[scheme].max()) + 1
     p_o = float(np.mean(a == b))
     pa = np.bincount(a, minlength=k) / a.size
@@ -77,9 +85,9 @@ def cohens_kappa(pred: Hypnogram, ref: Hypnogram, scheme: MergeScheme = MergeSch
 
 
 def f1_per_class(pred: Hypnogram, ref: Hypnogram,
-                 valid_mask: np.ndarray | None = None) -> np.ndarray:
+                 valid_epochs: int | None = None) -> np.ndarray:
     """Five per-stage F1 scores; a stage absent from both sides scores 1."""
-    a, b = _masked_labels(pred, ref, MergeScheme.FIVE, valid_mask)
+    a, b = _scored_labels(pred, ref, MergeScheme.FIVE, valid_epochs)
     out = np.empty(5)
     for c in range(5):
         tp = int(np.sum((a == c) & (b == c)))
@@ -106,17 +114,16 @@ class StatReport:
     r_min: float
 
 
-def overnight_stats(h: Hypnogram, valid_epochs: int) -> StatReport:
-    """Overnight statistics from the first valid_epochs epochs.
+def overnight_stats(h: Hypnogram, valid_epochs: int | None = None) -> StatReport:
+    """Overnight statistics from the first valid_epochs epochs (all by default).
 
     SOL counts epochs before the first non-wake epoch; WASO counts wake
     epochs strictly after sleep onset and at-or-before the last sleep
     epoch; REM latency runs from sleep onset to the first REM epoch and
     is absent without REM.  An all-wake recording has no sleep onset.
     """
-    if valid_epochs < 1:
-        raise ValueError("valid_epochs must be at least 1")
-    stages = h.to_indices()[:valid_epochs]
+    stages = h.to_indices()
+    stages = stages[:scored_epochs(stages.size, valid_epochs)]
     counts = np.bincount(stages, minlength=5)
     minutes = counts * EPOCH_MIN
     sleep_idx = np.flatnonzero(stages != SleepStage.W)

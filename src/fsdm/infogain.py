@@ -19,6 +19,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .bundle import write_csv
+from .evalkit import scored_epochs
 from .scorekit import Features, Observations, SensorBank
 
 if TYPE_CHECKING:  # the sampler imports GainSums from this module
@@ -117,16 +118,9 @@ def information_gain(
     return InfoGain(sensor=sensor_name, values=values, n_trajectories=len(results))
 
 
-def mean_information_gain(gain: InfoGain, mask: np.ndarray | None = None) -> float:
-    """Arithmetic mean of per-epoch gain over the valid-epoch mask."""
-    if mask is None:
-        mask = np.ones(gain.values.shape[0], dtype=bool)
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != gain.values.shape:
-        raise ValueError("mask length must match the number of epochs")
-    if not np.any(mask):
-        raise ValueError("at least one valid epoch is required")
-    return float(gain.values[mask].mean())
+def mean_information_gain(gain: InfoGain, valid_epochs: int | None = None) -> float:
+    """Arithmetic mean of per-epoch gain over the first valid_epochs epochs."""
+    return float(gain.values[:scored_epochs(gain.values.size, valid_epochs)].mean())
 
 
 def write_infogain_csv(path, gain: InfoGain) -> None:

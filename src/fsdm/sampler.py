@@ -171,8 +171,6 @@ def infer(
     statistics absent from every sample (e.g. REM latency with no REM)
     are omitted from the map.  ``observer`` is passed to sample_many.
     """
-    if valid_epochs is None:
-        valid_epochs = n_epochs
     results = sample_many(bank, obs, cfg, n_epochs, observer=observer)
     samples = tuple(r.y for r in results)
     hypnogram = majority_vote(samples)

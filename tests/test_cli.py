@@ -5,9 +5,10 @@ import os
 import subprocess
 import sys
 import warnings
-from dataclasses import asdict
+from dataclasses import MISSING, asdict, fields
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 
@@ -16,13 +17,17 @@ import fsdm.sampler
 from fsdm.bundle import Bundle, SignalEntry, read_bundle, write_bundle
 from fsdm.checks import informative_emission, persistent_markov, random_world
 from fsdm.cli import build_parser, emit_plot_data, load_config, main
-from fsdm.evalkit import aggregate_stat, overnight_stats
-from fsdm.hypno import Hypnogram
+from fsdm.evalkit import MergeScheme, accuracy, aggregate_stat, cohens_kappa, overnight_stats
+from fsdm.hypno import Hypnogram, SleepStage, read_hypnogram
 from fsdm.infogain import information_gain, write_infogain_csv
-from fsdm.oracle import CategoricalEmission, MarkovPrior, WorldModel, exact_bank, world_to_dict
+from fsdm.neural import TrainConfig
+from fsdm.oracle import (
+    CategoricalEmission, MarkovPrior, WorldModel, exact_bank, world_from_dict, world_to_dict,
+)
 from fsdm.sampler import SamplerConfig, _initial_state
 from fsdm.sched import ScheduleParams, time_steps
 from fsdm.scorekit import Features
+from fsdm.synth import WaveformSpec
 
 
 @pytest.fixture(scope="module")
@@ -75,6 +80,40 @@ def test_unknown_config_keys_rejected(tmp_path):
     path.write_text('{"unknown_section": {}}', encoding="utf-8")
     with pytest.raises(Exception):
         load_config(path)
+
+    def accepted(section, key, value):
+        body = {key: value}
+        cfg = {"world": {"waveform": {"pulse": body}}} if section == "waveform" else {section: body}
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        try:
+            load_config(path)
+        except jsonschema.ValidationError:
+            return False
+        return True
+
+    # The schedule, train and waveform sections accept exactly their
+    # dataclass's fields, each with a value of its type.
+    stage_rates = {"W": 1.4, "N1": 1.2, "N2": 1.0, "N3": 0.8, "R": 1.1}
+    for section, cls in (("schedule", ScheduleParams), ("train", TrainConfig),
+                         ("waveform", WaveformSpec)):
+        for f in fields(cls):
+            value = stage_rates if f.default is MISSING else f.default
+            assert accepted(section, f.name, value), f.name
+            assert not accepted(section, f.name, 16 if isinstance(value, str) else "16"), f.name
+        assert not accepted(section, "unknown_key", 1)
+
+
+def test_readme_config_builds_the_library_settings(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    path = tmp_path / "readme.json"
+    path.write_text(readme.split("```json\n", 1)[1].split("```", 1)[0], encoding="utf-8")
+    cfg = load_config(path)
+    ScheduleParams(**cfg["schedule"])
+    TrainConfig(**cfg["train"])
+    world_from_dict(cfg["world"]["model"])
+    for spec in cfg["world"]["waveform"].values():
+        WaveformSpec(**{**spec, "stage_rates": {
+            SleepStage[k]: v for k, v in spec["stage_rates"].items()}})
 
 
 def test_missing_config_is_single_line_error(tmp_path, capsys):
@@ -268,17 +307,19 @@ def test_sample_emits_trajectories_when_requested(config_path, bundles, tmp_path
         assert np.array_equal(y0, _initial_state(11, i, 6, ts[0]))
 
 
-def test_sample_stats_cover_valid_epochs_only(config_path, bundles, tmp_path):
+def test_sample_stats_cover_valid_epochs_only(config_path, bundles, tmp_path, capsys):
     full = read_bundle(bundles / "rec_0000")
-    write_bundle(tmp_path / "rec_pad", Bundle(
+    write_bundle(tmp_path / "bundles" / "rec_pad", Bundle(
         recording_id="rec_pad", n_epochs=full.n_epochs, valid_epochs=4,
         hypnogram=full.hypnogram, features=full.features,
     ))
     cfg = json.loads(config_path.read_text())
-    cfg["paths"]["bundle"] = str(tmp_path / "rec_pad")
+    cfg["paths"].update(bundles_dir=str(tmp_path / "bundles"),
+                        bundle=str(tmp_path / "bundles" / "rec_pad"),
+                        predictions_dir=str(tmp_path / "preds"))
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg), encoding="utf-8")
-    out = tmp_path / "pred"
+    out = tmp_path / "preds" / "rec_pad"
     assert main(["sample", "--config", str(path), "--out", str(out)]) == 0
     labels: dict[str, list[str]] = {}
     for line in (out / "samples.csv").read_text().strip().splitlines()[1:]:
@@ -294,6 +335,26 @@ def test_sample_stats_cover_valid_epochs_only(config_path, bundles, tmp_path):
     stats = json.loads((out / "stats.json").read_text())
     assert stats == median_stats(4)
     assert stats != median_stats(full.n_epochs)
+
+    # eval scores the first valid_epochs epochs only.
+    assert main(["eval", "--config", str(path), "--out", str(tmp_path / "eval")]) == 0
+    header, values = (tmp_path / "eval" / "rows.csv").read_text().strip().splitlines()
+    row = dict(zip(header.split(","), values.split(",")))
+    pred = Hypnogram(read_hypnogram(out / "hypnogram.txt").stages[:4])
+    ref = Hypnogram(full.hypnogram.stages[:4])
+    for scheme in MergeScheme:
+        assert float(row[f"accuracy_{scheme.value}"]) == accuracy(pred, ref, scheme)
+        assert float(row[f"kappa_{scheme.value}"]) == cohens_kappa(pred, ref, scheme)
+
+    # infogain writes every epoch and reports the mean over the valid ones.
+    capsys.readouterr()
+    assert main(["infogain", "--config", str(path), "--sensor", "pulse",
+                 "--out", str(tmp_path / "ig")]) == 0
+    lines = (tmp_path / "ig" / "infogain_pulse.csv").read_text().strip().splitlines()[1:]
+    gains = [float(line.split(",")[1]) for line in lines]
+    assert len(gains) == full.n_epochs
+    assert capsys.readouterr().out == (
+        f"infogain: pulse mean {np.mean(gains[:4]):.4f} over 4 epochs\n")
 
 
 def test_emit_plot_data(tmp_path):

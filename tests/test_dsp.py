@@ -325,7 +325,8 @@ def test_preprocess_cardiac_yields_rate():
     assert abs(np.mean(mid) - 1.0) < 0.1
 
 
-def test_epoch_rate_features_missing_epochs_nan():
+def _pulse_wave(n_epochs):
+    """A 1 Hz pulse train at 64 Hz over n_epochs wake epochs."""
     from fsdm.hypno import Hypnogram, SleepStage
     from fsdm.synth import WaveformSpec, render_waveform
 
@@ -333,12 +334,26 @@ def test_epoch_rate_features_missing_epochs_nan():
         stage_rates={s: 1.0 for s in SleepStage}, base_amplitude=1.0,
         noise_sd=0.02, fs=64.0, jitter_sd=0.01, pulse_width_s=0.35,
     )
-    wave = render_waveform(Hypnogram.from_indices([0, 0, 0, 0]), spec,
+    return render_waveform(Hypnogram.from_indices([0] * n_epochs), spec,
                            np.random.default_rng(7))
+
+
+def test_epoch_rate_features_missing_epochs_nan():
+    wave = _pulse_wave(4)
     wave[wave.size // 2:] = 0.0
     feats = epoch_rate_features(wave, 64.0, "cardiac", 4)
     assert np.isnan(feats[2:]).all()
     assert np.all(np.abs(feats[:2] - 1.0) < 0.1)
+
+
+@pytest.mark.parametrize("category", ["Cardiac", "other"])
+def test_rate_of_unknown_category_is_an_error(category):
+    # Not a silent all-NaN result: only cardiac and respiratory have rates.
+    wave = _pulse_wave(4)
+    with pytest.raises(ValueError, match="category"):
+        epoch_rate_features(wave, 64.0, category, 4)
+    with pytest.raises(ValueError, match="category"):
+        peaks_to_rate(np.array([0, 64, 128]), 64.0, category)
 
 
 def test_f32_round_trip(tmp_path):

@@ -74,13 +74,21 @@ def test_f1_absent_class_convention():
     assert f1[4] == 1.0  # R absent from both
 
 
-def test_mask_excludes_padding():
+def test_valid_epochs_excludes_padding():
     pred = _h(["W", "N2", "W", "W"])
     ref = _h(["W", "N2", "R", "R"])
-    mask = np.array([True, True, False, False])
-    assert accuracy(pred, ref, MergeScheme.FIVE, mask) == 1.0
-    with pytest.raises(ValueError):
-        accuracy(pred, ref, MergeScheme.FIVE, np.zeros(4, dtype=bool))
+    assert accuracy(pred, ref, MergeScheme.FIVE, 2) == 1.0
+    assert cohens_kappa(pred, ref, MergeScheme.FIVE, 2) == 1.0
+    assert f1_per_class(pred, ref, 2).tolist() == [1.0] * 5
+    assert accuracy(pred, ref, MergeScheme.FIVE, None) == 0.5
+    for count in (0, 5):
+        for score in (accuracy, cohens_kappa):
+            with pytest.raises(ValueError, match="valid_epochs"):
+                score(pred, ref, MergeScheme.FIVE, count)
+        with pytest.raises(ValueError, match="valid_epochs"):
+            f1_per_class(pred, ref, count)
+        with pytest.raises(ValueError, match="valid_epochs"):
+            overnight_stats(pred, count)
 
 
 @given(st.integers(0, 2**32 - 1))

@@ -225,12 +225,13 @@ def test_mean_information_gain_half_zero():
     assert mean_information_gain(gain) == pytest.approx(0.2)
 
 
-def test_mean_information_gain_mask():
-    gain = InfoGain("x", np.array([0.1, 0.9, 0.5]), 4)
-    mask = np.array([True, False, True])
-    assert mean_information_gain(gain, mask) == pytest.approx(0.3)
-    with pytest.raises(ValueError):
-        mean_information_gain(gain, np.zeros(3, dtype=bool))
+def test_mean_information_gain_valid_epochs():
+    gain = InfoGain("x", np.array([0.1, 0.5, 0.9]), 4)
+    assert mean_information_gain(gain, 2) == pytest.approx(0.3)
+    assert mean_information_gain(gain, 3) == pytest.approx(0.5)
+    for count in (0, 4):
+        with pytest.raises(ValueError, match="valid_epochs"):
+            mean_information_gain(gain, count)
 
 
 def test_infogain_values_validated():
