@@ -8,10 +8,9 @@ Layout of a bundle directory:
     signals/<name>.json      sidecar: {"fs": ..., "kind": ..., "unit": ""}
     features/<name>.csv      epoch-aligned features, header row
 
-``write_bundle`` always writes float32 signals and marks them
-``"encoding": "f32"``; ``read_bundle`` also reads a signal whose
-manifest entry says ``"encoding": "csv"`` (a single-column CSV), as
-bundles written by other tools may hold.
+Signals are float32 only: ``write_bundle`` marks each manifest signal
+entry ``"encoding": "f32"``, and ``read_bundle`` rejects any other
+encoding.
 
 All payloads are timestamp-free and written with stable key ordering,
 so identical inputs produce byte-identical bundles.
@@ -27,7 +26,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .dsp import read_signal_csv, read_signal_f32, write_signal_f32
+from .dsp import read_signal_f32, write_signal_f32
 from .hypno import Hypnogram, read_hypnogram, write_hypnogram
 
 
@@ -149,14 +148,13 @@ def read_bundle(directory) -> Bundle:
         features[entry["name"]] = values
     signals = {}
     for entry in manifest.get("signals", []):
+        encoding = entry.get("encoding", "f32")
+        if encoding != "f32":
+            raise ValueError(f"signal {entry['name']} has unsupported encoding {encoding!r}")
         path = root / entry["file"]
         if not path.exists():
             raise FileNotFoundError(f"manifest references missing file {path}")
-        if entry.get("encoding", "f32") == "csv":
-            samples = read_signal_csv(path)
-        else:
-            samples = read_signal_f32(path)
-        signals[entry["name"]] = (samples, SignalEntry(
+        signals[entry["name"]] = (read_signal_f32(path), SignalEntry(
             name=entry["name"], kind=entry["kind"], fs=float(entry["fs"]),
             file=entry["file"],
         ))

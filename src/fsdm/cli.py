@@ -253,13 +253,14 @@ def cmd_sample(args) -> int:
     bundle = read_bundle(Path(cfg["paths"]["bundle"]))
     bank, obs = _bank_and_obs(cfg, args, bundle)
     sampler_cfg = _sampler_config(cfg, args)
-    # The trajectories CSV prints only each step's m, σ and states.
+    # The trajectories CSV prints only each step's m, σ and states, so the
+    # sampler runs without the information-gain sums nothing here writes.
     steps: list = []
 
     def keep_states(m, sigma, y, pairs):
         steps.append((m, sigma, y.copy()))
 
-    result = infer(bank, obs, sampler_cfg, bundle.n_epochs,
+    result = infer(bank, obs, replace(sampler_cfg, record_trajectory=False), bundle.n_epochs,
                    observer=keep_states if sampler_cfg.record_trajectory else None,
                    valid_epochs=bundle.valid_epochs)
     out = Path(args.out)
@@ -280,7 +281,7 @@ def cmd_sample(args) -> int:
                       for m, sigma, y in steps
                       for e in range(y.shape[2])
                   ))
-    acc = evalkit.accuracy(result.hypnogram, bundle.hypnogram)
+    acc = evalkit.accuracy(result.hypnogram, bundle.hypnogram, valid_epochs=bundle.valid_epochs)
     print(f"sample: {sampler_cfg.n_samples} samples, "
           f"5-class accuracy vs bundle hypnogram {acc:.3f}")
     return 0

@@ -159,10 +159,10 @@ def resample(s: np.ndarray, fs_from: float, fs_to: float = TARGET_FS) -> np.ndar
     return sps.resample_poly(s, up, down, window=("kaiser", _KAISER_BETA))
 
 
-def sample_hold_upsample(s: np.ndarray, fs_from: float, fs_to: float) -> np.ndarray:
-    """Repeat each sample fs_to/fs_from times (integer ratio required)."""
+def sample_hold_upsample(s: np.ndarray, fs_from: float) -> np.ndarray:
+    """Repeat each sample TARGET_FS/fs_from times (integer ratio required)."""
     s = np.asarray(s, dtype=np.float64)
-    ratio = fs_to / fs_from
+    ratio = TARGET_FS / fs_from
     if abs(ratio - round(ratio)) > 1e-9 or ratio < 1:
         raise ValueError("sample-and-hold requires an integer upsampling ratio")
     return np.repeat(s, int(round(ratio)))
@@ -196,12 +196,11 @@ def zero_pad(s: np.ndarray, target_epochs: int = TARGET_EPOCHS) -> tuple[np.ndar
     return out, valid
 
 
-def _map_missing_indices(missing: np.ndarray, fs_from: float, fs_to: float,
-                         n_out: int) -> np.ndarray:
-    """Map missing-sample runs proportionally onto the resampled grid."""
+def _map_missing_indices(missing: np.ndarray, fs_from: float, n_out: int) -> np.ndarray:
+    """Map missing-sample runs proportionally onto the TARGET_FS grid."""
     if missing.size == 0:
         return missing
-    ratio = fs_to / fs_from
+    ratio = TARGET_FS / fs_from
     mapped: list[np.ndarray] = []
     run_start = missing[0]
     prev = missing[0]
@@ -258,9 +257,8 @@ def _rate_category(category: str) -> tuple[float, tuple[float, float]]:
     return RATE_CATEGORIES[category]
 
 
-def peaks_to_rate(peaks: np.ndarray, fs: float, category: str,
-                  n_out: int | None = None) -> np.ndarray:
-    """Convert peak indices to an events/second signal at 128 Hz.
+def peaks_to_rate(peaks: np.ndarray, fs: float, category: str, n_out: int) -> np.ndarray:
+    """Convert peak indices to an n_out-sample events/second signal at 128 Hz.
 
     Intervals outside the plausible range (cardiac [0.3, 2] s,
     respiratory [1, 30] s) hold the previous valid value; invalid
@@ -281,8 +279,6 @@ def peaks_to_rate(peaks: np.ndarray, fs: float, category: str,
         if valid[i]:
             last = rates[i]
         filled[i] = last
-    if n_out is None:
-        n_out = int(np.ceil((peaks[-1] + 1) / fs * TARGET_FS))
     bounds = np.round(peaks / fs * TARGET_FS).astype(np.int64)
     bounds = np.clip(bounds, 0, n_out)
     out = np.empty(n_out)
@@ -354,14 +350,14 @@ def preprocess(raw: RawSignal, target_epochs: int = TARGET_EPOCHS) -> ProcessedS
     s, missing = interpolate_missing(s)
     if raw.fs != TARGET_FS:
         if kind.sample_hold:
-            s = sample_hold_upsample(s, raw.fs, TARGET_FS)
+            s = sample_hold_upsample(s, raw.fs)
         else:
             s = resample(s, raw.fs, TARGET_FS)
     if kind.hp_cutoff is not None:
         s = apply_filter(design_butterworth(5, "highpass", kind.hp_cutoff, TARGET_FS), s)
     if kind.lp_cutoff is not None:
         s = apply_filter(design_butterworth(5, "lowpass", kind.lp_cutoff, TARGET_FS), s)
-    mapped = _map_missing_indices(missing, raw.fs, TARGET_FS, s.size)
+    mapped = _map_missing_indices(missing, raw.fs, s.size)
     s = restore_zeros(s, mapped)
     s = clip(s)
     rate = None
@@ -408,19 +404,3 @@ def write_signal_f32(path, samples: np.ndarray) -> None:
 
 def read_signal_f32(path) -> np.ndarray:
     return np.fromfile(path, dtype="<f4").astype(np.float64)
-
-
-def read_signal_csv(path) -> np.ndarray:
-    """Single-column CSV; a non-numeric first line is treated as a header."""
-    values = []
-    with open(path, "r", encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                values.append(float(line))
-            except ValueError:
-                if values:
-                    raise
-    return np.array(values, dtype=np.float64)

@@ -9,11 +9,12 @@ input, σ embedding, simplex output), which is all the combination rule
 exercises.  Gradients are hand-derived and checked against central
 finite differences.
 
-Training follows the standard denoising recipe: draw a recording, draw
-a noise level from ln σ ~ N(0.2, 1.4²), corrupt the one-hot target,
+Training follows one fixed denoising recipe: draw a recording, draw a
+noise level from ln σ ~ N(0.2, 1.4²), corrupt the one-hot target,
 optionally blank part or all of the conditioning so the same network
 doubles as its own prior estimator, and minimize per-epoch cross
-entropy with moment-based stochastic gradient descent.
+entropy with Adam.  The recipe and the architecture of a new network
+are module constants; only the step count and the seed are settings.
 """
 
 from __future__ import annotations
@@ -31,30 +32,28 @@ from .scorekit import ABSENT, Conditioning, Features
 PRIOR = "PRIOR"
 MODEL_FORMAT = "fsdm-model-v1"
 _SKIP_SCALE = math.sqrt(0.5)
-# Adam moment decay rates.
+# Architecture of a new network: epochs on each side of the encoder
+# window, hidden width, and the σ_data of the input scaling.
+WINDOW_RADIUS = 2
+CHANNELS = 32
+SIGMA_DATA = 0.3160
+# Training recipe: the chances of blanking a random conditioning span and
+# all of it, ln σ ~ N(SIGMA_LOG_MEAN, SIGMA_LOG_SD²), Adam's step size
+# and moment decay rates.
+P_AUGMENT, P_ZERO = 0.5, 0.1
+SIGMA_LOG_MEAN, SIGMA_LOG_SD = 0.2, 1.4
+LEARNING_RATE = 1e-3
 ADAM_BETA1, ADAM_BETA2 = 0.9, 0.999
 
 
 @dataclass(frozen=True)
 class TrainConfig:
-    p_augment: float = 0.5
-    p_zero: float = 0.1
-    sigma_log_mean: float = 0.2
-    sigma_log_sd: float = 1.4
     steps: int = 2000
-    learning_rate: float = 1e-3
     seed: int = 0
-    window_radius: int = 2
-    channels: int = 32
-    sigma_data: float = 0.3160
 
     def __post_init__(self):
-        for name in ("p_augment", "p_zero"):
-            p = getattr(self, name)
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1]")
-        if self.steps < 0 or self.learning_rate <= 0:
-            raise ValueError("steps must be >= 0 and learning_rate positive")
+        if self.steps < 0:
+            raise ValueError("steps must be >= 0")
 
 
 def timestep_embedding(sigma: float, channels: int) -> np.ndarray:
@@ -125,11 +124,9 @@ class ReferenceDenoiser:
                 raise ValueError(f"weight array {name!r} has non-finite entries")
 
     @classmethod
-    def init(cls, n_features: int, rng: np.random.Generator,
-             window_radius: int = 2, channels: int = 32,
-             sigma_data: float = 0.3160) -> "ReferenceDenoiser":
-        width = 2 * window_radius + 1
-        c = channels
+    def init(cls, n_features: int, rng: np.random.Generator) -> "ReferenceDenoiser":
+        width = 2 * WINDOW_RADIUS + 1
+        c = CHANNELS
 
         def dense(n_out, n_in):
             scale = 1.0 / math.sqrt(max(n_in, 1))
@@ -145,7 +142,7 @@ class ReferenceDenoiser:
             "w2_1": dense(c, c), "b2_1": np.zeros(c),
             "w_out": dense(5, c), "b_out": np.zeros(5),
         }
-        return cls(window_radius, channels, n_features, sigma_data, weights)
+        return cls(WINDOW_RADIUS, CHANNELS, n_features, SIGMA_DATA, weights)
 
     # -- forward ---------------------------------------------------------
 
@@ -282,18 +279,16 @@ def train(dataset: Dataset, target: str, cfg: TrainConfig) -> ReferenceDenoiser:
     else:
         first_h, first_f = dataset[0]
         n_features = _feature_matrix(first_f, target, len(first_h)).shape[0]
-    net = ReferenceDenoiser.init(
-        n_features, rng, cfg.window_radius, cfg.channels, cfg.sigma_data
-    )
+    net = ReferenceDenoiser.init(n_features, rng)
     adam_m = {k: np.zeros_like(v) for k, v in net.weights.items()}
     adam_v = {k: np.zeros_like(v) for k, v in net.weights.items()}
 
     for step in range(1, cfg.steps + 1):
         h, features = dataset[int(rng.integers(len(dataset)))]
         n_epochs = len(h)
-        augment = rng.random() < cfg.p_augment
-        zero = rng.random() < cfg.p_zero
-        sigma = math.exp(rng.normal(cfg.sigma_log_mean, cfg.sigma_log_sd))
+        augment = rng.random() < P_AUGMENT
+        zero = rng.random() < P_ZERO
+        sigma = math.exp(rng.normal(SIGMA_LOG_MEAN, SIGMA_LOG_SD))
         clean = one_hot(h).values
         noise = rng.normal(0.0, sigma, size=clean.shape)
 
@@ -317,7 +312,7 @@ def train(dataset: Dataset, target: str, cfg: TrainConfig) -> ReferenceDenoiser:
             adam_v[key] = ADAM_BETA2 * adam_v[key] + (1 - ADAM_BETA2) * grad * grad
             m_hat = adam_m[key] / (1 - ADAM_BETA1**step)
             v_hat = adam_v[key] / (1 - ADAM_BETA2**step)
-            net.weights[key] -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + 1e-8)
+            net.weights[key] -= LEARNING_RATE * m_hat / (np.sqrt(v_hat) + 1e-8)
     return net
 
 

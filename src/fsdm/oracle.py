@@ -280,9 +280,8 @@ class ExactDenoiser:
         return mixture_marginals(self._log_prior, self._hyp, a)
 
     def _cond_loglik(self, cond: Conditioning) -> np.ndarray:
-        zeros = np.zeros((N_STAGES, self.world.n_epochs))
         if self.target == PRIOR or cond is ABSENT:
-            return zeros
+            return np.zeros((N_STAGES, self.world.n_epochs))
         if not isinstance(cond, Features):
             raise TypeError("conditioning must be Features or ABSENT")
         v = cond.values
@@ -291,10 +290,7 @@ class ExactDenoiser:
         if self.target == JOINT:
             if v.shape[0] != len(self.world.sensors):
                 raise ValueError("JOINT conditioning needs one row per world sensor")
-            total = zeros
-            for row, (_, em) in zip(v, self.world.sensors):
-                total = total + emission_loglik(em, row)
-            return total
+            return _conditional_loglik(self.world, dict(zip(self.world.sensor_names(), v)))
         if v.shape[0] != 1:
             raise ValueError("per-sensor conditioning must have a single row")
         return emission_loglik(self.world.emission(self.target), v[0])

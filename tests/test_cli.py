@@ -15,7 +15,7 @@ import pytest
 import fsdm
 import fsdm.sampler
 from fsdm.bundle import Bundle, SignalEntry, read_bundle, write_bundle
-from fsdm.checks import informative_emission, persistent_markov, random_world
+from fsdm.checks import CheckResult, informative_emission, persistent_markov, random_world
 from fsdm.cli import build_parser, emit_plot_data, load_config, main
 from fsdm.evalkit import MergeScheme, accuracy, aggregate_stat, cohens_kappa, overnight_stats
 from fsdm.hypno import Hypnogram, SleepStage, read_hypnogram
@@ -284,6 +284,21 @@ def test_oracle_check_all_suites_pass(config_path, tmp_path, capsys):
     assert "PASS" in stdout
 
 
+def test_check_passes_when_measured_is_within_tolerance(tmp_path, capsys, monkeypatch):
+    assert not CheckResult("above", 1e-12, 2e-12).passed
+    assert CheckResult("exact", 0.0, 0.0).passed
+    assert CheckResult("measured_only", None, 1e6).passed
+    monkeypatch.setitem(fsdm.checks.SUITES, "schedule", lambda: [
+        CheckResult("above", 1e-12, 2e-12), CheckResult("exact", 0.0, 0.0)])
+    out = tmp_path / "oc"
+    assert main(["oracle-check", "--config", "unread.json", "--suite", "schedule",
+                 "--out", str(out)]) == 1
+    assert [entry["passed"] for entry in json.loads((out / "report.json").read_text())] == [
+        False, True]
+    assert capsys.readouterr().out.splitlines() == [
+        "FAIL above: 2.000e-12 (tol 1e-12)", "PASS exact: 0.000e+00 (tol 0)"]
+
+
 def test_sample_emits_trajectories_when_requested(config_path, bundles, tmp_path):
     cfg = json.loads(Path(config_path).read_text())
     cfg["sampler"] = dict(cfg["sampler"], record_trajectory=True, n_samples=2)
@@ -309,10 +324,15 @@ def test_sample_emits_trajectories_when_requested(config_path, bundles, tmp_path
 
 def test_sample_stats_cover_valid_epochs_only(config_path, bundles, tmp_path, capsys):
     full = read_bundle(bundles / "rec_0000")
-    write_bundle(tmp_path / "bundles" / "rec_pad", Bundle(
+    # Padding labelled N3 where the sampler predicts other stages: scoring
+    # it would change the printed accuracy.
+    padded = Bundle(
         recording_id="rec_pad", n_epochs=full.n_epochs, valid_epochs=4,
-        hypnogram=full.hypnogram, features=full.features,
-    ))
+        hypnogram=Hypnogram.from_labels(
+            full.hypnogram.to_labels()[:4] + ["N3"] * (full.n_epochs - 4)),
+        features=full.features,
+    )
+    write_bundle(tmp_path / "bundles" / "rec_pad", padded)
     cfg = json.loads(config_path.read_text())
     cfg["paths"].update(bundles_dir=str(tmp_path / "bundles"),
                         bundle=str(tmp_path / "bundles" / "rec_pad"),
@@ -320,7 +340,13 @@ def test_sample_stats_cover_valid_epochs_only(config_path, bundles, tmp_path, ca
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg), encoding="utf-8")
     out = tmp_path / "preds" / "rec_pad"
+    capsys.readouterr()
     assert main(["sample", "--config", str(path), "--out", str(out)]) == 0
+    pred = read_hypnogram(out / "hypnogram.txt")
+    acc = accuracy(pred, padded.hypnogram, valid_epochs=4)
+    assert f"{acc:.3f}" != f"{accuracy(pred, padded.hypnogram):.3f}"
+    assert capsys.readouterr().out == (
+        f"sample: 6 samples, 5-class accuracy vs bundle hypnogram {acc:.3f}\n")
     labels: dict[str, list[str]] = {}
     for line in (out / "samples.csv").read_text().strip().splitlines()[1:]:
         i, _, stage = line.split(",")
@@ -355,6 +381,29 @@ def test_sample_stats_cover_valid_epochs_only(config_path, bundles, tmp_path, ca
     assert len(gains) == full.n_epochs
     assert capsys.readouterr().out == (
         f"infogain: pulse mean {np.mean(gains[:4]):.4f} over 4 epochs\n")
+
+
+def test_only_infogain_builds_gain_sums(config_path, bundles, tmp_path, monkeypatch):
+    # fsdm sample writes no gains, so it samples without the sums even
+    # when it writes trajectories.
+    built = []
+    gain_sums = fsdm.sampler.GainSums
+
+    def counting(*args, **kwargs):
+        built.append(1)
+        return gain_sums(*args, **kwargs)
+
+    monkeypatch.setattr(fsdm.sampler, "GainSums", counting)
+    cfg = json.loads(config_path.read_text())
+    cfg["sampler"] = dict(cfg["sampler"], record_trajectory=True)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    assert main(["sample", "--config", str(path), "--out", str(tmp_path / "s")]) == 0
+    assert (tmp_path / "s" / "trajectories.csv").exists()
+    assert built == []
+    assert main(["infogain", "--config", str(path), "--sensor", "pulse",
+                 "--out", str(tmp_path / "ig")]) == 0
+    assert built == [1]
 
 
 def test_emit_plot_data(tmp_path):
@@ -528,7 +577,7 @@ def test_bundle_round_trip(tmp_path):
     assert sidecar == {"fs": 2.0, "kind": "eeg", "unit": ""}
 
 
-def test_bundle_reads_csv_signal_payload(tmp_path):
+def test_bundle_rejects_csv_signal_payload(tmp_path, capsys):
     root = tmp_path / "b"
     (root / "signals").mkdir(parents=True)
     (root / "hypnogram.txt").write_text("W\nR\n", encoding="utf-8")
@@ -538,9 +587,12 @@ def test_bundle_reads_csv_signal_payload(tmp_path):
         "signals": [{"name": "raw", "kind": "eeg", "fs": 2.0,
                      "file": "signals/raw.csv", "encoding": "csv"}],
     }), encoding="utf-8")
-    samples, entry = read_bundle(root).signals["raw"]
-    np.testing.assert_array_equal(samples, [0.5, -1.25, 3.0])
-    assert (entry.name, entry.kind, entry.fs, entry.file) == ("raw", "eeg", 2.0, "signals/raw.csv")
+    with pytest.raises(ValueError, match="'csv'"):
+        read_bundle(root)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"paths": {"bundle": str(root)}}), encoding="utf-8")
+    assert main(["preprocess", "--config", str(path), "--out", str(tmp_path / "proc")]) == 1
+    assert capsys.readouterr().err == "error: signal raw has unsupported encoding 'csv'\n"
 
 
 def test_bundle_missing_reference_rejected(tmp_path):

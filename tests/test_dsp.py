@@ -16,7 +16,6 @@ from fsdm.dsp import (
     interpolate_missing,
     peaks_to_rate,
     preprocess,
-    read_signal_csv,
     read_signal_f32,
     resample,
     restore_zeros,
@@ -132,13 +131,13 @@ def test_resample_identity_same_rate():
 
 
 def test_sample_hold_upsample_repeats():
-    out = sample_hold_upsample(np.array([1.0, 2.0, 3.0]), 32.0, 128.0)
+    out = sample_hold_upsample(np.array([1.0, 2.0, 3.0]), 32.0)
     np.testing.assert_array_equal(out, np.repeat([1.0, 2.0, 3.0], 4))
 
 
 def test_sample_hold_requires_integer_ratio():
     with pytest.raises(ValueError):
-        sample_hold_upsample(np.ones(4), 48.0, 128.0)
+        sample_hold_upsample(np.ones(4), 48.0)
 
 
 def test_restore_and_clip_and_pad():
@@ -216,14 +215,14 @@ def test_peaks_to_rate_piecewise_constant_positive():
     rng = np.random.default_rng(2)
     times = np.cumsum(rng.uniform(0.7, 1.3, 30))
     peaks = (times * fs).astype(int)
-    rate = peaks_to_rate(peaks, fs, "cardiac")
+    rate = peaks_to_rate(peaks, fs, "cardiac", n_out=2 * (peaks[-1] + 1))
     assert np.all(rate > 0)
     assert np.unique(rate).size <= 30
 
 
 def test_peaks_to_rate_needs_two_peaks():
     with pytest.raises(ValueError):
-        peaks_to_rate(np.array([5]), 64.0, "cardiac")
+        peaks_to_rate(np.array([5]), 64.0, "cardiac", n_out=128)
 
 
 def test_degrade_zero_span_full():
@@ -353,7 +352,7 @@ def test_rate_of_unknown_category_is_an_error(category):
     with pytest.raises(ValueError, match="category"):
         epoch_rate_features(wave, 64.0, category, 4)
     with pytest.raises(ValueError, match="category"):
-        peaks_to_rate(np.array([0, 64, 128]), 64.0, category)
+        peaks_to_rate(np.array([0, 64, 128]), 64.0, category, n_out=512)
 
 
 def test_f32_round_trip(tmp_path):
@@ -362,9 +361,3 @@ def test_f32_round_trip(tmp_path):
     write_signal_f32(path, x)
     assert path.stat().st_size == 12
     np.testing.assert_allclose(read_signal_f32(path), x)
-
-
-def test_csv_single_column(tmp_path):
-    path = tmp_path / "sig.csv"
-    path.write_text("value\n1.5\n2.5\n", encoding="utf-8")
-    np.testing.assert_array_equal(read_signal_csv(path), [1.5, 2.5])

@@ -178,7 +178,7 @@ class _StoredTrajectories:
 
 def _neural_bank():
     rng = np.random.default_rng(11)
-    nets = [ReferenceDenoiser.init(n_features=n, rng=rng, channels=8) for n in (0, 1, 1)]
+    nets = [ReferenceDenoiser.init(n_features=n, rng=rng) for n in (0, 1, 1)]
     return SensorBank(nets[0], (("a", nets[1]), ("b", nets[2])))
 
 

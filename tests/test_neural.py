@@ -21,10 +21,8 @@ from fsdm.neural import (
 from fsdm.scorekit import ABSENT, Features, SensorBank, fsdm_denoise_batch
 
 
-def _sample_net(n_features=2, seed=0, channels=32):
-    return ReferenceDenoiser.init(
-        n_features=n_features, rng=np.random.default_rng(seed), channels=channels
-    )
+def _sample_net(n_features=2, seed=0):
+    return ReferenceDenoiser.init(n_features=n_features, rng=np.random.default_rng(seed))
 
 
 def _sample_case(net, n_epochs=6, seed=1, sigma=0.7):
@@ -286,6 +284,4 @@ def test_model_format_tag_checked(tmp_path):
 
 def test_train_config_validation():
     with pytest.raises(ValueError):
-        TrainConfig(p_augment=1.5)
-    with pytest.raises(ValueError):
-        TrainConfig(learning_rate=0.0)
+        TrainConfig(steps=-1)
