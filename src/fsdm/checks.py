@@ -270,9 +270,16 @@ def suite_forward_backward(seed: int = 0, n_worlds: int = 8,
     observes a sequence the prior forbids in every other world; both
     paths must reject exactly the same cases.  The same sensor also sees
     an allowed path at every other epoch.
+
+    A bank of both sensors, observing h and the allowed path on the
+    N(0, I) states, checks the stacked bank evaluation: its combined
+    estimate on a Markov world against the same bank on the explicit
+    twin (bound as above), and against the 2N+1 separate
+    ``evaluate_batch`` calls on both worlds (measured only; the stacking
+    is exact, so it reads 0).
     """
     rng = np.random.default_rng(seed)
-    worst = worst_vertex = 0.0
+    worst = worst_vertex = worst_bank = worst_stacked = 0.0
     disagreements = 0
     for w in range(n_worlds):
         n_epochs = 1 + w % ENUMERATION_CAP
@@ -295,6 +302,8 @@ def suite_forward_backward(seed: int = 0, n_worlds: int = 8,
         targets = ((PRIOR, ABSENT), ("s0", Features(h.astype(np.float64))),
                    ("s0", ABSENT), ("det", Features(forced)), ("det", Features(seen)))
         pairs = [(cond, exact_denoiser(world, t), exact_denoiser(twin, t)) for t, cond in targets]
+        banks = (exact_bank(world), exact_bank(twin))
+        bank_obs = [("s0", targets[1][1]), ("det", targets[4][1])]
         vertex = one_hot(Hypnogram.from_indices(h)).values
         sigmas = (1e-4, 1e-2, 0.3, 1.0, 40.0, float(np.exp(rng.uniform(np.log(1e-4), np.log(40.0)))))
         for sigma in sigmas:
@@ -302,6 +311,7 @@ def suite_forward_backward(seed: int = 0, n_worlds: int = 8,
                 rng.standard_normal((batch, 5, n_epochs)),
                 vertex + sigma * rng.standard_normal((batch, 5, n_epochs)),
             ])
+            evaluated = []
             for cond, *denoisers in pairs:
                 outs = []
                 for denoiser in denoisers:
@@ -309,16 +319,30 @@ def suite_forward_backward(seed: int = 0, n_worlds: int = 8,
                         outs.append(denoiser.evaluate_batch(ys, cond, sigma))
                     except ValueError:
                         outs.append(None)
+                evaluated.append(outs)
                 if (outs[0] is None) != (outs[1] is None):
                     disagreements += 1
                 elif outs[0] is not None:
                     diff = np.abs(outs[0] - outs[1]).max(axis=(1, 2))
                     worst = max(worst, float(diff[:batch].max()))
                     worst_vertex = max(worst_vertex, float(diff[batch:].max()))
+            # The bank runs on the N(0, I) states only, to spare the 5^8
+            # enumeration; every kernel treats batch items independently.
+            prior, lik_s0, pri_s0, lik_det = ([out[:batch] for out in evaluated[i]] for i in (0, 1, 2, 4))
+            combined = []
+            for k, bank in enumerate(banks):
+                pri_det = bank.get("det").evaluate_batch(ys[:batch], ABSENT, sigma)
+                separate = prior[k] + 0.5 * (lik_s0[k] - pri_s0[k])
+                separate = separate + 0.5 * (lik_det[k] - pri_det)
+                combined.append(fsdm_combine_batch(ys[:batch], sigma, bank, bank_obs))
+                worst_stacked = max(worst_stacked, float(np.abs(combined[k] - separate).max()))
+            worst_bank = max(worst_bank, float(np.abs(combined[0] - combined[1]).max()))
     return [
         CheckResult("forward_backward.max_abs_vs_enumeration", 1e-12, worst),
         CheckResult("forward_backward.max_abs_near_vertex", None, worst_vertex),
         CheckResult("forward_backward.zero_weight_disagreements", 0.0, float(disagreements)),
+        CheckResult("forward_backward.bank_combined_vs_enumeration", 1e-12, worst_bank),
+        CheckResult("forward_backward.bank_stacked_vs_separate", None, worst_stacked),
     ]
 
 

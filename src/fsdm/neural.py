@@ -184,6 +184,52 @@ class ReferenceDenoiser:
             "log_probs": log_probs, "probs": np.exp(log_probs),
         }
 
+    # -- inference ---------------------------------------------------------
+    #
+    # The encoder input splits into the state's share y_win @ w_y.T and the
+    # conditioning's share x_win @ w_x.T.  Inference computes each share
+    # once where it can and runs the rest of the network without keeping
+    # the training caches; it is bitwise equal to ``_forward``.
+
+    def _encode_y(self, y: np.ndarray, sigma: float) -> np.ndarray:
+        y_win = _window_stack(input_scale(y, sigma, self.sigma_data), self.window_radius)
+        return y_win @ self.weights["w_y"].T
+
+    def _encode_x(self, cond: Conditioning, n_epochs: int) -> np.ndarray:
+        x_win = _window_stack(self._cond_matrix(cond, n_epochs), self.window_radius)
+        return x_win @ self.weights["w_x"].T
+
+    def _infer(self, y_enc: np.ndarray, x_enc: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """(5, E) estimate from the two encoder shares and the σ embedding."""
+        w = self.weights
+        u0 = y_enc + x_enc
+        u0 += w["b_enc"]
+        u1 = self._infer_block(u0, z, "0")
+        u2 = self._infer_block(u1, z, "1")
+        logits = u2 @ w["w_out"].T
+        logits += w["b_out"]
+        logits -= logits.max(axis=1, keepdims=True)
+        log_z = np.log(np.exp(logits).sum(axis=1, keepdims=True))
+        logits -= log_z
+        return np.exp(logits, out=logits).T
+
+    def _infer_block(self, u: np.ndarray, z: np.ndarray, tag: str) -> np.ndarray:
+        w = self.weights
+        a = u @ w[f"w1_{tag}"].T
+        a += w[f"b1_{tag}"]
+        a += z
+        # SiLU in place: a / (1 + exp(−a)), as in _silu.
+        t = np.negative(a)
+        with np.errstate(over="ignore"):
+            np.exp(t, out=t)
+        t += 1.0
+        a /= t
+        out = a @ w[f"w2_{tag}"].T
+        np.add(u, out, out=out)
+        out += w[f"b2_{tag}"]
+        out *= _SKIP_SCALE
+        return out
+
     def forward(self, y_noisy: np.ndarray, cond: Conditioning, sigma: float) -> np.ndarray:
         """Denoised estimate as a raw (5, E) array with simplex columns."""
         if sigma <= 0:
@@ -191,8 +237,8 @@ class ReferenceDenoiser:
         y = np.asarray(y_noisy)
         if y.ndim != 2 or y.shape[0] != 5:
             raise ValueError("state must be a 5×E matrix")
-        x = self._cond_matrix(cond, y.shape[1])
-        return self._forward(y, x, sigma)["probs"].T
+        z = timestep_embedding(sigma, self.channels)
+        return self._infer(self._encode_y(y, sigma), self._encode_x(cond, y.shape[1]), z)
 
     def evaluate_batch(self, ys: np.ndarray, cond: Conditioning,
                        sigma: float) -> np.ndarray:
@@ -200,6 +246,26 @@ class ReferenceDenoiser:
         for b in range(ys.shape[0]):
             out[b] = self.forward(ys[b], cond, sigma)
         return out
+
+    def evaluate_pair(self, ys: np.ndarray, cond: Conditioning,
+                      sigma: float) -> tuple[np.ndarray, np.ndarray]:
+        """The conditioned and ABSENT estimates of a (B, 5, E) batch, each
+        sample's state scaled, windowed and encoded once for both; bitwise
+        equal to ``evaluate_batch`` with ``cond`` and with ABSENT."""
+        ys = np.asarray(ys)
+        if ys.ndim != 3 or ys.shape[1] != 5:
+            raise ValueError("states must be a B×5×E batch")
+        n_epochs = ys.shape[-1]
+        z = timestep_embedding(sigma, self.channels)
+        x_lik = self._encode_x(cond, n_epochs)
+        x_pri = self._encode_x(ABSENT, n_epochs)
+        lik = np.empty_like(ys, dtype=np.float64)
+        pri = np.empty_like(lik)
+        for b in range(ys.shape[0]):
+            y_enc = self._encode_y(ys[b], sigma)
+            lik[b] = self._infer(y_enc, x_lik, z)
+            pri[b] = self._infer(y_enc, x_pri, z)
+        return lik, pri
 
     # -- loss and gradients -----------------------------------------------
 

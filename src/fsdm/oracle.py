@@ -11,7 +11,10 @@ under Gaussian smoothing:
 whose column e is the smoothed posterior marginal of epoch e.  Since
 ‖y − onehot(h)‖² splits over epochs, the mixture under a Markov prior is
 a hidden Markov model and the denoiser runs forward-backward, with no
-epoch cap.  An explicit prior (a table over all 5^E hypnograms) and the
+epoch cap.  Denoisers of worlds with the same prior run the same kernel
+and differ only in their conditioning term, so a bank of them stacks
+every term of one denoise into one kernel call (``evaluate_stacked``).
+An explicit prior (a table over all 5^E hypnograms) and the
 enumeration oracles (``hypnogram_table``, ``log_prior_table``,
 ``enumerate_posterior``) are capped at 8 epochs.  All mixture
 computations run in log space.
@@ -19,9 +22,9 @@ computations run in log space.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -295,15 +298,43 @@ class ExactDenoiser:
             raise ValueError("per-sensor conditioning must have a single row")
         return emission_loglik(self.world.emission(self.target), v[0])
 
+    def shares_prior(self, other) -> bool:
+        """Whether ``other`` is an exact denoiser over the same epoch count
+        and prior, so that its terms run this denoiser's kernel."""
+        if not isinstance(other, ExactDenoiser):
+            return False
+        a, b = self.world, other.world
+        return a.n_epochs == b.n_epochs and type(a.prior) is type(b.prior) and all(
+            np.array_equal(getattr(a.prior, f.name), getattr(b.prior, f.name))
+            for f in fields(a.prior)
+        )
+
     def evaluate_batch(self, ys: np.ndarray, cond: Conditioning, sigma: float) -> np.ndarray:
+        return self._run(ys, self._cond_loglik(cond)[None], sigma)[0]
+
+    def evaluate_stacked(self, ys: np.ndarray,
+                         terms: Sequence[tuple[ExactDenoiser, Conditioning]],
+                         sigma: float) -> np.ndarray:
+        """This denoiser's ABSENT estimate of a (B, 5, E) batch, then each
+        (denoiser, cond) term's estimate, as one (1 + len(terms), B, 5, E)
+        array from one kernel call.  Every term's denoiser must share
+        this one's prior; the kernel treats batch items independently,
+        so each slice equals its own ``evaluate_batch`` bitwise."""
+        loglik = [self._cond_loglik(ABSENT)] + [d._cond_loglik(cond) for d, cond in terms]
+        return self._run(ys, np.stack(loglik), sigma)
+
+    def _run(self, ys: np.ndarray, loglik: np.ndarray, sigma: float) -> np.ndarray:
+        """Kernel over every (K, 5, E) conditioning term and every state:
+        a = loglik + ys/σ², shape (K, B, 5, E), as one batch of K·B."""
         if sigma <= 0:
             raise ValueError("sigma must be positive")
         ys = np.asarray(ys, dtype=np.float64)
-        a = self._cond_loglik(cond)[None] + ys / (sigma * sigma)
+        a = loglik[:, None] + ys / (sigma * sigma)
         try:
-            return self._marginals(a)
+            out = self._marginals(a.reshape(-1, *a.shape[-2:]))
         except FloatingPointError as err:
             raise ValueError("conditioning has zero probability under this world") from err
+        return out.reshape(a.shape)
 
 
 def exact_denoiser(world: WorldModel, target: str) -> ExactDenoiser:

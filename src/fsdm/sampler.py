@@ -9,7 +9,8 @@ correction is skipped on the final step where σ(t) = 0.
 A per-step observer ``observer(m, σ, y, pairs)`` sees every sampling
 state: ``y`` is the (B, 5, E) batch at step m and ``pairs`` holds each
 observation's (name, likelihood, prior) denoised batches at it.  The
-observer may read these arrays during the call but must not keep them.
+observer may read these arrays during the call but must not keep or
+write them; the pairs of an exact bank share one prior array.
 With ``record_trajectory`` set, the information-gain sums are such an
 observer, and nothing else of the trajectory is stored.
 """

@@ -8,6 +8,7 @@ sigma(t) = t (Karras et al. 2022), so the grid is also the sigma grid.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,11 @@ class ScheduleParams:
     def __post_init__(self):
         if not (0 < self.sigma_min < self.sigma_max):
             raise ValueError("need 0 < sigma_min < sigma_max")
+        # Denoisers divide by σ², so it must neither underflow nor overflow.
+        for name in ("sigma_min", "sigma_max"):
+            sigma = getattr(self, name)
+            if not (sys.float_info.min <= sigma * sigma <= sys.float_info.max):
+                raise ValueError(f"{name}={sigma!r}: its square is not a positive normal float")
         if self.rho <= 0:
             raise ValueError("rho must be positive")
         if self.M < 2:

@@ -11,12 +11,20 @@ is a batch of one.  The combined denoised estimate is
 (``fsdm_denoise_batch``); the posterior score is recovered from it
 through (D_all − y) / σ² (``tweedie_score``).  λ defaults to 1/N so that
 feeding the same signal once or many times yields the same estimate.
+
+``SensorBank.evaluate`` computes every term of one denoise.  When every
+sensor denoiser shares the prior's kernel (exact denoisers of one
+world), D_i(y, absent, σ) is the prior's own estimate, so the prior and
+the N conditioned terms run as one kernel call on an (N+1)·B batch.
+Otherwise the prior makes one call and each sensor one pair of calls;
+a reference network encodes each state once for both halves of its
+pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Protocol, Sequence
+from typing import Iterator, Protocol, Sequence
 
 import numpy as np
 
@@ -90,6 +98,9 @@ class SensorBank:
         names = [name for name, _ in self.sensors]
         if len(set(names)) != len(names):
             raise ValueError("sensor names must be unique")
+        shares = getattr(self.global_prior, "shares_prior", None)
+        object.__setattr__(self, "_stacked", shares is not None and all(
+            shares(d) for _, d in self.sensors))
 
     def get(self, name: str) -> Denoiser:
         for n, d in self.sensors:
@@ -97,8 +108,32 @@ class SensorBank:
                 return d
         raise KeyError(f"unknown sensor {name!r}")
 
+    def evaluate(
+        self, ys: np.ndarray, sigma: float, obs: Observations
+    ) -> tuple[np.ndarray, Iterator[tuple[np.ndarray, np.ndarray]]]:
+        """Every term of one denoise of a (B, 5, E) batch: the prior's
+        estimate and an iterator over each observation's (likelihood,
+        prior) pair, in observation order.  Outside a stacked bank each
+        pair is evaluated as it is reached, so a caller that drops it
+        holds one pair at a time."""
+        denoisers = [self.get(name) for name, _ in obs]
+        if self._stacked:
+            terms = [(d, cond) for d, (_, cond) in zip(denoisers, obs)]
+            out = self.global_prior.evaluate_stacked(ys, terms, sigma)
+            return out[0], ((lik, out[0]) for lik in out[1:])
+        prior = self.global_prior.evaluate_batch(ys, ABSENT, sigma)
+        return prior, (_evaluate_pair(d, ys, cond, sigma) for d, (_, cond) in zip(denoisers, obs))
+
 
 Observations = Sequence[tuple[str, Conditioning]]
+
+
+def _evaluate_pair(denoiser: Denoiser, ys: np.ndarray, cond: Conditioning,
+                   sigma: float) -> tuple[np.ndarray, np.ndarray]:
+    pair = getattr(denoiser, "evaluate_pair", None)
+    if pair is not None:
+        return pair(ys, cond, sigma)
+    return denoiser.evaluate_batch(ys, cond, sigma), denoiser.evaluate_batch(ys, ABSENT, sigma)
 
 
 def tweedie_score(denoised: np.ndarray, y_noisy: np.ndarray, sigma: float) -> np.ndarray:
@@ -132,17 +167,16 @@ def fsdm_combine_batch(
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    for name, _ in obs:
-        bank.get(name)
     lam_eff = _resolve_lambda(lam, len(obs))
-    combined = bank.global_prior.evaluate_batch(ys, ABSENT, sigma)
-    for name, cond in obs:
-        denoiser = bank.get(name)
-        lik = denoiser.evaluate_batch(ys, cond, sigma)
-        pri = denoiser.evaluate_batch(ys, ABSENT, sigma)
+    combined, terms = bank.evaluate(ys, sigma, obs)
+    for name, _ in obs:
+        lik, pri = next(terms)
         combined = combined + lam_eff * (lik - pri)
         if pairs is not None:
             pairs.append((name, lik, pri))
+        # Unbound before the next pair is evaluated, so a pair nothing
+        # keeps is freed first.
+        del lik, pri
     return combined
 
 

@@ -461,6 +461,20 @@ def test_sample_zero_probability_observation_exits_1(tmp_path, capsys):
     assert not (tmp_path / "pred").exists()
 
 
+@pytest.mark.parametrize("field, value", [("sigma_min", 1e-170), ("sigma_max", 1e200)])
+def test_sample_sigma_with_non_normal_square_exits_1(config_path, bundles, tmp_path, capsys,
+                                                     field, value):
+    cfg = json.loads(config_path.read_text())
+    cfg["schedule"][field] = value
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    rc = main(["sample", "--config", str(path), "--out", str(tmp_path / "pred")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: {field}={value!r}: its square is not a positive normal float\n")
+    assert not (tmp_path / "pred").exists()
+
+
 _SAMPLING_FLAGS = {"--seed", "--sensor", "--n-samples", "--lambda"}
 _COMMAND_FLAGS = {
     "synth": {"--seed"},

@@ -3,6 +3,8 @@ kernels.  The AMPD kernels are checked against a per-sample loop."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fsdm._kernels import (
     ampd_gamma,
@@ -10,7 +12,10 @@ from fsdm._kernels import (
     markov_marginals,
     mixture_marginals,
 )
-from fsdm.oracle import hypnogram_table
+from fsdm.checks import explicit_twin, informative_emission, persistent_markov, sparse_markov
+from fsdm.oracle import (
+    CategoricalEmission, WorldModel, emission_loglik, hypnogram_table,
+)
 
 
 def _case(n_epochs=4, batch=3, seed=0):
@@ -92,6 +97,60 @@ def test_markov_marginals_zero_weight_raises():
         markov_marginals(log_init, log_trans, a)
     # The first item alone is fine: items never contaminate each other.
     assert np.all(np.isfinite(markov_marginals(log_init, log_trans, a[:1])))
+
+
+def _kernel_pair(seed, n_epochs, sparse):
+    """Both kernels' arguments for one Markov world and its explicit twin."""
+    rng = np.random.default_rng(seed)
+    prior = sparse_markov(rng) if sparse else persistent_markov(rng)
+    world = WorldModel(n_epochs, prior, ())
+    with np.errstate(divide="ignore"):
+        markov = (np.log(prior.initial), np.log(prior.transition))
+        mixture = (np.log(explicit_twin(world).prior.table), hypnogram_table(n_epochs))
+    return rng, markov, mixture
+
+
+def _outcome(kernel, *args):
+    try:
+        return kernel(*args)
+    except FloatingPointError:
+        return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_epochs=st.integers(1, 6), batch=st.integers(1, 3),
+       log_sigma=st.floats(np.log(1e-4), np.log(40.0)), sparse=st.booleans())
+def test_markov_marginals_equal_enumeration_of_explicit_twin(seed, n_epochs, batch, log_sigma,
+                                                             sparse):
+    rng, markov, mixture = _kernel_pair(seed, n_epochs, sparse)
+    sigma = float(np.exp(log_sigma))
+    ys = rng.standard_normal((batch, 5, n_epochs))
+    # An informative sensor, and a deterministic one whose sequence a
+    # sparse prior often forbids: both kernels reject the same inputs.
+    sensor = informative_emission(rng, 0.8)
+    seq = rng.integers(0, 5, n_epochs).astype(float)
+    for em in (sensor, CategoricalEmission(np.eye(5))):
+        with np.errstate(divide="ignore"):
+            a = emission_loglik(em, seq)[None] + ys / (sigma * sigma)
+        fb = _outcome(markov_marginals, *markov, a)
+        en = _outcome(mixture_marginals, *mixture, a)
+        assert (fb is None) == (en is None)
+        if fb is not None:
+            assert np.abs(fb - en).max() <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_epochs=st.integers(1, 5),
+       sizes=st.lists(st.integers(1, 4), min_size=2, max_size=4),
+       log_scale=st.floats(np.log(1e-2), np.log(1e8)), sparse=st.booleans())
+def test_kernels_on_concatenated_batch_equal_concatenated_runs(seed, n_epochs, sizes, log_scale,
+                                                               sparse):
+    rng, markov, mixture = _kernel_pair(seed, n_epochs, sparse)
+    parts = [rng.standard_normal((n, 5, n_epochs)) * np.exp(log_scale) for n in sizes]
+    whole = np.concatenate(parts)
+    for kernel, args in ((markov_marginals, markov), (mixture_marginals, mixture)):
+        want = np.concatenate([kernel(*args, part) for part in parts])
+        assert np.array_equal(kernel(*args, whole), want)
 
 
 def _loop_gamma(x, max_scale):

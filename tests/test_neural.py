@@ -259,6 +259,30 @@ def test_trained_denoiser_satisfies_contract_and_plugs_into_bank():
     np.testing.assert_allclose(combined.sum(axis=1), 1.0, rtol=0, atol=1e-9)
 
 
+def test_evaluate_pair_equals_two_forward_calls(monkeypatch):
+    net = _sample_net(seed=12)
+    rng = np.random.default_rng(13)
+    ys = rng.standard_normal((3, 5, 7))
+    x = rng.standard_normal((2, 7))
+    x[1, 4] = np.nan
+    cond = Features(x)
+    for b in range(3):
+        # forward runs the inference path; training's cached forward agrees.
+        want = net._forward(ys[b], net._cond_matrix(cond, 7), 0.8)["probs"].T
+        assert np.array_equal(net.forward(ys[b], cond, 0.8), want)
+    forwards = [(net.forward(y, cond, 0.8), net.forward(y, ABSENT, 0.8)) for y in ys]
+    # The pair builds none of the training caches.
+    monkeypatch.setattr(net, "_forward", None)
+    lik, pri = net.evaluate_pair(ys, cond, 0.8)
+    for b, (want_lik, want_pri) in enumerate(forwards):
+        assert np.array_equal(lik[b], want_lik)
+        assert np.array_equal(pri[b], want_pri)
+    with pytest.raises(ValueError):
+        net.evaluate_pair(ys, cond, 0.0)
+    with pytest.raises(ValueError):
+        net.evaluate_pair(ys[0], cond, 0.8)
+
+
 def test_model_json_round_trip(tmp_path):
     net = _sample_net(seed=9)
     path = tmp_path / "model.json"

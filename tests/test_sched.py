@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
 
+from fsdm.checks import random_world
+from fsdm.oracle import exact_bank
+from fsdm.sampler import SamplerConfig, sample_many
 from fsdm.sched import ScheduleParams, time_steps
+from fsdm.scorekit import Features
 
 # Closed-form interpolant at m=16 with default parameters, evaluated
 # independently at 40-digit precision and rounded to double.
@@ -41,3 +45,23 @@ def test_strictly_decreasing():
 def test_invalid_params_rejected(kwargs):
     with pytest.raises(ValueError):
         ScheduleParams(**kwargs)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("sigma_min", 1e-170), ("sigma_min", 1e-300), ("sigma_max", 1e200),
+])
+def test_sigma_whose_square_is_not_normal_rejected(field, value):
+    # σ² underflows below ~1.5e-154 and overflows above ~1.3e154; the
+    # denoisers divide by it.
+    with pytest.raises(ValueError, match=f"^{field}="):
+        ScheduleParams(**{field: value})
+
+
+@pytest.mark.parametrize("kwargs", [{"sigma_min": 1e-12}, {"sigma_max": 1e150}])
+def test_extreme_normal_sigmas_still_sample(kwargs):
+    rng = np.random.default_rng(4)
+    bank = exact_bank(random_world(3, 1, rng))
+    cfg = SamplerConfig(schedule=ScheduleParams(M=8, **kwargs), n_samples=2)
+    obs = [("s0", Features(np.array([0.0, 2.0, 4.0])))]
+    for result in sample_many(bank, obs, cfg, 3):
+        assert np.all(np.isfinite(result.y.values))

@@ -3,9 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fsdm import oracle
 from fsdm.checks import random_world
 from fsdm.hypno import Hypnogram, one_hot
-from fsdm.oracle import exact_bank, exact_denoiser
+from fsdm.neural import ReferenceDenoiser
+from fsdm.oracle import (
+    PRIOR, CategoricalEmission, MarkovPrior, WorldModel, exact_bank, exact_denoiser,
+    world_from_dict, world_to_dict,
+)
 from fsdm.scorekit import (
     ABSENT,
     Features,
@@ -157,3 +162,112 @@ def test_rejects_nonpositive_sigma():
     bank = SensorBank(ConstantDenoiser(out, out), ())
     with pytest.raises(ValueError):
         fsdm_denoise_batch(out[None], 0.0, bank, [])
+
+
+# -- bank-level evaluation ----------------------------------------------------
+
+
+def _separate_terms(bank, ys, sigma, obs):
+    """The combination rule's 2N+1 terms as separate evaluate_batch calls."""
+    prior = bank.global_prior.evaluate_batch(ys, ABSENT, sigma)
+    return prior, [
+        (bank.get(name).evaluate_batch(ys, cond, sigma),
+         bank.get(name).evaluate_batch(ys, ABSENT, sigma))
+        for name, cond in obs
+    ]
+
+
+def _assert_bank_matches_separate_calls(bank, ys, sigma, obs, lam):
+    prior, terms = bank.evaluate(ys, sigma, obs)
+    terms = list(terms)
+    want_prior, want_terms = _separate_terms(bank, ys, sigma, obs)
+    assert np.array_equal(prior, want_prior)
+    assert len(terms) == len(want_terms)
+    for got, want in zip(terms, want_terms):
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    pairs = []
+    combined = fsdm_combine_batch(ys, sigma, bank, obs, lam=lam, pairs=pairs)
+    want = want_prior
+    for lik, pri in want_terms:
+        want = want + lam * (lik - pri)
+    assert np.array_equal(combined, want)
+    assert [name for name, _, _ in pairs] == [name for name, _ in obs]
+    for (_, lik, pri), (want_lik, want_pri) in zip(pairs, want_terms):
+        assert np.array_equal(lik, want_lik) and np.array_equal(pri, want_pri)
+
+
+@pytest.mark.parametrize("n_epochs, markov", [(5, True), (240, True), (6, False)])
+def test_exact_bank_evaluation_equals_separate_calls(n_epochs, markov):
+    rng = np.random.default_rng(n_epochs)
+    bank = exact_bank(random_world(n_epochs, 2, rng, markov=markov))
+    seq = rng.integers(0, 5, n_epochs).astype(float)
+    seq[::3] = np.nan
+    obs = [("s0", Features(seq)), ("s1", ABSENT),
+           ("s1", Features(rng.integers(0, 5, n_epochs).astype(float)))]
+    ys = rng.standard_normal((3, 5, n_epochs))
+    for sigma in (1e-3, 0.7, 30.0):
+        _assert_bank_matches_separate_calls(bank, ys, sigma, obs, lam=0.3)
+
+
+def _count_markov_calls(monkeypatch):
+    calls = []
+    kernel = oracle.markov_marginals
+
+    def counted(log_init, log_trans, a):
+        calls.append(a.shape[0])
+        return kernel(log_init, log_trans, a)
+
+    monkeypatch.setattr(oracle, "markov_marginals", counted)
+    return calls
+
+
+def test_mixed_bank_evaluation_equals_separate_calls(monkeypatch):
+    rng = np.random.default_rng(11)
+    world = random_world(4, 1, rng)
+    net = ReferenceDenoiser.init(1, rng)
+    bank = SensorBank(exact_denoiser(world, PRIOR),
+                      (("s0", exact_denoiser(world, "s0")), ("net", net)))
+    x = rng.standard_normal((1, 4))
+    x[0, 2] = np.nan
+    obs = [("s0", Features(np.array([0.0, 2.0, np.nan, 4.0]))), ("net", Features(x))]
+    ys = rng.standard_normal((3, 5, 4))
+    # The general path: one kernel call for the prior, two for the exact sensor.
+    calls = _count_markov_calls(monkeypatch)
+    list(bank.evaluate(ys, 0.8, obs)[1])
+    assert calls == [3] * 3
+    _assert_bank_matches_separate_calls(bank, ys, 0.8, obs, lam=1.0)
+
+
+def test_exact_two_sensor_denoise_makes_one_kernel_call(monkeypatch):
+    rng = np.random.default_rng(12)
+    world = random_world(5, 2, rng)
+    obs = [(name, Features(rng.integers(0, 5, 5).astype(float))) for name in ("s0", "s1")]
+    ys = rng.standard_normal((4, 5, 5))
+    calls = _count_markov_calls(monkeypatch)
+    # Sharing the prior is a property of the denoisers, not of the world
+    # object: a sensor over an equal copy of the world stacks too.
+    copy = world_from_dict(world_to_dict(world))
+    for bank in (exact_bank(world),
+                 SensorBank(exact_denoiser(world, PRIOR),
+                            (("s0", exact_denoiser(copy, "s0")), ("s1", exact_denoiser(world, "s1"))))):
+        calls.clear()
+        fsdm_denoise_batch(ys, 0.7, bank, obs)
+        assert calls == [3 * 4]
+    # A sensor over another prior takes the general path: one call for
+    # the prior and two per sensor.
+    other = WorldModel(5, random_world(5, 0, rng).prior, world.sensors)
+    bank = SensorBank(exact_denoiser(world, PRIOR),
+                      (("s0", exact_denoiser(other, "s0")), ("s1", exact_denoiser(world, "s1"))))
+    calls.clear()
+    list(bank.evaluate(ys, 0.7, obs)[1])
+    assert calls == [4] * 5
+    _assert_bank_matches_separate_calls(bank, ys, 0.7, obs, lam=0.5)
+
+
+def test_zero_probability_observation_raises_from_the_bank():
+    world = WorldModel(3, MarkovPrior(np.full(5, 0.2), np.eye(5)),
+                       (("det", CategoricalEmission(np.eye(5))),))
+    bank = exact_bank(world)
+    ys = np.random.default_rng(13).standard_normal((2, 5, 3))
+    with pytest.raises(ValueError, match="^conditioning has zero probability under this world$"):
+        fsdm_combine_batch(ys, 0.5, bank, [("det", Features(np.array([0.0, 1.0, 0.0])))])
