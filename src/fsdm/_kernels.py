@@ -10,9 +10,12 @@ to one-at-a-time evaluation.
 The AMPD scalogram kernels compare the float64 samples directly, so
 every comparison with NaN is false, as in the per-sample definition.
 The scalogram writes each scale's comparisons into bool buffers
-allocated once per call and counts them with ``np.count_nonzero``; the
-peak mask compares every sample until at most 1/16 of them survive,
-then only the survivors.
+allocated once per call and counts them with ``np.count_nonzero``.
+``ampd_gamma`` covers scales 1..L and is the ``ampd_gamma_range`` case
+of one contiguous range lo..hi, which refines a scale chosen on a
+decimated view (see ``dsp.ampd_scale``) at the full rate.  The peak
+mask compares every sample until at most 1/16 of them survive, then
+only the survivors.
 """
 
 from __future__ import annotations
@@ -130,21 +133,23 @@ def markov_marginals(log_init, log_trans, a):
 # AMPD local-maxima scalogram.
 #
 # Stage 1 returns gamma[k-1] = count of i that are NOT k-local maxima,
-# for scales k = 1..L.  Stage 2 returns the boolean mask of samples that
-# are local maxima at every scale 1..lam (the detected peaks).
+# for scales k = 1..L (ampd_gamma), or gamma[k-lo] for scales
+# k = lo..hi (ampd_gamma_range).  Stage 2 returns the boolean mask of
+# samples that are local maxima at every scale 1..lam (the detected
+# peaks).
 # ---------------------------------------------------------------------------
 
 
-def ampd_gamma(x, max_scale):
+def ampd_gamma_range(x, lo, hi):
     x = np.ascontiguousarray(x, dtype=np.float64)
     n = x.shape[0]
-    gamma = np.full(max_scale, n, dtype=np.int64)
+    gamma = np.full(max(hi - lo + 1, 0), n, dtype=np.int64)
     # Scales with 2k >= n have no interior sample and keep gamma = n.
     # The masks are allocated once and each scale writes into a prefix;
     # count_nonzero counts a bool mask without casting it to int64.
-    core = np.empty(max(n - 2, 0), dtype=np.bool_)
+    core = np.empty(max(n - 2 * lo, 0), dtype=np.bool_)
     right = np.empty_like(core)
-    for k in range(1, min(max_scale, (n - 1) // 2) + 1):
+    for k in range(lo, min(hi, (n - 1) // 2) + 1):
         m = n - 2 * k
         mid = x[k:n - k]
         c = core[:m]
@@ -152,8 +157,12 @@ def ampd_gamma(x, max_scale):
         np.greater(mid, x[:m], out=c)
         np.greater(mid, x[2 * k:], out=r)
         c &= r
-        gamma[k - 1] = n - np.count_nonzero(c)
+        gamma[k - lo] = n - np.count_nonzero(c)
     return gamma
+
+
+def ampd_gamma(x, max_scale):
+    return ampd_gamma_range(x, 1, max_scale)
 
 
 def ampd_local_maxima(x, lam):

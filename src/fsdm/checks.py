@@ -6,8 +6,9 @@ oracle-check command runs them with the defaults.
 Every check compares an implementation path against an independent
 ground truth: closed-form schedule values, the linear-ODE argument for
 point-mass worlds, exact posterior enumeration (including enumeration
-against the forward-backward denoisers of Markov worlds), or the
-algebraic identities of the combination rule.
+against the forward-backward denoisers of Markov worlds), the
+algebraic identities of the combination rule, or the full-rate AMPD
+scalogram.
 """
 
 from __future__ import annotations
@@ -16,7 +17,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hypno import Hypnogram, argmax_stages, one_hot
+from ._kernels import ampd_local_maxima
+from .dsp import (
+    AMPD_OVERLAP_S,
+    AMPD_WINDOW_S,
+    KINDS,
+    RESPIRATORY_MAX_SCALE_S,
+    TARGET_FS,
+    RawSignal,
+    SignalKind,
+    ampd_decimation,
+    ampd_scale,
+    ampd_window_starts,
+    preprocess,
+)
+from .hypno import Hypnogram, SleepStage, argmax_stages, one_hot
 from .oracle import (
     ENUMERATION_CAP,
     JOINT,
@@ -35,6 +50,7 @@ from .oracle import (
 from .sampler import SamplerConfig, sample_many, sample_one
 from .sched import ScheduleParams, time_steps
 from .scorekit import ABSENT, Features, fsdm_combine_batch, fsdm_denoise_batch, tweedie_score
+from .synth import WaveformSpec, render_waveform
 
 
 @dataclass(frozen=True)
@@ -146,6 +162,18 @@ def near_vertex_states(rng: np.random.Generator, h: Hypnogram, n_points: int,
         u /= np.linalg.norm(u)
         out.append(base + u * rng.uniform(0.0, radius))
     return np.stack(out)
+
+
+def breathing_signal(kind: SignalKind, n_epochs: int, rng: np.random.Generator) -> RawSignal:
+    """A 32 Hz breathing waveform of n_epochs random-stage epochs (0.22 to
+    0.33 breaths/s), scaled so that the kind's scaling maps it to ~1."""
+    spec = WaveformSpec(
+        stage_rates=dict(zip(SleepStage, (0.33, 0.29, 0.25, 0.22, 0.31))),
+        base_amplitude=1.0 / kind.scale, noise_sd=0.02 / kind.scale, fs=32.0,
+        jitter_sd=0.05, pulse_width_s=1.5, kind_name=kind.name,
+    )
+    h = Hypnogram.from_indices(rng.integers(0, 5, n_epochs))
+    return RawSignal(render_waveform(h, spec, rng), spec.fs, kind)
 
 
 # -- suites -------------------------------------------------------------------
@@ -346,6 +374,38 @@ def suite_forward_backward(seed: int = 0, n_worlds: int = 8,
     ]
 
 
+def suite_ampd(seed: int = 0, n_epochs: int = 40) -> list[CheckResult]:
+    """AMPD's decimated scale search against the full scalogram, window
+    by window, on synthetic ``rip_belt`` and ``thermistor`` recordings
+    through ``preprocess``.
+
+    The peak masks at the two scales must agree in every window.  The
+    scales themselves are measured only: where the scalogram is flat
+    near its minimum, two scales can give the same mask.
+    """
+    rng = np.random.default_rng(seed)
+    window_len = int(round(AMPD_WINDOW_S * TARGET_FS))
+    step = window_len - int(round(AMPD_OVERLAP_S * TARGET_FS))
+    scale_cap = int(round(RESPIRATORY_MAX_SCALE_S * TARGET_FS))
+    differ_peaks = differ_scale = 0
+    for kind_name in ("rip_belt", "thermistor"):
+        raw = breathing_signal(KINDS[kind_name], n_epochs, rng)
+        x = preprocess(raw, target_epochs=n_epochs).samples
+        decimation = ampd_decimation(TARGET_FS, raw.kind.lp_cutoff)
+        for a in ampd_window_starts(x.size, window_len, step):
+            w = x[a:a + window_len]
+            max_scale = min(scale_cap, (w.size - 1) // 2)
+            exact = ampd_scale(w, max_scale)
+            fast = ampd_scale(w, max_scale, decimation)
+            differ_scale += exact != fast
+            differ_peaks += not np.array_equal(ampd_local_maxima(w, exact),
+                                               ampd_local_maxima(w, fast))
+    return [
+        CheckResult("ampd.windows_with_different_peaks", 0.0, float(differ_peaks)),
+        CheckResult("ampd.windows_with_different_scale", None, float(differ_scale)),
+    ]
+
+
 SUITES = {
     "schedule": suite_schedule,
     "single_atom": suite_single_atom,
@@ -353,6 +413,7 @@ SUITES = {
     "factorization": suite_factorization,
     "identities": suite_identities,
     "forward_backward": suite_forward_backward,
+    "ampd": suite_ampd,
 }
 
 

@@ -8,6 +8,10 @@ zero-padding to a common epoch count.  Cardiac and respiratory kinds
 additionally yield an instantaneous rate signal: multi-scale peak
 detection, inter-event intervals by sample-and-hold, removal of
 biologically implausible intervals, and conversion to events/second.
+A kind low-passed to B Hz chooses each AMPD window's scale on every
+D-th sample, D = ⌊128 / 2B⌋, and refines it at the full rate; only
+``rip_belt`` and ``thermistor`` (15 Hz, D = 4) have D > 1.  Peaks are
+always detected at the full rate.  Raw samples must be finite.
 
 Filtering is causal single-pass (the label-alignment consequences of a
 zero-phase variant are a deliberate non-feature here).
@@ -21,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 from scipy import signal as sps
 
-from ._kernels import ampd_gamma, ampd_local_maxima
+from ._kernels import ampd_gamma, ampd_gamma_range, ampd_local_maxima
 
 TARGET_FS = 128.0
 TARGET_EPOCHS = 1792
@@ -95,6 +99,9 @@ class RawSignal:
             raise ValueError("signal must be a nonempty 1-D array")
         if self.fs <= 0:
             raise ValueError("sampling rate must be positive")
+        bad = int(np.count_nonzero(~np.isfinite(s)))
+        if bad:
+            raise ValueError(f"signal holds {bad} non-finite samples")
         object.__setattr__(self, "samples", s)
 
 
@@ -197,55 +204,92 @@ def zero_pad(s: np.ndarray, target_epochs: int = TARGET_EPOCHS) -> tuple[np.ndar
 
 
 def _map_missing_indices(missing: np.ndarray, fs_from: float, n_out: int) -> np.ndarray:
-    """Map missing-sample runs proportionally onto the TARGET_FS grid."""
+    """Map missing-sample runs proportionally onto the TARGET_FS grid.
+
+    A run of consecutive indices [i, j] maps to [round(i·r), round((j+1)·r))
+    with r = TARGET_FS/fs_from, rounding half to even, clipped to n_out.
+    """
     if missing.size == 0:
         return missing
     ratio = TARGET_FS / fs_from
-    mapped: list[np.ndarray] = []
-    run_start = missing[0]
-    prev = missing[0]
-    for idx in list(missing[1:]) + [None]:
-        if idx is not None and idx == prev + 1:
-            prev = idx
-            continue
-        a = int(round(run_start * ratio))
-        b = int(round((prev + 1) * ratio))
-        mapped.append(np.arange(max(a, 0), min(b, n_out)))
-        if idx is not None:
-            run_start = prev = idx
-    return np.concatenate(mapped) if mapped else np.array([], dtype=np.int64)
+    breaks = np.flatnonzero(np.diff(missing) != 1)
+    first = missing[np.concatenate(([0], breaks + 1))]
+    last = missing[np.concatenate((breaks, [missing.size - 1]))]
+    lo = np.maximum(np.rint(first * ratio).astype(np.int64), 0)
+    hi = np.minimum(np.rint((last + 1) * ratio).astype(np.int64), n_out)
+    lengths = np.maximum(hi - lo, 0)
+    # Each output index is its run's start plus its offset within the run.
+    offsets = np.cumsum(lengths) - lengths
+    return np.arange(int(lengths.sum()), dtype=np.int64) + np.repeat(lo - offsets, lengths)
+
+
+def ampd_decimation(fs: float, bandwidth_hz: float | None) -> int:
+    """The AMPD scale search's decimation factor, max(1, ⌊fs / (2·bandwidth)⌋).
+
+    Every D-th sample keeps the Nyquist rate of a signal band-limited to
+    bandwidth_hz, so the decimated view needs no anti-alias filter.  No
+    bandwidth (None) means D = 1.
+    """
+    if bandwidth_hz is None:
+        return 1
+    return max(1, int(fs // (2.0 * bandwidth_hz)))
+
+
+def ampd_scale(x: np.ndarray, max_scale: int, decimation: int = 1) -> int:
+    """The AMPD scale λ of one window: the first argmin of its scalogram
+    over scales 1..max_scale.
+
+    With decimation D > 1 the scalogram of x[::D] over scales
+    1..max_scale // D gives λ0 = D·(argmin + 1), and the full-rate
+    scalogram over the scales within D − 1 of λ0 gives λ.  D = 1 is the
+    exact search.
+    """
+    if decimation == 1 or max_scale < decimation:
+        return int(np.argmin(ampd_gamma(x, max_scale))) + 1
+    coarse = ampd_gamma(x[::decimation], max_scale // decimation)
+    lam0 = decimation * (int(np.argmin(coarse)) + 1)
+    lo = max(1, lam0 - decimation + 1)
+    hi = min(max_scale, lam0 + decimation - 1)
+    return lo + int(np.argmin(ampd_gamma_range(x, lo, hi)))
+
+
+def ampd_window_starts(n: int, window_len: int, step: int) -> list[int]:
+    """Starts of the AMPD windows over n samples; the last ends at n."""
+    if step <= 0:
+        raise ValueError("window overlap must be smaller than the window")
+    starts = [0] if window_len >= n else list(range(0, n - window_len + 1, step))
+    if window_len < n and starts[-1] + window_len < n:
+        starts.append(n - window_len)
+    return starts
 
 
 def ampd_peaks(s: np.ndarray, fs: float, window_s: float = AMPD_WINDOW_S,
                overlap_s: float = AMPD_OVERLAP_S,
-               max_scale_s: float = CARDIAC_MAX_SCALE_S) -> np.ndarray:
+               max_scale_s: float = CARDIAC_MAX_SCALE_S,
+               bandwidth_hz: float | None = None) -> np.ndarray:
     """Automatic multi-scale peak detection over overlapping windows.
 
     Within each window the scale with the most local maxima is selected
     from the local-maxima scalogram (scales capped at max_scale_s·fs) and
     samples that are maxima at every scale up to it become peaks.  Peaks
     found by more than one window are kept once (earliest detection).
+    A signal band-limited to bandwidth_hz chooses its scale on a
+    decimated view (see ampd_scale and ampd_decimation); the peaks are
+    always detected at the full rate.
     """
     s = np.asarray(s, dtype=np.float64)
-    n = s.size
     window_len = int(round(window_s * fs))
     step = window_len - int(round(overlap_s * fs))
-    if step <= 0:
-        raise ValueError("window overlap must be smaller than the window")
-    starts = [0] if window_len >= n else list(range(0, n - window_len + 1, step))
-    if window_len < n and starts[-1] + window_len < n:
-        starts.append(n - window_len)
+    decimation = ampd_decimation(fs, bandwidth_hz)
     peaks: set[int] = set()
-    for a in starts:
+    for a in ampd_window_starts(s.size, window_len, step):
         x = s[a:a + window_len]
         if x.size < 4 or np.all(x == x[0]):
             continue
         max_scale = min(int(round(max_scale_s * fs)), (x.size - 1) // 2)
         if max_scale < 1:
             continue
-        gamma = ampd_gamma(x, max_scale)
-        lam = int(np.argmin(gamma)) + 1
-        mask = ampd_local_maxima(x, lam)
+        mask = ampd_local_maxima(x, ampd_scale(x, max_scale, decimation))
         peaks.update((a + np.flatnonzero(mask)).tolist())
     return np.array(sorted(peaks), dtype=np.int64)
 
@@ -292,7 +336,8 @@ def peaks_to_rate(peaks: np.ndarray, fs: float, category: str, n_out: int) -> np
 
 
 def _rate(s: np.ndarray, fs: float, category: str, n_out: int,
-          window_s: float, overlap_s: float) -> np.ndarray | None:
+          window_s: float, overlap_s: float,
+          bandwidth_hz: float | None = None) -> np.ndarray | None:
     """AMPD peaks → n_out-sample rate at 128 Hz; None when extraction fails.
 
     An unknown category is an error, not a failed extraction.
@@ -302,7 +347,7 @@ def _rate(s: np.ndarray, fs: float, category: str, n_out: int,
     max_scale, _ = _rate_category(category)
     try:
         peaks = ampd_peaks(s, fs, window_s=window_s, overlap_s=overlap_s,
-                           max_scale_s=max_scale)
+                           max_scale_s=max_scale, bandwidth_hz=bandwidth_hz)
         return peaks_to_rate(peaks, fs, category, n_out=n_out)
     except ValueError:
         return None
@@ -362,7 +407,8 @@ def preprocess(raw: RawSignal, target_epochs: int = TARGET_EPOCHS) -> ProcessedS
     s = clip(s)
     rate = None
     if kind.category in RATE_CATEGORIES:
-        rate = _rate(s, TARGET_FS, kind.category, s.size, AMPD_WINDOW_S, AMPD_OVERLAP_S)
+        rate = _rate(s, TARGET_FS, kind.category, s.size, AMPD_WINDOW_S, AMPD_OVERLAP_S,
+                     bandwidth_hz=kind.lp_cutoff)
         rate, _ = zero_pad(np.zeros(s.size) if rate is None else rate, target_epochs)
     s, valid = zero_pad(s, target_epochs)
     return ProcessedSignal(samples=s, valid_epochs=valid, rate=rate, missing_indices=mapped)

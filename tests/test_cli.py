@@ -278,6 +278,10 @@ def test_oracle_check_all_suites_pass(config_path, tmp_path, capsys):
     assert any(n.startswith("factorization") for n in names)
     assert any(n.startswith("forward_backward") for n in names)
     assert any(n.startswith("identities") for n in names)
+    rows = {entry["check"]: entry for entry in report}
+    assert rows["ampd.windows_with_different_peaks"]["tolerance"] == 0.0
+    assert rows["ampd.windows_with_different_peaks"]["measured"] == 0.0
+    assert rows["ampd.windows_with_different_scale"]["tolerance"] is None
     assert all(entry["passed"] for entry in report)
     # measured-only rows (large-sigma factorization) carry a null tolerance
     assert any(entry["tolerance"] is None for entry in report)
@@ -607,6 +611,21 @@ def test_bundle_rejects_csv_signal_payload(tmp_path, capsys):
     path.write_text(json.dumps({"paths": {"bundle": str(root)}}), encoding="utf-8")
     assert main(["preprocess", "--config", str(path), "--out", str(tmp_path / "proc")]) == 1
     assert capsys.readouterr().err == "error: signal raw has unsupported encoding 'csv'\n"
+
+
+def test_preprocess_rejects_non_finite_signal_samples(tmp_path, capsys):
+    samples = np.sin(np.arange(2 * 30 * 64) / 10.0) * 100.0
+    samples[500] = np.nan
+    write_bundle(tmp_path / "b", Bundle(
+        recording_id="rec_nan", n_epochs=2, valid_epochs=2,
+        hypnogram=Hypnogram.from_labels(["W", "N1"]),
+        signals={"ppg": (samples, SignalEntry(name="ppg", kind="finger_ppg", fs=64.0,
+                                              file="signals/ppg.f32"))},
+    ))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"paths": {"bundle": str(tmp_path / "b")}}), encoding="utf-8")
+    assert main(["preprocess", "--config", str(path), "--out", str(tmp_path / "proc")]) == 1
+    assert capsys.readouterr().err == "error: signal holds 1 non-finite samples\n"
 
 
 def test_bundle_missing_reference_rejected(tmp_path):

@@ -1,13 +1,23 @@
 import numpy as np
 import pytest
 
+import fsdm.dsp
+from fsdm.checks import breathing_signal
 from fsdm.dsp import (
+    AMPD_OVERLAP_S,
+    AMPD_WINDOW_S,
     KINDS,
+    RATE_CATEGORIES,
+    TARGET_FS,
     Awgn,
     RawSignal,
     SignalKind,
     ZeroSpan,
+    _map_missing_indices,
+    ampd_decimation,
     ampd_peaks,
+    ampd_scale,
+    ampd_window_starts,
     apply_filter,
     clip,
     degrade,
@@ -187,6 +197,104 @@ def test_ampd_window_longer_than_signal_is_single_window():
     a = ampd_peaks(x, fs, window_s=600.0, overlap_s=120.0, max_scale_s=5.0)
     b = ampd_peaks(x, fs, window_s=10.0, overlap_s=0.0, max_scale_s=5.0)
     np.testing.assert_array_equal(a, b)
+
+
+def test_ampd_decimation_keeps_the_nyquist_rate_of_the_low_pass_band():
+    assert ampd_decimation(128.0, None) == 1
+    assert {name: ampd_decimation(128.0, k.lp_cutoff) for name, k in KINDS.items()
+            if ampd_decimation(128.0, k.lp_cutoff) > 1} == {"rip_belt": 4, "thermistor": 4}
+    assert ampd_decimation(128.0, 100.0) == 1
+
+
+def test_ampd_windows_with_fewer_scales_than_the_decimation_search_all_scales():
+    x = np.array([0.0, 3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0])
+    for n in range(4, x.size + 1):
+        # max_scale = (n - 1) // 2 is below D = 4: no decimated search.
+        np.testing.assert_array_equal(
+            ampd_peaks(x[:n], TARGET_FS, max_scale_s=60.0, bandwidth_hz=15.0),
+            ampd_peaks(x[:n], TARGET_FS, max_scale_s=60.0))
+
+
+@pytest.mark.parametrize("kind_name", ["rip_belt", "thermistor"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_preprocess_peaks_and_rate_equal_the_full_scalogram(kind_name, seed):
+    # 20 minutes: three 600 s windows, the last overlapping the second.
+    raw = breathing_signal(KINDS[kind_name], 40, np.random.default_rng(seed))
+    processed = preprocess(raw, target_epochs=40)
+    s = processed.samples
+    full = ampd_peaks(s, TARGET_FS, max_scale_s=60.0)
+    fast = ampd_peaks(s, TARGET_FS, max_scale_s=60.0, bandwidth_hz=raw.kind.lp_cutoff)
+    np.testing.assert_array_equal(fast, full)
+    np.testing.assert_array_equal(processed.rate,
+                                  peaks_to_rate(full, TARGET_FS, "respiratory", s.size))
+    # The refinement also recovers the exact scale of the first window,
+    # which the coarse search alone misses on these recordings.
+    window = s[:int(AMPD_WINDOW_S * TARGET_FS)]
+    assert ampd_scale(window, 7680, 4) == ampd_scale(window, 7680)
+
+
+@pytest.mark.parametrize("kind_name", [k.name for k in KINDS.values()
+                                       if k.category in RATE_CATEGORIES])
+def test_preprocess_makes_one_scalogram_call_per_window(kind_name, monkeypatch):
+    # Kinds low-passed at 49 Hz (D = 1) search every scale of the
+    # full-rate window; the two 15 Hz kinds (D = 4) search a quarter of
+    # them on every 4th sample.  The stub's flat scalogram keeps the run
+    # cheap.
+    calls = []
+
+    def gamma(x, max_scale):
+        calls.append((x.size, max_scale))
+        return np.zeros(max_scale, dtype=np.int64)
+
+    monkeypatch.setattr(fsdm.dsp, "ampd_gamma", gamma)
+    kind = KINDS[kind_name]
+    x = np.random.default_rng(2).standard_normal(int(12 * 60 * TARGET_FS)) / kind.scale
+    preprocess(RawSignal(x, TARGET_FS, kind), target_epochs=24)
+    window = int(AMPD_WINDOW_S * TARGET_FS)
+    windows = len(ampd_window_starts(x.size, window, window - int(AMPD_OVERLAP_S * TARGET_FS)))
+    cap, _ = RATE_CATEGORIES[kind.category]
+    d = ampd_decimation(TARGET_FS, kind.lp_cutoff)
+    assert windows == 2
+    assert calls == [(-(-window // d), int(cap * TARGET_FS) // d)] * windows
+
+
+def _loop_map_missing(missing, fs_from, n_out):
+    """Run-by-run reference for the missing-index mapping."""
+    ratio = TARGET_FS / fs_from
+    mapped, runs = [], []
+    for i in missing.tolist():
+        if runs and i == runs[-1][1] + 1:
+            runs[-1][1] = i
+        else:
+            runs.append([i, i])
+    for first, last in runs:
+        a = int(round(first * ratio))
+        b = int(round((last + 1) * ratio))
+        mapped.extend(range(max(a, 0), min(b, n_out)))
+    return np.array(mapped, dtype=np.int64)
+
+
+@pytest.mark.parametrize("missing", [
+    [], [0], [7], [19], [0, 1, 2], [3, 4, 6, 7, 9], [0, 2, 3, 4, 10, 18, 19],
+    list(range(20)), [1, 3, 5, 7, 9, 11],
+])
+@pytest.mark.parametrize("fs_from", [50.0, 64.0, 128.0, 200.0, 256.0, 512.0])
+def test_map_missing_indices_equals_run_loop(missing, fs_from):
+    missing = np.array(missing, dtype=np.int64)
+    n_out = int(round(20 * TARGET_FS / fs_from))
+    for n in (n_out, n_out - 3, 0):
+        got = _map_missing_indices(missing, fs_from, n)
+        want = _loop_map_missing(missing, fs_from, n)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_raw_signal_rejects_non_finite_samples(bad):
+    x = np.ones(100)
+    x[[3, 50]] = bad
+    with pytest.raises(ValueError, match="2 non-finite samples"):
+        RawSignal(x, 128.0, KINDS["finger_ppg"])
 
 
 def test_peaks_to_rate_uniform_cardiac():

@@ -1,13 +1,15 @@
 """Exact-denoiser kernels (enumeration and forward-backward) and the AMPD
-kernels.  The AMPD kernels are checked against a per-sample loop."""
+kernels.  The AMPD kernels are checked against a per-sample loop, and the
+scale-range scalogram against slices of the full one."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fsdm._kernels import (
     ampd_gamma,
+    ampd_gamma_range,
     ampd_local_maxima,
     markov_marginals,
     mixture_marginals,
@@ -212,6 +214,19 @@ def test_ampd_kernels_agree():
         want = _loop_peaks(x, lam)
         assert want.any()
         np.testing.assert_array_equal(ampd_local_maxima(x, lam), want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=st.lists(st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0, 2.0, np.nan]) | st.floats(-5, 5),
+                  min_size=1, max_size=80),
+       lo=st.integers(1, 8), width=st.integers(-1, 50))
+@example(x=[0.0, 0.0, 1.0, 0.0, 0.0, np.nan, 1.0], lo=2, width=3)
+def test_ampd_gamma_range_equals_slice_of_full_scalogram(x, lo, width):
+    # Ties and NaN come from the sampled values; lo + width reaches past
+    # (n - 1) // 2, where no sample is interior; width -1 is empty.
+    x = np.array(x)
+    hi = lo + width
+    np.testing.assert_array_equal(ampd_gamma_range(x, lo, hi), ampd_gamma(x, hi)[lo - 1:])
 
 
 def test_ampd_boundaries_never_peaks():
