@@ -125,7 +125,6 @@ def _sampler_config(cfg: dict, args) -> SamplerConfig:
         n_samples=_flag_or(args.n_samples, section, "n_samples"),
         lam=_flag_or(args.lambda_, section, "lambda"),
         base_seed=_flag_or(args.seed, section, "base_seed"),
-        record_trajectory=section.get("record_trajectory"),
     )
     if settings.get("lam") == "auto":  # SamplerConfig's own 1/N weighting
         del settings["lam"]
@@ -253,15 +252,15 @@ def cmd_sample(args) -> int:
     bundle = read_bundle(Path(cfg["paths"]["bundle"]))
     bank, obs = _bank_and_obs(cfg, args, bundle)
     sampler_cfg = _sampler_config(cfg, args)
-    # The trajectories CSV prints only each step's m, σ and states, so the
-    # sampler runs without the information-gain sums nothing here writes.
+    # The config key asks for trajectories.csv: each step's m, σ and states.
+    record = cfg.get("sampler", {}).get("record_trajectory", False)
     steps: list = []
 
     def keep_states(m, sigma, y, pairs):
         steps.append((m, sigma, y.copy()))
 
-    result = infer(bank, obs, replace(sampler_cfg, record_trajectory=False), bundle.n_epochs,
-                   observer=keep_states if sampler_cfg.record_trajectory else None,
+    result = infer(bank, obs, sampler_cfg, bundle.n_epochs,
+                   observer=keep_states if record else None,
                    valid_epochs=bundle.valid_epochs)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -272,7 +271,7 @@ def cmd_sample(args) -> int:
         for e, label in enumerate(argmax_stages(y).to_labels())
     ))
     dump_json(out / "stats.json", {k: v for k, v in sorted(result.stats.items())})
-    if sampler_cfg.record_trajectory:
+    if record:
         # Rows per sample, then step, then epoch.
         write_csv(out / "trajectories.csv",
                   ["sample_index", "step", "sigma", "epoch_index", *_STAGE_COLUMNS], (
@@ -385,6 +384,7 @@ def cmd_preprocess(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
+    load_config(args.config)  # the suites take no settings, but the file must be valid
     names = list(checks.SUITES) if args.suite in (None, "all") else [args.suite]
     results = checks.run_suites(names)
     out = Path(args.out)

@@ -45,6 +45,8 @@ MISSING_FRAC = 0.5
 
 # Kaiser beta 7.0 puts the resampler's stopband past 70 dB.
 _KAISER_BETA = 7.0
+# Order of every high- and low-pass Butterworth filter.
+FILTER_ORDER = 5
 
 
 @dataclass(frozen=True)
@@ -135,14 +137,13 @@ def interpolate_missing(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return out, missing
 
 
-def design_butterworth(order: int = 5, mode: str = "lowpass",
-                       cutoff_hz: float = 49.0, fs: float = TARGET_FS) -> np.ndarray:
-    """Second-order-section Butterworth filter; −3 dB at the cutoff."""
+def design_butterworth(mode: str = "lowpass", cutoff_hz: float = 49.0) -> np.ndarray:
+    """Second-order-section Butterworth filter at TARGET_FS; −3 dB at the cutoff."""
     if mode not in ("lowpass", "highpass"):
         raise ValueError("mode must be 'lowpass' or 'highpass'")
-    if not 0 < cutoff_hz < fs / 2:
+    if not 0 < cutoff_hz < TARGET_FS / 2:
         raise ValueError("cutoff must lie in (0, fs/2)")
-    return sps.butter(order, cutoff_hz, btype=mode, fs=fs, output="sos")
+    return sps.butter(FILTER_ORDER, cutoff_hz, btype=mode, fs=TARGET_FS, output="sos")
 
 
 def apply_filter(sos: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -150,20 +151,17 @@ def apply_filter(sos: np.ndarray, s: np.ndarray) -> np.ndarray:
     return sps.sosfilt(sos, np.asarray(s, dtype=np.float64))
 
 
-def _rational_ratio(fs_from: float, fs_to: float) -> tuple[int, int]:
-    frac = Fraction(fs_to / fs_from).limit_denominator(10_000)
-    if abs(float(frac) - fs_to / fs_from) > 1e-9:
-        raise ValueError(f"rate ratio {fs_from} -> {fs_to} is not usably rational")
-    return frac.numerator, frac.denominator
-
-
-def resample(s: np.ndarray, fs_from: float, fs_to: float = TARGET_FS) -> np.ndarray:
-    """Polyphase windowed-sinc resampling (Kaiser window)."""
+def resample(s: np.ndarray, fs_from: float) -> np.ndarray:
+    """Polyphase windowed-sinc resampling to TARGET_FS (Kaiser window)."""
     s = np.asarray(s, dtype=np.float64)
-    if fs_from == fs_to:
+    if fs_from == TARGET_FS:
         return s.copy()
-    up, down = _rational_ratio(fs_from, fs_to)
-    return sps.resample_poly(s, up, down, window=("kaiser", _KAISER_BETA))
+    ratio = TARGET_FS / fs_from
+    frac = Fraction(ratio).limit_denominator(10_000)
+    if abs(float(frac) - ratio) > 1e-9:
+        raise ValueError(f"rate ratio {fs_from} -> {TARGET_FS} is not usably rational")
+    return sps.resample_poly(s, frac.numerator, frac.denominator,
+                             window=("kaiser", _KAISER_BETA))
 
 
 def sample_hold_upsample(s: np.ndarray, fs_from: float) -> np.ndarray:
@@ -397,11 +395,11 @@ def preprocess(raw: RawSignal, target_epochs: int = TARGET_EPOCHS) -> ProcessedS
         if kind.sample_hold:
             s = sample_hold_upsample(s, raw.fs)
         else:
-            s = resample(s, raw.fs, TARGET_FS)
+            s = resample(s, raw.fs)
     if kind.hp_cutoff is not None:
-        s = apply_filter(design_butterworth(5, "highpass", kind.hp_cutoff, TARGET_FS), s)
+        s = apply_filter(design_butterworth("highpass", kind.hp_cutoff), s)
     if kind.lp_cutoff is not None:
-        s = apply_filter(design_butterworth(5, "lowpass", kind.lp_cutoff, TARGET_FS), s)
+        s = apply_filter(design_butterworth("lowpass", kind.lp_cutoff), s)
     mapped = _map_missing_indices(missing, raw.fs, s.size)
     s = restore_zeros(s, mapped)
     s = clip(s)

@@ -6,8 +6,12 @@ features, two residual blocks with an additive noise-level embedding
 and a √0.5 skip scale, and an affine head with a per-epoch softmax.
 It honors the same evaluation contract as any other denoiser (scaled
 input, σ embedding, simplex output), which is all the combination rule
-exercises.  Gradients are hand-derived and checked against central
-finite differences.
+exercises.  Training and inference run one network routine, which
+keeps its intermediates only for training's hand-derived gradients
+(checked against central finite differences).  Inference has one loop
+for ``forward``, ``evaluate_batch`` and ``evaluate_pair``: the σ
+embedding and each conditioning's encoding are computed once per batch,
+and each state's encoding once per sample.
 
 Training follows one fixed denoising recipe: draw a recording, draw a
 noise level from ln σ ~ N(0.2, 1.4²), corrupt the one-hot target,
@@ -32,6 +36,8 @@ from .scorekit import ABSENT, Conditioning, Features
 PRIOR = "PRIOR"
 MODEL_FORMAT = "fsdm-model-v1"
 _SKIP_SCALE = math.sqrt(0.5)
+# Tags of the residual blocks, in forward order, as in the weight names.
+_BLOCKS = ("0", "1")
 # Architecture of a new network: epochs on each side of the encoder
 # window, hidden width, and the σ_data of the input scaling.
 WINDOW_RADIUS = 2
@@ -79,10 +85,14 @@ def input_scale(y: np.ndarray, sigma: float, sigma_data: float) -> np.ndarray:
 
 
 def _silu(x: np.ndarray) -> np.ndarray:
+    """x / (1 + exp(−x)), computed in one temporary that it returns."""
+    t = np.negative(x)
     # exp(−x) overflows to inf below x ≈ −709, where x / inf = −0.0 and
     # 1 / inf = 0.0 are the exact limits, so the overflow is not reported.
     with np.errstate(over="ignore"):
-        return x / (1.0 + np.exp(-x))
+        np.exp(t, out=t)
+    t += 1.0
+    return np.divide(x, t, out=t)
 
 
 def _silu_grad(x: np.ndarray) -> np.ndarray:
@@ -144,7 +154,12 @@ class ReferenceDenoiser:
         }
         return cls(WINDOW_RADIUS, CHANNELS, n_features, SIGMA_DATA, weights)
 
-    # -- forward ---------------------------------------------------------
+    # -- network -----------------------------------------------------------
+    #
+    # The encoder input splits into the state's share y_win @ w_y.T and the
+    # conditioning's share x_win @ w_x.T, so inference encodes each once and
+    # reuses it.  Training and inference run the same ``_network``; only
+    # training passes a cache for the intermediates its gradients read.
 
     def _cond_matrix(self, cond: Conditioning, n_epochs: int) -> np.ndarray:
         if cond is ABSENT:
@@ -160,111 +175,84 @@ class ReferenceDenoiser:
         # NaN marks a missing epoch; training writes 0.0 into blanked spans.
         return np.where(np.isnan(v), 0.0, v)
 
-    def _forward(self, y: np.ndarray, x: np.ndarray, sigma: float) -> dict:
+    def _y_windows(self, y: np.ndarray, sigma: float) -> np.ndarray:
+        return _window_stack(input_scale(y, sigma, self.sigma_data), self.window_radius)
+
+    def _x_windows(self, cond: Conditioning, n_epochs: int) -> np.ndarray:
+        return _window_stack(self._cond_matrix(cond, n_epochs), self.window_radius)
+
+    def _network(self, y_enc: np.ndarray, x_enc: np.ndarray, z: np.ndarray,
+                 cache: dict | None = None) -> np.ndarray:
+        """(E, 5) log-probabilities from the two encoder shares and the σ
+        embedding.  A cache receives each block's input u, pre-activation a
+        and activation h (keys ``u0``, ``a0``, ``h0``, ``u1``, ...), the
+        head's input ``u2`` and ``log_probs``."""
         w = self.weights
-        y_scaled = input_scale(y, sigma, self.sigma_data)
-        y_win = _window_stack(y_scaled, self.window_radius)
-        x_win = _window_stack(x, self.window_radius)
-        z = timestep_embedding(sigma, self.channels)
-        u0 = y_win @ w["w_y"].T + x_win @ w["w_x"].T + w["b_enc"]
-        a0 = u0 @ w["w1_0"].T + w["b1_0"] + z
-        h0 = _silu(a0)
-        u1 = _SKIP_SCALE * (u0 + h0 @ w["w2_0"].T + w["b2_0"])
-        a1 = u1 @ w["w1_1"].T + w["b1_1"] + z
-        h1 = _silu(a1)
-        u2 = _SKIP_SCALE * (u1 + h1 @ w["w2_1"].T + w["b2_1"])
-        logits = u2 @ w["w_out"].T + w["b_out"]
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        log_z = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-        log_probs = shifted - log_z
-        return {
-            "y_win": y_win, "x_win": x_win,
-            "u0": u0, "a0": a0, "h0": h0,
-            "u1": u1, "a1": a1, "h1": h1, "u2": u2,
-            "log_probs": log_probs, "probs": np.exp(log_probs),
-        }
+        u = y_enc + x_enc
+        u += w["b_enc"]
+        for tag in _BLOCKS:
+            a = u @ w[f"w1_{tag}"].T
+            a += w[f"b1_{tag}"]
+            a += z
+            h = _silu(a)
+            out = h @ w[f"w2_{tag}"].T
+            out += u
+            out += w[f"b2_{tag}"]
+            out *= _SKIP_SCALE
+            if cache is not None:
+                cache.update({f"u{tag}": u, f"a{tag}": a, f"h{tag}": h})
+            u = out
+        log_probs = u @ w["w_out"].T
+        log_probs += w["b_out"]
+        log_probs -= log_probs.max(axis=1, keepdims=True)
+        log_probs -= np.log(np.exp(log_probs).sum(axis=1, keepdims=True))
+        if cache is not None:
+            cache.update(u2=u, log_probs=log_probs)
+        return log_probs
+
+    def _forward(self, y: np.ndarray, cond: Conditioning, sigma: float) -> dict:
+        """Training's pass over one state: the network with its cache."""
+        w = self.weights
+        cache = {"y_win": self._y_windows(y, sigma), "x_win": self._x_windows(cond, y.shape[1])}
+        log_probs = self._network(cache["y_win"] @ w["w_y"].T, cache["x_win"] @ w["w_x"].T,
+                                  timestep_embedding(sigma, self.channels), cache)
+        cache["probs"] = np.exp(log_probs)
+        return cache
 
     # -- inference ---------------------------------------------------------
-    #
-    # The encoder input splits into the state's share y_win @ w_y.T and the
-    # conditioning's share x_win @ w_x.T.  Inference computes each share
-    # once where it can and runs the rest of the network without keeping
-    # the training caches; it is bitwise equal to ``_forward``.
 
-    def _encode_y(self, y: np.ndarray, sigma: float) -> np.ndarray:
-        y_win = _window_stack(input_scale(y, sigma, self.sigma_data), self.window_radius)
-        return y_win @ self.weights["w_y"].T
-
-    def _encode_x(self, cond: Conditioning, n_epochs: int) -> np.ndarray:
-        x_win = _window_stack(self._cond_matrix(cond, n_epochs), self.window_radius)
-        return x_win @ self.weights["w_x"].T
-
-    def _infer(self, y_enc: np.ndarray, x_enc: np.ndarray, z: np.ndarray) -> np.ndarray:
-        """(5, E) estimate from the two encoder shares and the σ embedding."""
-        w = self.weights
-        u0 = y_enc + x_enc
-        u0 += w["b_enc"]
-        u1 = self._infer_block(u0, z, "0")
-        u2 = self._infer_block(u1, z, "1")
-        logits = u2 @ w["w_out"].T
-        logits += w["b_out"]
-        logits -= logits.max(axis=1, keepdims=True)
-        log_z = np.log(np.exp(logits).sum(axis=1, keepdims=True))
-        logits -= log_z
-        return np.exp(logits, out=logits).T
-
-    def _infer_block(self, u: np.ndarray, z: np.ndarray, tag: str) -> np.ndarray:
-        w = self.weights
-        a = u @ w[f"w1_{tag}"].T
-        a += w[f"b1_{tag}"]
-        a += z
-        # SiLU in place: a / (1 + exp(−a)), as in _silu.
-        t = np.negative(a)
-        with np.errstate(over="ignore"):
-            np.exp(t, out=t)
-        t += 1.0
-        a /= t
-        out = a @ w[f"w2_{tag}"].T
-        np.add(u, out, out=out)
-        out += w[f"b2_{tag}"]
-        out *= _SKIP_SCALE
-        return out
-
-    def forward(self, y_noisy: np.ndarray, cond: Conditioning, sigma: float) -> np.ndarray:
-        """Denoised estimate as a raw (5, E) array with simplex columns."""
-        if sigma <= 0:
-            raise ValueError("sigma must be positive")
-        y = np.asarray(y_noisy)
-        if y.ndim != 2 or y.shape[0] != 5:
-            raise ValueError("state must be a 5×E matrix")
-        z = timestep_embedding(sigma, self.channels)
-        return self._infer(self._encode_y(y, sigma), self._encode_x(cond, y.shape[1]), z)
-
-    def evaluate_batch(self, ys: np.ndarray, cond: Conditioning,
-                       sigma: float) -> np.ndarray:
-        out = np.empty_like(ys, dtype=np.float64)
-        for b in range(ys.shape[0]):
-            out[b] = self.forward(ys[b], cond, sigma)
-        return out
-
-    def evaluate_pair(self, ys: np.ndarray, cond: Conditioning,
-                      sigma: float) -> tuple[np.ndarray, np.ndarray]:
-        """The conditioned and ABSENT estimates of a (B, 5, E) batch, each
-        sample's state scaled, windowed and encoded once for both; bitwise
-        equal to ``evaluate_batch`` with ``cond`` and with ABSENT."""
+    def _evaluate(self, ys: np.ndarray, conds: Sequence[Conditioning],
+                  sigma: float) -> list[np.ndarray]:
+        """One (B, 5, E) estimate per conditioning.  The σ embedding and
+        each conditioning's encoding are computed once per batch, each
+        state's encoding once per sample, and no training cache is kept."""
         ys = np.asarray(ys)
         if ys.ndim != 3 or ys.shape[1] != 5:
             raise ValueError("states must be a B×5×E batch")
-        n_epochs = ys.shape[-1]
+        w = self.weights
         z = timestep_embedding(sigma, self.channels)
-        x_lik = self._encode_x(cond, n_epochs)
-        x_pri = self._encode_x(ABSENT, n_epochs)
-        lik = np.empty_like(ys, dtype=np.float64)
-        pri = np.empty_like(lik)
-        for b in range(ys.shape[0]):
-            y_enc = self._encode_y(ys[b], sigma)
-            lik[b] = self._infer(y_enc, x_lik, z)
-            pri[b] = self._infer(y_enc, x_pri, z)
+        x_encs = [self._x_windows(cond, ys.shape[2]) @ w["w_x"].T for cond in conds]
+        outs = [np.empty(ys.shape) for _ in conds]
+        for b, y in enumerate(ys):
+            y_enc = self._y_windows(y, sigma) @ w["w_y"].T
+            for out, x_enc in zip(outs, x_encs):
+                log_probs = self._network(y_enc, x_enc, z)
+                out[b] = np.exp(log_probs, out=log_probs).T
+        return outs
+
+    def forward(self, y_noisy: np.ndarray, cond: Conditioning, sigma: float) -> np.ndarray:
+        """Denoised estimate of one 5×E state, with simplex columns."""
+        return self._evaluate(np.asarray(y_noisy)[None], [cond], sigma)[0][0]
+
+    def evaluate_batch(self, ys: np.ndarray, cond: Conditioning,
+                       sigma: float) -> np.ndarray:
+        return self._evaluate(ys, [cond], sigma)[0]
+
+    def evaluate_pair(self, ys: np.ndarray, cond: Conditioning,
+                      sigma: float) -> tuple[np.ndarray, np.ndarray]:
+        """The conditioned and ABSENT estimates of a (B, 5, E) batch from one
+        encoding of each state; bitwise equal to two ``evaluate_batch`` calls."""
+        lik, pri = self._evaluate(ys, [cond, ABSENT], sigma)
         return lik, pri
 
     # -- loss and gradients -----------------------------------------------
@@ -274,8 +262,7 @@ class ReferenceDenoiser:
         """Per-epoch mean cross entropy and its gradient in every weight."""
         w = self.weights
         n_epochs = y_noisy.shape[1]
-        x = self._cond_matrix(cond, n_epochs)
-        cache = self._forward(y_noisy, x, sigma)
+        cache = self._forward(y_noisy, cond, sigma)
         t = np.asarray(target, dtype=np.float64).T  # (E, 5)
         loss = float(-(t * cache["log_probs"]).sum() / n_epochs)
 
@@ -283,31 +270,29 @@ class ReferenceDenoiser:
         grads: dict[str, np.ndarray] = {}
         grads["w_out"] = d_logits.T @ cache["u2"]
         grads["b_out"] = d_logits.sum(axis=0)
-        d_u2 = d_logits @ w["w_out"]
+        d_u = d_logits @ w["w_out"]
+        for tag in reversed(_BLOCKS):
+            d_u = self._block_backward(d_u, cache, tag, grads)
 
-        d_u1, g = self._block_backward(d_u2, cache["u1"], cache["a1"], cache["h1"], "1")
-        grads.update(g)
-        d_u0, g = self._block_backward(d_u1, cache["u0"], cache["a0"], cache["h0"], "0")
-        grads.update(g)
-
-        grads["w_y"] = d_u0.T @ cache["y_win"]
-        grads["w_x"] = d_u0.T @ cache["x_win"]
-        grads["b_enc"] = d_u0.sum(axis=0)
+        grads["w_y"] = d_u.T @ cache["y_win"]
+        grads["w_x"] = d_u.T @ cache["x_win"]
+        grads["b_enc"] = d_u.sum(axis=0)
         return loss, grads
 
-    def _block_backward(self, d_out, u_in, a, h, tag):
+    def _block_backward(self, d_out, cache, tag, grads):
+        """Gradient at the block's input; its weights' gradients go into grads."""
         w = self.weights
+        u_in, a, h = cache[f"u{tag}"], cache[f"a{tag}"], cache[f"h{tag}"]
         d_sum = _SKIP_SCALE * d_out
         d_h = d_sum @ w[f"w2_{tag}"]
         d_a = d_h * _silu_grad(a)
-        grads = {
+        grads.update({
             f"w2_{tag}": d_sum.T @ h,
             f"b2_{tag}": d_sum.sum(axis=0),
             f"w1_{tag}": d_a.T @ u_in,
             f"b1_{tag}": d_a.sum(axis=0),
-        }
-        d_u_in = d_sum + d_a @ w[f"w1_{tag}"]
-        return d_u_in, grads
+        })
+        return d_sum + d_a @ w[f"w1_{tag}"]
 
     def training_loss(self, y_noisy: np.ndarray, cond: Conditioning, sigma: float,
                       target: np.ndarray) -> float:

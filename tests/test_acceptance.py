@@ -7,6 +7,7 @@ verbatim from the criteria, not from calibration.
 
 import filecmp
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import fsdm
 from fsdm import checks, evalkit, experiments, neural
 from fsdm.checks import (
     posterior_marginals,
@@ -206,11 +208,11 @@ def test_a7_dsp():
     for cutoff, mode in cutoffs:
         duration = max(240.0, 120.0 / cutoff)
         gains[f"{mode[:2]}{cutoff:g}"] = steady_gain_db(
-            design_butterworth(5, mode, cutoff, fs), cutoff, duration)
+            design_butterworth(mode, cutoff), cutoff, duration)
     filters_ok = all(-3.2 <= g <= -2.8 for g in gains.values())
 
     t = np.arange(int(8 * 256)) / 256.0
-    resampled = resample(np.sin(2 * np.pi * 10 * t), 256.0, 128.0)
+    resampled = resample(np.sin(2 * np.pi * 10 * t), 256.0)
     t2 = np.arange(resampled.size) / 128.0
     seg = slice(resampled.size // 4, 3 * resampled.size // 4)
     amp = np.hypot(2 * np.mean(resampled[seg] * np.cos(2 * np.pi * 10 * t2[seg])),
@@ -340,11 +342,16 @@ def test_a9_schedule_and_cli_reproducibility(tmp_path):
     config = root / "config.json"
     config.write_text(json.dumps(cfg, indent=2), encoding="utf-8")
 
+    # The children import the same fsdm as this suite, installed or not.
+    src = str(Path(fsdm.__file__).resolve().parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+
     def run(cmd, out, extra=()):
         proc = subprocess.run(
             [sys.executable, "-m", "fsdm.cli", cmd, "--config", str(config),
              "--out", str(out), *extra],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=env,
         )
         assert proc.returncode == 0, f"{cmd} failed: {proc.stderr}"
 

@@ -265,6 +265,17 @@ def test_oracle_check_unknown_suite_fails(config_path, tmp_path, capsys):
     assert rc != 0
 
 
+def test_oracle_check_rejects_missing_or_invalid_config(tmp_path, capsys):
+    invalid = tmp_path / "invalid.json"
+    invalid.write_text('{"unknown": 1}', encoding="utf-8")
+    for path in (tmp_path / "none.json", invalid):
+        assert main(["oracle-check", "--config", str(path), "--suite", "schedule",
+                     "--out", str(tmp_path / "oc")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert not (tmp_path / "oc").exists()
+
+
 def test_oracle_check_all_suites_pass(config_path, tmp_path, capsys):
     out = tmp_path / "oc_all"
     rc = main(["oracle-check", "--config", str(config_path), "--suite", "all",
@@ -288,14 +299,15 @@ def test_oracle_check_all_suites_pass(config_path, tmp_path, capsys):
     assert "PASS" in stdout
 
 
-def test_check_passes_when_measured_is_within_tolerance(tmp_path, capsys, monkeypatch):
+def test_check_passes_when_measured_is_within_tolerance(config_path, tmp_path, capsys,
+                                                        monkeypatch):
     assert not CheckResult("above", 1e-12, 2e-12).passed
     assert CheckResult("exact", 0.0, 0.0).passed
     assert CheckResult("measured_only", None, 1e6).passed
     monkeypatch.setitem(fsdm.checks.SUITES, "schedule", lambda: [
         CheckResult("above", 1e-12, 2e-12), CheckResult("exact", 0.0, 0.0)])
     out = tmp_path / "oc"
-    assert main(["oracle-check", "--config", "unread.json", "--suite", "schedule",
+    assert main(["oracle-check", "--config", str(config_path), "--suite", "schedule",
                  "--out", str(out)]) == 1
     assert [entry["passed"] for entry in json.loads((out / "report.json").read_text())] == [
         False, True]

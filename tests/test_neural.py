@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from fsdm import neural
 from fsdm.hypno import Hypnogram, one_hot
 from fsdm.neural import (
     PRIOR,
@@ -266,9 +267,11 @@ def test_evaluate_pair_equals_two_forward_calls(monkeypatch):
     x = rng.standard_normal((2, 7))
     x[1, 4] = np.nan
     cond = Features(x)
+    batch = net.evaluate_batch(ys, cond, 0.8)
     for b in range(3):
-        # forward runs the inference path; training's cached forward agrees.
-        want = net._forward(ys[b], net._cond_matrix(cond, 7), 0.8)["probs"].T
+        # Inference and training's cached pass run one network.
+        want = net._forward(ys[b], cond, 0.8)["probs"].T
+        assert np.array_equal(batch[b], want)
         assert np.array_equal(net.forward(ys[b], cond, 0.8), want)
     forwards = [(net.forward(y, cond, 0.8), net.forward(y, ABSENT, 0.8)) for y in ys]
     # The pair builds none of the training caches.
@@ -281,6 +284,27 @@ def test_evaluate_pair_equals_two_forward_calls(monkeypatch):
         net.evaluate_pair(ys, cond, 0.0)
     with pytest.raises(ValueError):
         net.evaluate_pair(ys[0], cond, 0.8)
+
+
+def test_evaluate_batch_encodes_sigma_and_conditioning_once(monkeypatch):
+    net = _sample_net(seed=14)
+    calls = {"embedding": 0, "conditioning": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(neural, "timestep_embedding",
+                        counted("embedding", neural.timestep_embedding))
+    monkeypatch.setattr(ReferenceDenoiser, "_cond_matrix",
+                        counted("conditioning", ReferenceDenoiser._cond_matrix))
+    rng = np.random.default_rng(15)
+    out = net.evaluate_batch(rng.standard_normal((4, 5, 6)),
+                             Features(rng.standard_normal((2, 6))), 0.6)
+    assert out.shape == (4, 5, 6)
+    assert calls == {"embedding": 1, "conditioning": 1}
 
 
 def test_model_json_round_trip(tmp_path):
