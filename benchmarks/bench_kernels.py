@@ -1,12 +1,15 @@
 #!/usr/bin/env python3
-"""Time the exact-denoiser kernels and the AMPD kernels.
+"""Time the exact-denoiser kernels, the AMPD kernels and the reference
+denoiser's network.
 
     PYTHONPATH=src python benchmarks/bench_kernels.py
 
 Forward-backward (Markov priors) is timed against enumeration (explicit
 priors) on the same inputs where E ≤ 8, and alone on whole-night
 lengths.  The AMPD scalogram is timed at three window lengths and
-scale ranges.
+scale ranges.  The reference denoiser's ``evaluate_batch`` (one network
+pass per state) and ``evaluate_pair`` (two) are timed on a new network
+at a training length and a whole night.
 """
 
 import time
@@ -14,7 +17,9 @@ import time
 import numpy as np
 
 from fsdm import _kernels
+from fsdm.neural import ReferenceDenoiser
 from fsdm.oracle import ENUMERATION_CAP, hypnogram_table
+from fsdm.scorekit import Features
 
 
 def timeit(fn, *args, repeat=5, warmup=1):
@@ -57,6 +62,20 @@ def bench_ampd():
         print(f"  n={n:6d} scales={max_scale:5d}: {best*1e3:8.2f} ms")
 
 
+def bench_network():
+    print("reference denoiser network (one feature row, sigma = 0.8)")
+    rng = np.random.default_rng(2)
+    net = ReferenceDenoiser.init(1, rng)
+    for n_epochs, batch in ((120, 64), (960, 64)):
+        ys = rng.standard_normal((batch, 5, n_epochs))
+        cond = Features(rng.standard_normal((1, n_epochs)))
+        t_batch = timeit(net.evaluate_batch, ys, cond, 0.8, repeat=3)
+        t_pair = timeit(net.evaluate_pair, ys, cond, 0.8, repeat=3)
+        print(f"  E={n_epochs:3d} B={batch:3d}: evaluate_batch {t_batch*1e3:8.2f} ms"
+              f" | evaluate_pair {t_pair*1e3:8.2f} ms")
+
+
 if __name__ == "__main__":
     bench_mixture()
     bench_ampd()
+    bench_network()

@@ -6,12 +6,33 @@ features, two residual blocks with an additive noise-level embedding
 and a √0.5 skip scale, and an affine head with a per-epoch softmax.
 It honors the same evaluation contract as any other denoiser (scaled
 input, σ embedding, simplex output), which is all the combination rule
-exercises.  Training and inference run one network routine, which
-keeps its intermediates only for training's hand-derived gradients
-(checked against central finite differences).  Inference has one loop
-for ``forward``, ``evaluate_batch`` and ``evaluate_pair``: the σ
-embedding and each conditioning's encoding are computed once per batch,
-and each state's encoding once per sample.
+exercises.  Training and inference run one network routine, on a work
+set: preallocated arrays that every matmul and ufunc writes with
+``out=``.  Training builds a fresh work set per step, with one array
+per intermediate, and keeps it as the cache its hand-derived gradients
+read (checked against central finite differences).  Inference has one
+loop for ``forward``, ``evaluate_batch`` and ``evaluate_pair``; it
+builds one work set per call, whose blocks share arrays, and reuses it
+for every sample and conditioning.  The σ embedding and each
+conditioning's encoding are computed once per batch, and each state's
+encoding once per sample.
+
+The work set makes no new arithmetic, so outputs are bitwise equal to
+allocating one array per operation:
+
+* Inference tiles the bias rows and the σ embedding to (E, ·) once per
+  call; adding a contiguous array is faster than broadcasting a row and
+  gives the same sums.  Training adds the (C,) rows.
+* The softmax runs stage-major on a (5, E) copy of the logits: the max
+  and the sum reduce elementwise down five contiguous rows, the sum in
+  stage order ((((e0 + e1) + e2) + e3) + e4) as numpy's reduction over
+  a 5-wide row adds, and the result is exponentiated straight into the
+  output.
+* Every matmul keeps the operand layouts of ``x @ w.T`` on (E, ·) rows.
+  OpenBLAS rounds differently for other layouts at some epoch counts: a
+  contiguous copy of w.T for E ≤ 37 with the 32×32 blocks and E ≤ 240
+  with the 5×32 head, and channel-major (C, E) arrays for most E ≥ 5.
+  Those layouts would change outputs.
 
 Training follows one fixed denoising recipe: draw a recording, draw a
 noise level from ln σ ~ N(0.2, 1.4²), corrupt the one-hot target,
@@ -38,6 +59,8 @@ MODEL_FORMAT = "fsdm-model-v1"
 _SKIP_SCALE = math.sqrt(0.5)
 # Tags of the residual blocks, in forward order, as in the weight names.
 _BLOCKS = ("0", "1")
+# The bias rows, which the network adds after its affine maps.
+_ROWS = ("b_enc", *(f"b{k}_{tag}" for tag in _BLOCKS for k in "12"), "b_out")
 # Architecture of a new network: epochs on each side of the encoder
 # window, hidden width, and the σ_data of the input scaling.
 WINDOW_RADIUS = 2
@@ -84,9 +107,9 @@ def input_scale(y: np.ndarray, sigma: float, sigma_data: float) -> np.ndarray:
     return np.asarray(y, dtype=np.float64) * factor
 
 
-def _silu(x: np.ndarray) -> np.ndarray:
-    """x / (1 + exp(−x)), computed in one temporary that it returns."""
-    t = np.negative(x)
+def _silu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """x / (1 + exp(−x)), computed in ``out`` (a new array by default)."""
+    t = np.negative(x, out=out)
     # exp(−x) overflows to inf below x ≈ −709, where x / inf = −0.0 and
     # 1 / inf = 0.0 are the exact limits, so the overflow is not reported.
     with np.errstate(over="ignore"):
@@ -127,30 +150,37 @@ class ReferenceDenoiser:
         self.n_features = int(n_features)
         self.sigma_data = float(sigma_data)
         self.weights = {k: np.asarray(v, dtype=np.float64) for k, v in weights.items()}
-        for name in self.PARAM_ORDER:
+        shapes = self._weight_shapes(self.window_radius, self.channels, self.n_features)
+        for name, shape in shapes.items():
             if name not in self.weights:
                 raise ValueError(f"missing weight array {name!r}")
+            if self.weights[name].shape != shape:
+                raise ValueError(
+                    f"weight array {name!r} has shape {self.weights[name].shape}, "
+                    f"expected {shape}"
+                )
             if not np.all(np.isfinite(self.weights[name])):
                 raise ValueError(f"weight array {name!r} has non-finite entries")
 
+    @staticmethod
+    def _weight_shapes(window_radius: int, channels: int,
+                       n_features: int) -> dict[str, tuple[int, ...]]:
+        """Each weight's shape, in PARAM_ORDER; a matrix is (out, in)."""
+        width, c = 2 * window_radius + 1, channels
+        shapes = {"w_y": (c, 5 * width), "w_x": (c, n_features * width), "b_enc": (c,)}
+        for tag in _BLOCKS:
+            shapes.update({f"w1_{tag}": (c, c), f"b1_{tag}": (c,),
+                           f"w2_{tag}": (c, c), f"b2_{tag}": (c,)})
+        shapes.update(w_out=(5, c), b_out=(5,))
+        return shapes
+
     @classmethod
     def init(cls, n_features: int, rng: np.random.Generator) -> "ReferenceDenoiser":
-        width = 2 * WINDOW_RADIUS + 1
-        c = CHANNELS
-
-        def dense(n_out, n_in):
-            scale = 1.0 / math.sqrt(max(n_in, 1))
-            return rng.standard_normal((n_out, n_in)) * scale
-
+        """A new network: matrices drawn N(0, 1/in) in PARAM_ORDER, biases zero."""
         weights = {
-            "w_y": dense(c, 5 * width),
-            "w_x": dense(c, n_features * width),
-            "b_enc": np.zeros(c),
-            "w1_0": dense(c, c), "b1_0": np.zeros(c),
-            "w2_0": dense(c, c), "b2_0": np.zeros(c),
-            "w1_1": dense(c, c), "b1_1": np.zeros(c),
-            "w2_1": dense(c, c), "b2_1": np.zeros(c),
-            "w_out": dense(5, c), "b_out": np.zeros(5),
+            name: (rng.standard_normal(shape) * (1.0 / math.sqrt(max(shape[1], 1)))
+                   if name.startswith("w") else np.zeros(shape))
+            for name, shape in cls._weight_shapes(WINDOW_RADIUS, CHANNELS, n_features).items()
         }
         return cls(WINDOW_RADIUS, CHANNELS, n_features, SIGMA_DATA, weights)
 
@@ -158,8 +188,9 @@ class ReferenceDenoiser:
     #
     # The encoder input splits into the state's share y_win @ w_y.T and the
     # conditioning's share x_win @ w_x.T, so inference encodes each once and
-    # reuses it.  Training and inference run the same ``_network``; only
-    # training passes a cache for the intermediates its gradients read.
+    # reuses it.  Training and inference run the same ``_network`` on a work
+    # set: inference builds one per call and reuses it for every sample and
+    # conditioning, training builds one per step and keeps it as its cache.
 
     def _cond_matrix(self, cond: Conditioning, n_epochs: int) -> np.ndarray:
         if cond is ABSENT:
@@ -181,63 +212,109 @@ class ReferenceDenoiser:
     def _x_windows(self, cond: Conditioning, n_epochs: int) -> np.ndarray:
         return _window_stack(self._cond_matrix(cond, n_epochs), self.window_radius)
 
-    def _network(self, y_enc: np.ndarray, x_enc: np.ndarray, z: np.ndarray,
-                 cache: dict | None = None) -> np.ndarray:
-        """(E, 5) log-probabilities from the two encoder shares and the σ
-        embedding.  A cache receives each block's input u, pre-activation a
-        and activation h (keys ``u0``, ``a0``, ``h0``, ``u1``, ...), the
-        head's input ``u2`` and ``log_probs``."""
+    def _work_set(self, n_epochs: int, sigma: float, cache: bool) -> dict[str, np.ndarray]:
+        """The arrays one network pass writes and the rows it adds.
+
+        Each block's input u, pre-activation a and activation h have keys
+        ``u0``, ``a0``, ``h0``, ``u1``, ...; the head reads ``u2`` and
+        writes the (E, 5) ``logits``, the (5, E) ``log_probs`` and the
+        (E,) ``max`` and ``sum`` rows of its softmax.  The rows are the
+        bias rows and the σ embedding ``z``.
+
+        A cache, which training's gradients read, keeps one array per
+        intermediate and adds the (C,) rows.  Inference keeps no
+        intermediate, so its blocks share four (E, C) arrays (``u2`` is
+        ``u0``, ``a1`` is ``a0``, ``h1`` is ``h0``) instead of seven, and
+        its rows are tiled to (E, ·): adding a contiguous array gives the
+        values of broadcasting a row, faster."""
+        c = self.channels
+        if cache:
+            work = {f"{k}{tag}": np.empty((n_epochs, c)) for tag in _BLOCKS for k in "uah"}
+            work["u2"] = np.empty((n_epochs, c))
+        else:
+            u_even, u_odd, a, h = np.empty((4, n_epochs, c))
+            work = {"u0": u_even, "u1": u_odd, "u2": u_even}
+            for tag in _BLOCKS:
+                work.update({f"a{tag}": a, f"h{tag}": h})
+        work.update(logits=np.empty((n_epochs, 5)), log_probs=np.empty((5, n_epochs)),
+                    max=np.empty(n_epochs), sum=np.empty(n_epochs))
+        rows = {name: self.weights[name] for name in _ROWS}
+        rows["z"] = timestep_embedding(sigma, c)
+        for name, row in rows.items():
+            work[name] = row if cache else np.tile(row, (n_epochs, 1))
+        return work
+
+    def _network(self, y_enc: np.ndarray, x_enc: np.ndarray, work: dict[str, np.ndarray],
+                 probs: np.ndarray) -> np.ndarray:
+        """Write the (5, E) probabilities from the two encoder shares into
+        probs and return the work set's log-probabilities.  Every
+        intermediate goes into its work array, in the order of operations
+        of an allocating pass, so the values are bitwise equal to it."""
         w = self.weights
-        u = y_enc + x_enc
-        u += w["b_enc"]
-        for tag in _BLOCKS:
-            a = u @ w[f"w1_{tag}"].T
-            a += w[f"b1_{tag}"]
-            a += z
-            h = _silu(a)
-            out = h @ w[f"w2_{tag}"].T
+        u = np.add(y_enc, x_enc, out=work["u0"])
+        u += work["b_enc"]
+        for i, tag in enumerate(_BLOCKS):
+            a = np.matmul(u, w[f"w1_{tag}"].T, out=work[f"a{tag}"])
+            a += work[f"b1_{tag}"]
+            a += work["z"]
+            h = _silu(a, out=work[f"h{tag}"])
+            out = np.matmul(h, w[f"w2_{tag}"].T, out=work[f"u{i + 1}"])
             out += u
-            out += w[f"b2_{tag}"]
+            out += work[f"b2_{tag}"]
             out *= _SKIP_SCALE
-            if cache is not None:
-                cache.update({f"u{tag}": u, f"a{tag}": a, f"h{tag}": h})
             u = out
-        log_probs = u @ w["w_out"].T
-        log_probs += w["b_out"]
-        log_probs -= log_probs.max(axis=1, keepdims=True)
-        log_probs -= np.log(np.exp(log_probs).sum(axis=1, keepdims=True))
-        if cache is not None:
-            cache.update(u2=u, log_probs=log_probs)
+        logits = np.matmul(u, w["w_out"].T, out=work["logits"])
+        logits += work["b_out"]
+        # Stage-major softmax on a (5, E) copy: reducing over its five rows
+        # runs elementwise down contiguous rows and adds them in stage
+        # order, ((((e0 + e1) + e2) + e3) + e4), as numpy's reduction over
+        # a 5-wide row of the logits does.  probs holds the exponentials
+        # until their sum is taken.
+        log_probs = work["log_probs"]
+        np.copyto(log_probs, logits.T)
+        log_probs -= np.max(log_probs, axis=0, out=work["max"])
+        np.exp(log_probs, out=probs)
+        log_probs -= np.log(np.sum(probs, axis=0, out=work["sum"]), out=work["sum"])
+        np.exp(log_probs, out=probs)
         return log_probs
 
     def _forward(self, y: np.ndarray, cond: Conditioning, sigma: float) -> dict:
-        """Training's pass over one state: the network with its cache."""
+        """Training's pass over one state: the network on a fresh work set,
+        returned as the cache the gradients read.  ``log_probs`` and
+        ``probs`` become (E, 5) copies, the layout the gradients use."""
         w = self.weights
-        cache = {"y_win": self._y_windows(y, sigma), "x_win": self._x_windows(cond, y.shape[1])}
+        n_epochs = y.shape[1]
+        cache = self._work_set(n_epochs, sigma, cache=True)
+        cache["y_win"] = self._y_windows(y, sigma)
+        cache["x_win"] = self._x_windows(cond, n_epochs)
+        probs = np.empty((5, n_epochs))
         log_probs = self._network(cache["y_win"] @ w["w_y"].T, cache["x_win"] @ w["w_x"].T,
-                                  timestep_embedding(sigma, self.channels), cache)
-        cache["probs"] = np.exp(log_probs)
+                                  cache, probs)
+        cache["log_probs"] = np.ascontiguousarray(log_probs.T)
+        cache["probs"] = np.ascontiguousarray(probs.T)
         return cache
 
     # -- inference ---------------------------------------------------------
 
     def _evaluate(self, ys: np.ndarray, conds: Sequence[Conditioning],
                   sigma: float) -> list[np.ndarray]:
-        """One (B, 5, E) estimate per conditioning.  The σ embedding and
-        each conditioning's encoding are computed once per batch, each
-        state's encoding once per sample, and no training cache is kept."""
+        """One (B, 5, E) estimate per conditioning.  The σ embedding, the
+        tiled rows and each conditioning's encoding are computed once per
+        batch, each state's encoding once per sample, and every pass
+        reuses one work set."""
         ys = np.asarray(ys)
         if ys.ndim != 3 or ys.shape[1] != 5:
             raise ValueError("states must be a B×5×E batch")
         w = self.weights
-        z = timestep_embedding(sigma, self.channels)
-        x_encs = [self._x_windows(cond, ys.shape[2]) @ w["w_x"].T for cond in conds]
+        n_epochs = ys.shape[2]
+        work = self._work_set(n_epochs, sigma, cache=False)
+        x_encs = [self._x_windows(cond, n_epochs) @ w["w_x"].T for cond in conds]
+        y_enc = np.empty((n_epochs, self.channels))
         outs = [np.empty(ys.shape) for _ in conds]
         for b, y in enumerate(ys):
-            y_enc = self._y_windows(y, sigma) @ w["w_y"].T
+            np.matmul(self._y_windows(y, sigma), w["w_y"].T, out=y_enc)
             for out, x_enc in zip(outs, x_encs):
-                log_probs = self._network(y_enc, x_enc, z)
-                out[b] = np.exp(log_probs, out=log_probs).T
+                self._network(y_enc, x_enc, work, out[b])
         return outs
 
     def forward(self, y_noisy: np.ndarray, cond: Conditioning, sigma: float) -> np.ndarray:
@@ -331,8 +408,16 @@ def train(dataset: Dataset, target: str, cfg: TrainConfig) -> ReferenceDenoiser:
         first_h, first_f = dataset[0]
         n_features = _feature_matrix(first_f, target, len(first_h)).shape[0]
     net = ReferenceDenoiser.init(n_features, rng)
-    adam_m = {k: np.zeros_like(v) for k, v in net.weights.items()}
-    adam_v = {k: np.zeros_like(v) for k, v in net.weights.items()}
+    # Adam is elementwise, so it runs on one flat vector whose slices are
+    # the weight arrays: a few array operations per step, not a few per weight.
+    params = np.concatenate([net.weights[k].ravel() for k in net.PARAM_ORDER])
+    start = 0
+    for key in net.PARAM_ORDER:
+        weight = net.weights[key]
+        net.weights[key] = params[start:start + weight.size].reshape(weight.shape)
+        start += weight.size
+    adam_m = np.zeros_like(params)
+    adam_v = np.zeros_like(params)
 
     for step in range(1, cfg.steps + 1):
         h, features = dataset[int(rng.integers(len(dataset)))]
@@ -358,12 +443,12 @@ def train(dataset: Dataset, target: str, cfg: TrainConfig) -> ReferenceDenoiser:
             cond = Features(x)
 
         _, grads = net.loss_and_grads(clean + noise, cond, sigma, clean)
-        for key, grad in grads.items():
-            adam_m[key] = ADAM_BETA1 * adam_m[key] + (1 - ADAM_BETA1) * grad
-            adam_v[key] = ADAM_BETA2 * adam_v[key] + (1 - ADAM_BETA2) * grad * grad
-            m_hat = adam_m[key] / (1 - ADAM_BETA1**step)
-            v_hat = adam_v[key] / (1 - ADAM_BETA2**step)
-            net.weights[key] -= LEARNING_RATE * m_hat / (np.sqrt(v_hat) + 1e-8)
+        grad = np.concatenate([grads[k].ravel() for k in net.PARAM_ORDER])
+        adam_m = ADAM_BETA1 * adam_m + (1 - ADAM_BETA1) * grad
+        adam_v = ADAM_BETA2 * adam_v + (1 - ADAM_BETA2) * grad * grad
+        m_hat = adam_m / (1 - ADAM_BETA1**step)
+        v_hat = adam_v / (1 - ADAM_BETA2**step)
+        params -= LEARNING_RATE * m_hat / (np.sqrt(v_hat) + 1e-8)
     return net
 
 

@@ -50,7 +50,10 @@ ABSENT = _Absent()
 
 @dataclass(frozen=True)
 class Features:
-    """Epoch-aligned conditioning features, one column per epoch."""
+    """Epoch-aligned conditioning features, one column per epoch.
+
+    Values are finite, or NaN where an epoch is missing; ±inf is rejected.
+    """
 
     values: np.ndarray
 
@@ -60,6 +63,8 @@ class Features:
             v = v[None, :]
         if v.ndim != 2 or v.shape[1] < 1:
             raise ValueError(f"features must be F×E, got shape {v.shape}")
+        if np.isinf(v).any():
+            raise ValueError("features hold an infinite value (NaN marks a missing epoch)")
         v = v.copy()
         v.setflags(write=False)
         object.__setattr__(self, "values", v)

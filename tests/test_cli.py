@@ -20,7 +20,7 @@ from fsdm.cli import build_parser, emit_plot_data, load_config, main
 from fsdm.evalkit import MergeScheme, accuracy, aggregate_stat, cohens_kappa, overnight_stats
 from fsdm.hypno import Hypnogram, SleepStage, read_hypnogram
 from fsdm.infogain import information_gain, write_infogain_csv
-from fsdm.neural import TrainConfig
+from fsdm.neural import ReferenceDenoiser, TrainConfig, save_model
 from fsdm.oracle import (
     CategoricalEmission, MarkovPrior, WorldModel, exact_bank, world_from_dict, world_to_dict,
 )
@@ -248,6 +248,27 @@ def test_trained_models_usable_for_sampling(config_path, bundles, tmp_path):
     out = tmp_path / "pred_trained"
     assert main(["sample", "--config", str(path), "--out", str(out)]) == 0
     assert (out / "hypnogram.txt").exists()
+
+
+def test_sample_with_misshapen_model_weight_exits_1(config_path, bundles, tmp_path, capsys):
+    cfg = json.loads(config_path.read_text())
+    models = tmp_path / "models"
+    models.mkdir()
+    rng = np.random.default_rng(0)
+    save_model(models / "prior.json", ReferenceDenoiser.init(0, rng))
+    save_model(models / "pulse.json", ReferenceDenoiser.init(1, rng))
+    doc = json.loads((models / "pulse.json").read_text())
+    doc["weights"]["w1_0"] = np.zeros((16, 32)).tolist()
+    (models / "pulse.json").write_text(json.dumps(doc), encoding="utf-8")
+    cfg["paths"]["models_dir"] = str(models)
+    cfg["sampler"] = dict(cfg["sampler"], denoisers="trained", n_samples=2)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    rc = main(["sample", "--config", str(path), "--out", str(tmp_path / "pred")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == "error: weight array 'w1_0' has shape (16, 32), expected (32, 32)\n"
+    assert not (tmp_path / "pred").exists()
 
 
 def test_oracle_check_schedule_suite(config_path, tmp_path):

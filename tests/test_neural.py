@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -10,6 +11,7 @@ from fsdm.neural import (
     PRIOR,
     _silu,
     _silu_grad,
+    _window_stack,
     ReferenceDenoiser,
     TrainConfig,
     grad_check,
@@ -36,6 +38,81 @@ def _sample_case(net, n_epochs=6, seed=1, sigma=0.7):
         if net.n_features else ABSENT
     )
     return y_noisy, cond, sigma, target
+
+
+def _reference_pass(net, y, cond, sigma):
+    """The network written plainly, one new array per operation: the
+    cache training's gradients read, with (E, 5) ``probs``."""
+    w = net.weights
+    x = (np.zeros((net.n_features, y.shape[1])) if cond is ABSENT
+         else np.where(np.isnan(cond.values), 0.0, cond.values))
+    cache = {"y_win": _window_stack(input_scale(y, sigma, net.sigma_data), net.window_radius),
+             "x_win": _window_stack(x, net.window_radius)}
+    z = timestep_embedding(sigma, net.channels)
+    u = cache["y_win"] @ w["w_y"].T + cache["x_win"] @ w["w_x"].T + w["b_enc"]
+    for tag in ("0", "1"):
+        a = u @ w[f"w1_{tag}"].T + w[f"b1_{tag}"] + z
+        h = a / (1.0 + np.exp(-a))
+        cache.update({f"u{tag}": u, f"a{tag}": a, f"h{tag}": h})
+        u = (h @ w[f"w2_{tag}"].T + u + w[f"b2_{tag}"]) * neural._SKIP_SCALE
+    logits = u @ w["w_out"].T + w["b_out"]
+    logits = logits - logits.max(axis=1, keepdims=True)
+    log_probs = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
+    cache.update(u2=u, log_probs=log_probs, probs=np.exp(log_probs))
+    return cache
+
+
+def _layout(a):
+    return a.shape, a.flags.c_contiguous, a.flags.f_contiguous
+
+
+def _biased_net(n_features, seed):
+    """A new network with random biases, so every row the network adds
+    is nonzero."""
+    net = _sample_net(n_features=n_features, seed=seed)
+    rng = np.random.default_rng([seed, 1])
+    for name in net.PARAM_ORDER:
+        if name.startswith("b"):
+            net.weights[name] = 0.5 * rng.standard_normal(net.weights[name].shape)
+    return net
+
+
+# Epoch counts on both sides of where OpenBLAS's rounding depends on the
+# weights' layout: a contiguous copy of w.T gives other bits than the
+# w.T view for E ≤ 37 with the 32×32 blocks and E ≤ 240 with the head.
+@pytest.mark.parametrize("n_epochs", [1, 7, 37, 38, 120, 240, 960])
+@pytest.mark.parametrize("n_features", [0, 2])
+def test_network_equals_allocating_reference_bitwise(n_epochs, n_features):
+    net = _biased_net(n_features, seed=n_epochs)
+    rng = np.random.default_rng([n_epochs, n_features])
+    ys = 2.0 * rng.standard_normal((3, 5, n_epochs))
+    x = rng.standard_normal((n_features, n_epochs))
+    x[:, n_epochs // 2] = np.nan
+    cond = Features(x) if n_features else ABSENT
+    target = one_hot(Hypnogram.from_indices(rng.integers(0, 5, n_epochs))).values
+    for sigma in (1e-3, 0.8, 80.0):
+        want = np.stack([_reference_pass(net, y, cond, sigma)["probs"].T for y in ys])
+        want_absent = np.stack([_reference_pass(net, y, ABSENT, sigma)["probs"].T for y in ys])
+        assert np.array_equal(net.evaluate_batch(ys, cond, sigma), want)
+        lik, pri = net.evaluate_pair(ys, cond, sigma)
+        assert np.array_equal(lik, want) and np.array_equal(pri, want_absent)
+        assert np.array_equal(net.forward(ys[0], cond, sigma), want[0])
+
+        # Training's cache holds the reference's values in its layouts, so
+        # the loss and every gradient match the reference's cached pass.
+        ref = _reference_pass(net, ys[1], cond, sigma)
+        cache = net._forward(ys[1], cond, sigma)
+        for key, value in ref.items():
+            assert np.array_equal(cache[key], value), key
+            assert _layout(cache[key]) == _layout(value), key
+        loss, grads = net.loss_and_grads(ys[1], cond, sigma, target)
+        net._forward = lambda *args: ref
+        ref_loss, ref_grads = net.loss_and_grads(ys[1], cond, sigma, target)
+        del net._forward
+        assert loss == ref_loss
+        assert grads.keys() == ref_grads.keys()
+        for key in grads:
+            assert np.array_equal(grads[key], ref_grads[key]), key
 
 
 def test_embedding_sigma_one_is_cos_sin_of_zero():
@@ -328,6 +405,24 @@ def test_model_format_tag_checked(tmp_path):
     path.write_text('{"format": "other"}', encoding="utf-8")
     with pytest.raises(ValueError):
         load_model(path)
+
+
+@pytest.mark.parametrize("name, shape, expected", [
+    ("w1_0", (16, 32), (32, 32)),
+    ("w_x", (32, 5), (32, 10)),
+    ("b_out", (4,), (5,)),
+])
+def test_weight_shapes_checked_at_construction(name, shape, expected):
+    net = _sample_net(n_features=2)
+    weights = dict(net.weights, **{name: np.zeros(shape)})
+    message = f"weight array {name!r} has shape {shape}, expected {expected}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ReferenceDenoiser(net.window_radius, net.channels, net.n_features,
+                          net.sigma_data, weights)
+    del weights[name]
+    with pytest.raises(ValueError, match=f"missing weight array {name!r}"):
+        ReferenceDenoiser(net.window_radius, net.channels, net.n_features,
+                          net.sigma_data, weights)
 
 
 def test_train_config_validation():

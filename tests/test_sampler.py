@@ -9,6 +9,7 @@ from fsdm.checks import (
     stage_observations,
 )
 from fsdm.hypno import Hypnogram, argmax_stages, one_hot
+from fsdm.neural import PRIOR, ReferenceDenoiser
 from fsdm.oracle import enumerate_posterior, exact_bank
 from fsdm.sampler import (
     SampleResult,
@@ -73,6 +74,23 @@ def test_batched_run_equals_sequential_bitwise():
     batch = sample_many(bank, obs, cfg, 3)
     for i, result in enumerate(batch):
         single = sample_one(bank, obs, cfg, i, 3)
+        assert np.array_equal(result.y.values, single.y.values)
+
+
+def test_neural_bank_batched_run_equals_sequential_bitwise():
+    # A reference network reuses its work arrays across the samples of a
+    # batch; no state may leak from one sample into the next.
+    rng = np.random.default_rng(21)
+    nets = {name: ReferenceDenoiser.init(n_features, rng)
+            for name, n_features in ((PRIOR, 0), ("s0", 1), ("s1", 2))}
+    bank = SensorBank(nets[PRIOR], (("s0", nets["s0"]), ("s1", nets["s1"])))
+    x1 = rng.standard_normal((2, 9))
+    x1[:, 4] = np.nan
+    obs = [("s0", Features(rng.standard_normal(9))), ("s1", Features(x1))]
+    cfg = SamplerConfig(schedule=ScheduleParams(M=4), n_samples=4, base_seed=8)
+    batch = sample_many(bank, obs, cfg, 9)
+    for i, result in enumerate(batch):
+        single = sample_one(bank, obs, cfg, i, 9)
         assert np.array_equal(result.y.values, single.y.values)
 
 

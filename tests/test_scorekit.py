@@ -156,6 +156,15 @@ def test_absent_is_a_singleton_distinct_from_zero_features():
     assert ABSENT is type(ABSENT)()
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf])
+def test_features_reject_infinite_values(bad):
+    values = np.array([[0.5, np.nan, 1.0]])
+    assert np.isnan(Features(values).values[0, 1])  # NaN marks a missing epoch
+    values[0, 2] = bad
+    with pytest.raises(ValueError, match="infinite value .NaN marks a missing epoch"):
+        Features(values)
+
+
 def test_rejects_nonpositive_sigma():
     rng = np.random.default_rng(8)
     out = _simplex(rng)
