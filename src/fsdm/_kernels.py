@@ -3,9 +3,10 @@
 Exact-denoiser marginals come from one of two pure-numpy kernels,
 chosen by the prior's type: ``markov_marginals`` runs forward-backward
 over a Markov prior in O(25·E) per batch item, and ``mixture_marginals``
-enumerates all 5^E hypnograms of an explicit prior (E ≤ 8).  Both treat
-every batch item independently, so batched evaluation is bitwise equal
-to one-at-a-time evaluation.
+enumerates all 5^E hypnograms of an explicit prior (E ≤ 8) as one
+C-order (5,)*E tensor of log weights whose axis e is epoch e.  Both
+treat every batch item independently, so batched evaluation is bitwise
+equal to one-at-a-time evaluation.
 
 The AMPD scalogram kernels compare the float64 samples directly, so
 every comparison with NaN is false, as in the per-sample definition.
@@ -54,28 +55,34 @@ def _shift_stages(a, axis):
     return a - np.where(np.isfinite(m), m, 0.0)
 
 
-def mixture_marginals(log_prior, hyp, a):
-    """Marginals by enumeration over an explicit prior.
+def _log_weights(log_prior, terms):
+    """Log weights of all hypnograms as a (5,)*E tensor: the flat log
+    prior plus each epoch's (5,) term of ``terms`` (5, E) along its axis."""
+    s = np.reshape(log_prior, (5,) * terms.shape[1]).copy()
+    for e, t in enumerate(terms.T):
+        s += t.reshape((5,) + (1,) * (s.ndim - 1 - e))
+    return s
 
-    ``log_prior`` (Nh,) is the log weight of each of the Nh = 5^E
-    hypnograms and ``hyp`` (Nh, E) their stage indices.
-    """
+
+def _epoch_marginals(w):
+    """(5, E) sums of a (5,)*E tensor, column e over every axis but e."""
+    axes = range(w.ndim)
+    return np.stack([w.sum(axis=tuple(a for a in axes if a != e)) for e in axes], axis=1)
+
+
+def mixture_marginals(log_prior, a):
+    """Marginals by enumeration over an explicit prior whose (5^E,) log
+    weights ``log_prior`` run in the tensor's C order."""
     log_prior = np.asarray(log_prior, dtype=np.float64)
     a = _shift_stages(np.asarray(a, dtype=np.float64), axis=1)
-    n_hyp, n_epochs = hyp.shape
-    batch = a.shape[0]
-    out = np.empty((batch, 5, n_epochs))
-    for b in range(batch):
-        s = log_prior.copy()
-        for e in range(n_epochs):
-            s += a[b, hyp[:, e], e]
+    out = np.empty(a.shape)
+    for b in range(a.shape[0]):
+        s = _log_weights(log_prior, a[b])
         m = s.max()
         if not np.isfinite(m):
             raise FloatingPointError("all mixture components have zero weight")
         w = np.exp(s - m)
-        z = w.sum()
-        for e in range(n_epochs):
-            out[b, :, e] = np.bincount(hyp[:, e], weights=w, minlength=5) / z
+        out[b] = _epoch_marginals(w) / w.sum()
     return out
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import ampd_local_maxima
+from ._kernels import _epoch_marginals, ampd_local_maxima
 from .dsp import (
     AMPD_OVERLAP_S,
     AMPD_WINDOW_S,
@@ -44,7 +44,6 @@ from .oracle import (
     exact_bank,
     exact_denoiser,
     exact_smoothed_score,
-    hypnogram_table,
     log_prior_table,
 )
 from .sampler import SamplerConfig, sample_many, sample_one
@@ -126,9 +125,7 @@ def single_atom_world(h: Hypnogram) -> WorldModel:
     """Point-mass prior on one hypnogram, no sensors."""
     n_epochs = len(h)
     table = np.zeros(5**n_epochs)
-    ht = hypnogram_table(n_epochs)
-    idx = int(np.flatnonzero((ht == h.to_indices()).all(axis=1))[0])
-    table[idx] = 1.0
+    table[hypnogram_index(h)] = 1.0
     return WorldModel(n_epochs, ExplicitPrior(table))
 
 
@@ -140,16 +137,12 @@ def stage_observations(world: WorldModel, h: Hypnogram) -> dict[str, np.ndarray]
 
 def posterior_marginals(world: WorldModel, post: np.ndarray) -> np.ndarray:
     """Per-epoch stage marginals of an enumerated posterior table (5×E)."""
-    ht = hypnogram_table(world.n_epochs)
-    out = np.zeros((5, world.n_epochs))
-    for e in range(world.n_epochs):
-        out[:, e] = np.bincount(ht[:, e], weights=post, minlength=5)
-    return out
+    return _epoch_marginals(np.reshape(post, (5,) * world.n_epochs))
 
 
 def hypnogram_index(h: Hypnogram) -> int:
-    powers = 5 ** np.arange(len(h) - 1, -1, -1)
-    return int(h.to_indices() @ powers)
+    """Flat index of ``h`` in the C-order (5,)*E hypnogram tensor."""
+    return int(np.ravel_multi_index(h.to_indices(), (5,) * len(h)))
 
 
 def near_vertex_states(rng: np.random.Generator, h: Hypnogram, n_points: int,

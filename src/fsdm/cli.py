@@ -98,9 +98,15 @@ CONFIG_SCHEMA = {
 }
 
 
+def _non_finite(literal: str):
+    raise ValueError(f"config number {literal} is not finite")
+
+
 def load_config(path) -> dict:
+    # json.load accepts NaN and ±Infinity literals, and the schema's
+    # number type lets them through.
     with open(path, "r", encoding="utf-8") as f:
-        cfg = json.load(f)
+        cfg = json.load(f, parse_constant=_non_finite)
     jsonschema.validate(cfg, CONFIG_SCHEMA)
     return cfg
 

@@ -16,8 +16,10 @@ and differ only in their conditioning term, so a bank of them stacks
 every term of one denoise into one kernel call (``evaluate_stacked``).
 An explicit prior (a table over all 5^E hypnograms) and the
 enumeration oracles (``hypnogram_table``, ``log_prior_table``,
-``enumerate_posterior``) are capped at 8 epochs.  All mixture
-computations run in log space.
+``enumerate_posterior``) are capped at 8 epochs.  Each of their 5^E
+tables is a C-order (5,)*E tensor, flattened, whose axis e is epoch e;
+the explicit-prior kernel and ``enumerate_posterior`` build it with the
+same helper.  All mixture computations run in log space.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._kernels import markov_marginals, mixture_marginals
+from ._kernels import _log_weights, markov_marginals, mixture_marginals
 from .hypno import N_STAGES
 from .scorekit import ABSENT, Conditioning, Features, SensorBank, tweedie_score
 
@@ -227,11 +229,7 @@ def _conditional_loglik(world: WorldModel, obs: dict[str, np.ndarray]) -> np.nda
 
 def enumerate_posterior(world: WorldModel, obs: dict[str, np.ndarray]) -> np.ndarray:
     """Exact posterior over all 5^E hypnograms given an observation subset."""
-    hyp = hypnogram_table(world.n_epochs)
-    s = log_prior_table(world).copy()
-    ll = _conditional_loglik(world, obs)
-    for e in range(world.n_epochs):
-        s += ll[hyp[:, e], e]
+    s = _log_weights(log_prior_table(world), _conditional_loglik(world, obs)).ravel()
     m = s.max()
     if not np.isfinite(m):
         raise ValueError("observations have zero probability under this world")
@@ -272,7 +270,6 @@ class ExactDenoiser:
                 self._log_trans = np.log(world.prior.transition)
             self._marginals = self._forward_backward
         else:
-            self._hyp = hypnogram_table(world.n_epochs)
             self._log_prior = log_prior_table(world)
             self._marginals = self._enumerate
 
@@ -280,7 +277,7 @@ class ExactDenoiser:
         return markov_marginals(self._log_init, self._log_trans, a)
 
     def _enumerate(self, a: np.ndarray) -> np.ndarray:
-        return mixture_marginals(self._log_prior, self._hyp, a)
+        return mixture_marginals(self._log_prior, a)
 
     def _cond_loglik(self, cond: Conditioning) -> np.ndarray:
         if self.target == PRIOR or cond is ABSENT:

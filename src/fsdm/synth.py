@@ -21,7 +21,6 @@ from .oracle import (
     GaussianEmission,
     MarkovPrior,
     WorldModel,
-    hypnogram_table,
 )
 
 
@@ -72,7 +71,7 @@ def sample_hypnogram(world: WorldModel, rng: np.random.Generator) -> Hypnogram:
     if isinstance(world.prior, ExplicitPrior):
         table = world.prior.table
         idx = int(rng.choice(table.size, p=table / table.sum()))
-        return Hypnogram.from_indices(hypnogram_table(world.n_epochs)[idx])
+        return Hypnogram.from_indices(np.unravel_index(idx, (5,) * world.n_epochs))
     prior: MarkovPrior = world.prior
     stages = [int(rng.choice(5, p=prior.initial / prior.initial.sum()))]
     for _ in range(world.n_epochs - 1):

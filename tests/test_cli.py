@@ -1,6 +1,7 @@
 import argparse
 import filecmp
 import json
+import math
 import os
 import subprocess
 import sys
@@ -476,6 +477,25 @@ def test_invalid_lambda_is_a_usage_error(config_path, bundles, tmp_path, capsys,
     assert rc == 2
     value = flag[-1].removeprefix("--lambda=")
     assert capsys.readouterr().err == f"error: invalid --lambda {value!r}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, keys, value", [
+    ("sample", ("sampler", "lambda"), math.nan),
+    ("synth", ("world", "waveform", "pulse", "stage_rates", "N2"), math.inf),
+])
+def test_non_finite_config_number_exits_1(config_path, tmp_path, capsys, command, keys, value):
+    # json.dumps writes these as the NaN and Infinity literals.
+    cfg = json.loads(config_path.read_text())
+    section = cfg
+    for key in keys[:-1]:
+        section = section[key]
+    section[keys[-1]] = value
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: config number {json.dumps(value)} is not finite\n"
     assert not out.exists()
 
 

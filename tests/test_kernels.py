@@ -22,32 +22,66 @@ from fsdm.oracle import (
 
 def _case(n_epochs=4, batch=3, seed=0):
     rng = np.random.default_rng(seed)
-    hyp = hypnogram_table(n_epochs)
-    log_prior = np.log(rng.dirichlet(np.ones(hyp.shape[0])))
+    log_prior = np.log(rng.dirichlet(np.ones(5**n_epochs)))
     a = rng.standard_normal((batch, 5, n_epochs))
-    return log_prior, hyp, a
+    return log_prior, a
 
 
 def test_mixture_marginals_normalized_columns():
-    log_prior, hyp, a = _case()
-    out = mixture_marginals(log_prior, hyp, a)
+    log_prior, a = _case()
+    out = mixture_marginals(log_prior, a)
     np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-12)
     assert np.all(out >= 0)
 
 
 def test_batched_equals_one_at_a_time():
-    log_prior, hyp, a = _case(n_epochs=3, batch=5, seed=2)
-    batch = mixture_marginals(log_prior, hyp, a)
+    log_prior, a = _case(n_epochs=3, batch=5, seed=2)
+    batch = mixture_marginals(log_prior, a)
     for b in range(a.shape[0]):
-        single = mixture_marginals(log_prior, hyp, a[b:b + 1])
+        single = mixture_marginals(log_prior, a[b:b + 1])
         np.testing.assert_array_equal(batch[b], single[0])
 
 
 def test_all_zero_weight_raises():
-    hyp = hypnogram_table(2)
-    log_prior = np.full(hyp.shape[0], -np.inf)
+    log_prior = np.full(5**2, -np.inf)
     with pytest.raises((FloatingPointError, ValueError)):
-        mixture_marginals(log_prior, hyp, np.zeros((1, 5, 2)))
+        mixture_marginals(log_prior, np.zeros((1, 5, 2)))
+
+
+def _loop_mixture(log_prior, a):
+    """Mixture marginals by a loop over the rows of the hypnogram table."""
+    ht = hypnogram_table(a.shape[2])
+    epochs = np.arange(a.shape[2])
+    out = np.zeros(a.shape)
+    for b in range(a.shape[0]):
+        s = np.array([log_prior[i] + a[b, h, epochs].sum() for i, h in enumerate(ht)])
+        if not np.isfinite(s.max()):
+            raise FloatingPointError("all mixture components have zero weight")
+        w = np.exp(s - s.max())
+        for i, h in enumerate(ht):
+            out[b, h, epochs] += w[i]
+        out[b] /= w.sum()
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_epochs=st.integers(1, 4), batch=st.integers(1, 3),
+       zero_frac=st.floats(0.0, 1.0), forbid_frac=st.floats(0.0, 0.6))
+def test_mixture_marginals_equal_row_by_row_enumeration(seed, n_epochs, batch, zero_frac,
+                                                        forbid_frac):
+    # Sparse explicit priors and forbidden stages put components at −inf;
+    # where none is left, both must raise.
+    rng = np.random.default_rng(seed)
+    prior = rng.dirichlet(np.ones(5**n_epochs))
+    a = rng.standard_normal((batch, 5, n_epochs)) * 3
+    a[rng.random(a.shape) < forbid_frac] = -np.inf
+    with np.errstate(divide="ignore"):
+        log_prior = np.log(np.where(rng.random(prior.size) < zero_frac, 0.0, prior))
+    want = _outcome(_loop_mixture, log_prior, a)
+    got = _outcome(mixture_marginals, log_prior, a)
+    assert (want is None) == (got is None)
+    if want is not None:
+        assert np.abs(got - want).max() <= 1e-12
 
 
 def _markov_case(n_epochs=6, batch=5, seed=3):
@@ -71,7 +105,7 @@ def test_markov_marginals_match_enumeration():
         log_prior = log_prior + log_trans[hyp[:, e - 1], hyp[:, e]]
     np.testing.assert_allclose(
         markov_marginals(log_init, log_trans, a),
-        mixture_marginals(log_prior, hyp, a), rtol=0, atol=1e-12,
+        mixture_marginals(log_prior, a), rtol=0, atol=1e-12,
     )
 
 
@@ -108,7 +142,7 @@ def _kernel_pair(seed, n_epochs, sparse):
     world = WorldModel(n_epochs, prior, ())
     with np.errstate(divide="ignore"):
         markov = (np.log(prior.initial), np.log(prior.transition))
-        mixture = (np.log(explicit_twin(world).prior.table), hypnogram_table(n_epochs))
+        mixture = (np.log(explicit_twin(world).prior.table),)
     return rng, markov, mixture
 
 
