@@ -9,14 +9,23 @@ priors) on the same inputs where E ≤ 8, and alone on whole-night
 lengths.  The AMPD scalogram is timed at three window lengths and
 scale ranges.  The reference denoiser's ``evaluate_batch`` (one network
 pass per state) and ``evaluate_pair`` (two) are timed on a new network
-at a training length and a whole night.
+at a training length and a whole night, with the batch split across
+the usable cores; ``evaluate_pair`` at the whole night is timed again
+on one worker.  BLAS runs on one thread, as in ``perfbench/run.py``.
 """
+
+import os
+
+# Pinned before numpy loads, so that only the batch split runs in parallel.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+             "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMBA_NUM_THREADS"):
+    os.environ[_var] = "1"
 
 import time
 
 import numpy as np
 
-from fsdm import _kernels
+from fsdm import _kernels, neural
 from fsdm.neural import ReferenceDenoiser
 from fsdm.oracle import ENUMERATION_CAP
 from fsdm.scorekit import Features
@@ -62,7 +71,8 @@ def bench_ampd():
 
 
 def bench_network():
-    print("reference denoiser network (one feature row, sigma = 0.8)")
+    workers = neural._usable_cores()
+    print(f"reference denoiser network (one feature row, sigma = 0.8, {workers} workers)")
     rng = np.random.default_rng(2)
     net = ReferenceDenoiser.init(1, rng)
     for n_epochs, batch in ((120, 64), (960, 64)):
@@ -72,6 +82,15 @@ def bench_network():
         t_pair = timeit(net.evaluate_pair, ys, cond, 0.8, repeat=3)
         print(f"  E={n_epochs:3d} B={batch:3d}: evaluate_batch {t_batch*1e3:8.2f} ms"
               f" | evaluate_pair {t_pair*1e3:8.2f} ms")
+    # The whole night's pair on one worker, against the split above.
+    usable_cores = neural._usable_cores
+    neural._usable_cores = lambda: 1
+    try:
+        t_serial = timeit(net.evaluate_pair, ys, cond, 0.8, repeat=3)
+    finally:
+        neural._usable_cores = usable_cores
+    print(f"  E={n_epochs:3d} B={batch:3d}: evaluate_pair on 1 worker {t_serial*1e3:8.2f} ms"
+          f" ({t_serial / t_pair:.2f}x the split's time)")
 
 
 if __name__ == "__main__":

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy import signal as sps
 
 from ._kernels import ampd_gamma, ampd_gamma_range, ampd_local_maxima
 
@@ -137,18 +136,25 @@ def interpolate_missing(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return out, missing
 
 
+def _signal():
+    """``scipy.signal``, imported on first use: its import takes over a
+    second, and most commands never filter or resample."""
+    from scipy import signal
+    return signal
+
+
 def design_butterworth(mode: str = "lowpass", cutoff_hz: float = 49.0) -> np.ndarray:
     """Second-order-section Butterworth filter at TARGET_FS; −3 dB at the cutoff."""
     if mode not in ("lowpass", "highpass"):
         raise ValueError("mode must be 'lowpass' or 'highpass'")
     if not 0 < cutoff_hz < TARGET_FS / 2:
         raise ValueError("cutoff must lie in (0, fs/2)")
-    return sps.butter(FILTER_ORDER, cutoff_hz, btype=mode, fs=TARGET_FS, output="sos")
+    return _signal().butter(FILTER_ORDER, cutoff_hz, btype=mode, fs=TARGET_FS, output="sos")
 
 
 def apply_filter(sos: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Causal single-pass filtering."""
-    return sps.sosfilt(sos, np.asarray(s, dtype=np.float64))
+    return _signal().sosfilt(sos, np.asarray(s, dtype=np.float64))
 
 
 def resample(s: np.ndarray, fs_from: float) -> np.ndarray:
@@ -160,8 +166,8 @@ def resample(s: np.ndarray, fs_from: float) -> np.ndarray:
     frac = Fraction(ratio).limit_denominator(10_000)
     if abs(float(frac) - ratio) > 1e-9:
         raise ValueError(f"rate ratio {fs_from} -> {TARGET_FS} is not usably rational")
-    return sps.resample_poly(s, frac.numerator, frac.denominator,
-                             window=("kaiser", _KAISER_BETA))
+    return _signal().resample_poly(s, frac.numerator, frac.denominator,
+                                   window=("kaiser", _KAISER_BETA))
 
 
 def sample_hold_upsample(s: np.ndarray, fs_from: float) -> np.ndarray:

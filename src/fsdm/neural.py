@@ -10,12 +10,18 @@ exercises.  Training and inference run one network routine, on a work
 set: preallocated arrays that every matmul and ufunc writes with
 ``out=``.  Training builds a fresh work set per step, with one array
 per intermediate, and keeps it as the cache its hand-derived gradients
-read (checked against central finite differences).  Inference has one
-loop for ``forward``, ``evaluate_batch`` and ``evaluate_pair``; it
-builds one work set per call, whose blocks share arrays, and reuses it
-for every sample and conditioning.  The σ embedding and each
-conditioning's encoding are computed once per batch, and each state's
-encoding once per sample.
+read (checked against central finite differences); the SiLU's
+denominator stays there for its derivative.  Inference has one loop
+for ``forward``, ``evaluate_batch`` and ``evaluate_pair``.  The σ
+embedding and each conditioning's encoding are computed once per
+batch, and each state's encoding once per sample.  A whole-night batch
+(at least 480 epochs) splits into one contiguous range of samples per
+usable core, run on threads that live for the call, with OpenBLAS held
+to one thread meanwhile; shorter batches run on the calling thread.
+Each range builds one work set, whose blocks share arrays, and reuses
+it for every sample and conditioning.  Every sample runs the same
+operations on arrays of the same shapes and layouts in any range, so
+outputs do not depend on the split.
 
 The work set makes no new arithmetic, so outputs are bitwise equal to
 allocating one array per operation:
@@ -44,10 +50,16 @@ are module constants; only the step count and the seed are settings.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
+import ctypes
+import functools
 import json
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -73,6 +85,12 @@ P_AUGMENT, P_ZERO = 0.5, 0.1
 SIGMA_LOG_MEAN, SIGMA_LOG_SD = 0.2, 1.4
 LEARNING_RATE = 1e-3
 ADAM_BETA1, ADAM_BETA2 = 0.9, 0.999
+# Inference splits a batch across the cores only from this many epochs.
+# Threads hand the GIL over at each of a pass's ~36 numpy calls, which
+# shorter calls do not repay: on a 2-vCPU VM the split of a B = 64 pair
+# took 1.3–1.8 times the serial time at E = 120, about the same at
+# E = 360, and 0.66–0.8 times at E = 720 and 960.
+_SPLIT_MIN_EPOCHS = 480
 
 
 @dataclass(frozen=True)
@@ -107,21 +125,72 @@ def input_scale(y: np.ndarray, sigma: float, sigma_data: float) -> np.ndarray:
     return np.asarray(y, dtype=np.float64) * factor
 
 
-def _silu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """x / (1 + exp(−x)), computed in ``out`` (a new array by default)."""
-    t = np.negative(x, out=out)
+def _silu(x: np.ndarray, den: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """x / (1 + exp(−x)), computed in ``out`` (a new array by default).
+    The denominator 1 + exp(−x) is formed in ``den``, which may be ``out``."""
+    np.negative(x, out=den)
     # exp(−x) overflows to inf below x ≈ −709, where x / inf = −0.0 and
     # 1 / inf = 0.0 are the exact limits, so the overflow is not reported.
     with np.errstate(over="ignore"):
-        np.exp(t, out=t)
-    t += 1.0
-    return np.divide(x, t, out=t)
+        np.exp(den, out=den)
+    den += 1.0
+    return np.divide(x, den, out=out)
 
 
-def _silu_grad(x: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        s = 1.0 / (1.0 + np.exp(-x))
+def _silu_grad(x: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """The SiLU's derivative at x, from its denominator 1 + exp(−x)."""
+    s = 1.0 / den
     return s * (1.0 + x * (1.0 - s))
+
+
+def _usable_cores() -> int:
+    """The cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+@functools.cache
+def _openblas_threads() -> tuple[Callable[[], int], Callable[[int], None]] | None:
+    """The thread-count getter and setter of the OpenBLAS that numpy
+    loaded, or None where none is found (another BLAS, or a platform
+    without ``/proc/self/maps``)."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            paths = sorted({line.split()[-1] for line in maps
+                            if "openblas" in line.rsplit("/", 1)[-1].lower()})
+    except OSError:
+        return None
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        # Builds with 64-bit integers add the suffix 64_, and numpy's own
+        # wheels the prefix scipy_.
+        for prefix, suffix in (("openblas", ""), ("openblas", "64_"),
+                               ("scipy_openblas", "64_"), ("scipy_openblas", "")):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread() -> Iterator[None]:
+    """Run the block with OpenBLAS on one thread, and restore its count
+    after.  BLAS threads under the batch split's would oversubscribe the
+    cores: a whole-night pair ran slower split than serial with them."""
+    blas = _openblas_threads()
+    threads = blas[0]() if blas is not None else 1
+    if threads > 1:
+        blas[1](1)
+    try:
+        yield
+    finally:
+        if threads > 1:
+            blas[1](threads)
 
 
 def _window_stack(mat: np.ndarray, radius: int) -> np.ndarray:
@@ -212,36 +281,44 @@ class ReferenceDenoiser:
     def _x_windows(self, cond: Conditioning, n_epochs: int) -> np.ndarray:
         return _window_stack(self._cond_matrix(cond, n_epochs), self.window_radius)
 
-    def _work_set(self, n_epochs: int, sigma: float, cache: bool) -> dict[str, np.ndarray]:
-        """The arrays one network pass writes and the rows it adds.
+    def _rows(self, n_epochs: int, sigma: float, tile: bool) -> dict[str, np.ndarray]:
+        """The rows a pass adds: the bias rows and the σ embedding ``z``.
+        Inference tiles them to (E, ·): adding a contiguous array gives the
+        values of broadcasting a row, faster.  Training adds the (C,) rows."""
+        rows = {name: self.weights[name] for name in _ROWS}
+        rows["z"] = timestep_embedding(sigma, self.channels)
+        if tile:
+            rows = {name: np.tile(row, (n_epochs, 1)) for name, row in rows.items()}
+        return rows
 
-        Each block's input u, pre-activation a and activation h have keys
-        ``u0``, ``a0``, ``h0``, ``u1``, ...; the head reads ``u2`` and
-        writes the (E, 5) ``logits``, the (5, E) ``log_probs`` and the
-        (E,) ``max`` and ``sum`` rows of its softmax.  The rows are the
-        bias rows and the σ embedding ``z``.
+    def _work_set(self, n_epochs: int, rows: dict[str, np.ndarray],
+                  cache: bool) -> dict[str, np.ndarray]:
+        """The arrays one network pass writes, and the rows it adds.
+
+        Each block's input u, pre-activation a, SiLU denominator
+        1 + exp(−a) and activation h have keys ``u0``, ``a0``, ``den0``,
+        ``h0``, ``u1``, ...; the head reads ``u2`` and writes the (E, 5)
+        ``logits``, the (5, E) ``log_probs`` and the (E,) ``max`` and
+        ``sum`` rows of its softmax.
 
         A cache, which training's gradients read, keeps one array per
-        intermediate and adds the (C,) rows.  Inference keeps no
-        intermediate, so its blocks share four (E, C) arrays (``u2`` is
-        ``u0``, ``a1`` is ``a0``, ``h1`` is ``h0``) instead of seven, and
-        its rows are tiled to (E, ·): adding a contiguous array gives the
-        values of broadcasting a row, faster."""
+        intermediate.  Inference keeps no intermediate, so its blocks
+        share four (E, C) arrays (``u2`` is ``u0``, ``a1`` is ``a0``, and
+        ``h0``, ``h1``, ``den0`` and ``den1`` are one array) instead of
+        nine.  The rows are read only, so work sets may share them."""
         c = self.channels
         if cache:
-            work = {f"{k}{tag}": np.empty((n_epochs, c)) for tag in _BLOCKS for k in "uah"}
+            work = {f"{k}{tag}": np.empty((n_epochs, c))
+                    for tag in _BLOCKS for k in ("u", "a", "den", "h")}
             work["u2"] = np.empty((n_epochs, c))
         else:
             u_even, u_odd, a, h = np.empty((4, n_epochs, c))
             work = {"u0": u_even, "u1": u_odd, "u2": u_even}
             for tag in _BLOCKS:
-                work.update({f"a{tag}": a, f"h{tag}": h})
+                work.update({f"a{tag}": a, f"den{tag}": h, f"h{tag}": h})
         work.update(logits=np.empty((n_epochs, 5)), log_probs=np.empty((5, n_epochs)),
                     max=np.empty(n_epochs), sum=np.empty(n_epochs))
-        rows = {name: self.weights[name] for name in _ROWS}
-        rows["z"] = timestep_embedding(sigma, c)
-        for name, row in rows.items():
-            work[name] = row if cache else np.tile(row, (n_epochs, 1))
+        work.update(rows)
         return work
 
     def _network(self, y_enc: np.ndarray, x_enc: np.ndarray, work: dict[str, np.ndarray],
@@ -257,7 +334,7 @@ class ReferenceDenoiser:
             a = np.matmul(u, w[f"w1_{tag}"].T, out=work[f"a{tag}"])
             a += work[f"b1_{tag}"]
             a += work["z"]
-            h = _silu(a, out=work[f"h{tag}"])
+            h = _silu(a, work[f"den{tag}"], out=work[f"h{tag}"])
             out = np.matmul(h, w[f"w2_{tag}"].T, out=work[f"u{i + 1}"])
             out += u
             out += work[f"b2_{tag}"]
@@ -272,9 +349,9 @@ class ReferenceDenoiser:
         # until their sum is taken.
         log_probs = work["log_probs"]
         np.copyto(log_probs, logits.T)
-        log_probs -= np.max(log_probs, axis=0, out=work["max"])
+        log_probs -= np.maximum.reduce(log_probs, axis=0, out=work["max"])
         np.exp(log_probs, out=probs)
-        log_probs -= np.log(np.sum(probs, axis=0, out=work["sum"]), out=work["sum"])
+        log_probs -= np.log(np.add.reduce(probs, axis=0, out=work["sum"]), out=work["sum"])
         np.exp(log_probs, out=probs)
         return log_probs
 
@@ -284,7 +361,7 @@ class ReferenceDenoiser:
         ``probs`` become (E, 5) copies, the layout the gradients use."""
         w = self.weights
         n_epochs = y.shape[1]
-        cache = self._work_set(n_epochs, sigma, cache=True)
+        cache = self._work_set(n_epochs, self._rows(n_epochs, sigma, tile=False), cache=True)
         cache["y_win"] = self._y_windows(y, sigma)
         cache["x_win"] = self._x_windows(cond, n_epochs)
         probs = np.empty((5, n_epochs))
@@ -300,21 +377,45 @@ class ReferenceDenoiser:
                   sigma: float) -> list[np.ndarray]:
         """One (B, 5, E) estimate per conditioning.  The σ embedding, the
         tiled rows and each conditioning's encoding are computed once per
-        batch, each state's encoding once per sample, and every pass
-        reuses one work set."""
+        batch, and each state's encoding once per sample.  From
+        _SPLIT_MIN_EPOCHS epochs the batch splits into one contiguous range
+        of samples per usable core, the first run on the calling thread;
+        each range reuses one work set for its passes and writes its
+        samples' rows of the outputs."""
         ys = np.asarray(ys)
         if ys.ndim != 3 or ys.shape[1] != 5:
             raise ValueError("states must be a B×5×E batch")
         w = self.weights
-        n_epochs = ys.shape[2]
-        work = self._work_set(n_epochs, sigma, cache=False)
+        n_batch, _, n_epochs = ys.shape
+        rows = self._rows(n_epochs, sigma, tile=True)
         x_encs = [self._x_windows(cond, n_epochs) @ w["w_x"].T for cond in conds]
-        y_enc = np.empty((n_epochs, self.channels))
         outs = [np.empty(ys.shape) for _ in conds]
-        for b, y in enumerate(ys):
-            np.matmul(self._y_windows(y, sigma), w["w_y"].T, out=y_enc)
-            for out, x_enc in zip(outs, x_encs):
-                self._network(y_enc, x_enc, work, out[b])
+
+        def run(start: int, stop: int) -> None:
+            work = self._work_set(n_epochs, rows, cache=False)
+            y_enc = np.empty((n_epochs, self.channels))
+            for b in range(start, stop):
+                np.matmul(self._y_windows(ys[b], sigma), w["w_y"].T, out=y_enc)
+                for out, x_enc in zip(outs, x_encs):
+                    self._network(y_enc, x_enc, work, out[b])
+
+        n_ranges = 1
+        if n_epochs >= _SPLIT_MIN_EPOCHS:
+            n_ranges = max(1, min(_usable_cores(), n_batch))
+        if n_ranges == 1:
+            run(0, n_batch)
+            return outs
+        bounds = [n_batch * k // n_ranges for k in range(n_ranges + 1)]
+        # numpy releases the GIL in its ufunc loops and BLAS calls, so the
+        # threads overlap; each lives only for this call, and runs in a copy
+        # of the caller's context, which holds numpy's floating-point error
+        # handling.
+        with _one_blas_thread(), ThreadPoolExecutor(n_ranges - 1) as pool:
+            futures = [pool.submit(contextvars.copy_context().run, run, start, stop)
+                       for start, stop in zip(bounds[1:-1], bounds[2:])]
+            run(bounds[0], bounds[1])
+        for future in futures:
+            future.result()
         return outs
 
     def forward(self, y_noisy: np.ndarray, cond: Conditioning, sigma: float) -> np.ndarray:
@@ -362,7 +463,7 @@ class ReferenceDenoiser:
         u_in, a, h = cache[f"u{tag}"], cache[f"a{tag}"], cache[f"h{tag}"]
         d_sum = _SKIP_SCALE * d_out
         d_h = d_sum @ w[f"w2_{tag}"]
-        d_a = d_h * _silu_grad(a)
+        d_a = d_h * _silu_grad(a, cache[f"den{tag}"])
         grads.update({
             f"w2_{tag}": d_sum.T @ h,
             f"b2_{tag}": d_sum.sum(axis=0),

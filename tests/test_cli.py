@@ -626,6 +626,20 @@ def test_console_entry_point_runs():
         assert cmd in proc.stdout
 
 
+@pytest.mark.parametrize("module", ["fsdm.cli", "fsdm.bundle"])
+def test_import_leaves_scipy_signal_unloaded(module):
+    # scipy.signal takes most of a CLI process's start-up; only a filter
+    # or a resampler imports it.
+    src = str(Path(fsdm.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import sys, {module}; print('scipy.signal' in sys.modules)"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_bundle_round_trip(tmp_path):
     bundle = Bundle(
         recording_id="rec_x",

@@ -1,5 +1,8 @@
 import math
+import os
 import re
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -21,6 +24,8 @@ from fsdm.neural import (
     timestep_embedding,
     train,
 )
+from fsdm.sampler import SamplerConfig, sample_many
+from fsdm.sched import ScheduleParams
 from fsdm.scorekit import ABSENT, Features, SensorBank, fsdm_denoise_batch
 
 
@@ -52,8 +57,9 @@ def _reference_pass(net, y, cond, sigma):
     u = cache["y_win"] @ w["w_y"].T + cache["x_win"] @ w["w_x"].T + w["b_enc"]
     for tag in ("0", "1"):
         a = u @ w[f"w1_{tag}"].T + w[f"b1_{tag}"] + z
-        h = a / (1.0 + np.exp(-a))
-        cache.update({f"u{tag}": u, f"a{tag}": a, f"h{tag}": h})
+        den = 1.0 + np.exp(-a)
+        h = a / den
+        cache.update({f"u{tag}": u, f"a{tag}": a, f"den{tag}": den, f"h{tag}": h})
         u = (h @ w[f"w2_{tag}"].T + u + w[f"b2_{tag}"]) * neural._SKIP_SCALE
     logits = u @ w["w_out"].T + w["b_out"]
     logits = logits - logits.max(axis=1, keepdims=True)
@@ -161,8 +167,9 @@ def test_silu_saturates_without_overflow_warning():
     x = np.array([-1000.0, 0.0, 1000.0])
     with np.errstate(over="warn"), warnings.catch_warnings():
         warnings.simplefilter("error")
-        y = _silu(x)
-        g = _silu_grad(x)
+        den = np.empty_like(x)
+        y = _silu(x, den)
+        g = _silu_grad(x, den)
     np.testing.assert_array_equal(y, [-0.0, 0.0, 1000.0])
     np.testing.assert_array_equal(g, [-0.0, 0.5, 1.0])
     # x / inf and 0 · (negative) keep the sign of zero.
@@ -382,6 +389,133 @@ def test_evaluate_batch_encodes_sigma_and_conditioning_once(monkeypatch):
                              Features(rng.standard_normal((2, 6))), 0.6)
     assert out.shape == (4, 5, 6)
     assert calls == {"embedding": 1, "conditioning": 1}
+
+
+# Batches smaller than, equal to and larger than the worker counts, at
+# epoch counts on both sides of OpenBLAS's layout-dependent rounding.
+@pytest.mark.parametrize("n_epochs", [1, 37, 38, 240, 960])
+@pytest.mark.parametrize("n_batch", [1, 2, 3, 5, 64])
+def test_batch_split_keeps_every_sample_bitwise(monkeypatch, n_batch, n_epochs):
+    net = _biased_net(2, seed=n_batch)
+    rng = np.random.default_rng([n_batch, n_epochs])
+    ys = 2.0 * rng.standard_normal((n_batch, 5, n_epochs))
+    x = rng.standard_normal((2, n_epochs))
+    x[1, ::3] = np.nan
+    cond = Features(x)
+    want = np.stack([_reference_pass(net, y, cond, 0.8)["probs"].T for y in ys])
+    want_absent = np.stack([_reference_pass(net, y, ABSENT, 0.8)["probs"].T for y in ys])
+    monkeypatch.setattr(neural, "_SPLIT_MIN_EPOCHS", 1)
+    for cores in (1, 2, 3, 8):
+        monkeypatch.setattr(neural, "_usable_cores", lambda: cores)
+        assert np.array_equal(net.evaluate_batch(ys, cond, 0.8), want), cores
+        lik, pri = net.evaluate_pair(ys, cond, 0.8)
+        assert np.array_equal(lik, want) and np.array_equal(pri, want_absent), cores
+
+
+def test_split_under_frequent_thread_switches(monkeypatch):
+    # More workers than cores, switching every microsecond: a range that
+    # wrote into another's rows or work set would change the outputs.
+    net = _sample_net(seed=22)
+    rng = np.random.default_rng(23)
+    ys = rng.standard_normal((64, 5, 200))
+    cond = Features(rng.standard_normal((2, 200)))
+    monkeypatch.setattr(neural, "_SPLIT_MIN_EPOCHS", 1)
+    monkeypatch.setattr(neural, "_usable_cores", lambda: 1)
+    want = net.evaluate_pair(ys, cond, 0.5)
+    monkeypatch.setattr(neural, "_usable_cores", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            got = net.evaluate_pair(ys, cond, 0.5)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_serial_cases_start_no_thread(monkeypatch):
+    net = _sample_net(seed=16)
+    rng = np.random.default_rng(17)
+    ys = rng.standard_normal((4, 5, 6))
+    cond = Features(rng.standard_normal((2, 6)))
+    monkeypatch.setattr(neural, "_SPLIT_MIN_EPOCHS", 1)
+    monkeypatch.setattr(neural, "_usable_cores", lambda: 8)
+    want = net.evaluate_pair(ys, cond, 0.5)
+    monkeypatch.setattr(neural, "ThreadPoolExecutor", None)
+    # One usable core, or fewer epochs than the split needs.
+    for cores, min_epochs in ((1, 1), (8, 7)):
+        monkeypatch.setattr(neural, "_usable_cores", lambda: cores)
+        monkeypatch.setattr(neural, "_SPLIT_MIN_EPOCHS", min_epochs)
+        got = net.evaluate_pair(ys, cond, 0.5)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def test_no_worker_outlives_its_call(monkeypatch):
+    net = _sample_net(seed=18)
+    rng = np.random.default_rng(19)
+    ys = rng.standard_normal((8, 5, 6))
+    cond = Features(rng.standard_normal((2, 6)))
+    monkeypatch.setattr(neural, "_SPLIT_MIN_EPOCHS", 1)
+    monkeypatch.setattr(neural, "_usable_cores", lambda: 4)
+    threads = threading.active_count()
+    net.evaluate_pair(ys, cond, 0.5)
+    assert threading.active_count() == threads
+    # A pass that fails in any range fails the call, once every range ended.
+    network, calls = net._network, []
+
+    def failing(*args):
+        calls.append(None)
+        if len(calls) == 5:
+            raise FloatingPointError("pass 5")
+        return network(*args)
+
+    monkeypatch.setattr(net, "_network", failing)
+    with pytest.raises(FloatingPointError, match="pass 5"):
+        net.evaluate_pair(ys, cond, 0.5)
+    assert threading.active_count() == threads
+
+
+def test_workers_keep_the_callers_floating_point_error_handling(monkeypatch):
+    net = _sample_net(seed=20)
+    rng = np.random.default_rng(21)
+    # The second sample's logits lie thousands apart, so its softmax
+    # underflows; with two ranges it runs on the worker thread.
+    ys = np.stack([rng.standard_normal((5, 6)), 1e3 * rng.standard_normal((5, 6))])
+    cond = Features(rng.standard_normal((2, 6)))
+    monkeypatch.setattr(neural, "_SPLIT_MIN_EPOCHS", 1)
+    for cores in (1, 2):
+        monkeypatch.setattr(neural, "_usable_cores", lambda: cores)
+        with np.errstate(under="raise"):
+            net.evaluate_pair(ys[:1], cond, 1e-3)
+            with pytest.raises(FloatingPointError):
+                net.evaluate_pair(ys, cond, 1e-3)
+
+
+def test_usable_cores_falls_back_to_cpu_count(monkeypatch):
+    assert neural._usable_cores() == len(os.sched_getaffinity(0))
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert neural._usable_cores() == (os.cpu_count() or 1)
+
+
+def test_trained_bank_samples_do_not_depend_on_the_split(monkeypatch):
+    rng = np.random.default_rng(30)
+    n_epochs = 12
+    dataset = [(Hypnogram.from_indices(rng.integers(0, 5, n_epochs)),
+                {"a": rng.standard_normal(n_epochs), "b": rng.standard_normal((2, n_epochs))})
+               for _ in range(3)]
+    bank = SensorBank(train(dataset, PRIOR, TrainConfig(steps=20, seed=1)),
+                      tuple((name, train(dataset, name, TrainConfig(steps=20, seed=2)))
+                            for name in ("a", "b")))
+    xb = rng.standard_normal((2, n_epochs))
+    xb[0, 3:6] = np.nan
+    obs = [("a", Features(rng.standard_normal(n_epochs))), ("b", Features(xb))]
+    cfg = SamplerConfig(schedule=ScheduleParams(M=4), n_samples=5, base_seed=4)
+    monkeypatch.setattr(neural, "_SPLIT_MIN_EPOCHS", 1)
+    runs = []
+    for cores in (1, 2, 3):
+        monkeypatch.setattr(neural, "_usable_cores", lambda: cores)
+        runs.append(np.stack([r.y.values for r in sample_many(bank, obs, cfg, n_epochs)]))
+    assert all(np.array_equal(run, runs[0]) for run in runs[1:])
 
 
 def test_model_json_round_trip(tmp_path):
