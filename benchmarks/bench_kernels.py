@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Time the exact-denoiser kernels, the AMPD kernels and the reference
-denoiser's network.
+"""Time the exact-denoiser kernels, the AMPD kernels, the reference
+denoiser's network and whole-night sampling.
 
     PYTHONPATH=src python benchmarks/bench_kernels.py
 
@@ -9,14 +9,16 @@ priors) on the same inputs where E ≤ 8, and alone on whole-night
 lengths.  The AMPD scalogram is timed at three window lengths and
 scale ranges.  The reference denoiser's ``evaluate_batch`` (one network
 pass per state) and ``evaluate_pair`` (two) are timed on a new network
-at a training length and a whole night, with the batch split across
-the usable cores; ``evaluate_pair`` at the whole night is timed again
-on one worker.  BLAS runs on one thread, as in ``perfbench/run.py``.
+at a training length and a whole night; the network runs in the calling
+process.  ``sample_many`` is timed on a whole night with a neural bank,
+split across worker processes and in the calling process, with the CPU
+time of the caller and its workers beside the wall time.  BLAS runs on
+one thread, as in ``perfbench/run.py``.
 """
 
 import os
 
-# Pinned before numpy loads, so that only the batch split runs in parallel.
+# Pinned before numpy loads, so that only the sampler's split runs in parallel.
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
              "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMBA_NUM_THREADS"):
     os.environ[_var] = "1"
@@ -25,10 +27,11 @@ import time
 
 import numpy as np
 
-from fsdm import _kernels, neural
+from fsdm import _kernels, sampler
 from fsdm.neural import ReferenceDenoiser
 from fsdm.oracle import ENUMERATION_CAP
-from fsdm.scorekit import Features
+from fsdm.sched import ScheduleParams
+from fsdm.scorekit import Features, SensorBank
 
 
 def timeit(fn, *args, repeat=5, warmup=1):
@@ -71,8 +74,7 @@ def bench_ampd():
 
 
 def bench_network():
-    workers = neural._usable_cores()
-    print(f"reference denoiser network (one feature row, sigma = 0.8, {workers} workers)")
+    print("reference denoiser network (one feature row, sigma = 0.8)")
     rng = np.random.default_rng(2)
     net = ReferenceDenoiser.init(1, rng)
     for n_epochs, batch in ((120, 64), (960, 64)):
@@ -82,18 +84,44 @@ def bench_network():
         t_pair = timeit(net.evaluate_pair, ys, cond, 0.8, repeat=3)
         print(f"  E={n_epochs:3d} B={batch:3d}: evaluate_batch {t_batch*1e3:8.2f} ms"
               f" | evaluate_pair {t_pair*1e3:8.2f} ms")
-    # The whole night's pair on one worker, against the split above.
-    usable_cores = neural._usable_cores
-    neural._usable_cores = lambda: 1
-    try:
-        t_serial = timeit(net.evaluate_pair, ys, cond, 0.8, repeat=3)
-    finally:
-        neural._usable_cores = usable_cores
-    print(f"  E={n_epochs:3d} B={batch:3d}: evaluate_pair on 1 worker {t_serial*1e3:8.2f} ms"
-          f" ({t_serial / t_pair:.2f}x the split's time)")
+
+
+def _cpu_s():
+    """CPU time of this process and of the workers it has joined."""
+    t = os.times()
+    return t.user + t.system + t.children_user + t.children_system
+
+
+def bench_sampling():
+    n_epochs, n_samples, steps = 960, 64, 4
+    print(f"whole-night sample_many (neural bank: prior and two sensors, "
+          f"E={n_epochs}, B={n_samples}, M={steps})")
+    rng = np.random.default_rng(3)
+    bank = SensorBank(ReferenceDenoiser.init(0, rng),
+                      tuple((name, ReferenceDenoiser.init(1, rng)) for name in ("a", "b")))
+    obs = [(name, Features(rng.standard_normal((1, n_epochs)))) for name in ("a", "b")]
+    cfg = sampler.SamplerConfig(schedule=ScheduleParams(M=steps), n_samples=n_samples,
+                                record_trajectory=True)
+    split_min_epochs = sampler._SPLIT_MIN_EPOCHS
+    for label, gate in ((f"split, {sampler._split_count(n_samples, n_epochs, None)} ranges",
+                         split_min_epochs), ("in-process", n_epochs + 1)):
+        sampler._SPLIT_MIN_EPOCHS = gate
+        try:
+            wall, cpu = float("inf"), 0.0
+            for _ in range(3):
+                t0, c0 = time.perf_counter(), _cpu_s()
+                sampler.sample_many(bank, obs, cfg, n_epochs)
+                t, c = time.perf_counter() - t0, _cpu_s() - c0
+                if t < wall:
+                    wall, cpu = t, c
+        finally:
+            sampler._SPLIT_MIN_EPOCHS = split_min_epochs
+        print(f"  {label:>17}: wall {wall*1e3:8.1f} ms | CPU {cpu*1e3:8.1f} ms"
+              f" | CPU/wall {cpu / wall:.2f}")
 
 
 if __name__ == "__main__":
     bench_mixture()
     bench_ampd()
     bench_network()
+    bench_sampling()

@@ -27,7 +27,7 @@ from .dsp import KINDS, TARGET_EPOCHS, TARGET_FS, RawSignal, preprocess, write_s
 from .hypno import SleepStage, argmax_stages, read_hypnogram, write_hypnogram
 from .infogain import information_gain, mean_information_gain, write_infogain_csv
 from .oracle import WorldModel, exact_bank, world_from_dict
-from .sampler import SamplerConfig, infer, sample_many
+from .sampler import SamplerConfig, SamplingError, infer, sample_many
 from .sched import ScheduleParams
 from .scorekit import Features, SensorBank
 from .synth import SynthConfig, WaveformSpec, gen_recording, split_of_index
@@ -494,7 +494,7 @@ def main(argv=None) -> int:
         args.lambda_ = lam
     try:
         return args.fn(args)
-    except (ValueError, KeyError, TypeError, OSError,
+    except (ValueError, KeyError, TypeError, OSError, SamplingError,
             jsonschema.ValidationError) as err:
         message = str(err).splitlines()[0] if str(err) else repr(err)
         print(f"error: {message}", file=sys.stderr)

@@ -14,14 +14,12 @@ read (checked against central finite differences); the SiLU's
 denominator stays there for its derivative.  Inference has one loop
 for ``forward``, ``evaluate_batch`` and ``evaluate_pair``.  The σ
 embedding and each conditioning's encoding are computed once per
-batch, and each state's encoding once per sample.  A whole-night batch
-(at least 480 epochs) splits into one contiguous range of samples per
-usable core, run on threads that live for the call, with OpenBLAS held
-to one thread meanwhile; shorter batches run on the calling thread.
-Each range builds one work set, whose blocks share arrays, and reuses
-it for every sample and conditioning.  Every sample runs the same
-operations on arrays of the same shapes and layouts in any range, so
-outputs do not depend on the split.
+batch, and each state's encoding once per sample.  A call builds one
+work set, whose blocks share arrays, and reuses it for every sample and
+conditioning.  Every sample runs the same operations on arrays of the
+same shapes and layouts whatever batch it is in, so a sample's output
+does not depend on the rest of its batch; whole-night sampling relies
+on this when it splits its samples across processes (see ``sampler``).
 
 The work set makes no new arithmetic, so outputs are bitwise equal to
 allocating one array per operation:
@@ -50,16 +48,10 @@ are module constants; only the step count and the seed are settings.
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
-import ctypes
-import functools
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -85,12 +77,6 @@ P_AUGMENT, P_ZERO = 0.5, 0.1
 SIGMA_LOG_MEAN, SIGMA_LOG_SD = 0.2, 1.4
 LEARNING_RATE = 1e-3
 ADAM_BETA1, ADAM_BETA2 = 0.9, 0.999
-# Inference splits a batch across the cores only from this many epochs.
-# Threads hand the GIL over at each of a pass's ~36 numpy calls, which
-# shorter calls do not repay: on a 2-vCPU VM the split of a B = 64 pair
-# took 1.3–1.8 times the serial time at E = 120, about the same at
-# E = 360, and 0.66–0.8 times at E = 720 and 960.
-_SPLIT_MIN_EPOCHS = 480
 
 
 @dataclass(frozen=True)
@@ -141,56 +127,6 @@ def _silu_grad(x: np.ndarray, den: np.ndarray) -> np.ndarray:
     """The SiLU's derivative at x, from its denominator 1 + exp(−x)."""
     s = 1.0 / den
     return s * (1.0 + x * (1.0 - s))
-
-
-def _usable_cores() -> int:
-    """The cores this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-@functools.cache
-def _openblas_threads() -> tuple[Callable[[], int], Callable[[int], None]] | None:
-    """The thread-count getter and setter of the OpenBLAS that numpy
-    loaded, or None where none is found (another BLAS, or a platform
-    without ``/proc/self/maps``)."""
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as maps:
-            paths = sorted({line.split()[-1] for line in maps
-                            if "openblas" in line.rsplit("/", 1)[-1].lower()})
-    except OSError:
-        return None
-    for path in paths:
-        lib = ctypes.CDLL(path)
-        # Builds with 64-bit integers add the suffix 64_, and numpy's own
-        # wheels the prefix scipy_.
-        for prefix, suffix in (("openblas", ""), ("openblas", "64_"),
-                               ("scipy_openblas", "64_"), ("scipy_openblas", "")):
-            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
-            set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
-            if get is not None and set_ is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_.argtypes, set_.restype = [ctypes.c_int], None
-                return get, set_
-    return None
-
-
-@contextlib.contextmanager
-def _one_blas_thread() -> Iterator[None]:
-    """Run the block with OpenBLAS on one thread, and restore its count
-    after.  BLAS threads under the batch split's would oversubscribe the
-    cores: a whole-night pair ran slower split than serial with them."""
-    blas = _openblas_threads()
-    threads = blas[0]() if blas is not None else 1
-    if threads > 1:
-        blas[1](1)
-    try:
-        yield
-    finally:
-        if threads > 1:
-            blas[1](threads)
 
 
 def _window_stack(mat: np.ndarray, radius: int) -> np.ndarray:
@@ -377,45 +313,21 @@ class ReferenceDenoiser:
                   sigma: float) -> list[np.ndarray]:
         """One (B, 5, E) estimate per conditioning.  The σ embedding, the
         tiled rows and each conditioning's encoding are computed once per
-        batch, and each state's encoding once per sample.  From
-        _SPLIT_MIN_EPOCHS epochs the batch splits into one contiguous range
-        of samples per usable core, the first run on the calling thread;
-        each range reuses one work set for its passes and writes its
-        samples' rows of the outputs."""
+        batch, and each state's encoding once per sample; one work set
+        serves every pass."""
         ys = np.asarray(ys)
         if ys.ndim != 3 or ys.shape[1] != 5:
             raise ValueError("states must be a B×5×E batch")
         w = self.weights
         n_batch, _, n_epochs = ys.shape
-        rows = self._rows(n_epochs, sigma, tile=True)
         x_encs = [self._x_windows(cond, n_epochs) @ w["w_x"].T for cond in conds]
         outs = [np.empty(ys.shape) for _ in conds]
-
-        def run(start: int, stop: int) -> None:
-            work = self._work_set(n_epochs, rows, cache=False)
-            y_enc = np.empty((n_epochs, self.channels))
-            for b in range(start, stop):
-                np.matmul(self._y_windows(ys[b], sigma), w["w_y"].T, out=y_enc)
-                for out, x_enc in zip(outs, x_encs):
-                    self._network(y_enc, x_enc, work, out[b])
-
-        n_ranges = 1
-        if n_epochs >= _SPLIT_MIN_EPOCHS:
-            n_ranges = max(1, min(_usable_cores(), n_batch))
-        if n_ranges == 1:
-            run(0, n_batch)
-            return outs
-        bounds = [n_batch * k // n_ranges for k in range(n_ranges + 1)]
-        # numpy releases the GIL in its ufunc loops and BLAS calls, so the
-        # threads overlap; each lives only for this call, and runs in a copy
-        # of the caller's context, which holds numpy's floating-point error
-        # handling.
-        with _one_blas_thread(), ThreadPoolExecutor(n_ranges - 1) as pool:
-            futures = [pool.submit(contextvars.copy_context().run, run, start, stop)
-                       for start, stop in zip(bounds[1:-1], bounds[2:])]
-            run(bounds[0], bounds[1])
-        for future in futures:
-            future.result()
+        work = self._work_set(n_epochs, self._rows(n_epochs, sigma, tile=True), cache=False)
+        y_enc = np.empty((n_epochs, self.channels))
+        for b in range(n_batch):
+            np.matmul(self._y_windows(ys[b], sigma), w["w_y"].T, out=y_enc)
+            for out, x_enc in zip(outs, x_encs):
+                self._network(y_enc, x_enc, work, out[b])
         return outs
 
     def forward(self, y_noisy: np.ndarray, cond: Conditioning, sigma: float) -> np.ndarray:

@@ -272,6 +272,52 @@ def test_sample_with_misshapen_model_weight_exits_1(config_path, bundles, tmp_pa
     assert not (tmp_path / "pred").exists()
 
 
+def test_sample_and_infogain_files_do_not_depend_on_the_split(config_path, bundles, tmp_path,
+                                                             monkeypatch, capsys):
+    outputs = []
+    monkeypatch.setattr(fsdm.sampler, "_SPLIT_MIN_EPOCHS", 1)
+    for cores in (1, 2, 4):
+        monkeypatch.setattr(fsdm.sampler, "_usable_cores", lambda: cores)
+        out = tmp_path / f"cores{cores}"
+        assert main(["sample", "--config", str(config_path), "--out", str(out / "sample")]) == 0
+        assert main(["infogain", "--config", str(config_path), "--sensor", "pulse",
+                     "--out", str(out / "infogain")]) == 0
+        outputs.append((out, capsys.readouterr()))
+    for out, std in outputs[1:]:
+        assert _same_tree(outputs[0][0], out)
+        assert std == outputs[0][1]
+
+
+def test_sampling_error_in_a_worker_range_exits_1_as_in_process(config_path, bundles, tmp_path,
+                                                                monkeypatch, capfd):
+    cfg = json.loads(Path(config_path).read_text())
+    models = Path(cfg["paths"]["models_dir"])
+    if not (models / "prior.json").exists():
+        assert main(["train", "--config", str(config_path), "--out", str(models)]) == 0
+    cfg["sampler"] = dict(cfg["sampler"], denoisers="trained")
+    path = tmp_path / "trained.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    # Samples 3 to 5 start non-finite: with two ranges, the worker's.
+    initial_state = fsdm.sampler._initial_state
+    monkeypatch.setattr(fsdm.sampler, "_initial_state", lambda seed, i, n_epochs, sigma0: (
+        initial_state(seed, i, n_epochs, sigma0) * (np.nan if i >= 3 else 1.0)))
+    run_split, splits = fsdm.sampler._run_split, []
+    monkeypatch.setattr(fsdm.sampler, "_run_split", lambda *args: (
+        splits.append(args[-1]), run_split(*args))[1])
+    monkeypatch.setattr(fsdm.sampler, "_SPLIT_MIN_EPOCHS", 1)
+    runs = []
+    for cores in (1, 2):
+        monkeypatch.setattr(fsdm.sampler, "_usable_cores", lambda: cores)
+        capfd.readouterr()
+        rc = main(["sample", "--config", str(path), "--out", str(tmp_path / "pred")])
+        runs.append((rc, capfd.readouterr()))
+    assert splits == [2]
+    assert runs[1] == runs[0]
+    assert runs[0][0] == 1 and runs[0][1].out == ""
+    assert runs[0][1].err.startswith("error: non-finite state after step 0 (sigma=40.0 -> ")
+    assert not (tmp_path / "pred").exists()
+
+
 def test_oracle_check_schedule_suite(config_path, tmp_path):
     out = tmp_path / "oc"
     assert main(["oracle-check", "--config", str(config_path), "--suite", "schedule",

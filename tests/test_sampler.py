@@ -1,6 +1,12 @@
+import multiprocessing
+import os
+import threading
+import types
+
 import numpy as np
 import pytest
 
+from fsdm import sampler
 from fsdm.checks import (
     hypnogram_index,
     posterior_marginals,
@@ -9,8 +15,8 @@ from fsdm.checks import (
     stage_observations,
 )
 from fsdm.hypno import Hypnogram, argmax_stages, one_hot
-from fsdm.neural import PRIOR, ReferenceDenoiser
-from fsdm.oracle import enumerate_posterior, exact_bank
+from fsdm.neural import PRIOR, ReferenceDenoiser, TrainConfig, train
+from fsdm.oracle import GaussianEmission, MarkovPrior, WorldModel, enumerate_posterior, exact_bank
 from fsdm.sampler import (
     SampleResult,
     SamplerConfig,
@@ -19,7 +25,7 @@ from fsdm.sampler import (
     sample_many,
     sample_one,
 )
-from fsdm.sched import ScheduleParams
+from fsdm.sched import ScheduleParams, time_steps
 from fsdm.scorekit import ABSENT, Features, SensorBank
 
 
@@ -233,3 +239,275 @@ def test_infer_matches_posterior_marginal_argmax():
 def test_invalid_n_samples():
     with pytest.raises(ValueError):
         SamplerConfig(n_samples=0)
+
+
+# -- the split across worker processes --------------------------------------
+
+
+def _no_child_left():
+    assert multiprocessing.active_children() == []
+    # Every forked worker has been reaped: no zombie is left to wait for.
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _split_runs(monkeypatch, bank, obs, cfg, n_epochs, cores_list=(1, 2, 3, 8)):
+    """{cores: (final states, gain sums)} of sample_many with the split
+    open at every epoch count, and the range counts it split into."""
+    split_counts = []
+    run_split = sampler._run_split
+
+    def counted(bank, obs, cfg, n_epochs, n_ranges):
+        split_counts.append(n_ranges)
+        return run_split(bank, obs, cfg, n_epochs, n_ranges)
+
+    monkeypatch.setattr(sampler, "_run_split", counted)
+    monkeypatch.setattr(sampler, "_SPLIT_MIN_EPOCHS", 1)
+    runs = {}
+    for cores in cores_list:
+        monkeypatch.setattr(sampler, "_usable_cores", lambda: cores)
+        results = sample_many(bank, obs, cfg, n_epochs)
+        runs[cores] = (np.stack([r.y.values for r in results]),
+                       None if results[0].gain_sums is None else
+                       {k: np.stack([r.gain_sums[k] for r in results])
+                        for k in results[0].gain_sums})
+    _no_child_left()
+    return runs, split_counts
+
+
+def _neural_case(n_epochs, seed):
+    rng = np.random.default_rng(seed)
+    nets = {name: ReferenceDenoiser.init(n_features, rng)
+            for name, n_features in ((PRIOR, 0), ("s0", 1), ("s1", 2))}
+    bank = SensorBank(nets[PRIOR], (("s0", nets["s0"]), ("s1", nets["s1"])))
+    x1 = rng.standard_normal((2, n_epochs))
+    x1[:, ::4] = np.nan
+    return bank, [("s0", Features(rng.standard_normal(n_epochs))), ("s1", Features(x1))]
+
+
+def _exact_case(n_epochs, seed):
+    # A Markov world: every term of a denoise goes into one stacked kernel call.
+    rng = np.random.default_rng(seed)
+    trans = np.full((5, 5), 0.05)
+    np.fill_diagonal(trans, 0.8)
+    sensors = tuple((f"s{i}", GaussianEmission(rng.standard_normal(5), np.ones(5)))
+                    for i in range(2))
+    bank = exact_bank(WorldModel(n_epochs, MarkovPrior(rng.dirichlet(np.ones(5)), trans), sensors))
+    assert bank._stacked
+    return bank, [(name, Features(rng.standard_normal(n_epochs))) for name, _ in sensors]
+
+
+@pytest.mark.parametrize("case", [_neural_case, _exact_case], ids=["neural", "exact"])
+@pytest.mark.parametrize("n_epochs", [1, 37, 38, 240, 960])
+@pytest.mark.parametrize("n_samples", [1, 2, 3, 5, 64])
+def test_split_keeps_every_sample_bitwise(monkeypatch, case, n_samples, n_epochs):
+    bank, obs = case(n_epochs, seed=n_samples)
+    cfg = SamplerConfig(schedule=ScheduleParams(M=2), n_samples=n_samples, base_seed=n_epochs,
+                        record_trajectory=True)
+    runs, split_counts = _split_runs(monkeypatch, bank, obs, cfg, n_epochs)
+    # One range per core, at most one per sample; one range runs in-process.
+    assert split_counts == [min(cores, n_samples) for cores in (2, 3, 8) if n_samples > 1]
+    want_y, want_sums = runs[1]
+    assert set(want_sums) == {"s0", "s1"}
+    for cores, (y, sums) in runs.items():
+        assert np.array_equal(y, want_y), cores
+        assert all(np.array_equal(sums[k], want_sums[k]) for k in want_sums), cores
+
+
+def test_trained_bank_samples_do_not_depend_on_the_split(monkeypatch):
+    rng = np.random.default_rng(30)
+    n_epochs = 12
+    dataset = [(Hypnogram.from_indices(rng.integers(0, 5, n_epochs)),
+                {"a": rng.standard_normal(n_epochs), "b": rng.standard_normal((2, n_epochs))})
+               for _ in range(3)]
+    bank = SensorBank(train(dataset, PRIOR, TrainConfig(steps=20, seed=1)),
+                      tuple((name, train(dataset, name, TrainConfig(steps=20, seed=2)))
+                            for name in ("a", "b")))
+    xb = rng.standard_normal((2, n_epochs))
+    xb[0, 3:6] = np.nan
+    obs = [("a", Features(rng.standard_normal(n_epochs))), ("b", Features(xb))]
+    cfg = SamplerConfig(schedule=ScheduleParams(M=4), n_samples=5, base_seed=4)
+    runs, split_counts = _split_runs(monkeypatch, bank, obs, cfg, n_epochs, (1, 2, 3))
+    assert split_counts == [2, 3]
+    assert all(np.array_equal(y, runs[1][0]) and sums is None for y, sums in runs.values())
+
+
+class _ByProcessDenoiser:
+    """A prior that gives 0.2 everywhere, and calls ``fail`` on its states
+    in the process named by ``where`` ("caller" or "worker")."""
+
+    def __init__(self, where, fail):
+        self.caller = os.getpid()
+        self.where = where
+        self.fail = fail
+
+    def evaluate_batch(self, ys, cond, sigma):
+        if self.where == ("caller" if os.getpid() == self.caller else "worker"):
+            self.fail(ys)
+        return np.full_like(ys, 0.2)
+
+
+def _raise_floating_point_error(ys):
+    raise FloatingPointError("injected")
+
+
+def test_no_worker_outlives_its_call(monkeypatch):
+    monkeypatch.setattr(sampler, "_SPLIT_MIN_EPOCHS", 1)
+    monkeypatch.setattr(sampler, "_usable_cores", lambda: 4)
+    cfg = SamplerConfig(schedule=ScheduleParams(M=3), n_samples=8)
+    bank = SensorBank(_ByProcessDenoiser("nowhere", None), ())
+    assert len(sample_many(bank, [], cfg, 3)) == 8
+    _no_child_left()
+    # A range that fails, in a worker or in the caller, fails the call once
+    # every range has ended.
+    for where in ("worker", "caller"):
+        bank = SensorBank(_ByProcessDenoiser(where, _raise_floating_point_error), ())
+        with pytest.raises(FloatingPointError, match="injected"):
+            sample_many(bank, [], cfg, 3)
+        _no_child_left()
+
+
+def test_workers_keep_the_callers_floating_point_error_handling(monkeypatch):
+    # exp(−1000) underflows, in the worker's range only.
+    bank = SensorBank(_ByProcessDenoiser("worker", lambda ys: np.exp(np.full(3, -1e3))), ())
+    cfg = SamplerConfig(schedule=ScheduleParams(M=2), n_samples=2)
+    monkeypatch.setattr(sampler, "_SPLIT_MIN_EPOCHS", 1)
+    monkeypatch.setattr(sampler, "_usable_cores", lambda: 2)
+    sample_many(bank, [], cfg, 3)
+    with np.errstate(under="raise"):
+        with pytest.raises(FloatingPointError, match="underflow"):
+            sample_many(bank, [], cfg, 3)
+    _no_child_left()
+
+
+def _failing_samples(monkeypatch, fail_at):
+    """A bank whose sample i turns non-finite where it is denoised at grid
+    time t_k, k = fail_at[i], first in step k − 1's second evaluation.
+    Each sample's state starts at its index i and, denoised to 0.2
+    everywhere, is 0.2 + (i − 0.2)·t_k / t_0 at t_k, so the prior reads
+    the index back."""
+    cfg = SamplerConfig(schedule=ScheduleParams(M=8), n_samples=4)
+    ts = time_steps(cfg.schedule)
+    monkeypatch.setattr(sampler, "_initial_state",
+                        lambda base_seed, i, n_epochs, sigma0: np.full((5, n_epochs), float(i)))
+
+    class Prior:
+        def evaluate_batch(self, ys, cond, sigma):
+            out = np.full_like(ys, 0.2)
+            for b, index in enumerate(np.rint((ys[:, 0, 0] - 0.2) * ts[0] / sigma + 0.2)):
+                if sigma == ts[fail_at.get(int(index), -1)]:
+                    out[b, 0, 0] = np.nan
+            return out
+
+    return SensorBank(Prior(), ()), cfg
+
+
+def test_sampling_error_in_a_worker_range_keeps_the_serial_message(monkeypatch):
+    # Samples 3 (a worker's) and 1 (the caller's) fail in steps 1 and 4: a
+    # lockstep run meets step 1 first.  Each range meets only its own.
+    bank, cfg = _failing_samples(monkeypatch, {3: 2, 1: 5})
+    with pytest.raises(SamplingError) as serial:
+        sample_many(bank, [], cfg, 3)
+    assert "after step 1 " in str(serial.value)
+    monkeypatch.setattr(sampler, "_SPLIT_MIN_EPOCHS", 1)
+    for cores in (2, 3, 4):
+        monkeypatch.setattr(sampler, "_usable_cores", lambda: cores)
+        with pytest.raises(SamplingError) as split:
+            sample_many(bank, [], cfg, 3)
+        assert str(split.value) == str(serial.value), cores
+    _no_child_left()
+
+
+def test_an_error_that_does_not_pickle_keeps_its_type_name_and_message(monkeypatch):
+    class Unpicklable(ValueError):
+        def __init__(self, code, text):
+            super().__init__(f"{code}: {text}")
+
+    def fail(ys):
+        raise Unpicklable(7, "no pickle")
+
+    monkeypatch.setattr(sampler, "_SPLIT_MIN_EPOCHS", 1)
+    monkeypatch.setattr(sampler, "_usable_cores", lambda: 2)
+    bank = SensorBank(_ByProcessDenoiser("worker", fail), ())
+    with pytest.raises(RuntimeError, match="^Unpicklable: 7: no pickle$"):
+        sample_many(bank, [], SamplerConfig(schedule=ScheduleParams(M=2), n_samples=2), 3)
+    _no_child_left()
+
+
+def test_a_worker_that_dies_fails_the_call(monkeypatch):
+    monkeypatch.setattr(sampler, "_SPLIT_MIN_EPOCHS", 1)
+    monkeypatch.setattr(sampler, "_usable_cores", lambda: 2)
+    bank = SensorBank(_ByProcessDenoiser("worker", lambda ys: os._exit(3)), ())
+    with pytest.raises(RuntimeError, match="exited with code 3"):
+        sample_many(bank, [], SamplerConfig(schedule=ScheduleParams(M=2), n_samples=2), 3)
+    _no_child_left()
+
+
+def test_fall_back_cases_start_no_process(monkeypatch):
+    bank, obs = _neural_case(6, seed=40)
+    cfg = SamplerConfig(schedule=ScheduleParams(M=3), n_samples=4, base_seed=2,
+                        record_trajectory=True)
+    want = sample_many(bank, obs, cfg, 6)
+
+    def no_process(self):
+        raise AssertionError("a fall-back case started a process")
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", no_process)
+    monkeypatch.setattr(sampler, "_SPLIT_MIN_EPOCHS", 6)
+    monkeypatch.setattr(sampler, "_usable_cores", lambda: 8)
+
+    def check(got):
+        for a, b in zip(got, want):
+            assert np.array_equal(a.y.values, b.y.values)
+            assert all(np.array_equal(a.gain_sums[k], b.gain_sums[k]) for k in b.gain_sums)
+
+    # An attached observer, which sees the whole batch at every step.
+    steps = []
+    check(sample_many(bank, obs, cfg, 6, observer=lambda m, sigma, y, pairs: steps.append(len(y))))
+    assert steps == [4] * cfg.schedule.M
+    # One usable core; fewer epochs than the gate.
+    with monkeypatch.context() as m:
+        m.setattr(sampler, "_usable_cores", lambda: 1)
+        check(sample_many(bank, obs, cfg, 6))
+    with monkeypatch.context() as m:
+        m.setattr(sampler, "_SPLIT_MIN_EPOCHS", 7)
+        check(sample_many(bank, obs, cfg, 6))
+    # One sample.
+    one = sample_many(bank, obs, SamplerConfig(schedule=ScheduleParams(M=3), n_samples=1,
+                                               base_seed=2, record_trajectory=True), 6)
+    check(one)
+    # Another live thread, which a fork would not copy.
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait, args=(60,))
+    thread.start()
+    try:
+        check(sample_many(bank, obs, cfg, 6))
+    finally:
+        release.set()
+        thread.join(timeout=60)
+    assert not thread.is_alive()
+    # No fork start method; a daemonic process, which may not have children.
+    with monkeypatch.context() as m:
+        m.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        check(sample_many(bank, obs, cfg, 6))
+    with monkeypatch.context() as m:
+        m.setattr(multiprocessing, "current_process", lambda: types.SimpleNamespace(daemon=True))
+        check(sample_many(bank, obs, cfg, 6))
+
+
+def test_epoch_counts_are_checked_before_any_fork(monkeypatch):
+    def no_process(self):
+        raise AssertionError("started a process")
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", no_process)
+    monkeypatch.setattr(sampler, "_SPLIT_MIN_EPOCHS", 1)
+    monkeypatch.setattr(sampler, "_usable_cores", lambda: 2)
+    bank, obs = _neural_case(6, seed=41)
+    with pytest.raises(ValueError, match="epoch count"):
+        sample_many(bank, obs, SamplerConfig(n_samples=4), 7)
+
+
+def test_usable_cores_falls_back_to_cpu_count(monkeypatch):
+    assert sampler._usable_cores() == len(os.sched_getaffinity(0))
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert sampler._usable_cores() == (os.cpu_count() or 1)
