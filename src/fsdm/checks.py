@@ -31,7 +31,7 @@ from .dsp import (
     ampd_window_starts,
     preprocess,
 )
-from .hypno import Hypnogram, SleepStage, argmax_stages, one_hot
+from .hypno import Hypnogram, SleepStage, one_hot
 from .oracle import (
     ENUMERATION_CAP,
     JOINT,
@@ -46,7 +46,7 @@ from .oracle import (
     exact_smoothed_score,
     log_prior_table,
 )
-from .sampler import SamplerConfig, sample_many, sample_one
+from .sampler import SamplerConfig, sample_many
 from .sched import ScheduleParams, time_steps
 from .scorekit import ABSENT, Features, fsdm_combine_batch, fsdm_denoise_batch, tweedie_score
 from .synth import WaveformSpec, render_waveform
@@ -194,9 +194,9 @@ def suite_single_atom(seed: int = 0, n_worlds: int = 6, n_seeds: int = 2) -> lis
         bank = exact_bank(single_atom_world(h))
         target = one_hot(h).values
         for s in range(n_seeds):
-            cfg = SamplerConfig(base_seed=100 * w + s)
-            result = sample_one(bank, [], cfg, 0, n_epochs)
-            worst = max(worst, float(np.abs(result.y.values - target).max()))
+            cfg = SamplerConfig(n_samples=1, base_seed=100 * w + s)
+            y = sample_many(bank, [], cfg, n_epochs).states[0]
+            worst = max(worst, float(np.abs(y - target).max()))
     return [CheckResult("single_atom.inf_norm", 1e-6, worst)]
 
 
@@ -213,8 +213,8 @@ def suite_posterior(seed: int | np.random.Generator = 0, n_worlds: int = 2,
         obs_list = [("s0", Features(obs["s0"]))]
         cfg = SamplerConfig(n_samples=n_samples, base_seed=w, lam=1.0)
         counts = np.zeros(post.size)
-        for result in sample_many(bank, obs_list, cfg, 4):
-            counts[hypnogram_index(argmax_stages(result.y))] += 1
+        for stages in np.argmax(sample_many(bank, obs_list, cfg, 4).states, axis=1):
+            counts[hypnogram_index(Hypnogram.from_indices(stages))] += 1
         tv = float(0.5 * np.abs(counts / n_samples - post).sum())
         results.append(CheckResult(f"posterior.tv_world{w}", 0.1, tv))
     return results

@@ -352,11 +352,11 @@ def cmd_infogain(args) -> int:
     bank, obs = _bank_and_obs(cfg, args, bundle)
     sampler_cfg = replace(_sampler_config(cfg, args), record_trajectory=True)
     # One sampler run carries the gain sums of every observed sensor.
-    results = sample_many(bank, obs, sampler_cfg, bundle.n_epochs)
+    gains = sample_many(bank, obs, sampler_cfg, bundle.n_epochs).gains
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for sensor in args.sensor:
-        gain = information_gain(bank, obs, sensor, sampler_cfg, bundle.n_epochs, results)
+        gain = information_gain(bank, obs, sensor, sampler_cfg, bundle.n_epochs, gains)
         write_infogain_csv(out / f"infogain_{sensor}.csv", gain)
         mean = mean_information_gain(gain, bundle.valid_epochs)
         print(f"infogain: {sensor} mean {mean:.4f} over {bundle.valid_epochs} epochs")

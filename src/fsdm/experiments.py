@@ -161,8 +161,7 @@ def degradation_sweep(
             cfg = SamplerConfig(schedule=schedule, n_samples=n_samples,
                                 base_seed=i, record_trajectory=True)
             result = infer(bank, obs, cfg, N_EPOCHS)
-            gain = information_gain(bank, obs, SENSOR, cfg, N_EPOCHS,
-                                    results=list(result.results))
+            gain = information_gain(bank, obs, SENSOR, cfg, N_EPOCHS, result.results)
             level_rows.append(SweepRow(
                 mode=mode, level=float(level), recording=rec_id,
                 mean_info_gain=mean_information_gain(gain),

@@ -6,24 +6,25 @@ averaged over the M sampling states and over trajectories (a Monte-Carlo
 expectation over the sampler's initial states).  A value of 0 means the
 sensor never moved the estimate away from the prior.
 
-The sampler streams the distances into running sums while it runs
-(``GainSums``), so no trajectory is stored; ``information_gain`` only
-averages those sums.
+With ``record_trajectory`` set, the sampler streams the distances into
+running sums while it runs (``GainSums``) and returns each sample's sums
+beside its final state, so no trajectory is stored; ``information_gain``
+only averages those sums and never runs the sampler.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
 from .bundle import write_csv
 from .evalkit import scored_epochs
-from .scorekit import Features, Observations, SensorBank
+from .scorekit import Observations, SensorBank
 
 if TYPE_CHECKING:  # the sampler imports GainSums from this module
-    from .sampler import SampleResult, SamplerConfig
+    from .sampler import SamplerConfig
 
 _MIN_NORM = 1e-12
 
@@ -38,7 +39,7 @@ class InfoGain:
         v = np.asarray(self.values, dtype=np.float64)
         if v.ndim != 1:
             raise ValueError("values must be a vector of per-epoch gains")
-        if np.any(v < 0) or np.any(v > 1):
+        if not np.all((v >= 0) & (v <= 1)):  # NaN fails both comparisons
             raise ValueError("information gain values must lie in [0, 1]")
         v = v.copy()
         v.setflags(write=False)
@@ -82,38 +83,30 @@ def information_gain(
     obs: Observations,
     sensor_name: str,
     cfg: SamplerConfig,
-    n_epochs: int | None = None,
-    results: list[SampleResult] | None = None,
+    n_epochs: int,
+    results: Sequence[Mapping[str, np.ndarray]],
 ) -> InfoGain:
     """Trajectory-averaged per-epoch gain for one observed sensor.
 
-    Requires cfg.record_trajectory.  When ``results`` from a previous
-    sample_many call with the same (bank, obs, cfg) are supplied, their
-    streamed gain sums are reused instead of re-running the sampler.
+    ``results`` holds each sample's gain sums from a sample_many call
+    (``Batch.gains``) or an infer call (``InferenceResult.results``) on
+    ``obs`` with ``cfg``, which must set record_trajectory.  Each sum is
+    divided by the cfg.schedule.M steps, and the quotients are averaged
+    over the samples.  ``bank`` is not read; it keeps the parameter order
+    that callers pass by position.
     """
     names = [name for name, _ in obs]
     if sensor_name not in names:
         raise KeyError(f"sensor {sensor_name!r} is not among the observations")
     if not cfg.record_trajectory:
         raise ValueError("information gain requires cfg.record_trajectory")
-    if n_epochs is None:
-        for name, cond in obs:
-            if isinstance(cond, Features):
-                n_epochs = cond.n_epochs
-                break
-        if n_epochs is None:
-            raise ValueError("n_epochs is required when no observation carries features")
-    if results is None:
-        from .sampler import sample_many
-
-        results = sample_many(bank, obs, cfg, n_epochs)
+    if len(results) == 0:
+        raise ValueError("information gain requires the gain sums of at least one sample")
     total = np.zeros(n_epochs)
-    for result in results:
-        if result.gain_sums is None:
-            raise ValueError("sample results carry no recorded trajectory")
-        if sensor_name not in result.gain_sums:
+    for sums in results:
+        if sensor_name not in sums:
             raise KeyError(f"sample results carry no gain for {sensor_name!r}")
-        total += result.gain_sums[sensor_name] / result.n_steps
+        total += sums[sensor_name] / cfg.schedule.M
     values = np.clip(total / len(results), 0.0, 1.0)
     return InfoGain(sensor=sensor_name, values=values, n_trajectories=len(results))
 

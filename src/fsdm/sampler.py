@@ -6,27 +6,29 @@ counter-based generator seeded by (base_seed, sample_index), so samples
 are reproducible and independent of execution order.  The second-order
 correction is skipped on the final step where σ(t) = 0.
 
-A per-step observer ``observer(m, σ, y, pairs)`` sees every sampling
-state: ``y`` is the (B, 5, E) batch at step m and ``pairs`` holds each
-observation's (name, likelihood, prior) denoised batches at it.  The
-observer may read these arrays during the call but must not keep or
-write them; the pairs of an exact bank share one prior array.
-With ``record_trajectory`` set, the information-gain sums are such an
-observer, and nothing else of the trajectory is stored.
+``sample_many`` returns a ``Batch``: the (B, 5, E) final states and, with
+``record_trajectory`` set, each sample's information-gain sums, which
+``infogain.GainSums`` adds up step by step while the samples run; nothing
+else of the trajectory is stored.  A per-step observer
+``observer(m, σ, y, pairs)`` sees every sampling state: ``y`` is the
+(B, 5, E) batch at step m and ``pairs`` holds each observation's (name,
+likelihood, prior) denoised batches at it.  The observer may read these
+arrays during the call but must not keep or write them; the pairs of an
+exact bank share one prior array.
 
-From ``_SPLIT_MIN_EPOCHS`` epochs, ``sample_many`` splits its samples
-into one contiguous range of indices per usable core.  The calling
-process integrates the first range; each other range runs in a worker
-forked for the call, over the whole time grid with its own gain sums,
-and sends back its final states and sums, which join in index order.
-A sample's arithmetic does not depend on the other samples of its batch,
+The samples run as contiguous ranges of indices, one per usable core
+from ``_SPLIT_MIN_EPOCHS`` epochs.  The calling process integrates the
+first range; each other range runs in a worker forked for the call, over
+the whole time grid with its own gain sums, and sends back its final
+states, its sums and the warnings it met, which join in index order.  A
+sample's arithmetic does not depend on the other samples of its batch,
 and each range draws its initial states by sample index, so the output
-is bitwise the same for any split.  OpenBLAS is held to one thread
-while the workers run, so its own threads do not oversubscribe the
-cores.  The samples stay in the calling process when an observer is
-attached (it must see the whole batch at each step), when there is one
-usable core or one sample, and when a fork is unavailable or unsafe: no
-``fork`` start method, another live thread, or a daemonic process.
+is bitwise the same for any split.  OpenBLAS is held to one thread while
+workers run, so its own threads do not oversubscribe the cores.  There
+is one range when an observer is attached (it must see the whole batch
+at each step), when there is one usable core or one sample, and when a
+fork is unavailable or unsafe: no ``fork`` start method, another live
+thread, or a daemonic process.
 """
 
 from __future__ import annotations
@@ -38,10 +40,12 @@ import multiprocessing
 import os
 import pickle
 import signal
+import sys
 import threading
+import warnings
 from dataclasses import dataclass, field, fields
 from multiprocessing.connection import Connection
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -52,9 +56,6 @@ from .sched import ScheduleParams, time_steps
 from .scorekit import Observations, SensorBank, fsdm_denoise_batch
 
 Observer = Callable[[int, float, np.ndarray, tuple], None]
-# The final (B, 5, E) states of a range of samples, and their gain sums
-# (None unless cfg.record_trajectory is set).
-Finals = tuple[np.ndarray, dict[str, np.ndarray] | None]
 # sample_many splits its samples across worker processes only from this
 # many epochs.  A fork costs 5–15 ms.  On a 2-vCPU VM, at B = 64 and
 # M = 32, the split took 0.51–0.61 times the in-process time with a
@@ -82,18 +83,14 @@ class SamplerConfig:
             raise ValueError("n_samples must be at least 1")
 
 
-@dataclass(frozen=True)
-class SampleResult:
-    """Final state of one sample.
+class Batch(NamedTuple):
+    """The final (B, 5, E) states of a run of samples, in index order, and
+    each sample's gain sums: a map from each observed sensor to the sum
+    over the M sampling states of its per-epoch cosine distance (see
+    ``infogain``).  ``gains`` is empty unless ``record_trajectory`` is set."""
 
-    With ``record_trajectory`` set, ``gain_sums`` maps each observed
-    sensor to the sum over the ``n_steps`` sampling states of its
-    per-epoch cosine distance (see ``infogain``); otherwise it is None.
-    """
-
-    y: Hypnodensity
-    gain_sums: Mapping[str, np.ndarray] | None
-    n_steps: int
+    states: np.ndarray
+    gains: tuple[dict[str, np.ndarray], ...]
 
 
 @dataclass(frozen=True)
@@ -101,7 +98,7 @@ class InferenceResult:
     hypnogram: Hypnogram
     samples: tuple[Hypnodensity, ...]
     stats: dict[str, float]
-    results: tuple[SampleResult, ...]
+    results: tuple[dict[str, np.ndarray], ...]  # each sample's gain sums, as in Batch
 
 
 def _initial_state(base_seed: int, sample_index: int, n_epochs: int, sigma0: float) -> np.ndarray:
@@ -115,47 +112,6 @@ def _check_epochs(obs: Observations, n_epochs: int) -> None:
             raise ValueError("observation epoch count does not match n_epochs")
 
 
-def _steps(
-    bank: SensorBank,
-    obs: Observations,
-    cfg: SamplerConfig,
-    indices: Sequence[int],
-    n_epochs: int,
-    observer: Observer | None = None,
-) -> Iterator[tuple[np.ndarray, GainSums | None]]:
-    """Integrate the samples ``indices`` in lockstep down the time grid,
-    yielding the (B, 5, E) state and the gain sums after each step."""
-    ts = time_steps(cfg.schedule)
-    y = np.stack(
-        [_initial_state(cfg.base_seed, i, n_epochs, ts[0]) for i in indices]
-    )
-    gains = None
-    if cfg.record_trajectory:
-        gains = GainSums([name for name, _ in obs], len(indices), n_epochs)
-    observers = [o for o in (gains, observer) if o is not None]
-    for m in range(cfg.schedule.M):
-        t_cur = ts[m]
-        t_next = ts[m + 1]
-        sigma = float(t_cur)  # σ(t) = t, as a Python float for SamplingError's repr
-        pairs: list | None = [] if observers else None
-        denoised = fsdm_denoise_batch(y, sigma, bank, obs, cfg.lam, pairs)
-        for o in observers:
-            o(m, sigma, y, tuple(pairs))
-        d = (y - denoised) / sigma  # −σ(t)·score
-        y_next = y + (t_next - t_cur) * d
-        sigma_next = float(t_next)
-        if sigma_next != 0.0:
-            denoised2 = fsdm_denoise_batch(y_next, sigma_next, bank, obs, cfg.lam)
-            d2 = (y_next - denoised2) / sigma_next
-            y_next = y + 0.5 * (t_next - t_cur) * (d + d2)
-        if not np.all(np.isfinite(y_next)):
-            raise SamplingError(
-                f"non-finite state after step {m} (sigma={sigma!r} -> {sigma_next!r})"
-            )
-        y = y_next
-        yield y, gains
-
-
 def _run_range(
     bank: SensorBank,
     obs: Observations,
@@ -163,54 +119,46 @@ def _run_range(
     indices: Sequence[int],
     n_epochs: int,
     observer: Observer | None = None,
-) -> tuple[Finals | None, tuple[int, Exception] | None]:
-    """The finals of the samples ``indices``, or the number of grid steps
-    they completed before an error, and the error."""
-    done = 0
+) -> tuple[Batch | None, tuple[int, Exception] | None]:
+    """Integrate the samples ``indices`` in lockstep down the time grid.
+
+    Returns their Batch, or the grid step at which they failed (the
+    number of steps they completed) and the error."""
+    m = 0
     try:
-        for done, (y, gains) in enumerate(_steps(bank, obs, cfg, indices, n_epochs, observer), 1):
-            pass
-    except Exception as err:
-        return None, (done, err)
-    return (y, None if gains is None else gains.sums), None
-
-
-def _run_indices(
-    bank: SensorBank,
-    obs: Observations,
-    cfg: SamplerConfig,
-    indices: Sequence[int],
-    n_epochs: int,
-    observer: Observer | None = None,
-) -> Finals:
-    finals, failure = _run_range(bank, obs, cfg, indices, n_epochs, observer)
-    if failure is not None:
-        raise failure[1]
-    return finals
-
-
-def _results(finals: Finals, n_steps: int) -> list[SampleResult]:
-    y, sums = finals
-    return [
-        SampleResult(
-            y=Hypnodensity(y[b]),
-            gain_sums=None if sums is None else {k: v[b] for k, v in sums.items()},
-            n_steps=n_steps,
+        ts = time_steps(cfg.schedule)
+        y = np.stack(
+            [_initial_state(cfg.base_seed, i, n_epochs, ts[0]) for i in indices]
         )
-        for b in range(len(y))
-    ]
-
-
-def sample_one(
-    bank: SensorBank,
-    obs: Observations,
-    cfg: SamplerConfig,
-    sample_index: int,
-    n_epochs: int,
-) -> SampleResult:
-    """Run one probability-flow sample; deterministic in (cfg, sample_index)."""
-    _check_epochs(obs, n_epochs)
-    return _results(_run_indices(bank, obs, cfg, [sample_index], n_epochs), cfg.schedule.M)[0]
+        gains = None
+        if cfg.record_trajectory:
+            gains = GainSums([name for name, _ in obs], len(indices), n_epochs)
+        observers = [o for o in (gains, observer) if o is not None]
+        for m in range(cfg.schedule.M):
+            t_cur = ts[m]
+            t_next = ts[m + 1]
+            sigma = float(t_cur)  # σ(t) = t, as a Python float for SamplingError's repr
+            pairs: list | None = [] if observers else None
+            denoised = fsdm_denoise_batch(y, sigma, bank, obs, cfg.lam, pairs)
+            for o in observers:
+                o(m, sigma, y, tuple(pairs))
+            d = (y - denoised) / sigma  # −σ(t)·score
+            y_next = y + (t_next - t_cur) * d
+            sigma_next = float(t_next)
+            if sigma_next != 0.0:
+                denoised2 = fsdm_denoise_batch(y_next, sigma_next, bank, obs, cfg.lam)
+                d2 = (y_next - denoised2) / sigma_next
+                y_next = y + 0.5 * (t_next - t_cur) * (d + d2)
+            if not np.all(np.isfinite(y_next)):
+                raise SamplingError(
+                    f"non-finite state after step {m} (sigma={sigma!r} -> {sigma_next!r})"
+                )
+            y = y_next
+    except Exception as err:
+        return None, (m, err)
+    per_sample = () if gains is None else tuple(
+        {name: s[b] for name, s in gains.sums.items()} for b in range(len(indices)))
+    return Batch(y, per_sample), None
 
 
 def sample_many(
@@ -219,26 +167,22 @@ def sample_many(
     cfg: SamplerConfig,
     n_epochs: int,
     observer: Observer | None = None,
-) -> list[SampleResult]:
+) -> Batch:
     """Run cfg.n_samples samples with indices 0..n−1.
 
     Samples share the time grid and are integrated in lockstep as a
-    batch; per-sample arithmetic is independent, so the output equals a
-    sequential run of sample_one bitwise, also when the samples are split
-    across worker processes.  ``observer`` sees the whole batch at each
-    step, samples in index order, so passing one keeps every sample in
-    the calling process.
+    batch; per-sample arithmetic is independent, so each sample's final
+    state and gain sums equal those of a run of that sample alone
+    bitwise, also when the samples are split across worker processes.
+    ``observer`` sees the whole batch at each step, samples in index
+    order, so passing one keeps every sample in the calling process.
     """
     _check_epochs(obs, n_epochs)
     n_ranges = _split_count(cfg.n_samples, n_epochs, observer)
-    if n_ranges == 1:
-        finals = _run_indices(bank, obs, cfg, range(cfg.n_samples), n_epochs, observer)
-    else:
-        finals = _run_split(bank, obs, cfg, n_epochs, n_ranges)
-    return _results(finals, cfg.schedule.M)
+    return _run_ranges(bank, obs, cfg, n_epochs, n_ranges, observer)
 
 
-# -- the split across worker processes --------------------------------------
+# -- the ranges and the worker processes --------------------------------------
 
 
 def _usable_cores() -> int:
@@ -304,44 +248,62 @@ def _one_blas_thread() -> Iterator[None]:
 
 def _send_range(sender: Connection, bank: SensorBank, obs: Observations, cfg: SamplerConfig,
                 indices: Sequence[int], n_epochs: int) -> None:
-    """A forked worker's body: run one range and send its outcome.  An
-    interrupt is the caller's to handle; it ends the workers."""
+    """A forked worker's body: run one range and send its outcome with the
+    warnings it met, which the caller issues.  An interrupt is the
+    caller's to handle; it ends the workers."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    finals, failure = _run_range(bank, obs, cfg, indices, n_epochs)
+    with warnings.catch_warnings(record=True) as caught:
+        batch, failure = _run_range(bank, obs, cfg, indices, n_epochs)
     if failure is not None:
         done, err = failure
         try:  # the caller re-raises the error, so it must survive a round trip
             pickle.loads(pickle.dumps(err))
         except Exception:
             failure = done, RuntimeError(f"{type(err).__name__}: {err}")
-    sender.send((finals, failure))
+    met = [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
+    sender.send((batch, failure, met))
     sender.close()
 
 
-def _run_split(bank: SensorBank, obs: Observations, cfg: SamplerConfig,
-               n_epochs: int, n_ranges: int) -> Finals:
+def _issue(met: Sequence[tuple[str, type[Warning], str, int]]) -> None:
+    """Issue warnings that a worker met as if they were met here: this
+    process's filters, and the registry of the module each came from,
+    decide whether it prints, so a warning met in several ranges prints
+    as often as in one.  Code with no module file (``python -c``, stdin)
+    runs in ``__main__``."""
+    for text, category, filename, lineno in met:
+        module = next((m for m in list(sys.modules.values())
+                       if getattr(m, "__file__", None) == filename), sys.modules["__main__"])
+        warnings.warn_explicit(text, category, filename, lineno, module.__name__,
+                               vars(module).setdefault("__warningregistry__", {}))
+
+
+def _run_ranges(bank: SensorBank, obs: Observations, cfg: SamplerConfig, n_epochs: int,
+                n_ranges: int, observer: Observer | None = None) -> Batch:
     """Run the samples as n_ranges contiguous index ranges: the first in
-    the calling process, each other in a worker forked for the call.
-    Every worker is joined before this returns.  The finals join in
-    index order; if a range raised, the error of the one that failed at
-    the earliest grid step (the first such range on a tie) is raised,
-    which is the error a lockstep run of all the samples meets first."""
+    the calling process, with ``observer``, and each other in a worker
+    forked for the call.  Every worker is joined before this returns, and
+    the warnings the workers met are issued.  The batches join in index
+    order; if a range raised, the error of the one that failed at the
+    earliest grid step (the first such range on a tie) is raised, which
+    is the error a lockstep run of all the samples meets first."""
     bounds = [cfg.n_samples * k // n_ranges for k in range(n_ranges + 1)]
     ranges = [range(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
-    # A forked worker starts with the bank and the observations in memory;
-    # a spawned one would re-import the package and unpickle every network.
-    ctx = multiprocessing.get_context("fork")
     workers = []
-    with _one_blas_thread():
+    with _one_blas_thread() if n_ranges > 1 else contextlib.nullcontext():
         try:
             for indices in ranges[1:]:
+                # A forked worker starts with the bank and the observations in
+                # memory; a spawned one would re-import the package and
+                # unpickle every network.
+                ctx = multiprocessing.get_context("fork")
                 receiver, sender = ctx.Pipe(duplex=False)
                 worker = ctx.Process(target=_send_range, daemon=True,
                                      args=(sender, bank, obs, cfg, indices, n_epochs))
                 worker.start()
                 workers.append((worker, receiver))
                 sender.close()
-            outcomes = [_run_range(bank, obs, cfg, ranges[0], n_epochs)]
+            outcomes = [(*_run_range(bank, obs, cfg, ranges[0], n_epochs, observer), ())]
             for worker, receiver in workers:
                 try:
                     outcomes.append(receiver.recv())
@@ -357,15 +319,14 @@ def _run_split(bank: SensorBank, obs: Observations, cfg: SamplerConfig,
             for worker, receiver in workers:
                 receiver.close()
                 worker.join()
-    failures = [failure for _, failure in outcomes if failure is not None]
+    for _, _, met in outcomes:
+        _issue(met)
+    failures = [failure for _, failure, _ in outcomes if failure is not None]
     if failures:
         raise min(failures, key=lambda failure: failure[0])[1]
-    states = np.concatenate([finals[0] for finals, _ in outcomes])
-    sums = outcomes[0][0][1]
-    if sums is not None:
-        sums = {name: np.concatenate([finals[1][name] for finals, _ in outcomes])
-                for name in sums}
-    return states, sums
+    batches = [batch for batch, _, _ in outcomes]
+    return Batch(np.concatenate([batch.states for batch in batches]),
+                 tuple(gains for batch in batches for gains in batch.gains))
 
 
 _STAT_NAMES = tuple(f.name for f in fields(evalkit.StatReport))
@@ -385,10 +346,11 @@ def infer(
     per-sample argmax hypnograms, cut to the first ``valid_epochs``
     epochs (all of them by default), so padding never counts as sleep;
     statistics absent from every sample (e.g. REM latency with no REM)
-    are omitted from the map.  ``observer`` is passed to sample_many.
+    are omitted from the map.  ``observer`` is passed to sample_many, and
+    ``results`` holds each sample's gain sums from it.
     """
-    results = sample_many(bank, obs, cfg, n_epochs, observer=observer)
-    samples = tuple(r.y for r in results)
+    batch = sample_many(bank, obs, cfg, n_epochs, observer=observer)
+    samples = tuple(Hypnodensity(y) for y in batch.states)
     hypnogram = majority_vote(samples)
     reports = [
         evalkit.overnight_stats(argmax_stages(y), valid_epochs) for y in samples
@@ -398,4 +360,4 @@ def infer(
         value = evalkit.aggregate_stat(reports, name)
         if value is not None:
             stats[name] = value
-    return InferenceResult(hypnogram=hypnogram, samples=samples, stats=stats, results=tuple(results))
+    return InferenceResult(hypnogram=hypnogram, samples=samples, stats=stats, results=batch.gains)

@@ -105,8 +105,8 @@ def test_a5_information_gain(sweep):
                        (("flat", uniform_emission()),))
     bank = exact_bank(world)
     cfg = SamplerConfig(n_samples=8, base_seed=0, record_trajectory=True)
-    gain = information_gain(bank, [("flat", Features(np.array([0.0, 3.0, 1.0])))],
-                            "flat", cfg)
+    obs = [("flat", Features(np.array([0.0, 3.0, 1.0])))]
+    gain = information_gain(bank, obs, "flat", cfg, 3, infer(bank, obs, cfg, 3).results)
     zero_ok = bool(np.all(np.abs(gain.values) <= 1e-9))
     bounds_ok = bool(np.all(gain.values >= 0) and np.all(gain.values <= 1))
 

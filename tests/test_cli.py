@@ -25,7 +25,7 @@ from fsdm.neural import ReferenceDenoiser, TrainConfig, save_model
 from fsdm.oracle import (
     CategoricalEmission, MarkovPrior, WorldModel, exact_bank, world_from_dict, world_to_dict,
 )
-from fsdm.sampler import SamplerConfig, _initial_state
+from fsdm.sampler import SamplerConfig, _initial_state, sample_many
 from fsdm.sched import ScheduleParams, time_steps
 from fsdm.scorekit import Features
 from fsdm.synth import WaveformSpec
@@ -301,9 +301,9 @@ def test_sampling_error_in_a_worker_range_exits_1_as_in_process(config_path, bun
     initial_state = fsdm.sampler._initial_state
     monkeypatch.setattr(fsdm.sampler, "_initial_state", lambda seed, i, n_epochs, sigma0: (
         initial_state(seed, i, n_epochs, sigma0) * (np.nan if i >= 3 else 1.0)))
-    run_split, splits = fsdm.sampler._run_split, []
-    monkeypatch.setattr(fsdm.sampler, "_run_split", lambda *args: (
-        splits.append(args[-1]), run_split(*args))[1])
+    run_ranges, splits = fsdm.sampler._run_ranges, []
+    monkeypatch.setattr(fsdm.sampler, "_run_ranges", lambda *args: (
+        splits.append(args[4]), run_ranges(*args))[1])
     monkeypatch.setattr(fsdm.sampler, "_SPLIT_MIN_EPOCHS", 1)
     runs = []
     for cores in (1, 2):
@@ -311,7 +311,7 @@ def test_sampling_error_in_a_worker_range_exits_1_as_in_process(config_path, bun
         capfd.readouterr()
         rc = main(["sample", "--config", str(path), "--out", str(tmp_path / "pred")])
         runs.append((rc, capfd.readouterr()))
-    assert splits == [2]
+    assert splits == [1, 2]
     assert runs[1] == runs[0]
     assert runs[0][0] == 1 and runs[0][1].out == ""
     assert runs[0][1].err.startswith("error: non-finite state after step 0 (sigma=40.0 -> ")
@@ -636,13 +636,13 @@ def test_infogain_runs_the_sampler_once(tmp_path, monkeypatch):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg), encoding="utf-8")
     runs = []
-    run_indices = fsdm.sampler._run_indices
+    run_ranges = fsdm.sampler._run_ranges
 
     def counting(*args, **kwargs):
         runs.append(1)
-        return run_indices(*args, **kwargs)
+        return run_ranges(*args, **kwargs)
 
-    monkeypatch.setattr(fsdm.sampler, "_run_indices", counting)
+    monkeypatch.setattr(fsdm.sampler, "_run_ranges", counting)
     out = tmp_path / "ig"
     assert main(["infogain", "--config", str(path), "--out", str(out),
                  "--sensor", "s0", "--sensor", "s1"]) == 0
@@ -652,7 +652,9 @@ def test_infogain_runs_the_sampler_once(tmp_path, monkeypatch):
     sampler_cfg = SamplerConfig(schedule=ScheduleParams(M=6), n_samples=3, base_seed=4,
                                 record_trajectory=True)
     for name in ("s0", "s1"):
-        gain = information_gain(exact_bank(world), obs, name, sampler_cfg, 5)
+        bank = exact_bank(world)
+        gains = sample_many(bank, obs, sampler_cfg, 5).gains
+        gain = information_gain(bank, obs, name, sampler_cfg, 5, gains)
         write_infogain_csv(tmp_path / f"want_{name}.csv", gain)
         assert filecmp.cmp(out / f"infogain_{name}.csv", tmp_path / f"want_{name}.csv",
                            shallow=False)

@@ -16,7 +16,7 @@ from fsdm.infogain import (
 )
 from fsdm.neural import ReferenceDenoiser
 from fsdm.oracle import MarkovPrior, WorldModel, exact_bank
-from fsdm.sampler import SamplerConfig, sample_many
+from fsdm.sampler import SamplerConfig, infer, sample_many
 from fsdm.sched import ScheduleParams
 from fsdm.scorekit import ABSENT, Features, SensorBank
 
@@ -53,12 +53,18 @@ def _uniform_world(n_epochs=3):
     )
 
 
+def _sampled_gain(bank, obs, sensor_name, cfg, n_epochs):
+    """Sample, then average the samples' gain sums for one sensor."""
+    gains = sample_many(bank, obs, cfg, n_epochs).gains
+    return information_gain(bank, obs, sensor_name, cfg, n_epochs, gains)
+
+
 def test_zero_evidence_sensor_has_zero_gain():
     world = _uniform_world()
     bank = exact_bank(world)
     obs = [("flat", Features(np.array([0.0, 3.0, 1.0])))]
     cfg = SamplerConfig(n_samples=8, base_seed=0, record_trajectory=True)
-    gain = information_gain(bank, obs, "flat", cfg)
+    gain = _sampled_gain(bank, obs, "flat", cfg, 3)
     np.testing.assert_allclose(gain.values, 0.0, atol=1e-9)
 
 
@@ -68,7 +74,7 @@ def test_absent_observation_gain_exactly_zero():
     bank = exact_bank(world)
     obs = [("s0", ABSENT)]
     cfg = SamplerConfig(n_samples=4, base_seed=1, record_trajectory=True)
-    gain = information_gain(bank, obs, "s0", cfg, n_epochs=3)
+    gain = _sampled_gain(bank, obs, "s0", cfg, 3)
     np.testing.assert_array_equal(gain.values, np.zeros(3))
 
 
@@ -83,9 +89,9 @@ def test_all_missing_sensor_gain_equals_absent(seed, n_epochs):
     seen = Features(rng.integers(0, 5, n_epochs).astype(np.float64))
     cfg = SamplerConfig(schedule=ScheduleParams(M=8), n_samples=3,
                         base_seed=seed, record_trajectory=True)
-    missing = information_gain(
-        bank, [("s0", Features(np.full(n_epochs, np.nan))), ("s1", seen)], "s0", cfg)
-    absent = information_gain(bank, [("s0", ABSENT), ("s1", seen)], "s0", cfg, n_epochs)
+    missing = _sampled_gain(
+        bank, [("s0", Features(np.full(n_epochs, np.nan))), ("s1", seen)], "s0", cfg, n_epochs)
+    absent = _sampled_gain(bank, [("s0", ABSENT), ("s1", seen)], "s0", cfg, n_epochs)
     np.testing.assert_array_equal(missing.values, absent.values)
     assert missing.values.max() <= 1e-12
 
@@ -97,7 +103,7 @@ def test_informative_sensor_has_positive_gain_in_bounds():
     h = Hypnogram.from_indices([0, 2, 4, 1])
     obs = [("s0", Features(h.to_indices().astype(float)))]
     cfg = SamplerConfig(n_samples=8, base_seed=2, record_trajectory=True)
-    gain = information_gain(bank, obs, "s0", cfg)
+    gain = _sampled_gain(bank, obs, "s0", cfg, 4)
     assert np.all(gain.values > 0)
     assert np.all(gain.values <= 1.0)
     assert gain.n_trajectories == 8
@@ -108,7 +114,7 @@ def test_requires_trajectory_recording():
     bank = exact_bank(world)
     obs = [("flat", Features(np.zeros(3)))]
     with pytest.raises(ValueError):
-        information_gain(bank, obs, "flat", SamplerConfig(n_samples=2))
+        _sampled_gain(bank, obs, "flat", SamplerConfig(n_samples=2), 3)
 
 
 def test_sensor_must_be_observed():
@@ -116,7 +122,14 @@ def test_sensor_must_be_observed():
     bank = exact_bank(world)
     cfg = SamplerConfig(n_samples=2, record_trajectory=True)
     with pytest.raises(KeyError):
-        information_gain(bank, [("flat", Features(np.zeros(3)))], "other", cfg)
+        _sampled_gain(bank, [("flat", Features(np.zeros(3)))], "other", cfg, 3)
+
+
+def test_information_gain_needs_a_sample():
+    bank = exact_bank(_uniform_world())
+    cfg = SamplerConfig(n_samples=2, record_trajectory=True)
+    with pytest.raises(ValueError, match="at least one sample"):
+        information_gain(bank, [("flat", Features(np.zeros(3)))], "flat", cfg, 3, [])
 
 
 def test_reusing_sampler_results_matches_fresh_run():
@@ -125,9 +138,10 @@ def test_reusing_sampler_results_matches_fresh_run():
     bank = exact_bank(world)
     obs = [("s0", Features(np.array([1.0, 1.0, 4.0])))]
     cfg = SamplerConfig(n_samples=4, base_seed=5, record_trajectory=True)
-    results = sample_many(bank, obs, cfg, 3)
-    fresh = information_gain(bank, obs, "s0", cfg)
-    reused = information_gain(bank, obs, "s0", cfg, results=results)
+    # An infer run's per-sample gain sums are those of a sampler run of its own.
+    results = infer(bank, obs, cfg, 3).results
+    fresh = _sampled_gain(bank, obs, "s0", cfg, 3)
+    reused = information_gain(bank, obs, "s0", cfg, 3, results=results)
     np.testing.assert_array_equal(fresh.values, reused.values)
 
 
@@ -148,8 +162,8 @@ def test_averaging_order_irrelevant():
             norms = np.linalg.norm(lik[b], axis=0) * np.linalg.norm(pri[b], axis=0)
             flat.append(1 - num / norms)
 
-    results = sample_many(bank, obs, cfg, 2, observer=by_hand)
-    gain = information_gain(bank, obs, "s0", cfg, results=results)
+    results = sample_many(bank, obs, cfg, 2, observer=by_hand).gains
+    gain = information_gain(bank, obs, "s0", cfg, 2, results=results)
     assert len(flat) == 3 * cfg.schedule.M
     np.testing.assert_allclose(gain.values, np.mean(flat, axis=0), atol=1e-12)
 
@@ -197,7 +211,7 @@ def test_streamed_gain_equals_stored_trajectories_bitwise(kind):
     cfg = SamplerConfig(schedule=ScheduleParams(M=7), n_samples=5, base_seed=3,
                         record_trajectory=True)
     stored = _StoredTrajectories(cfg.n_samples)
-    results = sample_many(bank, obs, cfg, n_epochs, observer=stored)
+    results = sample_many(bank, obs, cfg, n_epochs, observer=stored).gains
     for name in names:
         streamed = information_gain(bank, obs, name, cfg, n_epochs, results=results)
         assert np.array_equal(streamed.values, stored.gain(name, n_epochs))
@@ -210,8 +224,8 @@ def test_deterministic_given_seed():
     bank = exact_bank(world)
     obs = [("s0", Features(np.array([3.0, 0.0, 2.0])))]
     cfg = SamplerConfig(n_samples=4, base_seed=21, record_trajectory=True)
-    a = information_gain(bank, obs, "s0", cfg)
-    b = information_gain(bank, obs, "s0", cfg)
+    a = _sampled_gain(bank, obs, "s0", cfg, 3)
+    b = _sampled_gain(bank, obs, "s0", cfg, 3)
     np.testing.assert_array_equal(a.values, b.values)
 
 
@@ -237,6 +251,12 @@ def test_mean_information_gain_valid_epochs():
 def test_infogain_values_validated():
     with pytest.raises(ValueError):
         InfoGain("x", np.array([0.5, 1.2]), 1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_infogain_rejects_non_finite_values(bad):
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        InfoGain("x", np.array([bad, 0.5]), 1)
 
 
 def test_blanking_half_the_signal_lowers_mean_gain():

@@ -1,7 +1,10 @@
 import multiprocessing
 import os
+import subprocess
+import sys
 import threading
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,26 +17,28 @@ from fsdm.checks import (
     single_atom_world,
     stage_observations,
 )
-from fsdm.hypno import Hypnogram, argmax_stages, one_hot
+from fsdm.hypno import Hypnodensity, Hypnogram, argmax_stages, one_hot
 from fsdm.neural import PRIOR, ReferenceDenoiser, TrainConfig, train
 from fsdm.oracle import GaussianEmission, MarkovPrior, WorldModel, enumerate_posterior, exact_bank
-from fsdm.sampler import (
-    SampleResult,
-    SamplerConfig,
-    SamplingError,
-    infer,
-    sample_many,
-    sample_one,
-)
+from fsdm.sampler import SamplerConfig, SamplingError, infer, sample_many
 from fsdm.sched import ScheduleParams, time_steps
 from fsdm.scorekit import ABSENT, Features, SensorBank
+
+
+def _alone(bank, obs, cfg, index, n_epochs):
+    """Sample ``index`` run by itself, as a batch of one: the reference
+    that each sample of a batch equals bitwise.  Returns its final (5, E)
+    state and its gain sums (None unless cfg.record_trajectory)."""
+    batch, failure = sampler._run_range(bank, obs, cfg, [index], n_epochs)
+    assert failure is None
+    return batch.states[0], (batch.gains[0] if batch.gains else None)
 
 
 def test_single_atom_lands_on_vertex():
     h = Hypnogram.from_indices([0, 3, 2, 4])
     bank = exact_bank(single_atom_world(h))
-    result = sample_one(bank, [], SamplerConfig(base_seed=5), 0, 4)
-    assert np.abs(result.y.values - one_hot(h).values).max() <= 1e-6
+    y = sample_many(bank, [], SamplerConfig(n_samples=1, base_seed=5), 4).states[0]
+    assert np.abs(y - one_hot(h).values).max() <= 1e-6
 
 
 def test_same_seed_bitwise_identical():
@@ -41,9 +46,9 @@ def test_same_seed_bitwise_identical():
     world = random_world(3, 1, rng)
     bank = exact_bank(world)
     cfg = SamplerConfig(base_seed=123)
-    a = sample_one(bank, [], cfg, 4, 3)
-    b = sample_one(bank, [], cfg, 4, 3)
-    assert np.array_equal(a.y.values, b.y.values)
+    a, _ = _alone(bank, [], cfg, 4, 3)
+    b, _ = _alone(bank, [], cfg, 4, 3)
+    assert np.array_equal(a, b)
 
 
 def test_distinct_indices_distinct_initial_states():
@@ -60,15 +65,15 @@ def test_distinct_indices_distinct_initial_states():
     assert len(initials) == 64
 
 
-def test_sample_many_n1_equals_sample_one():
+def test_sample_many_n1_equals_the_one_sample_reference():
     rng = np.random.default_rng(1)
     world = random_world(2, 1, rng)
     bank = exact_bank(world)
     cfg = SamplerConfig(n_samples=1, base_seed=3)
     many = sample_many(bank, [], cfg, 2)
-    one = sample_one(bank, [], cfg, 0, 2)
-    assert len(many) == 1
-    assert np.array_equal(many[0].y.values, one.y.values)
+    one, _ = _alone(bank, [], cfg, 0, 2)
+    assert many.states.shape == (1, 5, 2)
+    assert np.array_equal(many.states[0], one)
 
 
 def test_batched_run_equals_sequential_bitwise():
@@ -78,9 +83,9 @@ def test_batched_run_equals_sequential_bitwise():
     obs = [("s0", Features(np.array([0.0, 2.0, 4.0])))]
     cfg = SamplerConfig(n_samples=6, base_seed=17)
     batch = sample_many(bank, obs, cfg, 3)
-    for i, result in enumerate(batch):
-        single = sample_one(bank, obs, cfg, i, 3)
-        assert np.array_equal(result.y.values, single.y.values)
+    for i, y in enumerate(batch.states):
+        single, _ = _alone(bank, obs, cfg, i, 3)
+        assert np.array_equal(y, single)
 
 
 def test_neural_bank_batched_run_equals_sequential_bitwise():
@@ -95,9 +100,9 @@ def test_neural_bank_batched_run_equals_sequential_bitwise():
     obs = [("s0", Features(rng.standard_normal(9))), ("s1", Features(x1))]
     cfg = SamplerConfig(schedule=ScheduleParams(M=4), n_samples=4, base_seed=8)
     batch = sample_many(bank, obs, cfg, 9)
-    for i, result in enumerate(batch):
-        single = sample_one(bank, obs, cfg, i, 9)
-        assert np.array_equal(result.y.values, single.y.values)
+    for i, y in enumerate(batch.states):
+        single, _ = _alone(bank, obs, cfg, i, 9)
+        assert np.array_equal(y, single)
 
 
 def test_trajectory_recording_does_not_change_states():
@@ -112,11 +117,9 @@ def test_trajectory_recording_does_not_change_states():
     b = sample_many(bank, obs, recorded, 3,
                     observer=lambda m, sigma, y, pairs: steps.append(m))
     assert steps == list(range(base.schedule.M))
-    for ra, rb in zip(a, b):
-        assert ra.gain_sums is None
-        assert set(rb.gain_sums) == {"s0"}
-        assert rb.n_steps == base.schedule.M
-        assert np.array_equal(ra.y.values, rb.y.values)
+    assert a.gains == ()
+    assert len(b.gains) == 2 and all(set(sums) == {"s0"} for sums in b.gains)
+    assert np.array_equal(a.states, b.states)
 
 
 def test_trajectory_records_predictor_states_with_positive_sigma():
@@ -138,11 +141,11 @@ def test_final_state_near_manifold_for_peaked_world():
     bank = exact_bank(world)
     h = Hypnogram.from_indices(rng.integers(0, 5, 4))
     obs = [("s0", Features(stage_observations(world, h)["s0"]))]
-    result = sample_one(bank, obs, SamplerConfig(base_seed=2, lam=1.0), 0, 4)
-    sums = result.y.values.sum(axis=0)
+    y = sample_many(bank, obs, SamplerConfig(n_samples=1, base_seed=2, lam=1.0), 4).states[0]
+    sums = y.sum(axis=0)
     np.testing.assert_allclose(sums, 1.0, rtol=0, atol=1e-6)
-    vertex = one_hot(argmax_stages(result.y)).values
-    assert np.abs(result.y.values - vertex).max() <= 0.05
+    vertex = one_hot(argmax_stages(Hypnodensity(y))).values
+    assert np.abs(y - vertex).max() <= 0.05
 
 
 def test_self_convergence_factor_two():
@@ -155,8 +158,8 @@ def test_self_convergence_factor_two():
 
     def final_state(m_steps):
         sched = ScheduleParams(sigma_min=0.3, sigma_max=40.0, rho=7.0, M=m_steps)
-        cfg = SamplerConfig(schedule=sched, base_seed=11, lam=1.0)
-        return sample_one(bank, obs, cfg, 0, 3).y.values
+        cfg = SamplerConfig(schedule=sched, n_samples=1, base_seed=11, lam=1.0)
+        return sample_many(bank, obs, cfg, 3).states[0]
 
     ref = final_state(64)
     err_coarse = np.linalg.norm(final_state(8) - ref)
@@ -173,8 +176,8 @@ def test_posterior_recovery_sanity():
     bank = exact_bank(world)
     cfg = SamplerConfig(n_samples=256, base_seed=0, lam=1.0)
     counts = np.zeros(post.size)
-    for result in sample_many(bank, [("s0", Features(obs_map["s0"]))], cfg, 3):
-        counts[hypnogram_index(argmax_stages(result.y))] += 1
+    for y in sample_many(bank, [("s0", Features(obs_map["s0"]))], cfg, 3).states:
+        counts[hypnogram_index(argmax_stages(Hypnodensity(y)))] += 1
     tv = 0.5 * np.abs(counts / 256 - post).sum()
     assert tv <= 0.2
 
@@ -189,7 +192,7 @@ class ExplodingDenoiser:
 def test_non_finite_state_raises_with_diagnostics():
     bank = SensorBank(ExplodingDenoiser(), ())
     with pytest.raises(SamplingError, match="step"):
-        sample_one(bank, [], SamplerConfig(base_seed=0), 0, 2)
+        sample_many(bank, [], SamplerConfig(n_samples=1, base_seed=0), 2)
 
 
 def test_observation_epoch_mismatch_rejected():
@@ -197,7 +200,7 @@ def test_observation_epoch_mismatch_rejected():
     world = random_world(3, 1, rng)
     bank = exact_bank(world)
     with pytest.raises(ValueError):
-        sample_one(bank, [("s0", Features(np.zeros(4)))], SamplerConfig(), 0, 3)
+        sample_many(bank, [("s0", Features(np.zeros(4)))], SamplerConfig(n_samples=1), 3)
 
 
 def test_infer_identical_one_hot_samples():
@@ -252,27 +255,30 @@ def _no_child_left():
 
 
 def _split_runs(monkeypatch, bank, obs, cfg, n_epochs, cores_list=(1, 2, 3, 8)):
-    """{cores: (final states, gain sums)} of sample_many with the split
-    open at every epoch count, and the range counts it split into."""
+    """{cores: Batch} of sample_many with the split open at every epoch
+    count, and the range counts it split into."""
     split_counts = []
-    run_split = sampler._run_split
+    run_ranges = sampler._run_ranges
 
-    def counted(bank, obs, cfg, n_epochs, n_ranges):
+    def counted(bank, obs, cfg, n_epochs, n_ranges, observer=None):
         split_counts.append(n_ranges)
-        return run_split(bank, obs, cfg, n_epochs, n_ranges)
+        return run_ranges(bank, obs, cfg, n_epochs, n_ranges, observer)
 
-    monkeypatch.setattr(sampler, "_run_split", counted)
+    monkeypatch.setattr(sampler, "_run_ranges", counted)
     monkeypatch.setattr(sampler, "_SPLIT_MIN_EPOCHS", 1)
     runs = {}
     for cores in cores_list:
         monkeypatch.setattr(sampler, "_usable_cores", lambda: cores)
-        results = sample_many(bank, obs, cfg, n_epochs)
-        runs[cores] = (np.stack([r.y.values for r in results]),
-                       None if results[0].gain_sums is None else
-                       {k: np.stack([r.gain_sums[k] for r in results])
-                        for k in results[0].gain_sums})
+        runs[cores] = sample_many(bank, obs, cfg, n_epochs)
     _no_child_left()
     return runs, split_counts
+
+
+def _same_batch(got, want):
+    assert np.array_equal(got.states, want.states)
+    assert len(got.gains) == len(want.gains)
+    for a, b in zip(got.gains, want.gains):
+        assert set(a) == set(b) and all(np.array_equal(a[k], b[k]) for k in b)
 
 
 def _neural_case(n_epochs, seed):
@@ -305,13 +311,16 @@ def test_split_keeps_every_sample_bitwise(monkeypatch, case, n_samples, n_epochs
     cfg = SamplerConfig(schedule=ScheduleParams(M=2), n_samples=n_samples, base_seed=n_epochs,
                         record_trajectory=True)
     runs, split_counts = _split_runs(monkeypatch, bank, obs, cfg, n_epochs)
-    # One range per core, at most one per sample; one range runs in-process.
-    assert split_counts == [min(cores, n_samples) for cores in (2, 3, 8) if n_samples > 1]
-    want_y, want_sums = runs[1]
-    assert set(want_sums) == {"s0", "s1"}
-    for cores, (y, sums) in runs.items():
-        assert np.array_equal(y, want_y), cores
-        assert all(np.array_equal(sums[k], want_sums[k]) for k in want_sums), cores
+    # One range per core, at most one per sample.
+    assert split_counts == [min(cores, n_samples) for cores in (1, 2, 3, 8)]
+    # Every sample equals itself run alone, in states and gain sums.
+    want_y, want_sums = zip(*(_alone(bank, obs, cfg, i, n_epochs) for i in range(n_samples)))
+    assert all(set(sums) == {"s0", "s1"} for sums in want_sums)
+    for cores, batch in runs.items():
+        assert np.array_equal(batch.states, np.stack(want_y)), cores
+        assert len(batch.gains) == n_samples, cores
+        assert all(np.array_equal(got[k], want[k])
+                   for got, want in zip(batch.gains, want_sums) for k in want), cores
 
 
 def test_trained_bank_samples_do_not_depend_on_the_split(monkeypatch):
@@ -328,8 +337,9 @@ def test_trained_bank_samples_do_not_depend_on_the_split(monkeypatch):
     obs = [("a", Features(rng.standard_normal(n_epochs))), ("b", Features(xb))]
     cfg = SamplerConfig(schedule=ScheduleParams(M=4), n_samples=5, base_seed=4)
     runs, split_counts = _split_runs(monkeypatch, bank, obs, cfg, n_epochs, (1, 2, 3))
-    assert split_counts == [2, 3]
-    assert all(np.array_equal(y, runs[1][0]) and sums is None for y, sums in runs.values())
+    assert split_counts == [1, 2, 3]
+    assert all(np.array_equal(batch.states, runs[1].states) and batch.gains == ()
+               for batch in runs.values())
 
 
 class _ByProcessDenoiser:
@@ -356,7 +366,7 @@ def test_no_worker_outlives_its_call(monkeypatch):
     monkeypatch.setattr(sampler, "_usable_cores", lambda: 4)
     cfg = SamplerConfig(schedule=ScheduleParams(M=3), n_samples=8)
     bank = SensorBank(_ByProcessDenoiser("nowhere", None), ())
-    assert len(sample_many(bank, [], cfg, 3)) == 8
+    assert len(sample_many(bank, [], cfg, 3).states) == 8
     _no_child_left()
     # A range that fails, in a worker or in the caller, fails the call once
     # every range has ended.
@@ -457,9 +467,7 @@ def test_fall_back_cases_start_no_process(monkeypatch):
     monkeypatch.setattr(sampler, "_usable_cores", lambda: 8)
 
     def check(got):
-        for a, b in zip(got, want):
-            assert np.array_equal(a.y.values, b.y.values)
-            assert all(np.array_equal(a.gain_sums[k], b.gain_sums[k]) for k in b.gain_sums)
+        _same_batch(got, want)
 
     # An attached observer, which sees the whole batch at every step.
     steps = []
@@ -475,7 +483,7 @@ def test_fall_back_cases_start_no_process(monkeypatch):
     # One sample.
     one = sample_many(bank, obs, SamplerConfig(schedule=ScheduleParams(M=3), n_samples=1,
                                                base_seed=2, record_trajectory=True), 6)
-    check(one)
+    _same_batch(one, sampler.Batch(want.states[:1], want.gains[:1]))
     # Another live thread, which a fork would not copy.
     release = threading.Event()
     thread = threading.Thread(target=release.wait, args=(60,))
@@ -493,6 +501,58 @@ def test_fall_back_cases_start_no_process(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(multiprocessing, "current_process", lambda: types.SimpleNamespace(daemon=True))
         check(sample_many(bank, obs, cfg, 6))
+
+
+_WARNING_SCRIPT = """
+import sys
+
+import numpy as np
+
+from fsdm import sampler
+from fsdm.sampler import SamplerConfig, sample_many
+from fsdm.sched import ScheduleParams, time_steps
+from fsdm.scorekit import SensorBank
+
+where, cores = sys.argv[1], int(sys.argv[2])
+cfg = SamplerConfig(schedule=ScheduleParams(M=2), n_samples=2)
+t0 = time_steps(cfg.schedule)[0]
+
+
+class LogPrior:
+    # Sample i starts at i everywhere, so at t0 the batch holds its indices.
+    def evaluate_batch(self, ys, cond, sigma):
+        if where == "every range" or (sigma == t0 and ys[:, 0, 0].max() >= 1):
+            np.log(np.zeros(1))
+        return np.full_like(ys, 0.2)
+
+
+sampler._initial_state = lambda base_seed, i, n_epochs, sigma0: np.full((5, n_epochs), float(i))
+sampler._SPLIT_MIN_EPOCHS = 1
+sampler._usable_cores = lambda: cores
+for _ in range(2):
+    sample_many(SensorBank(LogPrior(), ()), [], cfg, 3)
+"""
+
+
+@pytest.mark.parametrize("how", ["file", "-c"])
+@pytest.mark.parametrize("where", ["every range", "sample 1"])
+def test_a_split_run_prints_its_warnings_as_in_process(tmp_path, where, how):
+    # Two calls, each meeting the warning in the caller's and the worker's
+    # range, or in the worker's only: it prints once, with 1 range or 2.
+    # Run from a file, the warning comes from that file's module; run with
+    # -c, from code that has no module file.
+    script = tmp_path / "warn.py"
+    script.write_text(_WARNING_SCRIPT, encoding="utf-8")
+    program = [str(script)] if how == "file" else ["-c", _WARNING_SCRIPT]
+    src = str(Path(sampler.__file__).resolve().parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    runs = [subprocess.run([sys.executable, *program, where, str(cores)], env=env,
+                           capture_output=True, text=True, timeout=300)
+            for cores in (1, 2)]
+    assert [run.returncode for run in runs] == [0, 0], runs[1].stderr
+    assert runs[0].stderr.count("RuntimeWarning: divide by zero encountered in log") == 1
+    assert runs[1].stderr == runs[0].stderr
 
 
 def test_epoch_counts_are_checked_before_any_fork(monkeypatch):
