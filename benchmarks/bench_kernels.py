@@ -6,11 +6,12 @@ denoiser's network and whole-night sampling.
 
 Forward-backward (Markov priors) is timed against enumeration (explicit
 priors) on the same inputs where E ≤ 8, and alone on whole-night
-lengths.  The AMPD scalogram is timed at three window lengths and
-scale ranges.  The reference denoiser's ``evaluate_batch`` (one network
-pass per state) and ``evaluate_pair`` (two) are timed on a new network
-at a training length and a whole night; the network runs in the calling
-process.  ``sample_many`` is timed on a whole night with a neural bank,
+lengths; the B = 192 rows are the stacked batch of one exact-bank
+denoise with two sensors and 64 samples.  The AMPD scalogram is timed
+at three window lengths and scale ranges.  The reference denoiser's
+``evaluate_batch`` (one network pass per state) and ``evaluate_pair``
+(two) are timed on a new network at a training length and a whole
+night; the network runs in the calling process.  ``sample_many`` is timed on a whole night with a neural bank,
 split across worker processes and in the calling process, with the CPU
 time of the caller and its workers beside the wall time.  BLAS runs on
 one thread, as in ``perfbench/run.py``.
@@ -50,7 +51,9 @@ def bench_mixture():
     rng = np.random.default_rng(0)
     log_init = np.log(rng.dirichlet(np.ones(5)))
     log_trans = np.log(rng.dirichlet(np.ones(5), 5))
-    for n_epochs, batch in ((4, 64), (6, 64), (8, 8), (120, 64), (960, 64)):
+    # B = 192 is an oracle-e5 denoise: a prior and two sensors' terms on 64 states.
+    for n_epochs, batch in ((4, 64), (5, 192), (6, 64), (8, 8), (120, 64), (960, 64),
+                            (960, 192)):
         a = rng.standard_normal((batch, 5, n_epochs))
         t_fb = timeit(_kernels.markov_marginals, log_init, log_trans, a, repeat=3)
         line = f"  E={n_epochs:3d} B={batch:3d}: forward-backward {t_fb*1e3:8.2f} ms"

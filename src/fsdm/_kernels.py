@@ -6,7 +6,11 @@ over a Markov prior in O(25·E) per batch item, and ``mixture_marginals``
 enumerates all 5^E hypnograms of an explicit prior (E ≤ 8) as one
 C-order (5,)*E tensor of log weights whose axis e is epoch e.  Both
 treat every batch item independently, so batched evaluation is bitwise
-equal to one-at-a-time evaluation.
+equal to one-at-a-time evaluation.  Forward-backward runs its two
+recursions as one loop of E − 1 steps: each step advances the forward
+message one epoch and the backward message one epoch from the end, as
+one stacked (2, 5, B) message, in work arrays allocated once per call
+and written in place.
 
 The AMPD scalogram kernels compare the float64 samples directly, so
 every comparison with NaN is false, as in the per-sample definition.
@@ -43,7 +47,7 @@ USING_NUMBA = False
 
 
 def _shift_stages(a, axis):
-    """Shift each epoch's stage terms to a maximum of 0.
+    """Shift each epoch's stage terms to a maximum of 0, in place.
 
     Every hypnogram takes one stage per epoch, so this subtracts the same
     constant from every log weight and leaves the marginals unchanged; it
@@ -51,8 +55,8 @@ def _shift_stages(a, axis):
     stage terms are large (σ → 0).  An epoch with no finite term stays
     at −inf.
     """
-    m = a.max(axis=axis, keepdims=True)
-    return a - np.where(np.isfinite(m), m, 0.0)
+    m = np.maximum.reduce(a, axis=axis, keepdims=True)
+    return np.subtract(a, np.where(np.isfinite(m), m, 0.0), out=a)
 
 
 def _log_weights(log_prior, terms):
@@ -74,7 +78,7 @@ def mixture_marginals(log_prior, a):
     """Marginals by enumeration over an explicit prior whose (5^E,) log
     weights ``log_prior`` run in the tensor's C order."""
     log_prior = np.asarray(log_prior, dtype=np.float64)
-    a = _shift_stages(np.asarray(a, dtype=np.float64), axis=1)
+    a = _shift_stages(np.array(a, dtype=np.float64), axis=1)
     out = np.empty(a.shape)
     for b in range(a.shape[0]):
         s = _log_weights(log_prior, a[b])
@@ -86,18 +90,6 @@ def mixture_marginals(log_prior, a):
     return out
 
 
-def _log_matvec(v, log_trans):
-    """out[j, b] = log Σ_i exp(v[i, b] + log_trans[i, j]) for v of shape (5, B).
-
-    The shift is taken per output entry, so no finite term underflows
-    behind a larger one, and an entry with no finite term comes out −inf
-    (its shift is floored at −1e300 instead of −inf, which avoids a NaN).
-    """
-    t = v[:, None, :] + log_trans[:, :, None]
-    m = np.maximum(t.max(axis=0), -1e300)
-    return np.log(np.exp(t - m).sum(axis=0)) + m
-
-
 def markov_marginals(log_init, log_trans, a):
     """Marginals by log-space forward-backward over a Markov prior.
 
@@ -106,34 +98,61 @@ def markov_marginals(log_init, log_trans, a):
     entries are allowed.  The 5^E-component mixture is a hidden Markov
     model with emission term a[b, :, e], so its marginals are exact in
     O(25·E) per batch item (Rabiner 1989, Proc. IEEE 77(2)).
+
+    Step k of one loop advances the forward message to epoch k and the
+    backward message to epoch E − 1 − k, as one (2, 5, B) message
+    against the transitions [log_trans, log_trans.T]:
+    out[h, j, b] = log Σ_i exp(v[h, i, b] + T[h, i, j]).  The shift is
+    taken per output entry, so no finite term underflows behind a larger
+    one, and an entry with no finite term comes out −inf (its shift is
+    floored at −1e300 instead of −inf, which avoids a NaN).
     """
     log_init = np.asarray(log_init, dtype=np.float64)
     log_trans = np.asarray(log_trans, dtype=np.float64)
-    # (E, 5, B): reductions over stages run across contiguous batch rows.
-    at = np.ascontiguousarray(
-        _shift_stages(np.asarray(a, dtype=np.float64), axis=1).transpose(2, 1, 0)
-    )
-    alpha = np.empty_like(at)
-    beta = np.empty_like(at)
+    # (E, 5, B), a copy: reductions over stages run across contiguous
+    # batch rows.
+    at = _shift_stages(np.asarray(a, dtype=np.float64).transpose(2, 1, 0).copy(), axis=1)
+    n_epochs, _, batch = at.shape
+    # ab[0, e] is the forward message at epoch e and ab[1, e] the backward
+    # message at epoch E − 1 − e, so step k writes both halves of ab[:, k].
     # Each message is shifted to a maximum of 0, so rounding tracks one
     # epoch's terms rather than their sum over the night.  A batch item
     # with no finite path turns into NaN and is caught below.
+    ab = np.empty((2,) + at.shape)
+    alpha, beta = ab[0], ab[1, ::-1]
     with np.errstate(divide="ignore", invalid="ignore"):
-        x = log_init[:, None] + at[0]
-        alpha[0] = x - x.max(axis=0)
-        for e in range(1, at.shape[0]):
-            x = _log_matvec(alpha[e - 1], log_trans) + at[e]
-            alpha[e] = x - x.max(axis=0)
+        first = log_init[:, None] + at[0]
+        np.subtract(first, first.max(axis=0), out=alpha[0])
+        beta[-1] = 0.0
+        if n_epochs > 1:
+            trans = np.stack([log_trans, log_trans.T])[:, :, :, None]
+            v = np.empty((2, 5, batch))
+            t = np.empty((2, 5, 5, batch))
+            m = np.empty((2, 5, batch))
+            x = np.empty((2, 5, batch))
+            top = np.empty((2, 1, batch))
+            v[0] = alpha[0]
+            np.add(at[-1], beta[-1], out=v[1])
+            for k in range(1, n_epochs):
+                np.add(v[:, :, None, :], trans, out=t)
+                np.maximum.reduce(t, axis=1, out=m, initial=-1e300)
+                np.subtract(t, m[:, None], out=t)
+                np.exp(t, out=t)
+                np.add.reduce(t, axis=1, out=x)
+                np.log(x, out=x)
+                np.add(x, m, out=x)
+                np.add(x[0], at[k], out=x[0])
+                np.maximum.reduce(x, axis=1, keepdims=True, out=top)
+                np.subtract(x, top, out=v)
+                ab[:, k] = v
+                np.add(at[n_epochs - 1 - k], v[1], out=v[1])
         if not np.all(np.isfinite(alpha[-1].max(axis=0))):
             raise FloatingPointError("all mixture components have zero weight")
-        beta[-1] = 0.0
-        for e in range(at.shape[0] - 2, -1, -1):
-            x = _log_matvec(at[e + 1] + beta[e + 1], log_trans.T)
-            beta[e] = x - x.max(axis=0)
-    g = alpha + beta
-    w = np.exp(g - g.max(axis=1, keepdims=True))
-    out = w / w.sum(axis=1, keepdims=True)
-    return np.ascontiguousarray(out.transpose(2, 1, 0))
+    w = np.add(alpha, beta, out=alpha)
+    np.subtract(w, np.maximum.reduce(w, axis=1, keepdims=True), out=w)
+    np.exp(w, out=w)
+    np.divide(w, np.add.reduce(w, axis=1, keepdims=True), out=w)
+    return np.ascontiguousarray(w.transpose(2, 1, 0))
 
 
 # ---------------------------------------------------------------------------

@@ -272,6 +272,7 @@ class ExactDenoiser:
         else:
             self._log_prior = log_prior_table(world)
             self._marginals = self._enumerate
+        self._memo: tuple[Features, np.ndarray] | None = None
 
     def _forward_backward(self, a: np.ndarray) -> np.ndarray:
         return markov_marginals(self._log_init, self._log_trans, a)
@@ -280,8 +281,20 @@ class ExactDenoiser:
         return mixture_marginals(self._log_prior, a)
 
     def _cond_loglik(self, cond: Conditioning) -> np.ndarray:
+        """The (5, E) terms of ``cond``, zero for ABSENT and for the prior.
+        ``Features`` is immutable, so the terms of the last conditioning
+        are kept, keyed by its identity, and a run of denoises with one
+        conditioning computes them once.  A conditioning that raises is
+        not kept."""
         if self.target == PRIOR or cond is ABSENT:
             return np.zeros((N_STAGES, self.world.n_epochs))
+        if self._memo is None or self._memo[0] is not cond:
+            loglik = self._features_loglik(cond)
+            loglik.setflags(write=False)
+            self._memo = (cond, loglik)
+        return self._memo[1]
+
+    def _features_loglik(self, cond: Features) -> np.ndarray:
         if not isinstance(cond, Features):
             raise TypeError("conditioning must be Features or ABSENT")
         v = cond.values

@@ -59,10 +59,12 @@ Observer = Callable[[int, float, np.ndarray, tuple], None]
 # sample_many splits its samples across worker processes only from this
 # many epochs.  A fork costs 5–15 ms.  On a 2-vCPU VM, at B = 64 and
 # M = 32, the split took 0.51–0.61 times the in-process time with a
-# neural bank at every E from 1 to 120, and with an exact Markov bank
-# 1.34 times at E = 1, 0.95 at E = 5, 0.71–0.78 at E = 8–24 and
-# 0.61–0.67 at E = 32–120.  Shorter recordings, and the enumeration-sized
-# worlds of the exact oracles, stay in the calling process.
+# neural bank at every E from 1 to 120.  With an exact Markov bank (two
+# sensors, fused forward-backward, terms computed once per conditioning)
+# it took 0.97–1.08 times at E = 5, 0.80–0.98 at E = 8, 0.79–0.88 at
+# E = 16 and 0.61–0.66 at E = 32 (medians of 15 alternated pairs, in
+# three runs).  Shorter recordings, and the enumeration-sized worlds of
+# the exact oracles, stay in the calling process.
 _SPLIT_MIN_EPOCHS = 32
 
 

@@ -135,6 +135,64 @@ def test_markov_marginals_zero_weight_raises():
     assert np.all(np.isfinite(markov_marginals(log_init, log_trans, a[:1])))
 
 
+def _log_matvec(v, log_trans):
+    """out[j, b] = log Σ_i exp(v[i, b] + log_trans[i, j]) for v of shape (5, B)."""
+    t = v[:, None, :] + log_trans[:, :, None]
+    m = np.maximum(t.max(axis=0), -1e300)
+    return np.log(np.exp(t - m).sum(axis=0)) + m
+
+
+def _two_loop_markov(log_init, log_trans, a):
+    """Forward-backward as a forward loop then a backward loop, each step
+    in new arrays: the recursion ``markov_marginals`` fuses."""
+    top = a.max(axis=1, keepdims=True)
+    a = a - np.where(np.isfinite(top), top, 0.0)
+    at = np.ascontiguousarray(a.transpose(2, 1, 0))
+    alpha = np.empty_like(at)
+    beta = np.empty_like(at)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = log_init[:, None] + at[0]
+        alpha[0] = x - x.max(axis=0)
+        for e in range(1, at.shape[0]):
+            x = _log_matvec(alpha[e - 1], log_trans) + at[e]
+            alpha[e] = x - x.max(axis=0)
+        if not np.all(np.isfinite(alpha[-1].max(axis=0))):
+            raise FloatingPointError("all mixture components have zero weight")
+        beta[-1] = 0.0
+        for e in range(at.shape[0] - 2, -1, -1):
+            x = _log_matvec(at[e + 1] + beta[e + 1], log_trans.T)
+            beta[e] = x - x.max(axis=0)
+    g = alpha + beta
+    w = np.exp(g - g.max(axis=1, keepdims=True))
+    out = w / w.sum(axis=1, keepdims=True)
+    return np.ascontiguousarray(out.transpose(2, 1, 0))
+
+
+@pytest.mark.parametrize("n_epochs", [1, 2, 5, 8, 120, 960])
+@pytest.mark.parametrize("batch", [1, 5, 192])
+def test_markov_marginals_bitwise_equal_two_loop_recursion(n_epochs, batch):
+    # _markov_case forbids two transitions (−inf entries); stage terms
+    # scaled up to 1e8 put the messages' shifts far from 0.
+    log_init, log_trans, a = _markov_case(n_epochs, batch, seed=n_epochs + batch)
+    for scale in (1.0, 1e4, 1e8):
+        got = markov_marginals(log_init, log_trans, a * scale)
+        assert got.tobytes() == _two_loop_markov(log_init, log_trans, a * scale).tobytes()
+
+
+def test_markov_marginals_no_finite_path_raises_like_two_loop_recursion():
+    log_init, log_trans, a = _markov_case(n_epochs=8, batch=5)
+    # Item 3 is held in stage 0 at epoch 4 and must be in stage 1 at
+    # epoch 5, a forbidden transition; the other items are fine.
+    a[3, 1:, 4] = -np.inf
+    a[3, [0, 2, 3, 4], 5] = -np.inf
+    for kernel in (markov_marginals, _two_loop_markov):
+        with pytest.raises(FloatingPointError):
+            kernel(log_init, log_trans, a)
+    ok = np.delete(a, 3, axis=0)
+    want = _two_loop_markov(log_init, log_trans, ok)
+    assert markov_marginals(log_init, log_trans, ok).tobytes() == want.tobytes()
+
+
 def _kernel_pair(seed, n_epochs, sparse):
     """Both kernels' arguments for one Markov world and its explicit twin."""
     rng = np.random.default_rng(seed)

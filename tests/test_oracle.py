@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from fsdm import oracle
+from fsdm import oracle, sampler
 from fsdm.checks import (
     explicit_twin,
     informative_emission,
@@ -24,6 +24,7 @@ from fsdm.oracle import (
     MarkovPrior,
     WorldModel,
     enumerate_posterior,
+    exact_bank,
     exact_denoiser,
     exact_smoothed_score,
     hypnogram_table,
@@ -32,6 +33,8 @@ from fsdm.oracle import (
     world_from_dict,
     world_to_dict,
 )
+from fsdm.sampler import SamplerConfig, sample_many
+from fsdm.sched import ScheduleParams
 from fsdm.scorekit import ABSENT, Features, tweedie_score
 
 
@@ -328,3 +331,98 @@ def test_markov_denoiser_whole_night_without_enumeration(monkeypatch):
         assert out.shape == (4, 5, 960)
         assert np.all(out >= 0)
         np.testing.assert_allclose(out.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+
+
+# -- each conditioning's terms, computed once -------------------------------
+
+
+def _counted_emission_loglik(monkeypatch):
+    """Patch oracle.emission_loglik to record its calls; returns the list
+    of observations it was called with."""
+    calls = []
+    original = oracle.emission_loglik
+
+    def counted(em, obs):
+        calls.append(obs)
+        return original(em, obs)
+
+    monkeypatch.setattr(oracle, "emission_loglik", counted)
+    return calls
+
+
+def _memo_world(n_epochs, seed):
+    rng = np.random.default_rng(seed)
+    sensors = tuple((f"s{i}", informative_emission(rng, 0.8)) for i in range(2))
+    world = WorldModel(n_epochs, persistent_markov(rng, 0.7), sensors)
+    obs = [(name, Features(rng.integers(0, 5, n_epochs).astype(float))) for name, _ in sensors]
+    return rng, world, obs
+
+
+def test_sample_many_computes_each_observations_terms_once(monkeypatch):
+    calls = _counted_emission_loglik(monkeypatch)
+    _, world, obs = _memo_world(n_epochs=6, seed=40)
+    cfg = SamplerConfig(schedule=ScheduleParams(M=8), n_samples=4)
+    sample_many(exact_bank(world), obs, cfg, world.n_epochs)
+    # N observations, not N·(2M − 1): one per observation for all denoises.
+    assert len(calls) == len(obs)
+
+
+def test_terms_follow_the_conditioning_across_calls(monkeypatch):
+    calls = _counted_emission_loglik(monkeypatch)
+    rng, world, obs = _memo_world(n_epochs=5, seed=41)
+    a, b = obs[0][1], Features(rng.integers(0, 5, 5).astype(float))
+    ys = rng.standard_normal((3, 5, 5))
+    want = {id(c): exact_denoiser(world, "s0").evaluate_batch(ys, c, 0.4) for c in (a, b)}
+    calls.clear()
+    denoiser = exact_denoiser(world, "s0")
+    for cond in (a, b, a):
+        assert denoiser.evaluate_batch(ys, cond, 0.4).tobytes() == want[id(cond)].tobytes()
+    # The memo holds one conditioning: a is computed again after b.
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("bad", [np.array([0.0, 1.5, 2.0, 3.0, 4.0]), np.zeros(4)],
+                         ids=["non-integer symbol", "wrong epoch count"])
+def test_a_conditioning_that_raises_is_never_kept(bad):
+    rng, world, obs = _memo_world(n_epochs=5, seed=42)
+    ys = rng.standard_normal((2, 5, 5))
+    denoiser = exact_denoiser(world, "s0")
+    good = denoiser.evaluate_batch(ys, obs[0][1], 0.4)
+    cond = Features(bad)
+    for _ in range(3):
+        with pytest.raises(ValueError):
+            denoiser.evaluate_batch(ys, cond, 0.4)
+        with pytest.raises(ValueError):
+            denoiser.evaluate_stacked(ys, [(denoiser, cond)], 0.4)
+    assert denoiser.evaluate_batch(ys, obs[0][1], 0.4).tobytes() == good.tobytes()
+
+
+def test_split_run_with_kept_terms_equals_in_process_run(monkeypatch):
+    n_epochs = 32
+    assert n_epochs >= sampler._SPLIT_MIN_EPOCHS
+    _, world, obs = _memo_world(n_epochs, seed=43)
+    cfg = SamplerConfig(schedule=ScheduleParams(M=4), n_samples=5, base_seed=3)
+    ranges = []
+    run_ranges = sampler._run_ranges
+
+    def counted(bank, obs, cfg, n_epochs, n_ranges, observer=None):
+        ranges.append(n_ranges)
+        return run_ranges(bank, obs, cfg, n_epochs, n_ranges, observer)
+
+    monkeypatch.setattr(sampler, "_run_ranges", counted)
+    monkeypatch.setattr(sampler, "_usable_cores", lambda: 2)
+    split = sample_many(exact_bank(world), obs, cfg, n_epochs)
+    # An observer keeps every sample in the calling process.
+    in_process = sample_many(exact_bank(world), obs, cfg, n_epochs, observer=lambda *args: None)
+    assert ranges == [2, 1]
+    assert split.states.tobytes() == in_process.states.tobytes()
+    # Without the memo, every denoise computes its terms again: same states.
+    cond_loglik = oracle.ExactDenoiser._cond_loglik
+
+    def forgetful(self, cond):
+        self._memo = None
+        return cond_loglik(self, cond)
+
+    monkeypatch.setattr(oracle.ExactDenoiser, "_cond_loglik", forgetful)
+    fresh = sample_many(exact_bank(world), obs, cfg, n_epochs, observer=lambda *args: None)
+    assert fresh.states.tobytes() == in_process.states.tobytes()
