@@ -25,6 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from ._kernels import ampd_gamma, ampd_gamma_range, ampd_local_maxima
+from .hypno import EPOCH_S
 
 TARGET_FS = 128.0
 TARGET_EPOCHS = 1792
@@ -197,7 +198,7 @@ def zero_pad(s: np.ndarray, target_epochs: int = TARGET_EPOCHS) -> tuple[np.ndar
     excluded from every downstream metric.
     """
     s = np.asarray(s, dtype=np.float64)
-    epoch_samples = int(round(30 * TARGET_FS))
+    epoch_samples = int(round(EPOCH_S * TARGET_FS))
     target = target_epochs * epoch_samples
     if s.size > target:
         raise ValueError(f"signal of {s.size} samples exceeds the {target}-sample target")
@@ -285,7 +286,7 @@ def ampd_peaks(s: np.ndarray, fs: float, window_s: float = AMPD_WINDOW_S,
     window_len = int(round(window_s * fs))
     step = window_len - int(round(overlap_s * fs))
     decimation = ampd_decimation(fs, bandwidth_hz)
-    peaks: set[int] = set()
+    found = [np.empty(0, dtype=np.int64)]
     for a in ampd_window_starts(s.size, window_len, step):
         x = s[a:a + window_len]
         if x.size < 4 or np.all(x == x[0]):
@@ -294,8 +295,8 @@ def ampd_peaks(s: np.ndarray, fs: float, window_s: float = AMPD_WINDOW_S,
         if max_scale < 1:
             continue
         mask = ampd_local_maxima(x, ampd_scale(x, max_scale, decimation))
-        peaks.update((a + np.flatnonzero(mask)).tolist())
-    return np.array(sorted(peaks), dtype=np.int64)
+        found.append(a + np.flatnonzero(mask))
+    return np.unique(np.concatenate(found))
 
 
 def _rate_category(category: str) -> tuple[float, tuple[float, float]]:
@@ -306,37 +307,35 @@ def _rate_category(category: str) -> tuple[float, tuple[float, float]]:
 
 
 def peaks_to_rate(peaks: np.ndarray, fs: float, category: str, n_out: int) -> np.ndarray:
-    """Convert peak indices to an n_out-sample events/second signal at 128 Hz.
+    """Convert strictly increasing peak indices to an n_out-sample
+    events/second signal at 128 Hz.
 
-    Intervals outside the plausible range (cardiac [0.3, 2] s,
-    respiratory [1, 30] s) hold the previous valid value; invalid
-    intervals before the first valid one take the first valid value.
+    Each interval's rate holds from its first peak's 128-Hz sample to the
+    next peak's; the first rate also holds before the first peak, and the
+    last after the last peak.  Intervals outside the plausible range
+    (cardiac [0.3, 2] s, respiratory [1, 30] s) hold the previous valid
+    rate; invalid intervals before the first valid one take the first
+    valid rate.
     """
     _, (lo, hi) = _rate_category(category)
     peaks = np.asarray(peaks, dtype=np.int64)
     if peaks.size < 2:
         raise ValueError("rate extraction requires at least 2 peaks")
+    if np.any(peaks[1:] <= peaks[:-1]):
+        raise ValueError("peaks must be strictly increasing")
     intervals = np.diff(peaks) / fs
     valid = (intervals >= lo) & (intervals <= hi)
     if not np.any(valid):
         raise ValueError("no biologically plausible intervals found")
     rates = 1.0 / intervals  # (60/interval) bpm scaled by 1/60
-    filled = np.empty_like(rates)
-    last = rates[np.flatnonzero(valid)[0]]
-    for i in range(rates.size):
-        if valid[i]:
-            last = rates[i]
-        filled[i] = last
-    bounds = np.round(peaks / fs * TARGET_FS).astype(np.int64)
-    bounds = np.clip(bounds, 0, n_out)
-    out = np.empty(n_out)
-    out[: bounds[0]] = filled[0]
-    for i in range(filled.size):
-        hi_idx = bounds[i + 1] if i + 1 < bounds.size else n_out
-        out[bounds[i]:hi_idx] = filled[i]
-    if bounds[-1] < n_out:
-        out[bounds[-1]:] = filled[-1]
-    return out
+    # Each interval's index, or the last valid index before it (the first
+    # valid index before any valid one).
+    held = np.maximum.accumulate(
+        np.where(valid, np.arange(rates.size), np.flatnonzero(valid)[0]))
+    filled = rates[held]
+    bounds = np.clip(np.round(peaks / fs * TARGET_FS).astype(np.int64), 0, n_out)
+    lengths = np.diff(bounds, prepend=0, append=n_out)
+    return np.repeat(np.concatenate((filled[:1], filled, filled[-1:])), lengths)
 
 
 def _rate(s: np.ndarray, fs: float, category: str, n_out: int,
@@ -431,16 +430,14 @@ def epoch_rate_features(s: np.ndarray, fs: float, category: str, n_epochs: int,
     s = np.asarray(s, dtype=np.float64)
     rate = _rate(s, fs, category, int(round(s.size / fs * TARGET_FS)), window_s, overlap_s)
     feats = np.full(n_epochs, np.nan)
-    in_epoch = int(round(30 * fs))
-    out_epoch = int(round(30 * TARGET_FS))
+    if rate is None:
+        return feats
+    in_epoch = int(round(EPOCH_S * fs))
+    out_epoch = int(round(EPOCH_S * TARGET_FS))
     for e in range(n_epochs):
         raw_ep = s[e * in_epoch:(e + 1) * in_epoch]
-        if raw_ep.size == 0 or np.mean(raw_ep == 0.0) > MISSING_FRAC:
-            continue
-        if rate is None:
-            continue
         seg = rate[e * out_epoch:(e + 1) * out_epoch]
-        if seg.size:
+        if raw_ep.size and seg.size and np.mean(raw_ep == 0.0) <= MISSING_FRAC:
             feats[e] = float(seg.mean())
     return feats
 

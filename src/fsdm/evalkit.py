@@ -18,9 +18,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .hypno import Hypnogram, SleepStage
+from .hypno import EPOCH_S, Hypnogram, SleepStage
 
-EPOCH_MIN = 0.5
+EPOCH_MIN = EPOCH_S / 60.0
 
 
 class MergeScheme(Enum):

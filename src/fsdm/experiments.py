@@ -10,7 +10,7 @@ features pull the posterior back to the prior.  Zero spans are
 end-anchored and nested across fractions, and the noise realization is
 shared across SNR levels, so corruption grows pathwise with severity.
 
-AMPD runs on epoch-aligned 30 s windows here: the pipeline's 600 s
+AMPD runs on one-epoch (EPOCH_S) windows here: the pipeline's 600 s
 default targets whole-night signals, while these recordings are
 N_EPOCHS = 6 epochs (three minutes) long.
 """
@@ -23,7 +23,7 @@ import numpy as np
 
 from .dsp import Awgn, ZeroSpan, degrade, epoch_rate_features
 from .evalkit import MergeScheme, accuracy, cohens_kappa
-from .hypno import Hypnogram, SleepStage
+from .hypno import EPOCH_S, Hypnogram, SleepStage
 from .infogain import information_gain, mean_information_gain
 from .oracle import CategoricalEmission, MarkovPrior, WorldModel, exact_bank
 from .sampler import SamplerConfig, infer
@@ -70,18 +70,16 @@ def rate_symbols(feats: np.ndarray) -> np.ndarray:
     feats = np.asarray(feats, dtype=np.float64)
     width = (RATE_HI - RATE_LO) / N_RATE_BINS
     out = np.zeros(feats.shape[0])
-    for i, x in enumerate(feats):
-        if np.isnan(x):
-            out[i] = 0.0
-        else:
-            out[i] = 1.0 + np.clip(int((x - RATE_LO) / width), 0, N_RATE_BINS - 1)
+    present = ~np.isnan(feats)
+    bins = ((feats[present] - RATE_LO) / width).astype(np.int64)  # truncates toward 0
+    out[present] = 1.0 + np.clip(bins, 0, N_RATE_BINS - 1)
     return out
 
 
 def extract_binned_features(wave: np.ndarray) -> np.ndarray:
-    """Pulse waveform → per-epoch bin symbols, with AMPD on 30 s windows."""
+    """Pulse waveform → per-epoch bin symbols, with AMPD on one-epoch windows."""
     feats = epoch_rate_features(wave, PULSE_SPEC.fs, "cardiac", N_EPOCHS,
-                                window_s=30.0, overlap_s=0.0)
+                                window_s=EPOCH_S, overlap_s=0.0)
     return rate_symbols(feats)
 
 

@@ -1,9 +1,9 @@
 """Core categorical-sequence types: hypnograms, hypnodensities, and votes.
 
-A hypnogram is a sequence of 30-second sleep-stage labels; a hypnodensity
-is its continuous relaxation, a 5×E matrix of per-epoch stage
-probabilities that doubles as the diffusion state.  All types are
-immutable after construction and every operation here is pure.
+A hypnogram is a sequence of sleep-stage labels, one per EPOCH_S-second
+epoch; a hypnodensity is its continuous relaxation, a 5×E matrix of
+per-epoch stage probabilities that doubles as the diffusion state.  All
+types are immutable after construction and every operation here is pure.
 """
 
 from __future__ import annotations
@@ -15,6 +15,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 N_STAGES = 5
+# The length of one scoring epoch in seconds: the one epoch grid of the
+# signal pipeline, the waveform renderer and the overnight statistics.
+EPOCH_S = 30.0
 
 
 class SleepStage(IntEnum):
@@ -29,7 +32,11 @@ class SleepStage(IntEnum):
 
 @dataclass(frozen=True)
 class Hypnogram:
-    """A sequence of sleep stages, one per 30-second epoch."""
+    """A sequence of sleep stages, one per EPOCH_S-second epoch.
+
+    Each entry is converted to a SleepStage once, here; one that equals
+    no stage index (5, 2.7) raises ValueError.  Integral numbers of any
+    dtype (np.uint8, np.int64, 2.0) are accepted."""
 
     stages: tuple[SleepStage, ...]
 
@@ -52,14 +59,14 @@ class Hypnogram:
 
     @classmethod
     def from_indices(cls, indices: Iterable[int]) -> "Hypnogram":
-        return cls(tuple(SleepStage(int(i)) for i in indices))
+        return cls(tuple(indices))
 
     @classmethod
     def from_labels(cls, labels: Iterable[str]) -> "Hypnogram":
         return cls(tuple(SleepStage[label.strip()] for label in labels))
 
     def to_indices(self) -> np.ndarray:
-        return np.array([int(s) for s in self.stages], dtype=np.int64)
+        return np.array(self.stages, dtype=np.int64)
 
     def to_labels(self) -> list[str]:
         return [s.name for s in self.stages]

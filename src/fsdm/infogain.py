@@ -6,10 +6,11 @@ averaged over the M sampling states and over trajectories (a Monte-Carlo
 expectation over the sampler's initial states).  A value of 0 means the
 sensor never moved the estimate away from the prior.
 
-With ``record_trajectory`` set, the sampler streams the distances into
-running sums while it runs (``GainSums``) and returns each sample's sums
-beside its final state, so no trajectory is stored; ``information_gain``
-only averages those sums and never runs the sampler.
+With ``record_trajectory`` set, the sampling loop (``sampler._run_range``)
+keeps one running (B, E) sum per observed sensor as loop state, adds each
+step's distances to it, and returns each sample's sums beside its final
+state; no trajectory is stored and no observer is attached.
+``information_gain`` only averages those sums and never runs the sampler.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .bundle import write_csv
 from .evalkit import scored_epochs
 from .scorekit import Observations, SensorBank
 
-if TYPE_CHECKING:  # the sampler imports GainSums from this module
+if TYPE_CHECKING:  # the sampler imports cosine_distance from this module
     from .sampler import SamplerConfig
 
 _MIN_NORM = 1e-12
@@ -56,26 +57,6 @@ def cosine_distance(lik: np.ndarray, pri: np.ndarray) -> np.ndarray:
     if np.any(na < _MIN_NORM) or np.any(nb < _MIN_NORM):
         raise ValueError("cosine distance undefined for (near-)zero-norm column")
     return 1.0 - (lik * pri).sum(axis=-2) / (na * nb)
-
-
-class GainSums:
-    """Sampler observer: per-sample running sums of each observed sensor's
-    column-wise cosine distance, one (B, E) array per sensor name.
-
-    A sensor observed more than once is summed at its first observation.
-    The sums are added step by step, in step order.
-    """
-
-    def __init__(self, names, n_samples: int, n_epochs: int):
-        self._first: dict[str, int] = {}
-        for k, name in enumerate(names):
-            self._first.setdefault(name, k)
-        self.sums = {name: np.zeros((n_samples, n_epochs)) for name in self._first}
-
-    def __call__(self, m, sigma, y, pairs) -> None:
-        for name, k in self._first.items():
-            _, lik, pri = pairs[k]
-            self.sums[name] += cosine_distance(lik, pri)
 
 
 def information_gain(

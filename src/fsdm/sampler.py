@@ -7,9 +7,11 @@ are reproducible and independent of execution order.  The second-order
 correction is skipped on the final step where σ(t) = 0.
 
 ``sample_many`` returns a ``Batch``: the (B, 5, E) final states and, with
-``record_trajectory`` set, each sample's information-gain sums, which
-``infogain.GainSums`` adds up step by step while the samples run; nothing
-else of the trajectory is stored.  A per-step observer
+``record_trajectory`` set, each sample's information-gain sums.  The
+sums are state of the sampling loop: one (B, E) array per observed
+sensor, to which each step adds the sensor's cosine distance
+(``infogain.cosine_distance``) at its first observation; nothing else of
+the trajectory is stored.  A per-step observer
 ``observer(m, σ, y, pairs)`` sees every sampling state: ``y`` is the
 (B, 5, E) batch at step m and ``pairs`` holds each observation's (name,
 likelihood, prior) denoised batches at it.  The observer may read these
@@ -51,7 +53,7 @@ import numpy as np
 
 from . import evalkit
 from .hypno import Hypnodensity, Hypnogram, argmax_stages, majority_vote
-from .infogain import GainSums
+from .infogain import cosine_distance
 from .sched import ScheduleParams, time_steps
 from .scorekit import Observations, SensorBank, fsdm_denoise_batch
 
@@ -83,6 +85,8 @@ class SamplerConfig:
     def __post_init__(self):
         if self.n_samples < 1:
             raise ValueError("n_samples must be at least 1")
+        if self.lam is not None and not 0 <= self.lam < np.inf:  # NaN fails too
+            raise ValueError(f"lam must be a finite number >= 0, got {self.lam!r}")
 
 
 class Batch(NamedTuple):
@@ -132,18 +136,23 @@ def _run_range(
         y = np.stack(
             [_initial_state(cfg.base_seed, i, n_epochs, ts[0]) for i in indices]
         )
-        gains = None
-        if cfg.record_trajectory:
-            gains = GainSums([name for name, _ in obs], len(indices), n_epochs)
-        observers = [o for o in (gains, observer) if o is not None]
+        # With record_trajectory, each observed sensor's (B, E) gain sums,
+        # added at the sensor's first observation (its index in obs).
+        first: dict[str, int] = {}
+        for k, (name, _) in enumerate(obs if cfg.record_trajectory else ()):
+            first.setdefault(name, k)
+        gains = {name: np.zeros((len(indices), n_epochs)) for name in first}
         for m in range(cfg.schedule.M):
             t_cur = ts[m]
             t_next = ts[m + 1]
             sigma = float(t_cur)  # σ(t) = t, as a Python float for SamplingError's repr
-            pairs: list | None = [] if observers else None
+            pairs: list | None = [] if first or observer is not None else None
             denoised = fsdm_denoise_batch(y, sigma, bank, obs, cfg.lam, pairs)
-            for o in observers:
-                o(m, sigma, y, tuple(pairs))
+            for name, k in first.items():
+                _, lik, pri = pairs[k]
+                gains[name] += cosine_distance(lik, pri)
+            if observer is not None:
+                observer(m, sigma, y, tuple(pairs))
             d = (y - denoised) / sigma  # −σ(t)·score
             y_next = y + (t_next - t_cur) * d
             sigma_next = float(t_next)
@@ -158,8 +167,8 @@ def _run_range(
             y = y_next
     except Exception as err:
         return None, (m, err)
-    per_sample = () if gains is None else tuple(
-        {name: s[b] for name, s in gains.sums.items()} for b in range(len(indices)))
+    per_sample = tuple({name: s[b] for name, s in gains.items()}
+                       for b in range(len(indices))) if cfg.record_trajectory else ()
     return Batch(y, per_sample), None
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hypno import Hypnogram, SleepStage
+from .hypno import EPOCH_S, Hypnogram, SleepStage
 from .oracle import (
     CategoricalEmission,
     ExplicitPrior,
@@ -102,7 +102,7 @@ def render_waveform(h: Hypnogram, spec: WaveformSpec,
                     rng: np.random.Generator) -> np.ndarray:
     """Pulse train whose instantaneous rate follows the stage, with
     Gaussian interval jitter and additive white noise."""
-    duration = len(h) * 30.0
+    duration = len(h) * EPOCH_S
     n = int(round(duration * spec.fs))
     wave = spec.noise_sd * rng.standard_normal(n)
     sigma_w = max(spec.pulse_width_s * spec.fs / 2.355, 1.0)  # FWHM -> sd, samples
@@ -118,7 +118,7 @@ def render_waveform(h: Hypnogram, spec: WaveformSpec,
         hi = min(center + half + 1, n)
         if lo < hi:
             wave[lo:hi] += kernel[lo - (center - half):hi - (center - half)]
-        stage = h[min(int(t // 30.0), len(h) - 1)]
+        stage = h[min(int(t // EPOCH_S), len(h) - 1)]
         rate = spec.stage_rates[stage]
         interval = 1.0 / rate + spec.jitter_sd * rng.standard_normal()
         t += max(interval, 0.25 / rate)

@@ -469,15 +469,16 @@ def test_sample_stats_cover_valid_epochs_only(config_path, bundles, tmp_path, ca
 
 def test_only_infogain_builds_gain_sums(config_path, bundles, tmp_path, monkeypatch):
     # fsdm sample writes no gains, so it samples without the sums even
-    # when it writes trajectories.
+    # when it writes trajectories; infogain adds one cosine distance per
+    # step for its one sensor, M = 16 in all.
     built = []
-    gain_sums = fsdm.sampler.GainSums
+    cosine_distance = fsdm.sampler.cosine_distance
 
     def counting(*args, **kwargs):
         built.append(1)
-        return gain_sums(*args, **kwargs)
+        return cosine_distance(*args, **kwargs)
 
-    monkeypatch.setattr(fsdm.sampler, "GainSums", counting)
+    monkeypatch.setattr(fsdm.sampler, "cosine_distance", counting)
     cfg = json.loads(config_path.read_text())
     cfg["sampler"] = dict(cfg["sampler"], record_trajectory=True)
     path = tmp_path / "config.json"
@@ -487,7 +488,7 @@ def test_only_infogain_builds_gain_sums(config_path, bundles, tmp_path, monkeypa
     assert built == []
     assert main(["infogain", "--config", str(path), "--sensor", "pulse",
                  "--out", str(tmp_path / "ig")]) == 0
-    assert built == [1]
+    assert len(built) == 16
 
 
 def test_emit_plot_data(tmp_path):
@@ -524,6 +525,28 @@ def test_invalid_lambda_is_a_usage_error(config_path, bundles, tmp_path, capsys,
     value = flag[-1].removeprefix("--lambda=")
     assert capsys.readouterr().err == f"error: invalid --lambda {value!r}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_negative_lambda_exits_1(config_path, bundles, tmp_path, capsys, source):
+    # A negative weight inverts the evidence; it is refused, not sampled.
+    cfg = json.loads(config_path.read_text())
+    flag = ["--lambda", "-1"] if source == "flag" else []
+    if source == "config":
+        cfg["sampler"] = dict(cfg["sampler"], **{"lambda": -1})
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    out = tmp_path / "pred"
+    assert main(["sample", "--config", str(path), "--out", str(out), *flag]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: lam must be a finite number >= 0") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("lam", ["0", "auto"])
+def test_zero_and_auto_lambda_stay_valid(config_path, bundles, tmp_path, lam):
+    assert main(["sample", "--config", str(config_path), "--out", str(tmp_path / "lam"),
+                 "--lambda", lam, "--n-samples", "2"]) == 0
 
 
 @pytest.mark.parametrize("command, keys, value", [

@@ -328,6 +328,40 @@ def test_peaks_to_rate_piecewise_constant_positive():
     assert np.unique(rate).size <= 30
 
 
+def test_peaks_to_rate_holds_leading_invalid_intervals_at_the_first_valid_rate():
+    # Intervals 0.125, 0.125 (invalid), 1 and 0.5 s: rates 1 until the
+    # fourth peak, then 2, held to the end.
+    rate = peaks_to_rate(np.array([10, 26, 42, 170, 234]), 128.0, "cardiac", n_out=256)
+    np.testing.assert_array_equal(rate, np.repeat([1.0, 2.0], [170, 86]))
+
+
+def test_peaks_to_rate_clips_a_bound_past_n_out():
+    # At 64 Hz the last peak maps to sample 320, past n_out = 256.
+    rate = peaks_to_rate(np.array([0, 64, 96, 160]), 64.0, "cardiac", n_out=256)
+    np.testing.assert_array_equal(rate, np.repeat([1.0, 2.0, 1.0], [128, 64, 64]))
+
+
+def test_peaks_to_rate_two_peaks_on_one_output_sample():
+    # At 256 Hz peaks 256 and 257 both map to sample 128; their invalid
+    # interval holds the rate 1 for no samples.
+    rate = peaks_to_rate(np.array([0, 256, 257, 512]), 256.0, "cardiac", n_out=300)
+    np.testing.assert_array_equal(rate, np.repeat([1.0, 256 / 255], [128, 172]))
+
+
+def test_peaks_to_rate_holds_the_last_rate_after_the_last_peak():
+    rate = peaks_to_rate(np.array([0, 128, 192]), 128.0, "cardiac", n_out=384)
+    np.testing.assert_array_equal(rate, np.repeat([1.0, 2.0], [128, 256]))
+
+
+@pytest.mark.parametrize("peaks", [[0, 128, 64], [0, 128, 128, 256]])
+def test_peaks_to_rate_requires_strictly_increasing_peaks(peaks, monkeypatch):
+    with pytest.raises(ValueError, match="peaks must be strictly increasing"):
+        peaks_to_rate(np.array(peaks), 128.0, "cardiac", n_out=384)
+    # _rate reads the error as a failed extraction: no rate.
+    monkeypatch.setattr(fsdm.dsp, "ampd_peaks", lambda *args, **kwargs: np.array(peaks))
+    assert fsdm.dsp._rate(np.zeros(384), 128.0, "cardiac", 384, 30.0, 0.0) is None
+
+
 def test_peaks_to_rate_needs_two_peaks():
     with pytest.raises(ValueError):
         peaks_to_rate(np.array([5]), 64.0, "cardiac", n_out=128)

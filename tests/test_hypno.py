@@ -45,6 +45,20 @@ def test_one_hot_argmax_round_trip(indices):
     assert argmax_stages(one_hot(h)) == h
 
 
+@pytest.mark.parametrize("make", [Hypnogram.from_indices, Hypnogram])
+def test_non_integral_stage_index_is_rejected(make):
+    with pytest.raises(ValueError):
+        make((2.7,))
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.int64, np.float64])
+def test_index_arrays_of_any_integral_dtype_round_trip(dtype):
+    indices = np.array([0, 4, 2, 1, 3, 2], dtype=dtype)
+    out = Hypnogram.from_indices(indices).to_indices()
+    assert out.dtype == np.int64
+    np.testing.assert_array_equal(out, [0, 4, 2, 1, 3, 2])
+
+
 def test_project_manifold_already_normalized():
     col = np.array([0.4, 0.3, 0.2, 0.05, 0.05])
     y = project_manifold(col[:, None])

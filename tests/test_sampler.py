@@ -41,6 +41,17 @@ def test_single_atom_lands_on_vertex():
     assert np.abs(y - one_hot(h).values).max() <= 1e-6
 
 
+@pytest.mark.parametrize("lam", [-1.0, -1e-300, float("nan"), float("inf"), float("-inf")])
+def test_sampler_config_rejects_a_negative_or_non_finite_lam(lam):
+    with pytest.raises(ValueError, match="lam must be a finite number >= 0"):
+        SamplerConfig(lam=lam)
+
+
+@pytest.mark.parametrize("lam", [None, 0, 0.0, 0.5, 2])
+def test_sampler_config_accepts_automatic_zero_and_positive_lam(lam):
+    assert SamplerConfig(lam=lam).lam == lam
+
+
 def test_same_seed_bitwise_identical():
     rng = np.random.default_rng(0)
     world = random_world(3, 1, rng)
