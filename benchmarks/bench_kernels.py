@@ -11,10 +11,11 @@ denoise with two sensors and 64 samples.  The AMPD scalogram is timed
 at three window lengths and scale ranges.  The reference denoiser's
 ``evaluate_batch`` (one network pass per state) and ``evaluate_pair``
 (two) are timed on a new network at a training length and a whole
-night; the network runs in the calling process.  ``sample_many`` is timed on a whole night with a neural bank,
-split across worker processes and in the calling process, with the CPU
-time of the caller and its workers beside the wall time.  BLAS runs on
-one thread, as in ``perfbench/run.py``.
+night; the network runs in the calling process.  ``sample_many`` is
+timed on a whole night with a neural bank, split across worker processes
+and in the calling process, with the CPU time of the caller and its
+workers beside the wall time.  BLAS runs on one thread, as in
+``perfbench/run.py``.
 """
 
 import os
@@ -106,7 +107,7 @@ def bench_sampling():
     cfg = sampler.SamplerConfig(schedule=ScheduleParams(M=steps), n_samples=n_samples,
                                 record_trajectory=True)
     split_min_epochs = sampler._SPLIT_MIN_EPOCHS
-    for label, gate in ((f"split, {sampler._split_count(n_samples, n_epochs, None)} ranges",
+    for label, gate in ((f"split, {sampler._split_count(n_samples, n_epochs)} ranges",
                          split_min_epochs), ("in-process", n_epochs + 1)):
         sampler._SPLIT_MIN_EPOCHS = gate
         try:

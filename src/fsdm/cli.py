@@ -28,7 +28,7 @@ from .hypno import SleepStage, argmax_stages, read_hypnogram, write_hypnogram
 from .infogain import information_gain, mean_information_gain, write_infogain_csv
 from .oracle import WorldModel, exact_bank, world_from_dict
 from .sampler import SamplerConfig, SamplingError, infer, sample_many
-from .sched import ScheduleParams
+from .sched import ScheduleParams, time_steps
 from .scorekit import Features, SensorBank
 from .synth import SynthConfig, WaveformSpec, gen_recording, split_of_index
 
@@ -260,13 +260,7 @@ def cmd_sample(args) -> int:
     sampler_cfg = _sampler_config(cfg, args)
     # The config key asks for trajectories.csv: each step's m, σ and states.
     record = cfg.get("sampler", {}).get("record_trajectory", False)
-    steps: list = []
-
-    def keep_states(m, sigma, y, pairs):
-        steps.append((m, sigma, y.copy()))
-
-    result = infer(bank, obs, sampler_cfg, bundle.n_epochs,
-                   observer=keep_states if record else None,
+    result = infer(bank, obs, sampler_cfg, bundle.n_epochs, keep_states=record,
                    valid_epochs=bundle.valid_epochs)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -278,13 +272,14 @@ def cmd_sample(args) -> int:
     ))
     dump_json(out / "stats.json", {k: v for k, v in sorted(result.stats.items())})
     if record:
+        sigmas = time_steps(sampler_cfg.schedule)
         # Rows per sample, then step, then epoch.
         write_csv(out / "trajectories.csv",
                   ["sample_index", "step", "sigma", "epoch_index", *_STAGE_COLUMNS], (
-                      [i, m, sigma, e, *y[i, :, e]]
-                      for i in range(sampler_cfg.n_samples)
-                      for m, sigma, y in steps
-                      for e in range(y.shape[2])
+                      [i, m, sigmas[m], e, *column]
+                      for i, trajectory in enumerate(result.trajectories)
+                      for m, y in enumerate(trajectory)
+                      for e, column in enumerate(y.T)
                   ))
     acc = evalkit.accuracy(result.hypnogram, bundle.hypnogram, valid_epochs=bundle.valid_epochs)
     print(f"sample: {sampler_cfg.n_samples} samples, "

@@ -9,7 +9,7 @@ sensor never moved the estimate away from the prior.
 With ``record_trajectory`` set, the sampling loop (``sampler._run_range``)
 keeps one running (B, E) sum per observed sensor as loop state, adds each
 step's distances to it, and returns each sample's sums beside its final
-state; no trajectory is stored and no observer is attached.
+state; no denoised pair outlives its step.
 ``information_gain`` only averages those sums and never runs the sampler.
 """
 

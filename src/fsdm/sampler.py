@@ -6,31 +6,27 @@ counter-based generator seeded by (base_seed, sample_index), so samples
 are reproducible and independent of execution order.  The second-order
 correction is skipped on the final step where σ(t) = 0.
 
-``sample_many`` returns a ``Batch``: the (B, 5, E) final states and, with
-``record_trajectory`` set, each sample's information-gain sums.  The
-sums are state of the sampling loop: one (B, E) array per observed
-sensor, to which each step adds the sensor's cosine distance
-(``infogain.cosine_distance``) at its first observation; nothing else of
-the trajectory is stored.  A per-step observer
-``observer(m, σ, y, pairs)`` sees every sampling state: ``y`` is the
-(B, 5, E) batch at step m and ``pairs`` holds each observation's (name,
-likelihood, prior) denoised batches at it.  The observer may read these
-arrays during the call but must not keep or write them; the pairs of an
-exact bank share one prior array.
+``sample_many`` returns a ``Batch``: the (B, 5, E) final states; with
+``record_trajectory`` set, each sample's information-gain sums; and with
+``keep_states`` set, each sample's trajectory.  The sums are state of
+the sampling loop: one (B, E) array per observed sensor, to which each
+step adds the sensor's cosine distance (``infogain.cosine_distance``) at
+its first observation.  The trajectories are one (B, M, 5, E) array that
+the loop fills with the state at the start of each step m, at
+σ = ``time_steps(schedule)[m]``.
 
 The samples run as contiguous ranges of indices, one per usable core
 from ``_SPLIT_MIN_EPOCHS`` epochs.  The calling process integrates the
 first range; each other range runs in a worker forked for the call, over
-the whole time grid with its own gain sums, and sends back its final
-states, its sums and the warnings it met, which join in index order.  A
-sample's arithmetic does not depend on the other samples of its batch,
-and each range draws its initial states by sample index, so the output
-is bitwise the same for any split.  OpenBLAS is held to one thread while
-workers run, so its own threads do not oversubscribe the cores.  There
-is one range when an observer is attached (it must see the whole batch
-at each step), when there is one usable core or one sample, and when a
-fork is unavailable or unsafe: no ``fork`` start method, another live
-thread, or a daemonic process.
+the whole time grid with its own gain sums and trajectories, and sends
+them back with its final states and the warnings it met; they join in
+index order.  A sample's arithmetic does not depend on the other samples
+of its batch, and each range draws its initial states by sample index,
+so the output is bitwise the same for any split.  OpenBLAS is held to
+one thread while workers run, so its own threads do not oversubscribe
+the cores.  There is one range when there is one usable core or one
+sample, and when a fork is unavailable or unsafe: no ``fork`` start
+method, another live thread, or a daemonic process.
 """
 
 from __future__ import annotations
@@ -57,7 +53,6 @@ from .infogain import cosine_distance
 from .sched import ScheduleParams, time_steps
 from .scorekit import Observations, SensorBank, fsdm_denoise_batch
 
-Observer = Callable[[int, float, np.ndarray, tuple], None]
 # sample_many splits its samples across worker processes only from this
 # many epochs.  A fork costs 5–15 ms.  On a 2-vCPU VM, at B = 64 and
 # M = 32, the split took 0.51–0.61 times the in-process time with a
@@ -80,6 +75,8 @@ class SamplerConfig:
     n_samples: int = 64
     lam: float | None = None  # None = automatic 1/N weighting
     base_seed: int = 0
+    # Switches on the gain sums only; fsdm sample's config key of this name
+    # asks for trajectories.csv.  The name stays because perfbench sets it.
     record_trajectory: bool = False
 
     def __post_init__(self):
@@ -90,13 +87,16 @@ class SamplerConfig:
 
 
 class Batch(NamedTuple):
-    """The final (B, 5, E) states of a run of samples, in index order, and
+    """The final (B, 5, E) states of a run of samples, in index order;
     each sample's gain sums: a map from each observed sensor to the sum
     over the M sampling states of its per-epoch cosine distance (see
-    ``infogain``).  ``gains`` is empty unless ``record_trajectory`` is set."""
+    ``infogain``), empty unless ``record_trajectory`` is set; and the
+    (B, M, 5, E) trajectories, each sample's state at the start of step m,
+    at σ = ``time_steps(schedule)[m]``, with no steps unless kept."""
 
     states: np.ndarray
     gains: tuple[dict[str, np.ndarray], ...]
+    trajectories: np.ndarray = np.empty((0, 0, 5, 0))
 
 
 @dataclass(frozen=True)
@@ -105,6 +105,7 @@ class InferenceResult:
     samples: tuple[Hypnodensity, ...]
     stats: dict[str, float]
     results: tuple[dict[str, np.ndarray], ...]  # each sample's gain sums, as in Batch
+    trajectories: np.ndarray  # as in Batch
 
 
 def _initial_state(base_seed: int, sample_index: int, n_epochs: int, sigma0: float) -> np.ndarray:
@@ -124,7 +125,7 @@ def _run_range(
     cfg: SamplerConfig,
     indices: Sequence[int],
     n_epochs: int,
-    observer: Observer | None = None,
+    keep_states: bool = False,
 ) -> tuple[Batch | None, tuple[int, Exception] | None]:
     """Integrate the samples ``indices`` in lockstep down the time grid.
 
@@ -142,17 +143,18 @@ def _run_range(
         for k, (name, _) in enumerate(obs if cfg.record_trajectory else ()):
             first.setdefault(name, k)
         gains = {name: np.zeros((len(indices), n_epochs)) for name in first}
+        trajectories = np.empty((len(indices), cfg.schedule.M if keep_states else 0, 5, n_epochs))
         for m in range(cfg.schedule.M):
             t_cur = ts[m]
             t_next = ts[m + 1]
             sigma = float(t_cur)  # σ(t) = t, as a Python float for SamplingError's repr
-            pairs: list | None = [] if first or observer is not None else None
+            if keep_states:
+                trajectories[:, m] = y
+            pairs: list | None = [] if first else None
             denoised = fsdm_denoise_batch(y, sigma, bank, obs, cfg.lam, pairs)
             for name, k in first.items():
                 _, lik, pri = pairs[k]
                 gains[name] += cosine_distance(lik, pri)
-            if observer is not None:
-                observer(m, sigma, y, tuple(pairs))
             d = (y - denoised) / sigma  # −σ(t)·score
             y_next = y + (t_next - t_cur) * d
             sigma_next = float(t_next)
@@ -169,7 +171,7 @@ def _run_range(
         return None, (m, err)
     per_sample = tuple({name: s[b] for name, s in gains.items()}
                        for b in range(len(indices))) if cfg.record_trajectory else ()
-    return Batch(y, per_sample), None
+    return Batch(y, per_sample, trajectories), None
 
 
 def sample_many(
@@ -177,20 +179,20 @@ def sample_many(
     obs: Observations,
     cfg: SamplerConfig,
     n_epochs: int,
-    observer: Observer | None = None,
+    keep_states: bool = False,
 ) -> Batch:
     """Run cfg.n_samples samples with indices 0..n−1.
 
     Samples share the time grid and are integrated in lockstep as a
     batch; per-sample arithmetic is independent, so each sample's final
-    state and gain sums equal those of a run of that sample alone
-    bitwise, also when the samples are split across worker processes.
-    ``observer`` sees the whole batch at each step, samples in index
-    order, so passing one keeps every sample in the calling process.
+    state, gain sums and trajectory equal those of a run of that sample
+    alone bitwise, also when the samples are split across worker
+    processes.  ``keep_states`` keeps the trajectories, (B, M, 5, E)
+    floats.
     """
     _check_epochs(obs, n_epochs)
-    n_ranges = _split_count(cfg.n_samples, n_epochs, observer)
-    return _run_ranges(bank, obs, cfg, n_epochs, n_ranges, observer)
+    n_ranges = _split_count(cfg.n_samples, n_epochs)
+    return _run_ranges(bank, obs, cfg, n_epochs, n_ranges, keep_states)
 
 
 # -- the ranges and the worker processes --------------------------------------
@@ -204,12 +206,10 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _split_count(n_samples: int, n_epochs: int, observer: Observer | None) -> int:
+def _split_count(n_samples: int, n_epochs: int) -> int:
     """The number of sample ranges sample_many runs, 1 for no split."""
-    if (observer is not None or n_epochs < _SPLIT_MIN_EPOCHS
-            or "fork" not in multiprocessing.get_all_start_methods()
-            or threading.active_count() > 1
-            or multiprocessing.current_process().daemon):
+    if (n_epochs < _SPLIT_MIN_EPOCHS or "fork" not in multiprocessing.get_all_start_methods()
+            or threading.active_count() > 1 or multiprocessing.current_process().daemon):
         return 1
     return max(1, min(_usable_cores(), n_samples))
 
@@ -258,13 +258,13 @@ def _one_blas_thread() -> Iterator[None]:
 
 
 def _send_range(sender: Connection, bank: SensorBank, obs: Observations, cfg: SamplerConfig,
-                indices: Sequence[int], n_epochs: int) -> None:
+                indices: Sequence[int], n_epochs: int, keep_states: bool) -> None:
     """A forked worker's body: run one range and send its outcome with the
     warnings it met, which the caller issues.  An interrupt is the
     caller's to handle; it ends the workers."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     with warnings.catch_warnings(record=True) as caught:
-        batch, failure = _run_range(bank, obs, cfg, indices, n_epochs)
+        batch, failure = _run_range(bank, obs, cfg, indices, n_epochs, keep_states)
     if failure is not None:
         done, err = failure
         try:  # the caller re-raises the error, so it must survive a round trip
@@ -290,14 +290,14 @@ def _issue(met: Sequence[tuple[str, type[Warning], str, int]]) -> None:
 
 
 def _run_ranges(bank: SensorBank, obs: Observations, cfg: SamplerConfig, n_epochs: int,
-                n_ranges: int, observer: Observer | None = None) -> Batch:
+                n_ranges: int, keep_states: bool = False) -> Batch:
     """Run the samples as n_ranges contiguous index ranges: the first in
-    the calling process, with ``observer``, and each other in a worker
-    forked for the call.  Every worker is joined before this returns, and
-    the warnings the workers met are issued.  The batches join in index
-    order; if a range raised, the error of the one that failed at the
-    earliest grid step (the first such range on a tie) is raised, which
-    is the error a lockstep run of all the samples meets first."""
+    the calling process and each other in a worker forked for the call.
+    Every worker is joined before this returns, and the warnings the
+    workers met are issued.  The batches join in index order; if a range
+    raised, the error of the one that failed at the earliest grid step
+    (the first such range on a tie) is raised: the error a lockstep run
+    of all the samples meets first."""
     bounds = [cfg.n_samples * k // n_ranges for k in range(n_ranges + 1)]
     ranges = [range(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
     workers = []
@@ -310,11 +310,12 @@ def _run_ranges(bank: SensorBank, obs: Observations, cfg: SamplerConfig, n_epoch
                 ctx = multiprocessing.get_context("fork")
                 receiver, sender = ctx.Pipe(duplex=False)
                 worker = ctx.Process(target=_send_range, daemon=True,
-                                     args=(sender, bank, obs, cfg, indices, n_epochs))
+                                     args=(sender, bank, obs, cfg, indices, n_epochs,
+                                           keep_states))
                 worker.start()
                 workers.append((worker, receiver))
                 sender.close()
-            outcomes = [(*_run_range(bank, obs, cfg, ranges[0], n_epochs, observer), ())]
+            outcomes = [(*_run_range(bank, obs, cfg, ranges[0], n_epochs, keep_states), ())]
             for worker, receiver in workers:
                 try:
                     outcomes.append(receiver.recv())
@@ -337,7 +338,8 @@ def _run_ranges(bank: SensorBank, obs: Observations, cfg: SamplerConfig, n_epoch
         raise min(failures, key=lambda failure: failure[0])[1]
     batches = [batch for batch, _, _ in outcomes]
     return Batch(np.concatenate([batch.states for batch in batches]),
-                 tuple(gains for batch in batches for gains in batch.gains))
+                 tuple(gains for batch in batches for gains in batch.gains),
+                 np.concatenate([batch.trajectories for batch in batches]))
 
 
 _STAT_NAMES = tuple(f.name for f in fields(evalkit.StatReport))
@@ -348,7 +350,7 @@ def infer(
     obs: Observations,
     cfg: SamplerConfig,
     n_epochs: int,
-    observer: Observer | None = None,
+    keep_states: bool = False,
     valid_epochs: int | None = None,
 ) -> InferenceResult:
     """Sample, majority-vote a hypnogram, and aggregate overnight stats.
@@ -357,10 +359,10 @@ def infer(
     per-sample argmax hypnograms, cut to the first ``valid_epochs``
     epochs (all of them by default), so padding never counts as sleep;
     statistics absent from every sample (e.g. REM latency with no REM)
-    are omitted from the map.  ``observer`` is passed to sample_many, and
-    ``results`` holds each sample's gain sums from it.
+    are omitted from the map.  ``keep_states`` is passed to sample_many;
+    its gain sums and trajectories are ``results`` and ``trajectories``.
     """
-    batch = sample_many(bank, obs, cfg, n_epochs, observer=observer)
+    batch = sample_many(bank, obs, cfg, n_epochs, keep_states)
     samples = tuple(Hypnodensity(y) for y in batch.states)
     hypnogram = majority_vote(samples)
     reports = [
@@ -371,4 +373,4 @@ def infer(
         value = evalkit.aggregate_stat(reports, name)
         if value is not None:
             stats[name] = value
-    return InferenceResult(hypnogram=hypnogram, samples=samples, stats=stats, results=batch.gains)
+    return InferenceResult(hypnogram, samples, stats, batch.gains, batch.trajectories)

@@ -168,7 +168,7 @@ def fsdm_combine_batch(
 
     ``ys`` has shape (B, 5, E).  When ``pairs`` is a list, each observation
     appends its (name, likelihood, prior) evaluations to it, in observation
-    order; the sampler hands them to its per-step observers.
+    order; the sampler adds their cosine distances to its gain sums.
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive")

@@ -467,6 +467,44 @@ def test_sample_stats_cover_valid_epochs_only(config_path, bundles, tmp_path, ca
         f"infogain: pulse mean {np.mean(gains[:4]):.4f} over 4 epochs\n")
 
 
+def test_sample_with_trajectories_splits_and_keeps_every_file(tmp_path, monkeypatch, capsys):
+    # A recording long enough to split: writing trajectories.csv splits the
+    # samples across the cores like any other run, and every file is the
+    # same from 2 ranges as from 1.
+    rng = np.random.default_rng(8)
+    n_epochs = 40
+    assert n_epochs >= fsdm.sampler._SPLIT_MIN_EPOCHS
+    world = WorldModel(n_epochs, persistent_markov(rng), (("pulse", informative_emission(rng)),))
+    write_bundle(tmp_path / "rec", Bundle(
+        recording_id="rec", n_epochs=n_epochs, valid_epochs=36,
+        hypnogram=Hypnogram.from_indices(rng.integers(0, 5, n_epochs)),
+        features={"pulse": rng.integers(0, 5, (1, n_epochs)).astype(np.float64)},
+    ))
+    cfg = {"schedule": {"M": 6},
+           "sampler": {"n_samples": 5, "base_seed": 4, "record_trajectory": True},
+           "world": {"model": world_to_dict(world)},
+           "paths": {"bundle": str(tmp_path / "rec")}}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    run_ranges, splits = fsdm.sampler._run_ranges, []
+    monkeypatch.setattr(fsdm.sampler, "_run_ranges", lambda *args: (
+        splits.append(args[4]), run_ranges(*args))[1])
+    runs = []
+    for cores in (1, 2):
+        monkeypatch.setattr(fsdm.sampler, "_usable_cores", lambda: cores)
+        out = tmp_path / f"cores{cores}"
+        assert main(["sample", "--config", str(path), "--out", str(out)]) == 0
+        runs.append((out, capsys.readouterr()))
+    assert splits == [1, 2]
+    names = ["hypnogram.txt", "samples.csv", "stats.json", "trajectories.csv"]
+    assert sorted(p.name for p in runs[0][0].iterdir()) == names
+    for name in names:
+        assert (runs[1][0] / name).read_bytes() == (runs[0][0] / name).read_bytes(), name
+    assert runs[1][1] == runs[0][1]
+    lines = (runs[0][0] / "trajectories.csv").read_text().splitlines()
+    assert len(lines) == 1 + 5 * 6 * n_epochs
+
+
 def test_only_infogain_builds_gain_sums(config_path, bundles, tmp_path, monkeypatch):
     # fsdm sample writes no gains, so it samples without the sums even
     # when it writes trajectories; infogain adds one cosine distance per

@@ -17,7 +17,7 @@ from fsdm.infogain import (
 from fsdm.neural import ReferenceDenoiser
 from fsdm.oracle import MarkovPrior, WorldModel, exact_bank
 from fsdm.sampler import SamplerConfig, infer, sample_many
-from fsdm.sched import ScheduleParams
+from fsdm.sched import ScheduleParams, time_steps
 from fsdm.scorekit import ABSENT, Features, SensorBank
 
 
@@ -153,41 +153,42 @@ def test_averaging_order_irrelevant():
     bank = exact_bank(world)
     obs = [("s0", Features(np.array([0.0, 2.0])))]
     cfg = SamplerConfig(n_samples=3, base_seed=9, record_trajectory=True)
+    batch = sample_many(bank, obs, cfg, 2, keep_states=True)
     flat = []
-
-    def by_hand(m, sigma, y, pairs):
+    for pairs in _step_pairs(bank, obs, cfg, batch.trajectories):
         name, lik, pri = pairs[0]
         for b in range(lik.shape[0]):
             num = (lik[b] * pri[b]).sum(axis=0)
             norms = np.linalg.norm(lik[b], axis=0) * np.linalg.norm(pri[b], axis=0)
             flat.append(1 - num / norms)
-
-    results = sample_many(bank, obs, cfg, 2, observer=by_hand).gains
-    gain = information_gain(bank, obs, "s0", cfg, 2, results=results)
+    gain = information_gain(bank, obs, "s0", cfg, 2, results=batch.gains)
     assert len(flat) == 3 * cfg.schedule.M
     np.testing.assert_allclose(gain.values, np.mean(flat, axis=0), atol=1e-12)
 
 
-class _StoredTrajectories:
-    """Keeps full per-step copies of every state and denoised pair, per sample."""
+def _step_pairs(bank, obs, cfg, trajectories):
+    """Each step's (name, likelihood, prior) batches, evaluated afresh by
+    the bank on the states the sampler recorded at that step."""
+    ts = time_steps(cfg.schedule)
+    for m in range(cfg.schedule.M):
+        ys = np.ascontiguousarray(trajectories[:, m])
+        _, pairs = bank.evaluate(ys, float(ts[m]), obs)
+        yield [(name, lik, pri) for (name, _), (lik, pri) in zip(obs, pairs)]
 
-    def __init__(self, n_samples):
-        self.steps = [[] for _ in range(n_samples)]
 
-    def __call__(self, m, sigma, y, pairs):
-        for b, traj in enumerate(self.steps):
-            traj.append(tuple((name, lik[b].copy(), pri[b].copy()) for name, lik, pri in pairs))
-
-    def gain(self, sensor_name, n_epochs):
-        """Information gain from the stored copies, one sample and step at a time."""
-        total = np.zeros(n_epochs)
-        for traj in self.steps:
-            per_traj = np.zeros(n_epochs)
-            for pairs in traj:
-                name, lik, pri = next(p for p in pairs if p[0] == sensor_name)
-                per_traj += cosine_distance(lik, pri)
-            total += per_traj / len(traj)
-        return np.clip(total / len(self.steps), 0.0, 1.0)
+def _stored_trajectory_gain(bank, obs, cfg, trajectories, sensor_name):
+    """Information gain from the recorded states, one sample and step at a
+    time, at each sensor's first observation."""
+    n_samples, n_steps, _, n_epochs = trajectories.shape
+    per_traj = np.zeros((n_samples, n_epochs))
+    for pairs in _step_pairs(bank, obs, cfg, trajectories):
+        name, lik, pri = next(p for p in pairs if p[0] == sensor_name)
+        for b in range(n_samples):
+            per_traj[b] += cosine_distance(lik[b], pri[b])
+    total = np.zeros(n_epochs)
+    for b in range(n_samples):
+        total += per_traj[b] / n_steps
+    return np.clip(total / n_samples, 0.0, 1.0)
 
 
 def _neural_bank():
@@ -210,11 +211,11 @@ def test_streamed_gain_equals_stored_trajectories_bitwise(kind):
            for name in (*names, names[0])]
     cfg = SamplerConfig(schedule=ScheduleParams(M=7), n_samples=5, base_seed=3,
                         record_trajectory=True)
-    stored = _StoredTrajectories(cfg.n_samples)
-    results = sample_many(bank, obs, cfg, n_epochs, observer=stored).gains
+    batch = sample_many(bank, obs, cfg, n_epochs, keep_states=True)
     for name in names:
-        streamed = information_gain(bank, obs, name, cfg, n_epochs, results=results)
-        assert np.array_equal(streamed.values, stored.gain(name, n_epochs))
+        streamed = information_gain(bank, obs, name, cfg, n_epochs, results=batch.gains)
+        stored = _stored_trajectory_gain(bank, obs, cfg, batch.trajectories, name)
+        assert np.array_equal(streamed.values, stored)
         assert np.any(streamed.values > 0)
 
 

@@ -405,15 +405,16 @@ def test_split_run_with_kept_terms_equals_in_process_run(monkeypatch):
     ranges = []
     run_ranges = sampler._run_ranges
 
-    def counted(bank, obs, cfg, n_epochs, n_ranges, observer=None):
+    def counted(bank, obs, cfg, n_epochs, n_ranges, keep_states):
         ranges.append(n_ranges)
-        return run_ranges(bank, obs, cfg, n_epochs, n_ranges, observer)
+        return run_ranges(bank, obs, cfg, n_epochs, n_ranges, keep_states)
 
     monkeypatch.setattr(sampler, "_run_ranges", counted)
     monkeypatch.setattr(sampler, "_usable_cores", lambda: 2)
     split = sample_many(exact_bank(world), obs, cfg, n_epochs)
-    # An observer keeps every sample in the calling process.
-    in_process = sample_many(exact_bank(world), obs, cfg, n_epochs, observer=lambda *args: None)
+    # One usable core keeps every sample in the calling process.
+    monkeypatch.setattr(sampler, "_usable_cores", lambda: 1)
+    in_process = sample_many(exact_bank(world), obs, cfg, n_epochs)
     assert ranges == [2, 1]
     assert split.states.tobytes() == in_process.states.tobytes()
     # Without the memo, every denoise computes its terms again: same states.
@@ -424,5 +425,6 @@ def test_split_run_with_kept_terms_equals_in_process_run(monkeypatch):
         return cond_loglik(self, cond)
 
     monkeypatch.setattr(oracle.ExactDenoiser, "_cond_loglik", forgetful)
-    fresh = sample_many(exact_bank(world), obs, cfg, n_epochs, observer=lambda *args: None)
+    fresh = sample_many(exact_bank(world), obs, cfg, n_epochs)
+    assert ranges == [2, 1, 1]
     assert fresh.states.tobytes() == in_process.states.tobytes()

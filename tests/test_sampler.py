@@ -22,16 +22,16 @@ from fsdm.neural import PRIOR, ReferenceDenoiser, TrainConfig, train
 from fsdm.oracle import GaussianEmission, MarkovPrior, WorldModel, enumerate_posterior, exact_bank
 from fsdm.sampler import SamplerConfig, SamplingError, infer, sample_many
 from fsdm.sched import ScheduleParams, time_steps
-from fsdm.scorekit import ABSENT, Features, SensorBank
+from fsdm.scorekit import ABSENT, Features, SensorBank, fsdm_denoise_batch
 
 
 def _alone(bank, obs, cfg, index, n_epochs):
-    """Sample ``index`` run by itself, as a batch of one: the reference
-    that each sample of a batch equals bitwise.  Returns its final (5, E)
-    state and its gain sums (None unless cfg.record_trajectory)."""
-    batch, failure = sampler._run_range(bank, obs, cfg, [index], n_epochs)
+    """Sample ``index`` run by itself, as a batch of one with its
+    trajectory kept: the reference that each sample of a batch equals
+    bitwise."""
+    batch, failure = sampler._run_range(bank, obs, cfg, [index], n_epochs, True)
     assert failure is None
-    return batch.states[0], (batch.gains[0] if batch.gains else None)
+    return batch
 
 
 def test_single_atom_lands_on_vertex():
@@ -57,23 +57,18 @@ def test_same_seed_bitwise_identical():
     world = random_world(3, 1, rng)
     bank = exact_bank(world)
     cfg = SamplerConfig(base_seed=123)
-    a, _ = _alone(bank, [], cfg, 4, 3)
-    b, _ = _alone(bank, [], cfg, 4, 3)
-    assert np.array_equal(a, b)
+    a = _alone(bank, [], cfg, 4, 3)
+    b = _alone(bank, [], cfg, 4, 3)
+    assert np.array_equal(a.states, b.states)
+    assert np.array_equal(a.trajectories, b.trajectories)
 
 
 def test_distinct_indices_distinct_initial_states():
     h = Hypnogram.from_indices([1])
     bank = exact_bank(single_atom_world(h))
     cfg = SamplerConfig(n_samples=64, base_seed=9, record_trajectory=True)
-    initials = set()
-
-    def first_states(m, sigma, y, pairs):
-        if m == 0:
-            initials.update(tuple(state.ravel()) for state in y)
-
-    sample_many(bank, [], cfg, 1, observer=first_states)
-    assert len(initials) == 64
+    first_states = sample_many(bank, [], cfg, 1, keep_states=True).trajectories[:, 0]
+    assert len({tuple(state.ravel()) for state in first_states}) == 64
 
 
 def test_sample_many_n1_equals_the_one_sample_reference():
@@ -82,9 +77,9 @@ def test_sample_many_n1_equals_the_one_sample_reference():
     bank = exact_bank(world)
     cfg = SamplerConfig(n_samples=1, base_seed=3)
     many = sample_many(bank, [], cfg, 2)
-    one, _ = _alone(bank, [], cfg, 0, 2)
+    one = _alone(bank, [], cfg, 0, 2)
     assert many.states.shape == (1, 5, 2)
-    assert np.array_equal(many.states[0], one)
+    assert np.array_equal(many.states, one.states)
 
 
 def test_batched_run_equals_sequential_bitwise():
@@ -95,8 +90,7 @@ def test_batched_run_equals_sequential_bitwise():
     cfg = SamplerConfig(n_samples=6, base_seed=17)
     batch = sample_many(bank, obs, cfg, 3)
     for i, y in enumerate(batch.states):
-        single, _ = _alone(bank, obs, cfg, i, 3)
-        assert np.array_equal(y, single)
+        assert np.array_equal(y, _alone(bank, obs, cfg, i, 3).states[0])
 
 
 def test_neural_bank_batched_run_equals_sequential_bitwise():
@@ -112,8 +106,7 @@ def test_neural_bank_batched_run_equals_sequential_bitwise():
     cfg = SamplerConfig(schedule=ScheduleParams(M=4), n_samples=4, base_seed=8)
     batch = sample_many(bank, obs, cfg, 9)
     for i, y in enumerate(batch.states):
-        single, _ = _alone(bank, obs, cfg, i, 9)
-        assert np.array_equal(y, single)
+        assert np.array_equal(y, _alone(bank, obs, cfg, i, 9).states[0])
 
 
 def test_trajectory_recording_does_not_change_states():
@@ -123,27 +116,41 @@ def test_trajectory_recording_does_not_change_states():
     obs = [("s0", Features(np.array([0.0, 2.0, 4.0])))]
     base = SamplerConfig(n_samples=2, base_seed=7)
     recorded = SamplerConfig(n_samples=2, base_seed=7, record_trajectory=True)
-    steps = []
     a = sample_many(bank, obs, base, 3)
-    b = sample_many(bank, obs, recorded, 3,
-                    observer=lambda m, sigma, y, pairs: steps.append(m))
-    assert steps == list(range(base.schedule.M))
-    assert a.gains == ()
+    b = sample_many(bank, obs, recorded, 3, keep_states=True)
+    assert a.gains == () and a.trajectories.size == 0
     assert len(b.gains) == 2 and all(set(sums) == {"s0"} for sums in b.gains)
+    assert b.trajectories.shape == (2, base.schedule.M, 5, 3)
     assert np.array_equal(a.states, b.states)
 
 
 def test_trajectory_records_predictor_states_with_positive_sigma():
-    h = Hypnogram.from_indices([2, 2])
-    bank = exact_bank(single_atom_world(h))
-    cfg = SamplerConfig(n_samples=1, base_seed=1, record_trajectory=True)
-    seen = []
-    sample_many(bank, [], cfg, 2, observer=lambda m, sigma, y, pairs: seen.append((m, sigma)))
-    steps, sigmas = zip(*seen)
-    ts = __import__("fsdm.sched", fromlist=["time_steps"]).time_steps(cfg.schedule)
-    assert steps == tuple(range(cfg.schedule.M))
-    np.testing.assert_allclose(sigmas, ts[:-1])
-    assert all(s > 0 for s in sigmas)
+    rng = np.random.default_rng(9)
+    world = random_world(3, 1, rng)
+    bank = exact_bank(world)
+    obs = [("s0", Features(np.array([4.0, 1.0, 1.0])))]
+    cfg = SamplerConfig(schedule=ScheduleParams(M=6), n_samples=3, base_seed=1)
+    batch = sample_many(bank, obs, cfg, 3, keep_states=True)
+    ts = time_steps(cfg.schedule)
+    assert np.array_equal(batch.trajectories[:, 0], np.stack(
+        [sampler._initial_state(cfg.base_seed, i, 3, ts[0]) for i in range(3)]))
+
+    def heun_step(y, t_cur, t_next):
+        d = (y - fsdm_denoise_batch(y, float(t_cur), bank, obs, cfg.lam)) / float(t_cur)
+        y_next = y + (t_next - t_cur) * d
+        if t_next == 0:
+            return y_next
+        denoised2 = fsdm_denoise_batch(y_next, float(t_next), bank, obs, cfg.lam)
+        d2 = (y_next - denoised2) / float(t_next)
+        return y + 0.5 * (t_next - t_cur) * (d + d2)
+
+    # A Heun step from step m's state, at σ = t_m > 0, gives step m + 1's
+    # state, and the last step the final state.
+    ends = [*batch.trajectories.transpose(1, 0, 2, 3)[1:], batch.states]
+    for m, end in enumerate(ends):
+        assert ts[m] > 0
+        start = np.ascontiguousarray(batch.trajectories[:, m])
+        assert np.array_equal(heun_step(start, ts[m], ts[m + 1]), end), m
 
 
 def test_final_state_near_manifold_for_peaked_world():
@@ -265,28 +272,30 @@ def _no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def _split_runs(monkeypatch, bank, obs, cfg, n_epochs, cores_list=(1, 2, 3, 8)):
+def _split_runs(monkeypatch, bank, obs, cfg, n_epochs, cores_list=(1, 2, 3, 8),
+                keep_states=False):
     """{cores: Batch} of sample_many with the split open at every epoch
     count, and the range counts it split into."""
     split_counts = []
     run_ranges = sampler._run_ranges
 
-    def counted(bank, obs, cfg, n_epochs, n_ranges, observer=None):
+    def counted(bank, obs, cfg, n_epochs, n_ranges, keep_states):
         split_counts.append(n_ranges)
-        return run_ranges(bank, obs, cfg, n_epochs, n_ranges, observer)
+        return run_ranges(bank, obs, cfg, n_epochs, n_ranges, keep_states)
 
     monkeypatch.setattr(sampler, "_run_ranges", counted)
     monkeypatch.setattr(sampler, "_SPLIT_MIN_EPOCHS", 1)
     runs = {}
     for cores in cores_list:
         monkeypatch.setattr(sampler, "_usable_cores", lambda: cores)
-        runs[cores] = sample_many(bank, obs, cfg, n_epochs)
+        runs[cores] = sample_many(bank, obs, cfg, n_epochs, keep_states)
     _no_child_left()
     return runs, split_counts
 
 
 def _same_batch(got, want):
     assert np.array_equal(got.states, want.states)
+    assert np.array_equal(got.trajectories, want.trajectories)
     assert len(got.gains) == len(want.gains)
     for a, b in zip(got.gains, want.gains):
         assert set(a) == set(b) and all(np.array_equal(a[k], b[k]) for k in b)
@@ -321,14 +330,19 @@ def test_split_keeps_every_sample_bitwise(monkeypatch, case, n_samples, n_epochs
     bank, obs = case(n_epochs, seed=n_samples)
     cfg = SamplerConfig(schedule=ScheduleParams(M=2), n_samples=n_samples, base_seed=n_epochs,
                         record_trajectory=True)
-    runs, split_counts = _split_runs(monkeypatch, bank, obs, cfg, n_epochs)
+    runs, split_counts = _split_runs(monkeypatch, bank, obs, cfg, n_epochs, keep_states=True)
     # One range per core, at most one per sample.
     assert split_counts == [min(cores, n_samples) for cores in (1, 2, 3, 8)]
-    # Every sample equals itself run alone, in states and gain sums.
-    want_y, want_sums = zip(*(_alone(bank, obs, cfg, i, n_epochs) for i in range(n_samples)))
+    # Every sample equals itself run alone, in states, gain sums and
+    # trajectory.
+    alone = [_alone(bank, obs, cfg, i, n_epochs) for i in range(n_samples)]
+    want_sums = [one.gains[0] for one in alone]
     assert all(set(sums) == {"s0", "s1"} for sums in want_sums)
     for cores, batch in runs.items():
-        assert np.array_equal(batch.states, np.stack(want_y)), cores
+        assert np.array_equal(batch.states, np.concatenate([one.states for one in alone])), cores
+        assert batch.trajectories.shape == (n_samples, 2, 5, n_epochs), cores
+        assert np.array_equal(batch.trajectories,
+                              np.concatenate([one.trajectories for one in alone])), cores
         assert len(batch.gains) == n_samples, cores
         assert all(np.array_equal(got[k], want[k])
                    for got, want in zip(batch.gains, want_sums) for k in want), cores
@@ -468,7 +482,7 @@ def test_fall_back_cases_start_no_process(monkeypatch):
     bank, obs = _neural_case(6, seed=40)
     cfg = SamplerConfig(schedule=ScheduleParams(M=3), n_samples=4, base_seed=2,
                         record_trajectory=True)
-    want = sample_many(bank, obs, cfg, 6)
+    want = sample_many(bank, obs, cfg, 6, keep_states=True)
 
     def no_process(self):
         raise AssertionError("a fall-back case started a process")
@@ -480,27 +494,29 @@ def test_fall_back_cases_start_no_process(monkeypatch):
     def check(got):
         _same_batch(got, want)
 
-    # An attached observer, which sees the whole batch at every step.
-    steps = []
-    check(sample_many(bank, obs, cfg, 6, observer=lambda m, sigma, y, pairs: steps.append(len(y))))
-    assert steps == [4] * cfg.schedule.M
+    # Keeping the states is no fall-back: such a run splits like any other.
+    with pytest.raises(AssertionError, match="a fall-back case started a process"):
+        sample_many(bank, obs, cfg, 6, keep_states=True)
+    # Each fall-back keeps every sample's trajectory.
+    assert want.trajectories.shape == (4, cfg.schedule.M, 5, 6)
     # One usable core; fewer epochs than the gate.
     with monkeypatch.context() as m:
         m.setattr(sampler, "_usable_cores", lambda: 1)
-        check(sample_many(bank, obs, cfg, 6))
+        check(sample_many(bank, obs, cfg, 6, keep_states=True))
     with monkeypatch.context() as m:
         m.setattr(sampler, "_SPLIT_MIN_EPOCHS", 7)
-        check(sample_many(bank, obs, cfg, 6))
+        check(sample_many(bank, obs, cfg, 6, keep_states=True))
     # One sample.
     one = sample_many(bank, obs, SamplerConfig(schedule=ScheduleParams(M=3), n_samples=1,
-                                               base_seed=2, record_trajectory=True), 6)
-    _same_batch(one, sampler.Batch(want.states[:1], want.gains[:1]))
+                                               base_seed=2, record_trajectory=True), 6,
+                      keep_states=True)
+    _same_batch(one, sampler.Batch(want.states[:1], want.gains[:1], want.trajectories[:1]))
     # Another live thread, which a fork would not copy.
     release = threading.Event()
     thread = threading.Thread(target=release.wait, args=(60,))
     thread.start()
     try:
-        check(sample_many(bank, obs, cfg, 6))
+        check(sample_many(bank, obs, cfg, 6, keep_states=True))
     finally:
         release.set()
         thread.join(timeout=60)
@@ -508,10 +524,10 @@ def test_fall_back_cases_start_no_process(monkeypatch):
     # No fork start method; a daemonic process, which may not have children.
     with monkeypatch.context() as m:
         m.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-        check(sample_many(bank, obs, cfg, 6))
+        check(sample_many(bank, obs, cfg, 6, keep_states=True))
     with monkeypatch.context() as m:
         m.setattr(multiprocessing, "current_process", lambda: types.SimpleNamespace(daemon=True))
-        check(sample_many(bank, obs, cfg, 6))
+        check(sample_many(bank, obs, cfg, 6, keep_states=True))
 
 
 _WARNING_SCRIPT = """
