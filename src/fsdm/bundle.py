@@ -54,22 +54,16 @@ def dump_json(path, doc) -> None:
         f.write("\n")
 
 
-def _csv_cell(v):
-    if v is None:
-        return ""
-    if isinstance(v, float):  # np.float64 too; repr keeps every digit
-        return repr(float(v))
-    return v
-
-
 def write_csv(path, header: list[str], rows: Iterable[Iterable]) -> None:
-    """Write a header and rows.  A str cell is written as is, None as an
-    empty cell and a float as ``repr(float(v))``; anything else as the
-    csv module writes it."""
+    """Write a header and rows as the csv module writes them: None as an
+    empty cell, a str as is and any other value as ``str(v)``, which for
+    a float, ``np.float64`` too, is its shortest repr.  A float32 cell
+    would print its float32 repr (``0.1``, not ``0.10000000149011612``);
+    no caller passes one."""
     with open(path, "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(header)
-        writer.writerows([_csv_cell(v) for v in row] for row in rows)
+        writer.writerows(rows)
 
 
 def write_features_csv(path, values: np.ndarray) -> None:

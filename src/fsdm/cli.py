@@ -272,14 +272,14 @@ def cmd_sample(args) -> int:
     ))
     dump_json(out / "stats.json", {k: v for k, v in sorted(result.stats.items())})
     if record:
-        sigmas = time_steps(sampler_cfg.schedule)
-        # Rows per sample, then step, then epoch.
+        sigmas = time_steps(sampler_cfg.schedule).tolist()
+        # Rows per sample, then step, then epoch, of Python floats (faster to write).
         write_csv(out / "trajectories.csv",
                   ["sample_index", "step", "sigma", "epoch_index", *_STAGE_COLUMNS], (
                       [i, m, sigmas[m], e, *column]
                       for i, trajectory in enumerate(result.trajectories)
                       for m, y in enumerate(trajectory)
-                      for e, column in enumerate(y.T)
+                      for e, column in enumerate(y.T.tolist())
                   ))
     acc = evalkit.accuracy(result.hypnogram, bundle.hypnogram, valid_epochs=bundle.valid_epochs)
     print(f"sample: {sampler_cfg.n_samples} samples, "

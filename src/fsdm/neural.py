@@ -42,8 +42,10 @@ Training follows one fixed denoising recipe: draw a recording, draw a
 noise level from ln σ ~ N(0.2, 1.4²), corrupt the one-hot target,
 optionally blank part or all of the conditioning so the same network
 doubles as its own prior estimator, and minimize per-epoch cross
-entropy with Adam.  The recipe and the architecture of a new network
-are module constants; only the step count and the seed are settings.
+entropy with Adam.  The recipe and the architecture are module
+constants; only the step count and the seed are settings.  A network is
+its feature count and its weights, and a model file whose architecture
+differs from the constants fails to load.
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ _SKIP_SCALE = math.sqrt(0.5)
 _BLOCKS = ("0", "1")
 # The bias rows, which the network adds after its affine maps.
 _ROWS = ("b_enc", *(f"b{k}_{tag}" for tag in _BLOCKS for k in "12"), "b_out")
-# Architecture of a new network: epochs on each side of the encoder
+# Architecture of every network: epochs on each side of the encoder
 # window, hidden width, and the σ_data of the input scaling.
 WINDOW_RADIUS = 2
 CHANNELS = 32
@@ -148,15 +150,10 @@ class ReferenceDenoiser:
         "w_out", "b_out",
     )
 
-    def __init__(self, window_radius: int, channels: int, n_features: int,
-                 sigma_data: float, weights: dict[str, np.ndarray]):
-        self.window_radius = int(window_radius)
-        self.channels = int(channels)
+    def __init__(self, n_features: int, weights: dict[str, np.ndarray]):
         self.n_features = int(n_features)
-        self.sigma_data = float(sigma_data)
         self.weights = {k: np.asarray(v, dtype=np.float64) for k, v in weights.items()}
-        shapes = self._weight_shapes(self.window_radius, self.channels, self.n_features)
-        for name, shape in shapes.items():
+        for name, shape in self._weight_shapes(self.n_features).items():
             if name not in self.weights:
                 raise ValueError(f"missing weight array {name!r}")
             if self.weights[name].shape != shape:
@@ -168,10 +165,9 @@ class ReferenceDenoiser:
                 raise ValueError(f"weight array {name!r} has non-finite entries")
 
     @staticmethod
-    def _weight_shapes(window_radius: int, channels: int,
-                       n_features: int) -> dict[str, tuple[int, ...]]:
+    def _weight_shapes(n_features: int) -> dict[str, tuple[int, ...]]:
         """Each weight's shape, in PARAM_ORDER; a matrix is (out, in)."""
-        width, c = 2 * window_radius + 1, channels
+        width, c = 2 * WINDOW_RADIUS + 1, CHANNELS
         shapes = {"w_y": (c, 5 * width), "w_x": (c, n_features * width), "b_enc": (c,)}
         for tag in _BLOCKS:
             shapes.update({f"w1_{tag}": (c, c), f"b1_{tag}": (c,),
@@ -185,9 +181,9 @@ class ReferenceDenoiser:
         weights = {
             name: (rng.standard_normal(shape) * (1.0 / math.sqrt(max(shape[1], 1)))
                    if name.startswith("w") else np.zeros(shape))
-            for name, shape in cls._weight_shapes(WINDOW_RADIUS, CHANNELS, n_features).items()
+            for name, shape in cls._weight_shapes(n_features).items()
         }
-        return cls(WINDOW_RADIUS, CHANNELS, n_features, SIGMA_DATA, weights)
+        return cls(n_features, weights)
 
     # -- network -----------------------------------------------------------
     #
@@ -212,42 +208,37 @@ class ReferenceDenoiser:
         return np.where(np.isnan(v), 0.0, v)
 
     def _y_windows(self, y: np.ndarray, sigma: float) -> np.ndarray:
-        return _window_stack(input_scale(y, sigma, self.sigma_data), self.window_radius)
+        return _window_stack(input_scale(y, sigma, SIGMA_DATA), WINDOW_RADIUS)
 
     def _x_windows(self, cond: Conditioning, n_epochs: int) -> np.ndarray:
-        return _window_stack(self._cond_matrix(cond, n_epochs), self.window_radius)
+        return _window_stack(self._cond_matrix(cond, n_epochs), WINDOW_RADIUS)
 
-    def _rows(self, n_epochs: int, sigma: float, tile: bool) -> dict[str, np.ndarray]:
-        """The rows a pass adds: the bias rows and the σ embedding ``z``.
-        Inference tiles them to (E, ·): adding a contiguous array gives the
-        values of broadcasting a row, faster.  Training adds the (C,) rows."""
-        rows = {name: self.weights[name] for name in _ROWS}
-        rows["z"] = timestep_embedding(sigma, self.channels)
-        if tile:
-            rows = {name: np.tile(row, (n_epochs, 1)) for name, row in rows.items()}
-        return rows
-
-    def _work_set(self, n_epochs: int, rows: dict[str, np.ndarray],
-                  cache: bool) -> dict[str, np.ndarray]:
+    def _work_set(self, n_epochs: int, sigma: float, training: bool) -> dict[str, np.ndarray]:
         """The arrays one network pass writes, and the rows it adds.
 
         Each block's input u, pre-activation a, SiLU denominator
         1 + exp(−a) and activation h have keys ``u0``, ``a0``, ``den0``,
         ``h0``, ``u1``, ...; the head reads ``u2`` and writes the (E, 5)
         ``logits``, the (5, E) ``log_probs`` and the (E,) ``max`` and
-        ``sum`` rows of its softmax.
+        ``sum`` rows of its softmax.  The rows are the bias rows and the
+        σ embedding ``z``.
 
-        A cache, which training's gradients read, keeps one array per
-        intermediate.  Inference keeps no intermediate, so its blocks
-        share four (E, C) arrays (``u2`` is ``u0``, ``a1`` is ``a0``, and
-        ``h0``, ``h1``, ``den0`` and ``den1`` are one array) instead of
-        nine.  The rows are read only, so work sets may share them."""
-        c = self.channels
-        if cache:
+        Training's work set is the cache its gradients read: one array
+        per intermediate, and the (C,) rows.  Inference keeps no
+        intermediate, so its blocks share four (E, C) arrays (``u2`` is
+        ``u0``, ``a1`` is ``a0``, and ``h0``, ``h1``, ``den0`` and
+        ``den1`` are one array) instead of nine, and it tiles the rows to
+        (E, ·): adding a contiguous array gives the values of
+        broadcasting a row, faster."""
+        c = CHANNELS
+        rows = {name: self.weights[name] for name in _ROWS}
+        rows["z"] = timestep_embedding(sigma, c)
+        if training:
             work = {f"{k}{tag}": np.empty((n_epochs, c))
                     for tag in _BLOCKS for k in ("u", "a", "den", "h")}
             work["u2"] = np.empty((n_epochs, c))
         else:
+            rows = {name: np.tile(row, (n_epochs, 1)) for name, row in rows.items()}
             u_even, u_odd, a, h = np.empty((4, n_epochs, c))
             work = {"u0": u_even, "u1": u_odd, "u2": u_even}
             for tag in _BLOCKS:
@@ -297,7 +288,7 @@ class ReferenceDenoiser:
         ``probs`` become (E, 5) copies, the layout the gradients use."""
         w = self.weights
         n_epochs = y.shape[1]
-        cache = self._work_set(n_epochs, self._rows(n_epochs, sigma, tile=False), cache=True)
+        cache = self._work_set(n_epochs, sigma, training=True)
         cache["y_win"] = self._y_windows(y, sigma)
         cache["x_win"] = self._x_windows(cond, n_epochs)
         probs = np.empty((5, n_epochs))
@@ -322,8 +313,8 @@ class ReferenceDenoiser:
         n_batch, _, n_epochs = ys.shape
         x_encs = [self._x_windows(cond, n_epochs) @ w["w_x"].T for cond in conds]
         outs = [np.empty(ys.shape) for _ in conds]
-        work = self._work_set(n_epochs, self._rows(n_epochs, sigma, tile=True), cache=False)
-        y_enc = np.empty((n_epochs, self.channels))
+        work = self._work_set(n_epochs, sigma, training=False)
+        y_enc = np.empty((n_epochs, CHANNELS))
         for b in range(n_batch):
             np.matmul(self._y_windows(ys[b], sigma), w["w_y"].T, out=y_enc)
             for out, x_enc in zip(outs, x_encs):
@@ -509,13 +500,16 @@ def grad_check(
     return worst
 
 
+# The architecture a model file records, which must equal the constants.
+_ARCHITECTURE = {"window_radius": WINDOW_RADIUS, "channels": CHANNELS,
+                 "sigma_data": SIGMA_DATA}
+
+
 def save_model(path, net: ReferenceDenoiser) -> None:
     doc = {
         "format": MODEL_FORMAT,
-        "window_radius": net.window_radius,
-        "channels": net.channels,
+        **_ARCHITECTURE,
         "n_features": net.n_features,
-        "sigma_data": net.sigma_data,
         "weights": {k: v.tolist() for k, v in net.weights.items()},
     }
     with open(path, "w", encoding="utf-8") as f:
@@ -528,10 +522,9 @@ def load_model(path) -> ReferenceDenoiser:
         doc = json.load(f)
     if doc.get("format") != MODEL_FORMAT:
         raise ValueError(f"unsupported model format {doc.get('format')!r}")
-    return ReferenceDenoiser(
-        window_radius=doc["window_radius"],
-        channels=doc["channels"],
-        n_features=doc["n_features"],
-        sigma_data=doc["sigma_data"],
-        weights={k: np.array(v) for k, v in doc["weights"].items()},
-    )
+    for field, value in _ARCHITECTURE.items():
+        if doc.get(field) != value:
+            raise ValueError(
+                f"model {field} is {doc.get(field)!r}, but every network has {value!r}")
+    weights = {k: np.array(v) for k, v in doc["weights"].items()}
+    return ReferenceDenoiser(doc["n_features"], weights)

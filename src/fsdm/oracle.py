@@ -343,6 +343,10 @@ class ExactDenoiser:
         try:
             out = self._marginals(a.reshape(-1, *a.shape[-2:]))
         except FloatingPointError as err:
+            with np.errstate(over="ignore"):  # checked here only: the normal path pays nothing
+                if not np.isfinite(ys / (sigma * sigma)).all():
+                    raise ValueError(f"noise level sigma={float(sigma)!r} is too small for the "
+                                     "exact kernel: ys / sigma^2 overflows") from err
             raise ValueError("conditioning has zero probability under this world") from err
         return out.reshape(a.shape)
 

@@ -120,7 +120,9 @@ class SensorBank:
         estimate and an iterator over each observation's (likelihood,
         prior) pair, in observation order.  Outside a stacked bank each
         pair is evaluated as it is reached, so a caller that drops it
-        holds one pair at a time."""
+        holds one pair at a time.  Building the pairs as a list instead
+        raised ``night-neural``'s peak RSS from 63.3–63.4 to 65.6 MB
+        (perfbench, seed 0, 2 alternated 20 s runs)."""
         denoisers = [self.get(name) for name, _ in obs]
         if self._stacked:
             terms = [(d, cond) for d, (_, cond) in zip(denoisers, obs)]

@@ -1,8 +1,10 @@
 import argparse
+import csv
 import filecmp
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 import warnings
@@ -12,10 +14,12 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fsdm
 import fsdm.sampler
-from fsdm.bundle import Bundle, SignalEntry, read_bundle, write_bundle
+from fsdm.bundle import Bundle, SignalEntry, read_bundle, write_bundle, write_csv
 from fsdm.checks import CheckResult, informative_emission, persistent_markov, random_world
 from fsdm.cli import build_parser, emit_plot_data, load_config, main
 from fsdm.evalkit import MergeScheme, accuracy, aggregate_stat, cohens_kappa, overnight_stats
@@ -269,6 +273,32 @@ def test_sample_with_misshapen_model_weight_exits_1(config_path, bundles, tmp_pa
     assert rc == 1
     err = capsys.readouterr().err
     assert err == "error: weight array 'w1_0' has shape (16, 32), expected (32, 32)\n"
+    assert not (tmp_path / "pred").exists()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("window_radius", 3), ("channels", 16), ("sigma_data", 0.5),
+])
+def test_sample_with_other_model_architecture_exits_1(config_path, bundles, tmp_path, capsys,
+                                                      field, value):
+    cfg = json.loads(config_path.read_text())
+    models = tmp_path / "models"
+    models.mkdir()
+    rng = np.random.default_rng(0)
+    save_model(models / "prior.json", ReferenceDenoiser.init(0, rng))
+    save_model(models / "pulse.json", ReferenceDenoiser.init(1, rng))
+    doc = json.loads((models / "pulse.json").read_text())
+    doc[field] = value
+    (models / "pulse.json").write_text(json.dumps(doc), encoding="utf-8")
+    cfg["paths"]["models_dir"] = str(models)
+    cfg["sampler"] = dict(cfg["sampler"], denoisers="trained", n_samples=2)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    rc = main(["sample", "--config", str(path), "--out", str(tmp_path / "pred")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: model {field} is {value!r}, but every network has ")
+    assert err.count("\n") == 1
     assert not (tmp_path / "pred").exists()
 
 
@@ -639,6 +669,21 @@ def test_sample_sigma_with_non_normal_square_exits_1(config_path, bundles, tmp_p
     assert not (tmp_path / "pred").exists()
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered in divide:RuntimeWarning")
+def test_sample_sigma_too_small_for_the_exact_kernel_exits_1(config_path, bundles, tmp_path,
+                                                             capsys):
+    cfg = json.loads(config_path.read_text())
+    cfg["schedule"] = {"M": 32, "sigma_min": 1e-120}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    rc = main(["sample", "--config", str(path), "--out", str(tmp_path / "pred")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: noise level sigma=1e-120 is too small for the exact kernel: "
+        "ys / sigma^2 overflows\n")
+    assert not (tmp_path / "pred").exists()
+
+
 _SAMPLING_FLAGS = {"--seed", "--sensor", "--n-samples", "--lambda"}
 _COMMAND_FLAGS = {
     "synth": {"--seed"},
@@ -747,6 +792,34 @@ def test_import_leaves_scipy_signal_unloaded(module):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+_SPECIAL_FLOATS = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 9.999999999999999e-05, 1e-4,
+                   9999999999999998.0, 1e16, 1.7976931348623157e308, math.nan, math.inf,
+                   -math.inf]
+_FLOAT64 = (st.sampled_from(_SPECIAL_FLOATS) | st.floats()
+            | st.integers(0, 2**64 - 1).map(lambda bits: struct.unpack(
+                "<d", struct.pack("<Q", bits))[0]))
+_CELLS = (_FLOAT64 | _FLOAT64.map(np.float64) | st.integers() | st.text() | st.none())
+
+
+def _cell_text(v):
+    if v is None:
+        return ""
+    if isinstance(v, float):  # np.float64 too
+        return repr(float(v))
+    return str(v)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(st.lists(_CELLS, min_size=1, max_size=4), min_size=1, max_size=4))
+def test_write_csv_cells_read_back_as_their_shortest_text(tmp_path_factory, rows):
+    path = tmp_path_factory.getbasetemp() / "cells.csv"
+    write_csv(path, ["a"], rows)
+    with open(path, encoding="utf-8", newline="") as f:
+        header, *read = list(csv.reader(f))
+    assert header == ["a"]
+    assert read == [[_cell_text(v) for v in row] for row in rows]
 
 
 def test_bundle_round_trip(tmp_path):

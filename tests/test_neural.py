@@ -1,3 +1,4 @@
+import json
 import math
 import re
 import sys
@@ -48,9 +49,10 @@ def _reference_pass(net, y, cond, sigma):
     w = net.weights
     x = (np.zeros((net.n_features, y.shape[1])) if cond is ABSENT
          else np.where(np.isnan(cond.values), 0.0, cond.values))
-    cache = {"y_win": _window_stack(input_scale(y, sigma, net.sigma_data), net.window_radius),
-             "x_win": _window_stack(x, net.window_radius)}
-    z = timestep_embedding(sigma, net.channels)
+    cache = {"y_win": _window_stack(input_scale(y, sigma, neural.SIGMA_DATA),
+                                    neural.WINDOW_RADIUS),
+             "x_win": _window_stack(x, neural.WINDOW_RADIUS)}
+    z = timestep_embedding(sigma, neural.CHANNELS)
     u = cache["y_win"] @ w["w_y"].T + cache["x_win"] @ w["w_x"].T + w["b_enc"]
     for tag in ("0", "1"):
         a = u @ w[f"w1_{tag}"].T + w[f"b1_{tag}"] + z
@@ -448,8 +450,8 @@ def test_model_json_round_trip(tmp_path):
     path = tmp_path / "model.json"
     save_model(path, net)
     loaded = load_model(path)
-    assert loaded.window_radius == net.window_radius
-    assert loaded.sigma_data == net.sigma_data
+    save_model(tmp_path / "again.json", loaded)
+    assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
     for key in net.weights:
         np.testing.assert_array_equal(loaded.weights[key], net.weights[key])
     y = np.random.default_rng(10).standard_normal((5, 4))
@@ -466,6 +468,26 @@ def test_model_format_tag_checked(tmp_path):
         load_model(path)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("window_radius", neural.WINDOW_RADIUS + 1),
+    ("channels", 2 * neural.CHANNELS),
+    ("sigma_data", 0.5),
+])
+def test_model_file_architecture_must_equal_the_constants(tmp_path, field, value):
+    path = tmp_path / "model.json"
+    save_model(path, _sample_net(seed=9))
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    assert doc[field] == getattr(neural, field.upper())
+    doc[field] = value
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^model {field} is {value!r}, but every network has "):
+        load_model(path)
+    del doc[field]
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^model {field} is None, but every network has "):
+        load_model(path)
+
+
 @pytest.mark.parametrize("name, shape, expected", [
     ("w1_0", (16, 32), (32, 32)),
     ("w_x", (32, 5), (32, 10)),
@@ -476,12 +498,10 @@ def test_weight_shapes_checked_at_construction(name, shape, expected):
     weights = dict(net.weights, **{name: np.zeros(shape)})
     message = f"weight array {name!r} has shape {shape}, expected {expected}"
     with pytest.raises(ValueError, match=re.escape(message)):
-        ReferenceDenoiser(net.window_radius, net.channels, net.n_features,
-                          net.sigma_data, weights)
+        ReferenceDenoiser(net.n_features, weights)
     del weights[name]
     with pytest.raises(ValueError, match=f"missing weight array {name!r}"):
-        ReferenceDenoiser(net.window_radius, net.channels, net.n_features,
-                          net.sigma_data, weights)
+        ReferenceDenoiser(net.n_features, weights)
 
 
 def test_train_config_validation():

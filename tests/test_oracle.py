@@ -316,6 +316,23 @@ def test_zero_probability_conditioning_raises(markov):
         exact_denoiser(world, "det").evaluate_batch(ys, Features(np.array([forbidden, 0.0, 0.0])), 0.5)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered in divide:RuntimeWarning")
+@pytest.mark.parametrize("sigma_min", [1e-120, 1e-150])
+def test_sigma_too_small_for_the_kernel_is_named(sigma_min):
+    # ys / σ² overflows at the end of the grid; the conditioning is possible.
+    rng = np.random.default_rng(5)
+    world = WorldModel(6, persistent_markov(rng), (("pulse", informative_emission(rng)),))
+    obs = [("pulse", Features(np.array([0.0, 1.0, 2.0, 3.0, 4.0, 0.0])))]
+    cfg = SamplerConfig(schedule=ScheduleParams(M=32, sigma_min=sigma_min), n_samples=2)
+    message = (f"^noise level sigma={sigma_min!r} is too small for the exact kernel: "
+               r"ys / sigma\^2 overflows$")
+    with pytest.raises(ValueError, match=message):
+        sample_many(exact_bank(world), obs, cfg, world.n_epochs)
+    # Above the overflow, the same conditioning samples.
+    cfg = SamplerConfig(schedule=ScheduleParams(M=32, sigma_min=1e-100), n_samples=2)
+    assert sample_many(exact_bank(world), obs, cfg, world.n_epochs).states.shape == (2, 5, 6)
+
+
 def test_markov_denoiser_whole_night_without_enumeration(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("enumeration table built")
