@@ -9,9 +9,9 @@ priors) on the same inputs where E ≤ 8, and alone on whole-night
 lengths; the B = 192 rows are the stacked batch of one exact-bank
 denoise with two sensors and 64 samples.  The AMPD scalogram is timed
 at three window lengths and scale ranges.  The reference denoiser's
-``evaluate_batch`` (one network pass per state) and ``evaluate_pair``
-(two) are timed on a new network at a training length and a whole
-night; the network runs in the calling process.  ``sample_many`` is
+``evaluate_batch`` (one network pass per state) is timed conditioned
+and under ABSENT, the two kinds of pass a denoise makes, on a new
+network at a training length and a whole night; the network runs in the calling process.  ``sample_many`` is
 timed on a whole night with a neural bank, split across worker processes
 and in the calling process, with the CPU time of the caller and its
 workers beside the wall time.  BLAS runs on one thread, as in
@@ -33,7 +33,7 @@ from fsdm import _kernels, sampler
 from fsdm.neural import ReferenceDenoiser
 from fsdm.oracle import ENUMERATION_CAP
 from fsdm.sched import ScheduleParams
-from fsdm.scorekit import Features, SensorBank
+from fsdm.scorekit import ABSENT, Features, SensorBank
 
 
 def timeit(fn, *args, repeat=5, warmup=1):
@@ -85,9 +85,9 @@ def bench_network():
         ys = rng.standard_normal((batch, 5, n_epochs))
         cond = Features(rng.standard_normal((1, n_epochs)))
         t_batch = timeit(net.evaluate_batch, ys, cond, 0.8, repeat=3)
-        t_pair = timeit(net.evaluate_pair, ys, cond, 0.8, repeat=3)
+        t_absent = timeit(net.evaluate_batch, ys, ABSENT, 0.8, repeat=3)
         print(f"  E={n_epochs:3d} B={batch:3d}: evaluate_batch {t_batch*1e3:8.2f} ms"
-              f" | evaluate_pair {t_pair*1e3:8.2f} ms")
+              f" | ABSENT {t_absent*1e3:8.2f} ms")
 
 
 def _cpu_s():

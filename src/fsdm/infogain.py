@@ -1,10 +1,12 @@
 """Per-sensor, per-epoch information gain.
 
 A sensor's information gain at an epoch is the cosine distance between
-its likelihood-denoised and prior-denoised stage-probability columns,
-averaged over the M sampling states and over trajectories (a Monte-Carlo
-expectation over the sampler's initial states).  A value of 0 means the
-sensor never moved the estimate away from the prior.
+its conditioned estimate's stage-probability column and the global
+prior's, averaged over the M sampling states and over trajectories (a
+Monte-Carlo expectation over the sampler's initial states).  The prior
+estimate is the one every sensor's term of the combination rule
+subtracts (``scorekit``).  A value of 0 means the sensor never moved the
+estimate away from the prior.
 
 With ``record_trajectory`` set, the sampling loop (``sampler._run_range``)
 keeps one running (B, E) sum per observed sensor as loop state, adds each

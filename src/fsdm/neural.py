@@ -12,11 +12,11 @@ set: preallocated arrays that every matmul and ufunc writes with
 per intermediate, and keeps it as the cache its hand-derived gradients
 read (checked against central finite differences); the SiLU's
 denominator stays there for its derivative.  Inference has one loop
-for ``forward``, ``evaluate_batch`` and ``evaluate_pair``.  The σ
-embedding and each conditioning's encoding are computed once per
-batch, and each state's encoding once per sample.  A call builds one
-work set, whose blocks share arrays, and reuses it for every sample and
-conditioning.  Every sample runs the same operations on arrays of the
+for ``forward`` and ``evaluate_batch``, one pass per state under one
+conditioning.  The σ embedding and the conditioning's encoding are
+computed once per batch, and each state's encoding once per sample.  A
+call builds one work set, whose blocks share arrays, and reuses it for
+every sample.  Every sample runs the same operations on arrays of the
 same shapes and layouts whatever batch it is in, so a sample's output
 does not depend on the rest of its batch; whole-night sampling relies
 on this when it splits its samples across processes (see ``sampler``).
@@ -188,10 +188,11 @@ class ReferenceDenoiser:
     # -- network -----------------------------------------------------------
     #
     # The encoder input splits into the state's share y_win @ w_y.T and the
-    # conditioning's share x_win @ w_x.T, so inference encodes each once and
-    # reuses it.  Training and inference run the same ``_network`` on a work
-    # set: inference builds one per call and reuses it for every sample and
-    # conditioning, training builds one per step and keeps it as its cache.
+    # conditioning's share x_win @ w_x.T, so inference encodes the
+    # conditioning once per batch.  Training and inference run the same
+    # ``_network`` on a work set: inference builds one per call and reuses
+    # it for every sample, training builds one per step and keeps it as
+    # its cache.
 
     def _cond_matrix(self, cond: Conditioning, n_epochs: int) -> np.ndarray:
         if cond is ABSENT:
@@ -300,41 +301,31 @@ class ReferenceDenoiser:
 
     # -- inference ---------------------------------------------------------
 
-    def _evaluate(self, ys: np.ndarray, conds: Sequence[Conditioning],
-                  sigma: float) -> list[np.ndarray]:
-        """One (B, 5, E) estimate per conditioning.  The σ embedding, the
-        tiled rows and each conditioning's encoding are computed once per
-        batch, and each state's encoding once per sample; one work set
-        serves every pass."""
+    def _evaluate(self, ys: np.ndarray, cond: Conditioning, sigma: float) -> np.ndarray:
+        """The (B, 5, E) estimate under one conditioning.  The σ embedding,
+        the tiled rows and the conditioning's encoding are computed once
+        per batch; one work set serves every sample's pass."""
         ys = np.asarray(ys)
         if ys.ndim != 3 or ys.shape[1] != 5:
             raise ValueError("states must be a B×5×E batch")
         w = self.weights
         n_batch, _, n_epochs = ys.shape
-        x_encs = [self._x_windows(cond, n_epochs) @ w["w_x"].T for cond in conds]
-        outs = [np.empty(ys.shape) for _ in conds]
+        x_enc = self._x_windows(cond, n_epochs) @ w["w_x"].T
+        out = np.empty(ys.shape)
         work = self._work_set(n_epochs, sigma, training=False)
         y_enc = np.empty((n_epochs, CHANNELS))
         for b in range(n_batch):
             np.matmul(self._y_windows(ys[b], sigma), w["w_y"].T, out=y_enc)
-            for out, x_enc in zip(outs, x_encs):
-                self._network(y_enc, x_enc, work, out[b])
-        return outs
+            self._network(y_enc, x_enc, work, out[b])
+        return out
 
     def forward(self, y_noisy: np.ndarray, cond: Conditioning, sigma: float) -> np.ndarray:
         """Denoised estimate of one 5×E state, with simplex columns."""
-        return self._evaluate(np.asarray(y_noisy)[None], [cond], sigma)[0][0]
+        return self._evaluate(np.asarray(y_noisy)[None], cond, sigma)[0]
 
     def evaluate_batch(self, ys: np.ndarray, cond: Conditioning,
                        sigma: float) -> np.ndarray:
-        return self._evaluate(ys, [cond], sigma)[0]
-
-    def evaluate_pair(self, ys: np.ndarray, cond: Conditioning,
-                      sigma: float) -> tuple[np.ndarray, np.ndarray]:
-        """The conditioned and ABSENT estimates of a (B, 5, E) batch from one
-        encoding of each state; bitwise equal to two ``evaluate_batch`` calls."""
-        lik, pri = self._evaluate(ys, [cond, ABSENT], sigma)
-        return lik, pri
+        return self._evaluate(ys, cond, sigma)
 
     # -- loss and gradients -----------------------------------------------
 

@@ -5,20 +5,22 @@ shared prior.
 Every function here works on (B, 5, E) batches of states; a single state
 is a batch of one.  The combined denoised estimate is
 
-    D_all = D_prior(y, absent, σ) + λ · Σ_i [D_i(y, x_i, σ) − D_i(y, absent, σ)]
+    D_all = D_prior(y, absent, σ) + λ · Σ_i [D_i(y, x_i, σ) − D_prior(y, absent, σ)]
 
 (``fsdm_combine_batch``), followed by per-column renormalization
 (``fsdm_denoise_batch``); the posterior score is recovered from it
 through (D_all − y) / σ² (``tweedie_score``).  λ defaults to 1/N so that
 feeding the same signal once or many times yields the same estimate.
+The posterior score of the Bayesian factorization has one prior term,
+so every sensor's term subtracts the one global prior estimate; for
+exact denoisers of one world that estimate equals the sensor's own
+unconditioned one.
 
-``SensorBank.evaluate`` computes every term of one denoise.  When every
-sensor denoiser shares the prior's kernel (exact denoisers of one
-world), D_i(y, absent, σ) is the prior's own estimate, so the prior and
-the N conditioned terms run as one kernel call on an (N+1)·B batch.
-Otherwise the prior makes one call and each sensor one pair of calls;
-a reference network encodes each state once for both halves of its
-pair.
+``SensorBank.evaluate`` computes every term of one denoise: one prior
+call, then one conditioned call per observation.  When every sensor
+denoiser shares the prior's kernel (exact denoisers of one world), the
+prior and the N conditioned terms run as one kernel call on an
+(N+1)·B batch.
 """
 
 from __future__ import annotations
@@ -32,7 +34,11 @@ from .hypno import project_manifold
 
 
 class _Absent:
-    """Semantic "no sensor data"; distinct from a matrix of measured zeros."""
+    """Semantic "no sensor data", a conditioning value distinct from a
+    matrix of measured zeros.  An exact denoiser gives it no likelihood
+    terms.  A reference network reads it, like a missing (NaN) epoch,
+    as zeros (``ReferenceDenoiser._cond_matrix``), so its input does not
+    tell it from measured zeros."""
 
     _instance = None
 
@@ -118,29 +124,21 @@ class SensorBank:
     ) -> tuple[np.ndarray, Iterator[tuple[np.ndarray, np.ndarray]]]:
         """Every term of one denoise of a (B, 5, E) batch: the prior's
         estimate and an iterator over each observation's (likelihood,
-        prior) pair, in observation order.  Outside a stacked bank each
-        pair is evaluated as it is reached, so a caller that drops it
-        holds one pair at a time.  Building the pairs as a list instead
-        raised ``night-neural``'s peak RSS from 63.3–63.4 to 65.6 MB
-        (perfbench, seed 0, 2 alternated 20 s runs)."""
-        denoisers = [self.get(name) for name, _ in obs]
+        prior) pair, in observation order, whose prior half is the
+        prior's estimate itself.  Outside a stacked bank each likelihood
+        is evaluated as it is reached, so a caller that drops it holds
+        one at a time.  Building the pairs as a list instead raised
+        ``night-neural``'s peak RSS from 63.3–63.4 to 65.6 MB (perfbench,
+        seed 0, 2 alternated 20 s runs)."""
+        terms = [(self.get(name), cond) for name, cond in obs]
         if self._stacked:
-            terms = [(d, cond) for d, (_, cond) in zip(denoisers, obs)]
-            out = self.global_prior.evaluate_stacked(ys, terms, sigma)
-            return out[0], ((lik, out[0]) for lik in out[1:])
+            prior, *liks = self.global_prior.evaluate_stacked(ys, terms, sigma)
+            return prior, ((lik, prior) for lik in liks)
         prior = self.global_prior.evaluate_batch(ys, ABSENT, sigma)
-        return prior, (_evaluate_pair(d, ys, cond, sigma) for d, (_, cond) in zip(denoisers, obs))
+        return prior, ((d.evaluate_batch(ys, cond, sigma), prior) for d, cond in terms)
 
 
 Observations = Sequence[tuple[str, Conditioning]]
-
-
-def _evaluate_pair(denoiser: Denoiser, ys: np.ndarray, cond: Conditioning,
-                   sigma: float) -> tuple[np.ndarray, np.ndarray]:
-    pair = getattr(denoiser, "evaluate_pair", None)
-    if pair is not None:
-        return pair(ys, cond, sigma)
-    return denoiser.evaluate_batch(ys, cond, sigma), denoiser.evaluate_batch(ys, ABSENT, sigma)
 
 
 def tweedie_score(denoised: np.ndarray, y_noisy: np.ndarray, sigma: float) -> np.ndarray:
@@ -169,8 +167,9 @@ def fsdm_combine_batch(
     """Combined denoised estimate for a batch of states, before projection.
 
     ``ys`` has shape (B, 5, E).  When ``pairs`` is a list, each observation
-    appends its (name, likelihood, prior) evaluations to it, in observation
-    order; the sampler adds their cosine distances to its gain sums.
+    appends its (name, likelihood, prior) estimates to it, in observation
+    order, where every prior is the one global prior array; the sampler
+    adds their cosine distances to its gain sums.
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
@@ -181,8 +180,8 @@ def fsdm_combine_batch(
         combined = combined + lam_eff * (lik - pri)
         if pairs is not None:
             pairs.append((name, lik, pri))
-        # Unbound before the next pair is evaluated, so a pair nothing
-        # keeps is freed first.
+        # Unbound before the next pair is evaluated, so a likelihood
+        # nothing keeps is freed first.
         del lik, pri
     return combined
 

@@ -67,16 +67,31 @@ class Recording:
     waveforms: dict[str, np.ndarray]  # sensor -> samples at its spec fs
 
 
+def _choice_cdf(p: np.ndarray) -> np.ndarray:
+    """The cumulative table from which ``Generator.choice`` draws an index
+    with probabilities p: the index is ``searchsorted(cdf, u, side="right")``
+    for one uniform u from ``Generator.random``.  Drawing the uniforms of
+    many choices in one call and searching them gives the same indices and
+    leaves the generator in the same state as one ``choice`` per draw."""
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
 def sample_hypnogram(world: WorldModel, rng: np.random.Generator) -> Hypnogram:
     if isinstance(world.prior, ExplicitPrior):
         table = world.prior.table
         idx = int(rng.choice(table.size, p=table / table.sum()))
         return Hypnogram.from_indices(np.unravel_index(idx, (5,) * world.n_epochs))
     prior: MarkovPrior = world.prior
-    stages = [int(rng.choice(5, p=prior.initial / prior.initial.sum()))]
-    for _ in range(world.n_epochs - 1):
-        row = prior.transition[stages[-1]]
-        stages.append(int(rng.choice(5, p=row / row.sum())))
+    u = rng.random(world.n_epochs)
+    stages = [int(np.searchsorted(_choice_cdf(prior.initial / prior.initial.sum()), u[0],
+                                  side="right"))]
+    # after[k][e]: the stage that follows stage k at epoch e + 1.
+    after = [np.searchsorted(_choice_cdf(row / row.sum()), u[1:], side="right").tolist()
+             for row in prior.transition]
+    for e in range(world.n_epochs - 1):
+        stages.append(after[stages[-1]][e])
     return Hypnogram.from_indices(stages)
 
 
@@ -86,10 +101,11 @@ def sample_features(world: WorldModel, h: Hypnogram,
     out: dict[str, np.ndarray] = {}
     for name, em in world.sensors:
         if isinstance(em, CategoricalEmission):
-            seq = np.array(
-                [rng.choice(em.n_symbols, p=em.table[s] / em.table[s].sum()) for s in stages],
-                dtype=np.float64,
-            )
+            u = rng.random(stages.size)
+            seq = np.empty(stages.size)
+            for k, row in enumerate(em.table):
+                at = stages == k
+                seq[at] = np.searchsorted(_choice_cdf(row / row.sum()), u[at], side="right")
         elif isinstance(em, GaussianEmission):
             seq = rng.normal(em.means[stages], em.sds[stages])
         else:  # pragma: no cover - emission union is closed
@@ -110,18 +126,25 @@ def render_waveform(h: Hypnogram, spec: WaveformSpec,
     kernel = spec.base_amplitude * np.exp(
         -0.5 * ((np.arange(-half, half + 1)) / sigma_w) ** 2
     )
-    rate0 = spec.stage_rates[h[0]]
-    t = (0.5 + 0.1 * rng.random()) / rate0
+    rates = [spec.stage_rates[stage] for stage in h.stages]
+    t = (0.5 + 0.1 * rng.random()) / rates[0]
+    # Every interval is at least 0.25 / rate, so no more pulses than this
+    # fit.  The jitters are drawn as one block; the generator is then
+    # rewound and advanced by the draws used, one per pulse, so its state
+    # after the call is that of one draw per pulse.
+    state = rng.bit_generator.state
+    jitters = (spec.jitter_sd * rng.standard_normal(int(4 * duration * max(rates)) + 2)).tolist()
+    centers = []
     while t < duration:
-        center = int(round(t * spec.fs))
-        lo = max(center - half, 0)
-        hi = min(center + half + 1, n)
-        if lo < hi:
-            wave[lo:hi] += kernel[lo - (center - half):hi - (center - half)]
-        stage = h[min(int(t // EPOCH_S), len(h) - 1)]
-        rate = spec.stage_rates[stage]
-        interval = 1.0 / rate + spec.jitter_sd * rng.standard_normal()
-        t += max(interval, 0.25 / rate)
+        centers.append(int(round(t * spec.fs)))
+        rate = rates[min(int(t // EPOCH_S), len(h) - 1)]
+        t += max(1.0 / rate + jitters[len(centers) - 1], 0.25 / rate)
+    rng.bit_generator.state = state
+    rng.standard_normal(len(centers))
+    # Each pulse's kernel, clipped to the recording, added in pulse order.
+    at = np.array(centers, dtype=np.int64)[:, None] + np.arange(-half, half + 1)
+    inside = (at >= 0) & (at < n)
+    np.add.at(wave, at[inside], np.broadcast_to(kernel, at.shape)[inside])
     return wave
 
 

@@ -99,8 +99,7 @@ def test_network_equals_allocating_reference_bitwise(n_epochs, n_features):
         want = np.stack([_reference_pass(net, y, cond, sigma)["probs"].T for y in ys])
         want_absent = np.stack([_reference_pass(net, y, ABSENT, sigma)["probs"].T for y in ys])
         assert np.array_equal(net.evaluate_batch(ys, cond, sigma), want)
-        lik, pri = net.evaluate_pair(ys, cond, sigma)
-        assert np.array_equal(lik, want) and np.array_equal(pri, want_absent)
+        assert np.array_equal(net.evaluate_batch(ys, ABSENT, sigma), want_absent)
         assert np.array_equal(net.forward(ys[0], cond, sigma), want[0])
 
         # Training's cache holds the reference's values in its layouts, so
@@ -343,7 +342,7 @@ def test_trained_denoiser_satisfies_contract_and_plugs_into_bank():
     np.testing.assert_allclose(combined.sum(axis=1), 1.0, rtol=0, atol=1e-9)
 
 
-def test_evaluate_pair_equals_two_forward_calls(monkeypatch):
+def test_evaluate_batch_equals_forward_calls(monkeypatch):
     net = _sample_net(seed=12)
     rng = np.random.default_rng(13)
     ys = rng.standard_normal((3, 5, 7))
@@ -357,16 +356,16 @@ def test_evaluate_pair_equals_two_forward_calls(monkeypatch):
         assert np.array_equal(batch[b], want)
         assert np.array_equal(net.forward(ys[b], cond, 0.8), want)
     forwards = [(net.forward(y, cond, 0.8), net.forward(y, ABSENT, 0.8)) for y in ys]
-    # The pair builds none of the training caches.
+    # Inference builds none of the training caches.
     monkeypatch.setattr(net, "_forward", None)
-    lik, pri = net.evaluate_pair(ys, cond, 0.8)
+    lik, pri = (net.evaluate_batch(ys, c, 0.8) for c in (cond, ABSENT))
     for b, (want_lik, want_pri) in enumerate(forwards):
         assert np.array_equal(lik[b], want_lik)
         assert np.array_equal(pri[b], want_pri)
     with pytest.raises(ValueError):
-        net.evaluate_pair(ys, cond, 0.0)
+        net.evaluate_batch(ys, cond, 0.0)
     with pytest.raises(ValueError):
-        net.evaluate_pair(ys[0], cond, 0.8)
+        net.evaluate_batch(ys[0], cond, 0.8)
 
 
 def test_evaluate_batch_encodes_sigma_and_conditioning_once(monkeypatch):
@@ -411,8 +410,7 @@ def test_batch_split_keeps_every_sample_bitwise(n_batch, n_epochs):
         bounds = [n_batch * k // n_ranges for k in range(n_ranges + 1)]
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             assert np.array_equal(net.evaluate_batch(ys[lo:hi], cond, 0.8), want[lo:hi])
-            lik, pri = net.evaluate_pair(ys[lo:hi], cond, 0.8)
-            assert np.array_equal(lik, want[lo:hi]) and np.array_equal(pri, want_absent[lo:hi])
+            assert np.array_equal(net.evaluate_batch(ys[lo:hi], ABSENT, 0.8), want_absent[lo:hi])
 
 
 def test_split_under_frequent_thread_switches():
@@ -423,12 +421,16 @@ def test_split_under_frequent_thread_switches():
     rng = np.random.default_rng(23)
     batches = [rng.standard_normal((8, 5, 200)) for _ in range(4)]
     cond = Features(rng.standard_normal((2, 200)))
-    want = [net.evaluate_pair(ys, cond, 0.5) for ys in batches]
+
+    def both(ys):
+        return tuple(net.evaluate_batch(ys, c, 0.5) for c in (cond, ABSENT))
+
+    want = [both(ys) for ys in batches]
     got = [None] * len(batches)
 
     def run(k):
         for _ in range(3):
-            got[k] = net.evaluate_pair(batches[k], cond, 0.5)
+            got[k] = both(batches[k])
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

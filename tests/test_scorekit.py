@@ -177,32 +177,31 @@ def test_rejects_nonpositive_sigma():
 
 
 def _separate_terms(bank, ys, sigma, obs):
-    """The combination rule's 2N+1 terms as separate evaluate_batch calls."""
+    """The combination rule's N+1 terms as separate evaluate_batch calls."""
     prior = bank.global_prior.evaluate_batch(ys, ABSENT, sigma)
-    return prior, [
-        (bank.get(name).evaluate_batch(ys, cond, sigma),
-         bank.get(name).evaluate_batch(ys, ABSENT, sigma))
-        for name, cond in obs
-    ]
+    return prior, [bank.get(name).evaluate_batch(ys, cond, sigma) for name, cond in obs]
 
 
 def _assert_bank_matches_separate_calls(bank, ys, sigma, obs, lam):
     prior, terms = bank.evaluate(ys, sigma, obs)
     terms = list(terms)
-    want_prior, want_terms = _separate_terms(bank, ys, sigma, obs)
+    want_prior, want_liks = _separate_terms(bank, ys, sigma, obs)
     assert np.array_equal(prior, want_prior)
-    assert len(terms) == len(want_terms)
-    for got, want in zip(terms, want_terms):
-        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    assert len(terms) == len(want_liks)
+    for (lik, pri), want_lik in zip(terms, want_liks):
+        assert np.array_equal(lik, want_lik) and pri is prior
     pairs = []
     combined = fsdm_combine_batch(ys, sigma, bank, obs, lam=lam, pairs=pairs)
     want = want_prior
-    for lik, pri in want_terms:
-        want = want + lam * (lik - pri)
+    for lik in want_liks:
+        want = want + lam * (lik - want_prior)
     assert np.array_equal(combined, want)
     assert [name for name, _, _ in pairs] == [name for name, _ in obs]
-    for (_, lik, pri), (want_lik, want_pri) in zip(pairs, want_terms):
-        assert np.array_equal(lik, want_lik) and np.array_equal(pri, want_pri)
+    # Every pair's prior half is one array, the prior's estimate.
+    assert all(pri is pairs[0][2] for _, _, pri in pairs)
+    assert np.array_equal(pairs[0][2], want_prior)
+    for (_, lik, _), want_lik in zip(pairs, want_liks):
+        assert np.array_equal(lik, want_lik)
 
 
 @pytest.mark.parametrize("n_epochs, markov", [(5, True), (240, True), (6, False)])
@@ -240,10 +239,10 @@ def test_mixed_bank_evaluation_equals_separate_calls(monkeypatch):
     x[0, 2] = np.nan
     obs = [("s0", Features(np.array([0.0, 2.0, np.nan, 4.0]))), ("net", Features(x))]
     ys = rng.standard_normal((3, 5, 4))
-    # The general path: one kernel call for the prior, two for the exact sensor.
+    # The general path: one kernel call for the prior, one for the exact sensor.
     calls = _count_markov_calls(monkeypatch)
     list(bank.evaluate(ys, 0.8, obs)[1])
-    assert calls == [3] * 3
+    assert calls == [3] * 2
     _assert_bank_matches_separate_calls(bank, ys, 0.8, obs, lam=1.0)
 
 
@@ -263,14 +262,36 @@ def test_exact_two_sensor_denoise_makes_one_kernel_call(monkeypatch):
         fsdm_denoise_batch(ys, 0.7, bank, obs)
         assert calls == [3 * 4]
     # A sensor over another prior takes the general path: one call for
-    # the prior and two per sensor.
+    # the prior and one per sensor.
     other = WorldModel(5, random_world(5, 0, rng).prior, world.sensors)
     bank = SensorBank(exact_denoiser(world, PRIOR),
                       (("s0", exact_denoiser(other, "s0")), ("s1", exact_denoiser(world, "s1"))))
     calls.clear()
     list(bank.evaluate(ys, 0.7, obs)[1])
-    assert calls == [4] * 5
+    assert calls == [4] * 3
     _assert_bank_matches_separate_calls(bank, ys, 0.7, obs, lam=0.5)
+
+
+def test_neural_denoise_makes_one_prior_pass_per_sample(monkeypatch):
+    rng = np.random.default_rng(14)
+    n_batch, n_epochs = 4, 6
+    prior_net = ReferenceDenoiser.init(0, rng)
+    bank = SensorBank(prior_net, tuple((name, ReferenceDenoiser.init(1, rng)) for name in "ab"))
+    obs = [(name, Features(rng.standard_normal((1, n_epochs)))) for name in "ab"]
+    ys = rng.standard_normal((n_batch, 5, n_epochs))
+    passes = []
+    network = ReferenceDenoiser._network
+
+    def counted(net, *args):
+        passes.append(net)
+        return network(net, *args)
+
+    monkeypatch.setattr(ReferenceDenoiser, "_network", counted)
+    fsdm_denoise_batch(ys, 0.8, bank, obs)
+    # One prior pass and one conditioned pass per sensor, for each sample.
+    assert len(passes) == 3 * n_batch
+    assert [passes.count(net) for net in (prior_net, bank.get("a"), bank.get("b"))] == [n_batch] * 3
+    _assert_bank_matches_separate_calls(bank, ys, 0.8, obs, lam=0.7)
 
 
 def test_zero_probability_observation_raises_from_the_bank():
