@@ -9,27 +9,24 @@ subtracts (``scorekit``).  A value of 0 means the sensor never moved the
 estimate away from the prior.
 
 With ``record_trajectory`` set, the sampling loop (``sampler._run_range``)
-keeps one running (B, E) sum per observed sensor as loop state, adds each
-step's distances to it, and returns each sample's sums beside its final
-state; no denoised pair outlives its step.
+keeps one running (B, E) sum per observed sensor as loop state, and
+returns each sample's sums beside its final state.  Each step's first
+denoise adds the distances to them where it combines the terms
+(``scorekit.fsdm_combine_batch``), so no likelihood outlives its term.
 ``information_gain`` only averages those sums and never runs the sampler.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .bundle import write_csv
 from .evalkit import scored_epochs
+from .sampler import SamplerConfig
 from .scorekit import Observations, SensorBank
-
-if TYPE_CHECKING:  # the sampler imports cosine_distance from this module
-    from .sampler import SamplerConfig
-
-_MIN_NORM = 1e-12
 
 
 @dataclass(frozen=True)
@@ -47,18 +44,6 @@ class InfoGain:
         v = v.copy()
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
-
-
-def cosine_distance(lik: np.ndarray, pri: np.ndarray) -> np.ndarray:
-    """1 − cos of each stage column; (..., 5, E) inputs give (..., E).
-
-    Lies in [0, 1] for nonnegative inputs.
-    """
-    na = np.linalg.norm(lik, axis=-2)
-    nb = np.linalg.norm(pri, axis=-2)
-    if np.any(na < _MIN_NORM) or np.any(nb < _MIN_NORM):
-        raise ValueError("cosine distance undefined for (near-)zero-norm column")
-    return 1.0 - (lik * pri).sum(axis=-2) / (na * nb)
 
 
 def information_gain(

@@ -11,15 +11,16 @@ set: preallocated arrays that every matmul and ufunc writes with
 ``out=``.  Training builds a fresh work set per step, with one array
 per intermediate, and keeps it as the cache its hand-derived gradients
 read (checked against central finite differences); the SiLU's
-denominator stays there for its derivative.  Inference has one loop
-for ``forward`` and ``evaluate_batch``, one pass per state under one
-conditioning.  The σ embedding and the conditioning's encoding are
-computed once per batch, and each state's encoding once per sample.  A
-call builds one work set, whose blocks share arrays, and reuses it for
-every sample.  Every sample runs the same operations on arrays of the
-same shapes and layouts whatever batch it is in, so a sample's output
-does not depend on the rest of its batch; whole-night sampling relies
-on this when it splits its samples across processes (see ``sampler``).
+denominator stays there for its derivative.  Inference has one loop,
+``evaluate_batch``, one pass per state under one conditioning;
+``forward`` runs it on a batch of one.  The σ embedding and the
+conditioning's encoding are computed once per batch, and each state's
+encoding once per sample.  A call builds one work set, whose blocks
+share arrays, and reuses it for every sample.  Every sample runs the
+same operations on arrays of the same shapes and layouts whatever batch
+it is in, so a sample's output does not depend on the rest of its
+batch; whole-night sampling relies on this when it splits its samples
+across processes (see ``sampler``).
 
 The work set makes no new arithmetic, so outputs are bitwise equal to
 allocating one array per operation:
@@ -301,7 +302,8 @@ class ReferenceDenoiser:
 
     # -- inference ---------------------------------------------------------
 
-    def _evaluate(self, ys: np.ndarray, cond: Conditioning, sigma: float) -> np.ndarray:
+    def evaluate_batch(self, ys: np.ndarray, cond: Conditioning,
+                       sigma: float) -> np.ndarray:
         """The (B, 5, E) estimate under one conditioning.  The σ embedding,
         the tiled rows and the conditioning's encoding are computed once
         per batch; one work set serves every sample's pass."""
@@ -321,11 +323,7 @@ class ReferenceDenoiser:
 
     def forward(self, y_noisy: np.ndarray, cond: Conditioning, sigma: float) -> np.ndarray:
         """Denoised estimate of one 5×E state, with simplex columns."""
-        return self._evaluate(np.asarray(y_noisy)[None], cond, sigma)[0]
-
-    def evaluate_batch(self, ys: np.ndarray, cond: Conditioning,
-                       sigma: float) -> np.ndarray:
-        return self._evaluate(ys, cond, sigma)
+        return self.evaluate_batch(np.asarray(y_noisy)[None], cond, sigma)[0]
 
     # -- loss and gradients -----------------------------------------------
 

@@ -9,9 +9,10 @@ correction is skipped on the final step where σ(t) = 0.
 ``sample_many`` returns a ``Batch``: the (B, 5, E) final states; with
 ``record_trajectory`` set, each sample's information-gain sums; and with
 ``keep_states`` set, each sample's trajectory.  The sums are state of
-the sampling loop: one (B, E) array per observed sensor, to which each
-step adds the sensor's cosine distance (``infogain.cosine_distance``) at
-its first observation.  The trajectories are one (B, M, 5, E) array that
+the sampling loop: one (B, E) array per observed sensor, which each
+step's first denoise adds to where it combines the terms
+(``scorekit.fsdm_combine_batch``); the Heun corrector's denoise adds
+nothing.  The trajectories are one (B, M, 5, E) array that
 the loop fills with the state at the start of each step m, at
 σ = ``time_steps(schedule)[m]``.
 
@@ -49,7 +50,6 @@ import numpy as np
 
 from . import evalkit
 from .hypno import Hypnodensity, Hypnogram, argmax_stages, majority_vote
-from .infogain import cosine_distance
 from .sched import ScheduleParams, time_steps
 from .scorekit import Observations, SensorBank, fsdm_denoise_batch
 
@@ -137,12 +137,9 @@ def _run_range(
         y = np.stack(
             [_initial_state(cfg.base_seed, i, n_epochs, ts[0]) for i in indices]
         )
-        # With record_trajectory, each observed sensor's (B, E) gain sums,
-        # added at the sensor's first observation (its index in obs).
-        first: dict[str, int] = {}
-        for k, (name, _) in enumerate(obs if cfg.record_trajectory else ()):
-            first.setdefault(name, k)
-        gains = {name: np.zeros((len(indices), n_epochs)) for name in first}
+        # With record_trajectory, each observed sensor's (B, E) gain sums.
+        gains = {name: np.zeros((len(indices), n_epochs))
+                 for name, _ in (obs if cfg.record_trajectory else ())}
         trajectories = np.empty((len(indices), cfg.schedule.M if keep_states else 0, 5, n_epochs))
         for m in range(cfg.schedule.M):
             t_cur = ts[m]
@@ -150,11 +147,7 @@ def _run_range(
             sigma = float(t_cur)  # σ(t) = t, as a Python float for SamplingError's repr
             if keep_states:
                 trajectories[:, m] = y
-            pairs: list | None = [] if first else None
-            denoised = fsdm_denoise_batch(y, sigma, bank, obs, cfg.lam, pairs)
-            for name, k in first.items():
-                _, lik, pri = pairs[k]
-                gains[name] += cosine_distance(lik, pri)
+            denoised = fsdm_denoise_batch(y, sigma, bank, obs, cfg.lam, gains)
             d = (y - denoised) / sigma  # −σ(t)·score
             y_next = y + (t_next - t_cur) * d
             sigma_next = float(t_next)

@@ -16,11 +16,15 @@ so every sensor's term subtracts the one global prior estimate; for
 exact denoisers of one world that estimate equals the sensor's own
 unconditioned one.
 
-``SensorBank.evaluate`` computes every term of one denoise: one prior
-call, then one conditioned call per observation.  When every sensor
-denoiser shares the prior's kernel (exact denoisers of one world), the
-prior and the N conditioned terms run as one kernel call on an
-(N+1)·B batch.
+A denoise's terms have one shape, the prior's estimate plus one
+likelihood per observation.  ``SensorBank.evaluate`` computes them: one
+prior call, then one conditioned call per observation.  When every
+sensor denoiser shares the prior's kernel (exact denoisers of one
+world), the prior and the N conditioned terms run as one kernel call on
+an (N+1)·B batch.  The combination also keeps the information-gain sums
+when asked: a sensor's first observation adds the cosine distance
+between its likelihood and the prior (``cosine_distance``), so no
+likelihood outlives its term of the sum.
 """
 
 from __future__ import annotations
@@ -121,21 +125,22 @@ class SensorBank:
 
     def evaluate(
         self, ys: np.ndarray, sigma: float, obs: Observations
-    ) -> tuple[np.ndarray, Iterator[tuple[np.ndarray, np.ndarray]]]:
+    ) -> tuple[np.ndarray, Iterator[np.ndarray]]:
         """Every term of one denoise of a (B, 5, E) batch: the prior's
-        estimate and an iterator over each observation's (likelihood,
-        prior) pair, in observation order, whose prior half is the
-        prior's estimate itself.  Outside a stacked bank each likelihood
-        is evaluated as it is reached, so a caller that drops it holds
-        one at a time.  Building the pairs as a list instead raised
-        ``night-neural``'s peak RSS from 63.3–63.4 to 65.6 MB (perfbench,
-        seed 0, 2 alternated 20 s runs)."""
+        estimate and an iterator over each observation's likelihood, in
+        observation order.  Outside a stacked bank each likelihood is
+        evaluated as it is reached, so a caller that unbinds each before
+        taking the next holds one at a time; ``fsdm_combine_batch`` does,
+        also when it keeps gain sums.  Holding every likelihood of a
+        denoise until its gains were summed raised ``night-neural``'s
+        peak RSS from 57.8–58.0 to 61.6–61.9 MB (perfbench, seed 0, 5
+        alternated pairs of 20 s runs)."""
         terms = [(self.get(name), cond) for name, cond in obs]
         if self._stacked:
-            prior, *liks = self.global_prior.evaluate_stacked(ys, terms, sigma)
-            return prior, ((lik, prior) for lik in liks)
+            stacked = self.global_prior.evaluate_stacked(ys, terms, sigma)
+            return stacked[0], iter(stacked[1:])
         prior = self.global_prior.evaluate_batch(ys, ABSENT, sigma)
-        return prior, ((d.evaluate_batch(ys, cond, sigma), prior) for d, cond in terms)
+        return prior, (d.evaluate_batch(ys, cond, sigma) for d, cond in terms)
 
 
 Observations = Sequence[tuple[str, Conditioning]]
@@ -156,33 +161,50 @@ def _resolve_lambda(lam: float | None, n_obs: int) -> float:
     return 1.0 / n_obs if n_obs > 0 else 0.0
 
 
+_MIN_NORM = 1e-12
+
+
+def cosine_distance(lik: np.ndarray, pri: np.ndarray) -> np.ndarray:
+    """1 − cos of each stage column; (..., 5, E) inputs give (..., E).
+
+    Lies in [0, 1] for nonnegative inputs.
+    """
+    na = np.linalg.norm(lik, axis=-2)
+    nb = np.linalg.norm(pri, axis=-2)
+    if np.any(na < _MIN_NORM) or np.any(nb < _MIN_NORM):
+        raise ValueError("cosine distance undefined for (near-)zero-norm column")
+    return 1.0 - (lik * pri).sum(axis=-2) / (na * nb)
+
+
 def fsdm_combine_batch(
     ys: np.ndarray,
     sigma: float,
     bank: SensorBank,
     obs: Observations,
     lam: float | None = None,
-    pairs: list | None = None,
+    gains: dict[str, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Combined denoised estimate for a batch of states, before projection.
 
-    ``ys`` has shape (B, 5, E).  When ``pairs`` is a list, each observation
-    appends its (name, likelihood, prior) estimates to it, in observation
-    order, where every prior is the one global prior array; the sampler
-    adds their cosine distances to its gain sums.
+    ``ys`` has shape (B, 5, E).  ``gains`` maps each observed sensor to
+    its (B, E) information-gain sums; the sensor's first observation adds
+    the cosine distance between its likelihood and the prior to them.
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
     lam_eff = _resolve_lambda(lam, len(obs))
-    combined, terms = bank.evaluate(ys, sigma, obs)
+    prior, liks = bank.evaluate(ys, sigma, obs)
+    combined = prior
+    pending = set(gains or ())
     for name, _ in obs:
-        lik, pri = next(terms)
-        combined = combined + lam_eff * (lik - pri)
-        if pairs is not None:
-            pairs.append((name, lik, pri))
-        # Unbound before the next pair is evaluated, so a likelihood
-        # nothing keeps is freed first.
-        del lik, pri
+        lik = next(liks)
+        combined = combined + lam_eff * (lik - prior)
+        if name in pending:
+            pending.remove(name)
+            gains[name] += cosine_distance(lik, prior)
+        # Unbound before the next likelihood is evaluated, so it is freed
+        # first.
+        del lik
     return combined
 
 
@@ -192,8 +214,8 @@ def fsdm_denoise_batch(
     bank: SensorBank,
     obs: Observations,
     lam: float | None = None,
-    pairs: list | None = None,
+    gains: dict[str, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Combined denoised estimate of a (B, 5, E) batch, projected back
     onto the manifold."""
-    return project_manifold(fsdm_combine_batch(ys, sigma, bank, obs, lam, pairs))
+    return project_manifold(fsdm_combine_batch(ys, sigma, bank, obs, lam, gains))

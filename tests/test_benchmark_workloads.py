@@ -1,11 +1,14 @@
 """The benchmark's calls into fsdm, at tiny sizes.
 
-``perfbench/workloads.py`` calls ``fsdm`` by name, position and field;
-its own self-test runs outside this suite.  Each workload here runs one
-untraced op through ``setup``, ``run_op`` and ``check``, and a second op
-on the same recording must give the same fingerprint.
+``perfbench/workloads.py`` calls ``fsdm`` by name, position and field,
+and ``perfbench/tracing.py`` patches ``fsdm`` names; the benchmark's own
+self-test runs outside this suite.  Each workload here runs one untraced
+op through ``setup``, ``run_op`` and ``check``, and a second op on the
+same recording must give the same fingerprint; every name the tracer
+patches must exist.
 """
 
+import importlib
 import importlib.util
 import sys
 from pathlib import Path
@@ -14,10 +17,17 @@ import pytest
 
 from fsdm import sampler
 
-_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-_spec = importlib.util.spec_from_file_location("perfbench_workloads", _PATH)
-workloads = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(workloads)  # its dataclasses look their module up by name
+
+def _load(name):
+    path = Path(__file__).resolve().parent.parent / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)  # its dataclasses look their module up by name
+    return module
+
+
+workloads = _load("workloads")
+tracing = _load("tracing")
 
 TINY = {
     "oracle-e5": lambda: workloads.OracleE5(workloads.OracleE5.Sizes(
@@ -47,3 +57,13 @@ def test_one_op_runs_checks_and_repeats(name, tmp_path, monkeypatch):
     again = workload.run_op(inputs, inputs.pool)
     assert workload.fingerprint(again) == workload.fingerprint(first)
     assert ranges == {"oracle-e5": [1, 1], "night-neural": [2, 2], "signal-2h": []}[name]
+
+
+@pytest.mark.parametrize("module_name, attr", [p[:2] for p in tracing.PATCHES])
+def test_every_traced_name_resolves(module_name, attr):
+    # The tracer's own lookup: a name it cannot find breaks every traced run.
+    owner = importlib.import_module(module_name)
+    *path, leaf = attr.split(".")
+    for part in path:
+        owner = getattr(owner, part)
+    assert callable(owner.__dict__[leaf])

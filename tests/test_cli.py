@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 import fsdm
 import fsdm.sampler
+import fsdm.scorekit
 from fsdm.bundle import Bundle, SignalEntry, read_bundle, write_bundle, write_csv
 from fsdm.checks import CheckResult, informative_emission, persistent_markov, random_world
 from fsdm.cli import build_parser, emit_plot_data, load_config, main
@@ -540,13 +541,13 @@ def test_only_infogain_builds_gain_sums(config_path, bundles, tmp_path, monkeypa
     # when it writes trajectories; infogain adds one cosine distance per
     # step for its one sensor, M = 16 in all.
     built = []
-    cosine_distance = fsdm.sampler.cosine_distance
+    cosine_distance = fsdm.scorekit.cosine_distance
 
     def counting(*args, **kwargs):
         built.append(1)
         return cosine_distance(*args, **kwargs)
 
-    monkeypatch.setattr(fsdm.sampler, "cosine_distance", counting)
+    monkeypatch.setattr(fsdm.scorekit, "cosine_distance", counting)
     cfg = json.loads(config_path.read_text())
     cfg["sampler"] = dict(cfg["sampler"], record_trajectory=True)
     path = tmp_path / "config.json"

@@ -9,7 +9,6 @@ from fsdm.checks import random_world, uniform_emission
 from fsdm.hypno import Hypnogram
 from fsdm.infogain import (
     InfoGain,
-    cosine_distance,
     information_gain,
     mean_information_gain,
     write_infogain_csv,
@@ -18,7 +17,7 @@ from fsdm.neural import ReferenceDenoiser
 from fsdm.oracle import MarkovPrior, WorldModel, exact_bank
 from fsdm.sampler import SamplerConfig, infer, sample_many
 from fsdm.sched import ScheduleParams, time_steps
-from fsdm.scorekit import ABSENT, Features, SensorBank
+from fsdm.scorekit import ABSENT, Features, SensorBank, cosine_distance
 
 
 def test_cosine_distance_parallel_is_zero():
@@ -172,8 +171,8 @@ def _step_pairs(bank, obs, cfg, trajectories):
     ts = time_steps(cfg.schedule)
     for m in range(cfg.schedule.M):
         ys = np.ascontiguousarray(trajectories[:, m])
-        _, pairs = bank.evaluate(ys, float(ts[m]), obs)
-        yield [(name, lik, pri) for (name, _), (lik, pri) in zip(obs, pairs)]
+        prior, liks = bank.evaluate(ys, float(ts[m]), obs)
+        yield [(name, lik, prior) for (name, _), lik in zip(obs, liks)]
 
 
 def _stored_trajectory_gain(bank, obs, cfg, trajectories, sensor_name):

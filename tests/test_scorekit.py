@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,10 +13,13 @@ from fsdm.oracle import (
     PRIOR, CategoricalEmission, MarkovPrior, WorldModel, exact_bank, exact_denoiser,
     world_from_dict, world_to_dict,
 )
+from fsdm.sampler import SamplerConfig, sample_many
+from fsdm.sched import ScheduleParams
 from fsdm.scorekit import (
     ABSENT,
     Features,
     SensorBank,
+    cosine_distance,
     fsdm_combine_batch,
     fsdm_denoise_batch,
     tweedie_score,
@@ -183,25 +188,25 @@ def _separate_terms(bank, ys, sigma, obs):
 
 
 def _assert_bank_matches_separate_calls(bank, ys, sigma, obs, lam):
-    prior, terms = bank.evaluate(ys, sigma, obs)
-    terms = list(terms)
+    prior, liks = bank.evaluate(ys, sigma, obs)
+    liks = list(liks)
     want_prior, want_liks = _separate_terms(bank, ys, sigma, obs)
     assert np.array_equal(prior, want_prior)
-    assert len(terms) == len(want_liks)
-    for (lik, pri), want_lik in zip(terms, want_liks):
-        assert np.array_equal(lik, want_lik) and pri is prior
-    pairs = []
-    combined = fsdm_combine_batch(ys, sigma, bank, obs, lam=lam, pairs=pairs)
+    assert len(liks) == len(want_liks)
+    for lik, want_lik in zip(liks, want_liks):
+        assert np.array_equal(lik, want_lik)
+    gains = {name: np.zeros((ys.shape[0], ys.shape[2])) for name, _ in obs}
+    combined = fsdm_combine_batch(ys, sigma, bank, obs, lam=lam, gains=gains)
     want = want_prior
     for lik in want_liks:
         want = want + lam * (lik - want_prior)
     assert np.array_equal(combined, want)
-    assert [name for name, _, _ in pairs] == [name for name, _ in obs]
-    # Every pair's prior half is one array, the prior's estimate.
-    assert all(pri is pairs[0][2] for _, _, pri in pairs)
-    assert np.array_equal(pairs[0][2], want_prior)
-    for (_, lik, _), want_lik in zip(pairs, want_liks):
-        assert np.array_equal(lik, want_lik)
+    # Each sensor's sum holds its first observation's distance from the prior.
+    names = [name for name, _ in obs]
+    assert list(gains) == list(dict.fromkeys(names))
+    for name, sums in gains.items():
+        want_lik = want_liks[names.index(name)]
+        assert np.array_equal(sums, cosine_distance(want_lik, want_prior))
 
 
 @pytest.mark.parametrize("n_epochs, markov", [(5, True), (240, True), (6, False)])
@@ -292,6 +297,41 @@ def test_neural_denoise_makes_one_prior_pass_per_sample(monkeypatch):
     assert len(passes) == 3 * n_batch
     assert [passes.count(net) for net in (prior_net, bank.get("a"), bank.get("b"))] == [n_batch] * 3
     _assert_bank_matches_separate_calls(bank, ys, 0.8, obs, lam=0.7)
+
+
+class _LiveOutputs(ConstantDenoiser):
+    """A ConstantDenoiser that records, at each call, how many of the
+    arrays it returned before are still alive."""
+
+    def __init__(self, out_cond, out_absent):
+        super().__init__(out_cond, out_absent)
+        self.returned = []  # weak references to every array returned
+        self.live = []
+
+    def evaluate_batch(self, ys, cond, sigma):
+        self.live.append(sum(ref() is not None for ref in self.returned))
+        out = super().evaluate_batch(ys, cond, sigma)
+        self.returned.append(weakref.ref(out))
+        return out
+
+
+def test_gain_sums_hold_one_likelihood_at_a_time():
+    # Outside a stacked bank, a denoise that keeps gain sums frees each
+    # likelihood before it evaluates the next: at each sensor call only
+    # the prior's estimate is alive, in the combination and in the sampler.
+    rng = np.random.default_rng(15)
+    d = _LiveOutputs(_simplex(rng), _simplex(rng))
+    bank = SensorBank(d, tuple((name, d) for name in "abc"))
+    obs = [(name, Features(np.zeros(3))) for name in "abca"]
+    gains = {name: np.zeros((2, 3)) for name in "abc"}
+    fsdm_denoise_batch(rng.standard_normal((2, 5, 3)), 0.5, bank, obs, gains=gains)
+    assert d.live == [0, 1, 1, 1, 1]
+    assert all(np.all(sums > 0) for sums in gains.values())
+    d.live.clear()
+    cfg = SamplerConfig(ScheduleParams(M=3), n_samples=2, record_trajectory=True)
+    batch = sample_many(bank, obs, cfg, 3)
+    assert d.live == [0, 1, 1, 1, 1] * 5  # 3 steps and 2 corrector steps
+    assert sorted(batch.gains[0]) == ["a", "b", "c"]
 
 
 def test_zero_probability_observation_raises_from_the_bank():
