@@ -14,13 +14,15 @@ and under ABSENT, the two kinds of pass a denoise makes, on a new
 network at a training length and a whole night; the network runs in the calling process.  ``sample_many`` is
 timed on a whole night with a neural bank, split across worker processes
 and in the calling process, with the CPU time of the caller and its
-workers beside the wall time.  BLAS runs on one thread, as in
+workers beside the wall time, and so is ``ampd_peaks`` on 2-hour
+128 Hz PPG-like and belt-like signals (the belt searched on its 15 Hz
+band's decimated view).  BLAS runs on one thread, as in
 ``perfbench/run.py``.
 """
 
 import os
 
-# Pinned before numpy loads, so that only the sampler's split runs in parallel.
+# Pinned before numpy loads, so that only the worker processes run in parallel.
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
              "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMBA_NUM_THREADS"):
     os.environ[_var] = "1"
@@ -29,11 +31,13 @@ import time
 
 import numpy as np
 
-from fsdm import _kernels, sampler
+from fsdm import _kernels, dsp, sampler
+from fsdm.hypno import Hypnogram
 from fsdm.neural import ReferenceDenoiser
 from fsdm.oracle import ENUMERATION_CAP
 from fsdm.sched import ScheduleParams
 from fsdm.scorekit import ABSENT, Features, SensorBank
+from fsdm.synth import WaveformSpec, render_waveform
 
 
 def timeit(fn, *args, repeat=5, warmup=1):
@@ -96,6 +100,50 @@ def _cpu_s():
     return t.user + t.system + t.children_user + t.children_system
 
 
+def _best_wall_and_cpu(fn, *args, repeat=3):
+    """The fastest of ``repeat`` runs: its wall time and the CPU time of
+    this process and its workers over it."""
+    wall, cpu = float("inf"), 0.0
+    for _ in range(repeat):
+        t0, c0 = time.perf_counter(), _cpu_s()
+        fn(*args)
+        t, c = time.perf_counter() - t0, _cpu_s() - c0
+        if t < wall:
+            wall, cpu = t, c
+    return wall, cpu
+
+
+def _print_split_row(label, wall, cpu):
+    print(f"  {label:>17}: wall {wall*1e3:8.1f} ms | CPU {cpu*1e3:8.1f} ms"
+          f" | CPU/wall {cpu / wall:.2f}")
+
+
+def bench_ampd_peaks():
+    print("2-hour ampd_peaks at 128 Hz (600 s windows, 120 s overlap)")
+    hypnogram = Hypnogram.from_indices(np.random.default_rng(4).integers(0, 5, 240))
+    for name, rates, pulse_width_s, max_scale_s, bandwidth_hz in (
+            ("PPG-like", (1.1, 1.0, 0.95, 0.85, 1.05), 0.3, dsp.CARDIAC_MAX_SCALE_S, None),
+            ("belt-like", (0.33, 0.29, 0.25, 0.22, 0.31), 1.5, dsp.RESPIRATORY_MAX_SCALE_S, 15.0)):
+        spec = WaveformSpec(stage_rates=dict(enumerate(rates)), noise_sd=0.02,
+                            pulse_width_s=pulse_width_s)
+        x = render_waveform(hypnogram, spec, np.random.default_rng(5))
+        band = "full band" if bandwidth_hz is None else f"{bandwidth_hz:g} Hz band"
+        print(f"  {name} (max scale {max_scale_s:g} s, {band})")
+        _, starts = dsp._ampd_windows(x.size, dsp.TARGET_FS, dsp.AMPD_WINDOW_S, dsp.AMPD_OVERLAP_S)
+        ranges = dsp._fork.range_count(len(starts), dsp._usable_cores())
+        split_min_work = dsp._SPLIT_MIN_WORK
+        for label, gate in ((f"split, {ranges} ranges", split_min_work),
+                            ("in-process", float("inf"))):
+            dsp._SPLIT_MIN_WORK = gate
+            try:
+                wall, cpu = _best_wall_and_cpu(dsp.ampd_peaks, x, dsp.TARGET_FS,
+                                               dsp.AMPD_WINDOW_S, dsp.AMPD_OVERLAP_S,
+                                               max_scale_s, bandwidth_hz)
+            finally:
+                dsp._SPLIT_MIN_WORK = split_min_work
+            _print_split_row(label, wall, cpu)
+
+
 def bench_sampling():
     n_epochs, n_samples, steps = 960, 64, 4
     print(f"whole-night sample_many (neural bank: prior and two sensors, "
@@ -111,21 +159,15 @@ def bench_sampling():
                          split_min_epochs), ("in-process", n_epochs + 1)):
         sampler._SPLIT_MIN_EPOCHS = gate
         try:
-            wall, cpu = float("inf"), 0.0
-            for _ in range(3):
-                t0, c0 = time.perf_counter(), _cpu_s()
-                sampler.sample_many(bank, obs, cfg, n_epochs)
-                t, c = time.perf_counter() - t0, _cpu_s() - c0
-                if t < wall:
-                    wall, cpu = t, c
+            wall, cpu = _best_wall_and_cpu(sampler.sample_many, bank, obs, cfg, n_epochs)
         finally:
             sampler._SPLIT_MIN_EPOCHS = split_min_epochs
-        print(f"  {label:>17}: wall {wall*1e3:8.1f} ms | CPU {cpu*1e3:8.1f} ms"
-              f" | CPU/wall {cpu / wall:.2f}")
+        _print_split_row(label, wall, cpu)
 
 
 if __name__ == "__main__":
     bench_mixture()
     bench_ampd()
     bench_network()
+    bench_ampd_peaks()
     bench_sampling()

@@ -11,7 +11,12 @@ biologically implausible intervals, and conversion to events/second.
 A kind low-passed to B Hz chooses each AMPD window's scale on every
 D-th sample, D = ⌊128 / 2B⌋, and refines it at the full rate; only
 ``rip_belt`` and ``thermistor`` (15 Hz, D = 4) have D > 1.  Peaks are
-always detected at the full rate.  Raw samples must be finite.
+always detected at the full rate.  Each window's scale search and peak
+mask depend on that window alone, so a call with enough work splits its
+windows into contiguous ranges, one per usable core: the calling process
+searches the first range and a forked worker each other range
+(``_fork.fork_map``), and the peaks join in window order, the same for
+any split.  Raw samples must be finite.
 
 Filtering is causal single-pass (the label-alignment consequences of a
 zero-phase variant are a deliberate non-feature here).
@@ -24,6 +29,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import _fork
+from ._fork import usable_cores as _usable_cores
 from ._kernels import ampd_gamma, ampd_gamma_range, ampd_local_maxima
 from .hypno import EPOCH_S
 
@@ -40,6 +47,15 @@ RATE_CATEGORIES = {
     "respiratory": (RESPIRATORY_MAX_SCALE_S, (1.0, 30.0)),
 }
 AMPD_WINDOW_S, AMPD_OVERLAP_S = 600.0, 120.0
+# ampd_peaks splits its windows across worker processes only from this
+# many scalogram cells per call: windows × window samples × scales, over
+# D² on a decimated search.  A fork costs ~5 ms.  On a 2-vCPU VM, with
+# two ranges, a split call took 1.59 times the in-process time at 2.5 M
+# cells (two 30 s windows), 1.29 at 9.8 M (two 60 s windows, 5 s cap),
+# 0.86 at 19.7 M (two 120 s windows) and 0.68 at 39 M (four; medians of
+# 15 alternated pairs).  The degradation sweep's six 30 s windows (3.7 M)
+# stay in the calling process.
+_SPLIT_MIN_WORK = 16_000_000
 # An epoch with more than this fraction of exact-zero samples is missing.
 MISSING_FRAC = 0.5
 
@@ -268,6 +284,14 @@ def ampd_window_starts(n: int, window_len: int, step: int) -> list[int]:
     return starts
 
 
+def _ampd_windows(n: int, fs: float, window_s: float, overlap_s: float) -> tuple[int, list[int]]:
+    """The AMPD window length in samples and the window starts over n
+    samples at fs; ValueError when the overlap is not shorter than the
+    window."""
+    window_len = int(round(window_s * fs))
+    return window_len, ampd_window_starts(n, window_len, window_len - int(round(overlap_s * fs)))
+
+
 def ampd_peaks(s: np.ndarray, fs: float, window_s: float = AMPD_WINDOW_S,
                overlap_s: float = AMPD_OVERLAP_S,
                max_scale_s: float = CARDIAC_MAX_SCALE_S,
@@ -280,22 +304,37 @@ def ampd_peaks(s: np.ndarray, fs: float, window_s: float = AMPD_WINDOW_S,
     found by more than one window are kept once (earliest detection).
     A signal band-limited to bandwidth_hz chooses its scale on a
     decimated view (see ampd_scale and ampd_decimation); the peaks are
-    always detected at the full rate.
+    always detected at the full rate.  From _SPLIT_MIN_WORK scalogram
+    cells per call, the windows run as contiguous ranges, one per usable
+    core, through ``_fork.fork_map``; the peaks are the same for any
+    split.
     """
     s = np.asarray(s, dtype=np.float64)
-    window_len = int(round(window_s * fs))
-    step = window_len - int(round(overlap_s * fs))
+    window_len, starts = _ampd_windows(s.size, fs, window_s, overlap_s)
     decimation = ampd_decimation(fs, bandwidth_hz)
+    scale_cap = int(round(max_scale_s * fs))
+
+    def peaks(chunk: list[int]) -> list[np.ndarray]:
+        found = []
+        for a in chunk:
+            x = s[a:a + window_len]
+            if x.size < 4 or np.all(x == x[0]):
+                continue
+            max_scale = min(scale_cap, (x.size - 1) // 2)
+            if max_scale < 1:
+                continue
+            mask = ampd_local_maxima(x, ampd_scale(x, max_scale, decimation))
+            found.append(a + np.flatnonzero(mask))
+        return found
+
+    # The scale search compares about (window / D)·(max scale / D) sample
+    # pairs per window.
+    length = min(window_len, s.size)
+    work = len(starts) * length * min(scale_cap, (length - 1) // 2) // decimation ** 2
+    n_ranges = _fork.range_count(len(starts), _usable_cores()) if work >= _SPLIT_MIN_WORK else 1
     found = [np.empty(0, dtype=np.int64)]
-    for a in ampd_window_starts(s.size, window_len, step):
-        x = s[a:a + window_len]
-        if x.size < 4 or np.all(x == x[0]):
-            continue
-        max_scale = min(int(round(max_scale_s * fs)), (x.size - 1) // 2)
-        if max_scale < 1:
-            continue
-        mask = ampd_local_maxima(x, ampd_scale(x, max_scale, decimation))
-        found.append(a + np.flatnonzero(mask))
+    for chunk_peaks in _fork.fork_map(peaks, starts, n_ranges):
+        found.extend(chunk_peaks)
     return np.unique(np.concatenate(found))
 
 
@@ -343,11 +382,13 @@ def _rate(s: np.ndarray, fs: float, category: str, n_out: int,
           bandwidth_hz: float | None = None) -> np.ndarray | None:
     """AMPD peaks → n_out-sample rate at 128 Hz; None when extraction fails.
 
-    An unknown category is an error, not a failed extraction.
+    An unknown category or a window overlap not shorter than the window
+    is an error, not a failed extraction.
     Calls ampd_peaks and peaks_to_rate through this module's names, so a
     caller that replaces either name here replaces it for every path.
     """
     max_scale, _ = _rate_category(category)
+    _ampd_windows(s.size, fs, window_s, overlap_s)  # a bad layout is an error too
     try:
         peaks = ampd_peaks(s, fs, window_s=window_s, overlap_s=overlap_s,
                            max_scale_s=max_scale, bandwidth_hz=bandwidth_hz)

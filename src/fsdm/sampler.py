@@ -17,38 +17,31 @@ the loop fills with the state at the start of each step m, at
 σ = ``time_steps(schedule)[m]``.
 
 The samples run as contiguous ranges of indices, one per usable core
-from ``_SPLIT_MIN_EPOCHS`` epochs.  The calling process integrates the
-first range; each other range runs in a worker forked for the call, over
-the whole time grid with its own gain sums and trajectories, and sends
-them back with its final states and the warnings it met; they join in
-index order.  A sample's arithmetic does not depend on the other samples
-of its batch, and each range draws its initial states by sample index,
-so the output is bitwise the same for any split.  OpenBLAS is held to
-one thread while workers run, so its own threads do not oversubscribe
-the cores.  There is one range when there is one usable core or one
-sample, and when a fork is unavailable or unsafe: no ``fork`` start
-method, another live thread, or a daemonic process.
+from ``_SPLIT_MIN_EPOCHS`` epochs, through ``_fork.fork_map``.  The
+calling process integrates the first range; each other range runs in a
+worker forked for the call, over the whole time grid with its own gain
+sums and trajectories, and sends them back with its final states.  The
+results land in arrays allocated once for the whole batch: the caller's
+range writes its trajectories into its own slice, and each worker's are
+copied into theirs as they arrive.  A sample's arithmetic does not
+depend on the other samples of its batch, and each range draws its
+initial states by sample index, so the output is bitwise the same for
+any split.  The fork-map's rules hold: warnings print as in-process,
+OpenBLAS runs on one thread while workers run, and there is one range
+when there is one usable core or one sample, and when a fork is
+unavailable or unsafe.
 """
 
 from __future__ import annotations
 
 import contextlib
-import ctypes
-import functools
-import multiprocessing
-import os
-import pickle
-import signal
-import sys
-import threading
-import warnings
 from dataclasses import dataclass, field, fields
-from multiprocessing.connection import Connection
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from . import evalkit
+from . import _fork, evalkit
+from ._fork import usable_cores as _usable_cores
 from .hypno import Hypnodensity, Hypnogram, argmax_stages, majority_vote
 from .sched import ScheduleParams, time_steps
 from .scorekit import Observations, SensorBank, fsdm_denoise_batch
@@ -126,11 +119,14 @@ def _run_range(
     indices: Sequence[int],
     n_epochs: int,
     keep_states: bool = False,
+    trajectories: np.ndarray | None = None,
 ) -> tuple[Batch | None, tuple[int, Exception] | None]:
     """Integrate the samples ``indices`` in lockstep down the time grid.
 
     Returns their Batch, or the grid step at which they failed (the
-    number of steps they completed) and the error."""
+    number of steps they completed) and the error.  With ``keep_states``
+    the trajectories are written into ``trajectories``, a
+    (len(indices), M, 5, E) array, allocated here when None."""
     m = 0
     try:
         ts = time_steps(cfg.schedule)
@@ -140,7 +136,9 @@ def _run_range(
         # With record_trajectory, each observed sensor's (B, E) gain sums.
         gains = {name: np.zeros((len(indices), n_epochs))
                  for name, _ in (obs if cfg.record_trajectory else ())}
-        trajectories = np.empty((len(indices), cfg.schedule.M if keep_states else 0, 5, n_epochs))
+        if trajectories is None:
+            trajectories = np.empty((len(indices), cfg.schedule.M if keep_states else 0, 5,
+                                     n_epochs))
         for m in range(cfg.schedule.M):
             t_cur = ts[m]
             t_next = ts[m + 1]
@@ -188,151 +186,51 @@ def sample_many(
     return _run_ranges(bank, obs, cfg, n_epochs, n_ranges, keep_states)
 
 
-# -- the ranges and the worker processes --------------------------------------
-
-
-def _usable_cores() -> int:
-    """The cores this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
+# -- the ranges ---------------------------------------------------------------
 
 
 def _split_count(n_samples: int, n_epochs: int) -> int:
     """The number of sample ranges sample_many runs, 1 for no split."""
-    if (n_epochs < _SPLIT_MIN_EPOCHS or "fork" not in multiprocessing.get_all_start_methods()
-            or threading.active_count() > 1 or multiprocessing.current_process().daemon):
+    if n_epochs < _SPLIT_MIN_EPOCHS:
         return 1
-    return max(1, min(_usable_cores(), n_samples))
-
-
-@functools.cache
-def _openblas_threads() -> tuple[Callable[[], int], Callable[[int], None]] | None:
-    """The thread-count getter and setter of the OpenBLAS that numpy
-    loaded, or None where none is found (another BLAS, or a platform
-    without ``/proc/self/maps``)."""
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as maps:
-            paths = sorted({line.split()[-1] for line in maps
-                            if "openblas" in line.rsplit("/", 1)[-1].lower()})
-    except OSError:
-        return None
-    for path in paths:
-        lib = ctypes.CDLL(path)
-        # Builds with 64-bit integers add the suffix 64_, and numpy's own
-        # wheels the prefix scipy_.
-        for prefix, suffix in (("openblas", ""), ("openblas", "64_"),
-                               ("scipy_openblas", "64_"), ("scipy_openblas", "")):
-            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
-            set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
-            if get is not None and set_ is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_.argtypes, set_.restype = [ctypes.c_int], None
-                return get, set_
-    return None
-
-
-@contextlib.contextmanager
-def _one_blas_thread() -> Iterator[None]:
-    """Run the block with OpenBLAS on one thread, and restore its count
-    after; workers forked inside it inherit the one thread.  BLAS threads
-    under the split's processes would oversubscribe the cores: a
-    whole-night pair ran slower split than serial with them."""
-    blas = _openblas_threads()
-    threads = blas[0]() if blas is not None else 1
-    if threads > 1:
-        blas[1](1)
-    try:
-        yield
-    finally:
-        if threads > 1:
-            blas[1](threads)
-
-
-def _send_range(sender: Connection, bank: SensorBank, obs: Observations, cfg: SamplerConfig,
-                indices: Sequence[int], n_epochs: int, keep_states: bool) -> None:
-    """A forked worker's body: run one range and send its outcome with the
-    warnings it met, which the caller issues.  An interrupt is the
-    caller's to handle; it ends the workers."""
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    with warnings.catch_warnings(record=True) as caught:
-        batch, failure = _run_range(bank, obs, cfg, indices, n_epochs, keep_states)
-    if failure is not None:
-        done, err = failure
-        try:  # the caller re-raises the error, so it must survive a round trip
-            pickle.loads(pickle.dumps(err))
-        except Exception:
-            failure = done, RuntimeError(f"{type(err).__name__}: {err}")
-    met = [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
-    sender.send((batch, failure, met))
-    sender.close()
-
-
-def _issue(met: Sequence[tuple[str, type[Warning], str, int]]) -> None:
-    """Issue warnings that a worker met as if they were met here: this
-    process's filters, and the registry of the module each came from,
-    decide whether it prints, so a warning met in several ranges prints
-    as often as in one.  Code with no module file (``python -c``, stdin)
-    runs in ``__main__``."""
-    for text, category, filename, lineno in met:
-        module = next((m for m in list(sys.modules.values())
-                       if getattr(m, "__file__", None) == filename), sys.modules["__main__"])
-        warnings.warn_explicit(text, category, filename, lineno, module.__name__,
-                               vars(module).setdefault("__warningregistry__", {}))
+    return _fork.range_count(n_samples, _usable_cores())
 
 
 def _run_ranges(bank: SensorBank, obs: Observations, cfg: SamplerConfig, n_epochs: int,
                 n_ranges: int, keep_states: bool = False) -> Batch:
-    """Run the samples as n_ranges contiguous index ranges: the first in
-    the calling process and each other in a worker forked for the call.
-    Every worker is joined before this returns, and the warnings the
-    workers met are issued.  The batches join in index order; if a range
-    raised, the error of the one that failed at the earliest grid step
-    (the first such range on a tie) is raised: the error a lockstep run
-    of all the samples meets first."""
-    bounds = [cfg.n_samples * k // n_ranges for k in range(n_ranges + 1)]
-    ranges = [range(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
-    workers = []
-    with _one_blas_thread() if n_ranges > 1 else contextlib.nullcontext():
-        try:
-            for indices in ranges[1:]:
-                # A forked worker starts with the bank and the observations in
-                # memory; a spawned one would re-import the package and
-                # unpickle every network.
-                ctx = multiprocessing.get_context("fork")
-                receiver, sender = ctx.Pipe(duplex=False)
-                worker = ctx.Process(target=_send_range, daemon=True,
-                                     args=(sender, bank, obs, cfg, indices, n_epochs,
-                                           keep_states))
-                worker.start()
-                workers.append((worker, receiver))
-                sender.close()
-            outcomes = [(*_run_range(bank, obs, cfg, ranges[0], n_epochs, keep_states), ())]
-            for worker, receiver in workers:
-                try:
-                    outcomes.append(receiver.recv())
-                except EOFError:
-                    worker.join()
-                    raise RuntimeError(f"sampling worker exited with code {worker.exitcode} "
-                                       "before sending its samples") from None
-        except BaseException:
-            for worker, _ in workers:
-                worker.terminate()
-            raise
-        finally:
-            for worker, receiver in workers:
-                receiver.close()
-                worker.join()
-    for _, _, met in outcomes:
-        _issue(met)
-    failures = [failure for _, failure, _ in outcomes if failure is not None]
+    """Run the samples as n_ranges contiguous index ranges through
+    ``_fork.fork_map``: the first in the calling process, which keeps its
+    trajectories straight in their slice of the joined array, and each
+    other in a forked worker, whose states and trajectories are copied
+    into their slices as they arrive.  If a range failed, the error of
+    the one that failed at the earliest grid step (the first such range
+    on a tie) is raised: the error a lockstep run of all the samples
+    meets first."""
+    states = None
+    trajectories = np.empty((cfg.n_samples, cfg.schedule.M if keep_states else 0, 5, n_epochs))
+
+    def run(indices: range) -> tuple[range, tuple[Batch | None, tuple[int, Exception] | None]]:
+        rows = trajectories[indices.start:indices.stop]
+        return indices, _run_range(bank, obs, cfg, indices, n_epochs, keep_states, rows)
+
+    gains, failures = [], []
+    with contextlib.closing(_fork.fork_map(run, range(cfg.n_samples), n_ranges)) as outcomes:
+        for indices, (batch, failure) in outcomes:
+            if failure is not None:
+                failures.append(failure)
+                continue
+            rows = slice(indices.start, indices.stop)
+            if states is None:  # allocated after the caller's range, off its peak
+                states = np.empty((cfg.n_samples, 5, n_epochs))
+            states[rows] = batch.states
+            # The caller's range already wrote its slice; copy the others'.
+            if not np.may_share_memory(batch.trajectories, trajectories):
+                trajectories[rows] = batch.trajectories
+            gains.extend(batch.gains)
+            del batch  # its states are copied; free them before the next range arrives
     if failures:
         raise min(failures, key=lambda failure: failure[0])[1]
-    batches = [batch for batch, _, _ in outcomes]
-    return Batch(np.concatenate([batch.states for batch in batches]),
-                 tuple(gains for batch in batches for gains in batch.gains),
-                 np.concatenate([batch.trajectories for batch in batches]))
+    return Batch(states, tuple(gains), trajectories)
 
 
 _STAT_NAMES = tuple(f.name for f in fields(evalkit.StatReport))

@@ -1,6 +1,10 @@
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 
+import fsdm._fork
 import fsdm.dsp
 from fsdm.checks import breathing_signal
 from fsdm.dsp import (
@@ -235,15 +239,18 @@ def test_preprocess_peaks_and_rate_equal_the_full_scalogram(kind_name, seed):
 
 @pytest.mark.parametrize("kind_name", [k.name for k in KINDS.values()
                                        if k.category in RATE_CATEGORIES])
-def test_preprocess_makes_one_scalogram_call_per_window(kind_name, monkeypatch):
+def test_preprocess_makes_one_scalogram_call_per_window(kind_name, monkeypatch, tmp_path):
     # Kinds low-passed at 49 Hz (D = 1) search every scale of the
     # full-rate window; the two 15 Hz kinds (D = 4) search a quarter of
     # them on every 4th sample.  The stub's flat scalogram keeps the run
-    # cheap.
-    calls = []
+    # cheap.  It logs its calls to a file, so that the calls a forked
+    # worker makes for its windows count too.
+    log = tmp_path / "calls"
+    log.touch()
 
     def gamma(x, max_scale):
-        calls.append((x.size, max_scale))
+        with open(log, "a", encoding="utf-8") as f:
+            f.write(f"{x.size} {max_scale}\n")
         return np.zeros(max_scale, dtype=np.int64)
 
     monkeypatch.setattr(fsdm.dsp, "ampd_gamma", gamma)
@@ -255,7 +262,148 @@ def test_preprocess_makes_one_scalogram_call_per_window(kind_name, monkeypatch):
     cap, _ = RATE_CATEGORIES[kind.category]
     d = ampd_decimation(TARGET_FS, kind.lp_cutoff)
     assert windows == 2
+    calls = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
     assert calls == [(-(-window // d), int(cap * TARGET_FS) // d)] * windows
+
+
+def _ampd_cases():
+    """Signals that stress the per-window search: ties, exact-zero runs,
+    clipped plateaus and constant windows, at 128 Hz, 30 s long."""
+    rng = np.random.default_rng(11)
+    t = np.arange(30 * 128) / TARGET_FS
+    sine = np.sin(2 * np.pi * 1.3 * t) + 0.2 * rng.standard_normal(t.size)
+    zeros = sine.copy()
+    zeros[700:1500] = 0.0
+    zeros[2900:2950] = 0.0
+    constant = sine.copy()
+    constant[1000:2200] = 0.5
+    return {
+        "ties": np.round(2 * rng.standard_normal(t.size)),
+        "zero runs": zeros,
+        "plateaus": np.clip(3 * sine, -3.0, 3.0),
+        "constant windows": constant,
+    }
+
+
+def _count_ranges(monkeypatch):
+    """The list that each later fork_map call appends its range count to."""
+    counts = []
+    fork_map = fsdm._fork.fork_map
+
+    def counted(fn, items, n_ranges):
+        counts.append(n_ranges)
+        return fork_map(fn, items, n_ranges)
+
+    monkeypatch.setattr(fsdm._fork, "fork_map", counted)
+    return counts
+
+
+def _split_ampd(monkeypatch, cores, *args, **kwargs):
+    """ampd_peaks with the split open at any work and ``cores`` usable
+    cores, and the range count it ran."""
+    with monkeypatch.context() as m:
+        m.setattr(fsdm.dsp, "_SPLIT_MIN_WORK", 0)
+        m.setattr(fsdm.dsp, "_usable_cores", lambda: cores)
+        counts = _count_ranges(m)
+        peaks = ampd_peaks(*args, **kwargs)
+    return peaks, counts
+
+
+@pytest.mark.parametrize("case", list(_ampd_cases()))
+@pytest.mark.parametrize("bandwidth_hz, window_s", [(None, 2.0), (15.0, 2.0), (15.0, 0.06)])
+def test_split_ampd_peaks_equal_the_in_process_ones_bitwise(monkeypatch, case, bandwidth_hz,
+                                                          window_s):
+    # 2 s windows hold 256 samples; 0.06 s windows hold 8, so their 3
+    # scales are fewer than D = 4 and the whole range is searched.
+    x = _ampd_cases()[case]
+    kwargs = dict(window_s=window_s, overlap_s=window_s / 4, max_scale_s=1.0,
+                  bandwidth_hz=bandwidth_hz)
+    want, counts = _split_ampd(monkeypatch, 1, x, TARGET_FS, **kwargs)
+    assert counts == [1] and want.size > 0
+    windows = len(ampd_window_starts(x.size, int(round(window_s * TARGET_FS)),
+                                     int(round(window_s * TARGET_FS))
+                                     - int(round(window_s / 4 * TARGET_FS))))
+    for cores in (2, 3, 8):
+        got, counts = _split_ampd(monkeypatch, cores, x, TARGET_FS, **kwargs)
+        assert counts == [min(cores, windows)], cores
+        assert got.dtype == want.dtype and np.array_equal(got, want), cores
+    _no_child_left()
+
+
+def _no_child_left():
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("kind_name, fs", [("finger_ppg", 64.0), ("rip_belt", 32.0)])
+def test_two_hour_preprocess_bytes_do_not_depend_on_the_split(monkeypatch, kind_name, fs):
+    from fsdm.hypno import Hypnogram
+    from fsdm.synth import WaveformSpec, render_waveform
+
+    rates = {"finger_ppg": (1.1, 1.0, 0.95, 0.85, 1.05), "rip_belt": (0.33, 0.29, 0.25, 0.22, 0.31)}
+    rng = np.random.default_rng(12)
+    spec = WaveformSpec(stage_rates=dict(enumerate(rates[kind_name])), base_amplitude=100.0,
+                        noise_sd=2.0, fs=fs, pulse_width_s=0.3 if fs == 64.0 else 1.5,
+                        kind_name=kind_name)
+    wave = render_waveform(Hypnogram.from_indices(rng.integers(0, 5, 240)), spec, rng)
+    wave[10_000:12_000] = 0.0
+    raw = RawSignal(wave, fs, KINDS[kind_name])
+    runs, counts = {}, _count_ranges(monkeypatch)
+    for cores in (1, 2):
+        monkeypatch.setattr(fsdm.dsp, "_usable_cores", lambda: cores)
+        p = preprocess(raw, target_epochs=240)
+        runs[cores] = (p.samples.tobytes(), p.rate.tobytes(), p.missing_indices.tobytes(),
+                       p.valid_epochs)
+    assert counts == [1, 2]
+    assert runs[2] == runs[1]
+    _no_child_left()
+
+
+def test_a_value_error_in_a_worker_window_reaches_rate_as_a_value_error(monkeypatch):
+    caller = os.getpid()
+    local_maxima = fsdm.dsp.ampd_local_maxima
+
+    def fail_in_a_worker(x, lam):
+        if os.getpid() != caller:
+            raise ValueError("injected in a worker")
+        return local_maxima(x, lam)
+
+    x = _ampd_cases()["plateaus"]
+    monkeypatch.setattr(fsdm.dsp, "ampd_local_maxima", fail_in_a_worker)
+    monkeypatch.setattr(fsdm.dsp, "_SPLIT_MIN_WORK", 0)
+    monkeypatch.setattr(fsdm.dsp, "_usable_cores", lambda: 2)
+    with pytest.raises(ValueError, match="^injected in a worker$"):
+        ampd_peaks(x, TARGET_FS, window_s=2.0, overlap_s=0.5)
+    assert fsdm.dsp._rate(x, TARGET_FS, "cardiac", x.size, 2.0, 0.5) is None
+    _no_child_left()
+
+
+def test_calls_below_the_split_gate_start_no_process(monkeypatch):
+    from fsdm.experiments import PULSE_SPEC, extract_binned_features
+    from fsdm.hypno import Hypnogram
+    from fsdm.synth import render_waveform
+
+    def no_process(self):
+        raise AssertionError("a call below the gate started a process")
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", no_process)
+    monkeypatch.setattr(fsdm.dsp, "_usable_cores", lambda: 8)
+    # The degradation sweep's six 30 s windows.
+    rng = np.random.default_rng(13)
+    wave = render_waveform(Hypnogram.from_indices([0, 1, 2, 2, 3, 4]), PULSE_SPEC, rng)
+    assert np.count_nonzero(extract_binned_features(wave)) == 6
+    # One 300 s finger_ppg channel through preprocess: a single window.
+    raw = RawSignal(rng.standard_normal(300 * 64) * 100 + 1.0, 64.0, KINDS["finger_ppg"])
+    assert preprocess(raw, target_epochs=10).rate is not None
+
+
+def test_a_bad_window_layout_is_an_error_not_a_missing_rate():
+    wave = _pulse_wave(20)
+    with pytest.raises(ValueError, match="overlap"):
+        epoch_rate_features(wave, 64.0, "cardiac", 20, window_s=30.0, overlap_s=30.0)
+    with pytest.raises(ValueError, match="overlap"):
+        ampd_peaks(wave, 64.0, window_s=30.0, overlap_s=30.0)
 
 
 def _loop_map_missing(missing, fs_from, n_out):
