@@ -10,7 +10,7 @@ estimate away from the prior.
 
 With ``record_trajectory`` set, the sampling loop (``sampler._run_range``)
 keeps one running (B, E) sum per observed sensor as loop state, and
-returns each sample's sums beside its final state.  Each step's first
+returns each sample's sums beside its final state.  Each step's one
 denoise adds the distances to them where it combines the terms
 (``scorekit.fsdm_combine_batch``), so no likelihood outlives its term.
 ``information_gain`` only averages those sums and never runs the sampler.

@@ -1,20 +1,28 @@
-"""Second-order (Heun) probability-flow sampler and posterior aggregation.
+"""Second-order multistep (DPM-Solver++(2M)) probability-flow sampler and
+posterior aggregation.
 
 Each sample integrates the ODE dy = −σ̇(t)σ(t)·score dt from t_0 down the
 discrete grid to 0, starting from y_0 ~ N(0, σ(t_0)²·I) drawn from a
 counter-based generator seeded by (base_seed, sample_index), so samples
-are reproducible and independent of execution order.  The second-order
-correction is skipped on the final step where σ(t) = 0.
+are reproducible and independent of execution order.  Each step makes
+one denoise, D_m at σ_m, and reuses the last step's (Lu et al. 2022,
+arXiv 2211.01095).  With σ(t) = t and h_m = ln(σ_m/σ_{m+1}), step m is
+
+    y ← (σ_{m+1}/σ_m)·y − expm1(−h_m)·D′,
+    D′ = (1 + 1/2r)·D_m − (1/2r)·D_{m−1},  r = h_{m−1}/h_m,
+
+with D′ = D_0 on the first step.  The step to σ = 0 lands on D_m itself,
+a projected estimate, and a final column sum more than ``_SIMPLEX_TOL``
+from 1 raises ``SamplingError``.
 
 ``sample_many`` returns a ``Batch``: the (B, 5, E) final states; with
 ``record_trajectory`` set, each sample's information-gain sums; and with
 ``keep_states`` set, each sample's trajectory.  The sums are state of
 the sampling loop: one (B, E) array per observed sensor, which each
-step's first denoise adds to where it combines the terms
-(``scorekit.fsdm_combine_batch``); the Heun corrector's denoise adds
-nothing.  The trajectories are one (B, M, 5, E) array that
-the loop fills with the state at the start of each step m, at
-σ = ``time_steps(schedule)[m]``.
+step's denoise adds to where it combines the terms
+(``scorekit.fsdm_combine_batch``).  The trajectories are one
+(B, M, 5, E) array that the loop fills with the state at the start of
+each step m, at σ = ``time_steps(schedule)[m]``.
 
 The samples run as contiguous ranges of indices, one per usable core
 from ``_SPLIT_MIN_EPOCHS`` epochs, through ``_fork.fork_map``.  The
@@ -35,6 +43,7 @@ unavailable or unsafe.
 from __future__ import annotations
 
 import contextlib
+import math
 from dataclasses import dataclass, field, fields
 from typing import NamedTuple, Sequence
 
@@ -48,18 +57,25 @@ from .scorekit import Observations, SensorBank, fsdm_denoise_batch
 
 # sample_many splits its samples across worker processes only from this
 # many epochs.  A fork costs 5–15 ms.  On a 2-vCPU VM, at B = 64 and
-# M = 32, the split took 0.51–0.61 times the in-process time with a
-# neural bank at every E from 1 to 120.  With an exact Markov bank (two
-# sensors, fused forward-backward, terms computed once per conditioning)
-# it took 0.97–1.08 times at E = 5, 0.80–0.98 at E = 8, 0.79–0.88 at
-# E = 16 and 0.61–0.66 at E = 32 (medians of 15 alternated pairs, in
-# three runs).  Shorter recordings, and the enumeration-sized worlds of
-# the exact oracles, stay in the calling process.
+# M = 32 (one denoise per step), the split took 0.60–0.66 times the
+# in-process time with a neural bank at E = 1, 8 and 32.  With an exact
+# Markov bank (two sensors, fused forward-backward, terms computed once
+# per conditioning) it took 1.24 times at E = 5, 1.32 at E = 8, 0.80 at
+# E = 16 and 0.78 at E = 32 (medians of 15 alternated pairs; quartiles
+# 1.01–1.31, 1.09–1.81, 0.71–0.87 and 0.74–0.87).  Shorter recordings,
+# and the enumeration-sized worlds of the exact oracles, stay in the
+# calling process.
 _SPLIT_MIN_EPOCHS = 32
 
 
+# How far a final column sum may be from 1.  The last step lands on a
+# projected denoised estimate, whose sums are 1 to within rounding.
+_SIMPLEX_TOL = 1e-9
+
+
 class SamplingError(RuntimeError):
-    """Raised when the sampler state leaves the finite range."""
+    """Raised when the sampler state leaves the finite range, or a final
+    state leaves the simplex."""
 
 
 @dataclass(frozen=True)
@@ -139,25 +155,36 @@ def _run_range(
         if trajectories is None:
             trajectories = np.empty((len(indices), cfg.schedule.M if keep_states else 0, 5,
                                      n_epochs))
+        denoised_prev = h_prev = None
         for m in range(cfg.schedule.M):
-            t_cur = ts[m]
-            t_next = ts[m + 1]
-            sigma = float(t_cur)  # σ(t) = t, as a Python float for SamplingError's repr
+            sigma = float(ts[m])  # σ(t) = t, as a Python float for SamplingError's repr
+            sigma_next = float(ts[m + 1])
             if keep_states:
                 trajectories[:, m] = y
             denoised = fsdm_denoise_batch(y, sigma, bank, obs, cfg.lam, gains)
-            d = (y - denoised) / sigma  # −σ(t)·score
-            y_next = y + (t_next - t_cur) * d
-            sigma_next = float(t_next)
-            if sigma_next != 0.0:
-                denoised2 = fsdm_denoise_batch(y_next, sigma_next, bank, obs, cfg.lam)
-                d2 = (y_next - denoised2) / sigma_next
-                y_next = y + 0.5 * (t_next - t_cur) * (d + d2)
+            if sigma_next == 0.0:
+                y_next = denoised
+            else:
+                h = math.log(sigma / sigma_next)
+                if denoised_prev is None:
+                    d_prime = denoised
+                else:
+                    r = h_prev / h
+                    d_prime = (1 + 1 / (2 * r)) * denoised - (1 / (2 * r)) * denoised_prev
+                y_next = (sigma_next / sigma) * y - math.expm1(-h) * d_prime
+                denoised_prev, h_prev = denoised, h
             if not np.all(np.isfinite(y_next)):
                 raise SamplingError(
                     f"non-finite state after step {m} (sigma={sigma!r} -> {sigma_next!r})"
                 )
             y = y_next
+        m = cfg.schedule.M  # a final state is checked after all M steps
+        off = np.abs(y.sum(axis=-2) - 1.0).max(initial=0.0)
+        if off > _SIMPLEX_TOL:
+            raise SamplingError(
+                f"final state off the simplex: a column sum is off by {float(off)!r} "
+                f"(sigma_min={cfg.schedule.sigma_min!r}, M={cfg.schedule.M})"
+            )
     except Exception as err:
         return None, (m, err)
     per_sample = tuple({name: s[b] for name, s in gains.items()}

@@ -670,18 +670,33 @@ def test_sample_sigma_with_non_normal_square_exits_1(config_path, bundles, tmp_p
     assert not (tmp_path / "pred").exists()
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered in divide:RuntimeWarning")
-def test_sample_sigma_too_small_for_the_exact_kernel_exits_1(config_path, bundles, tmp_path,
-                                                             capsys):
+def test_sample_at_a_sigma_min_near_the_exact_kernel_limit_exits_0(config_path, bundles,
+                                                                    tmp_path, capsys):
+    # At σ_min = 1e-120, ys / σ² is ~1e240 for the bounded states the
+    # solver hands the kernel: it stays finite, and the run samples.
     cfg = json.loads(config_path.read_text())
     cfg["schedule"] = {"M": 32, "sigma_min": 1e-120}
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg), encoding="utf-8")
+    capsys.readouterr()
     rc = main(["sample", "--config", str(path), "--out", str(tmp_path / "pred")])
+    assert rc == 0
+    assert capsys.readouterr().err == ""
+    for name in ("hypnogram.txt", "samples.csv", "stats.json"):
+        assert (tmp_path / "pred" / name).exists()
+
+
+def test_sample_final_state_off_the_simplex_exits_1(config_path, bundles, tmp_path, capsys,
+                                                    monkeypatch):
+    # A projection whose columns sum to 1 + 1e-6 leaves every final state
+    # off the simplex: the run names σ_min and M on one error line.
+    project = fsdm.scorekit.project_manifold
+    monkeypatch.setattr(fsdm.scorekit, "project_manifold", lambda v: project(v) * (1 + 1e-6))
+    rc = main(["sample", "--config", str(config_path), "--out", str(tmp_path / "pred")])
     assert rc == 1
-    assert capsys.readouterr().err == (
-        "error: noise level sigma=1e-120 is too small for the exact kernel: "
-        "ys / sigma^2 overflows\n")
+    err = capsys.readouterr().err
+    assert err.startswith("error: final state off the simplex: a column sum is off by ")
+    assert err.endswith(" (sigma_min=0.0001, M=16)\n") and err.count("\n") == 1
     assert not (tmp_path / "pred").exists()
 
 

@@ -319,18 +319,24 @@ def test_zero_probability_conditioning_raises(markov):
 @pytest.mark.filterwarnings("ignore:overflow encountered in divide:RuntimeWarning")
 @pytest.mark.parametrize("sigma_min", [1e-120, 1e-150])
 def test_sigma_too_small_for_the_kernel_is_named(sigma_min):
-    # ys / σ² overflows at the end of the grid; the conditioning is possible.
+    # ys / σ² overflows for a state entry of 1e100; the conditioning is
+    # possible.
     rng = np.random.default_rng(5)
     world = WorldModel(6, persistent_markov(rng), (("pulse", informative_emission(rng)),))
-    obs = [("pulse", Features(np.array([0.0, 1.0, 2.0, 3.0, 4.0, 0.0])))]
-    cfg = SamplerConfig(schedule=ScheduleParams(M=32, sigma_min=sigma_min), n_samples=2)
+    cond = Features(np.array([0.0, 1.0, 2.0, 3.0, 4.0, 0.0]))
+    ys = np.full((1, 5, 6), 0.2)
+    ys[0, 0, 0] = 1e100
     message = (f"^noise level sigma={sigma_min!r} is too small for the exact kernel: "
                r"ys / sigma\^2 overflows$")
     with pytest.raises(ValueError, match=message):
-        sample_many(exact_bank(world), obs, cfg, world.n_epochs)
-    # Above the overflow, the same conditioning samples.
-    cfg = SamplerConfig(schedule=ScheduleParams(M=32, sigma_min=1e-100), n_samples=2)
-    assert sample_many(exact_bank(world), obs, cfg, world.n_epochs).states.shape == (2, 5, 6)
+        exact_denoiser(world, "pulse").evaluate_batch(ys, cond, sigma_min)
+    # The sampler's states stay bounded down to σ_min, so a run on that
+    # grid returns samples on the simplex.
+    cfg = SamplerConfig(schedule=ScheduleParams(M=32, sigma_min=sigma_min), n_samples=2)
+    states = sample_many(exact_bank(world), [("pulse", cond)], cfg, world.n_epochs).states
+    assert states.shape == (2, 5, 6)
+    assert np.all(states >= 0)
+    np.testing.assert_allclose(states.sum(axis=1), 1.0, rtol=0, atol=1e-12)
 
 
 def test_markov_denoiser_whole_night_without_enumeration(monkeypatch):
@@ -380,7 +386,7 @@ def test_sample_many_computes_each_observations_terms_once(monkeypatch):
     _, world, obs = _memo_world(n_epochs=6, seed=40)
     cfg = SamplerConfig(schedule=ScheduleParams(M=8), n_samples=4)
     sample_many(exact_bank(world), obs, cfg, world.n_epochs)
-    # N observations, not N·(2M − 1): one per observation for all denoises.
+    # N observations, not N·M: one per observation for all denoises.
     assert len(calls) == len(obs)
 
 

@@ -1,3 +1,4 @@
+import math
 import multiprocessing
 import os
 import subprocess
@@ -8,10 +9,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.stats import binom
 
-from fsdm import sampler
+from fsdm import sampler, scorekit
 from fsdm.checks import (
     hypnogram_index,
+    informative_emission,
+    persistent_markov,
     posterior_marginals,
     random_world,
     single_atom_world,
@@ -19,7 +23,9 @@ from fsdm.checks import (
 )
 from fsdm.hypno import Hypnodensity, Hypnogram, argmax_stages, one_hot
 from fsdm.neural import PRIOR, ReferenceDenoiser, TrainConfig, train
-from fsdm.oracle import GaussianEmission, MarkovPrior, WorldModel, enumerate_posterior, exact_bank
+from fsdm.oracle import (
+    GaussianEmission, MarkovPrior, WorldModel, enumerate_posterior, exact_bank, exact_denoiser,
+)
 from fsdm.sampler import SamplerConfig, SamplingError, infer, sample_many
 from fsdm.sched import ScheduleParams, time_steps
 from fsdm.scorekit import ABSENT, Features, SensorBank, fsdm_denoise_batch
@@ -135,22 +141,27 @@ def test_trajectory_records_predictor_states_with_positive_sigma():
     assert np.array_equal(batch.trajectories[:, 0], np.stack(
         [sampler._initial_state(cfg.base_seed, i, 3, ts[0]) for i in range(3)]))
 
-    def heun_step(y, t_cur, t_next):
-        d = (y - fsdm_denoise_batch(y, float(t_cur), bank, obs, cfg.lam)) / float(t_cur)
-        y_next = y + (t_next - t_cur) * d
-        if t_next == 0:
-            return y_next
-        denoised2 = fsdm_denoise_batch(y_next, float(t_next), bank, obs, cfg.lam)
-        d2 = (y_next - denoised2) / float(t_next)
-        return y + 0.5 * (t_next - t_cur) * (d + d2)
+    # Step m's denoise D_m, at σ = t_m > 0, of step m's recorded state.
+    starts = [np.ascontiguousarray(batch.trajectories[:, m]) for m in range(cfg.schedule.M)]
+    assert all(t > 0 for t in ts[:-1])
+    denoised = [fsdm_denoise_batch(y, float(t), bank, obs, cfg.lam) for y, t in zip(starts, ts)]
 
-    # A Heun step from step m's state, at σ = t_m > 0, gives step m + 1's
-    # state, and the last step the final state.
-    ends = [*batch.trajectories.transpose(1, 0, 2, 3)[1:], batch.states]
+    def solver_step(m):
+        sigma, sigma_next = float(ts[m]), float(ts[m + 1])
+        if sigma_next == 0:
+            return denoised[m]
+        h = math.log(sigma / sigma_next)
+        d_prime = denoised[m]
+        if m > 0:
+            r = math.log(float(ts[m - 1]) / sigma) / h
+            d_prime = (1 + 1 / (2 * r)) * denoised[m] - (1 / (2 * r)) * denoised[m - 1]
+        return (sigma_next / sigma) * starts[m] - math.expm1(-h) * d_prime
+
+    # A DPM-Solver++(2M) step from step m's state gives step m + 1's
+    # state, and the last step lands on the final denoise.
+    ends = [*starts[1:], batch.states]
     for m, end in enumerate(ends):
-        assert ts[m] > 0
-        start = np.ascontiguousarray(batch.trajectories[:, m])
-        assert np.array_equal(heun_step(start, ts[m], ts[m + 1]), end), m
+        assert np.array_equal(solver_step(m), end), m
 
 
 def test_final_state_near_manifold_for_peaked_world():
@@ -169,6 +180,8 @@ def test_final_state_near_manifold_for_peaked_world():
 def test_self_convergence_factor_two():
     # Compare at a raised sigma_min where the final denoise map is smooth;
     # t_{M-1} = sigma_min is pinned on every grid so states are comparable.
+    # Doubling M from 64 shrinks the error ~3.2-fold; below M = 32 it is
+    # pre-asymptotic (0.110 at M = 8, 0.112 at 16).
     rng = np.random.default_rng(5)
     world = random_world(3, 1, rng, base=0.7)
     bank = exact_bank(world)
@@ -179,10 +192,52 @@ def test_self_convergence_factor_two():
         cfg = SamplerConfig(schedule=sched, n_samples=1, base_seed=11, lam=1.0)
         return sample_many(bank, obs, cfg, 3).states[0]
 
-    ref = final_state(64)
-    err_coarse = np.linalg.norm(final_state(8) - ref)
-    err_fine = np.linalg.norm(final_state(16) - ref)
+    ref = final_state(1024)
+    err_coarse = np.linalg.norm(final_state(64) - ref)
+    err_fine = np.linalg.norm(final_state(128) - ref)
     assert err_fine <= err_coarse / 2
+
+
+@pytest.mark.parametrize("case, schedule", [
+    ("neural", {"sigma_min": 1e-12, "M": 2}),
+    ("neural", {"sigma_min": 1e-12, "M": 3}),
+    ("neural", {"sigma_min": 1e-24}),
+    ("neural", {"sigma_min": 1e-30}),
+    ("exact", {"sigma_max": 1e150, "M": 8}),
+], ids=["neural-1e-12-M2", "neural-1e-12-M3", "neural-1e-24", "neural-1e-30", "exact-1e150"])
+def test_final_states_lie_on_the_simplex_at_extreme_sigmas(case, schedule):
+    # The last step lands on the projected denoise at σ_min, whatever the
+    # grid's ratios: a step computed as y + (0 − σ)·(y − D)/σ loses
+    # |y|·ε.  The state entering it stays bounded: a Heun corrector at
+    # σ_min divides by σ_min, and took it to 1e11–1e20 on the neural bank
+    # and 2e276 on the exact one.
+    if case == "neural":
+        bank, obs = _neural_case(6, seed=12)
+    else:
+        bank = exact_bank(random_world(6, 1, np.random.default_rng(4)))
+        obs = [("s0", Features(np.array([0.0, 2.0, 4.0, 1.0, 3.0, 0.0])))]
+    cfg = SamplerConfig(schedule=ScheduleParams(**schedule), n_samples=8, base_seed=3)
+    batch = sample_many(bank, obs, cfg, 6, keep_states=True)
+    assert np.abs(batch.trajectories[:, -1]).max() <= 2
+    states = batch.states
+    assert np.all(states >= 0)
+    np.testing.assert_allclose(states.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+
+
+def test_a_final_state_off_the_simplex_raises(monkeypatch):
+    # Projected columns that sum to 1 + 2e-9 are off by more than the
+    # tolerance, 1e-9; 1 + 5e-10 is within it.
+    bank = exact_bank(random_world(3, 1, np.random.default_rng(4)))
+    obs = [("s0", Features(np.array([0.0, 2.0, 4.0])))]
+    cfg = SamplerConfig(schedule=ScheduleParams(M=4), n_samples=2)
+    project = scorekit.project_manifold
+    monkeypatch.setattr(scorekit, "project_manifold", lambda v: project(v) * (1 + 5e-10))
+    sample_many(bank, obs, cfg, 3)
+    monkeypatch.setattr(scorekit, "project_manifold", lambda v: project(v) * (1 + 2e-9))
+    message = (r"^final state off the simplex: a column sum is off by \S+ "
+               r"\(sigma_min=0\.0001, M=4\)$")
+    with pytest.raises(SamplingError, match=message):
+        sample_many(bank, obs, cfg, 3)
 
 
 def test_posterior_recovery_sanity():
@@ -198,6 +253,43 @@ def test_posterior_recovery_sanity():
         counts[hypnogram_index(argmax_stages(Hypnodensity(y)))] += 1
     tv = 0.5 * np.abs(counts / 256 - post).sum()
     assert tv <= 0.2
+
+
+def _noisy_markov_case(seed, n_epochs=240):
+    """An N = 1 Markov world with persistence 0.9 and a 0.6-diagonal
+    emission, observations drawn from it, and the forward-backward
+    posterior marginals of its stages given them, (5, E)."""
+    rng = np.random.default_rng(seed)
+    prior = persistent_markov(rng, persistence=0.9)
+    emission = informative_emission(rng, base=0.6)
+    world = WorldModel(n_epochs, prior, (("s0", emission),))
+    stages = [rng.choice(5, p=prior.initial)]
+    for _ in range(n_epochs - 1):
+        stages.append(rng.choice(5, p=prior.transition[stages[-1]]))
+    cond = Features(np.array([rng.choice(5, p=emission.table[k]) for k in stages], dtype=float))
+    # At y = 0 the kernel's terms are the likelihood's alone.
+    marginals = exact_denoiser(world, "s0").evaluate_batch(np.zeros((1, 5, n_epochs)), cond, 1.0)
+    return exact_bank(world), [("s0", cond)], marginals[0]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_argmax_frequencies_match_the_posterior_marginals(seed):
+    # The mean per-epoch TV between the samples' argmax frequencies and
+    # the exact marginals, less its expectation for n iid draws from the
+    # marginals (the floor, ~0.027 here).  With 256 samples it read +0.006
+    # to +0.007 at M = 8, where the first-order solver (D′ = D_m) reads
+    # +0.022 to +0.027, and −0.001 to +0.001 at the default M = 32.
+    bank, obs, marginals = _noisy_markov_case(seed)
+    n = 256
+    # Each stage's count is Binomial(n, p) under iid draws.
+    k = np.arange(n + 1)[:, None, None]
+    floor = 0.5 * (binom.pmf(k, n, marginals) * np.abs(k / n - marginals)).sum(axis=(0, 1)).mean()
+    for M, margin in ((8, 0.012), (32, 0.004)):
+        cfg = SamplerConfig(schedule=ScheduleParams(M=M), n_samples=n, base_seed=seed)
+        stages = sample_many(bank, obs, cfg, marginals.shape[1]).states.argmax(axis=1)
+        freqs = (stages[:, None] == np.arange(5)[:, None]).mean(axis=0)
+        excess = 0.5 * np.abs(freqs - marginals).sum(axis=0).mean() - floor
+        assert abs(excess) <= margin, (M, excess)
 
 
 class ExplodingDenoiser:
@@ -417,7 +509,7 @@ def test_workers_keep_the_callers_floating_point_error_handling(monkeypatch):
 
 def _failing_samples(monkeypatch, fail_at):
     """A bank whose sample i turns non-finite where it is denoised at grid
-    time t_k, k = fail_at[i], first in step k − 1's second evaluation.
+    time t_k, k = fail_at[i], in step k.
     Each sample's state starts at its index i and, denoised to 0.2
     everywhere, is 0.2 + (i − 0.2)·t_k / t_0 at t_k, so the prior reads
     the index back."""
@@ -438,12 +530,12 @@ def _failing_samples(monkeypatch, fail_at):
 
 
 def test_sampling_error_in_a_worker_range_keeps_the_serial_message(monkeypatch):
-    # Samples 3 (a worker's) and 1 (the caller's) fail in steps 1 and 4: a
-    # lockstep run meets step 1 first.  Each range meets only its own.
+    # Samples 3 (a worker's) and 1 (the caller's) fail in steps 2 and 5: a
+    # lockstep run meets step 2 first.  Each range meets only its own.
     bank, cfg = _failing_samples(monkeypatch, {3: 2, 1: 5})
     with pytest.raises(SamplingError) as serial:
         sample_many(bank, [], cfg, 3)
-    assert "after step 1 " in str(serial.value)
+    assert "after step 2 " in str(serial.value)
     monkeypatch.setattr(sampler, "_SPLIT_MIN_EPOCHS", 1)
     for cores in (2, 3, 4):
         monkeypatch.setattr(sampler, "_usable_cores", lambda: cores)

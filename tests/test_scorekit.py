@@ -330,7 +330,7 @@ def test_gain_sums_hold_one_likelihood_at_a_time():
     d.live.clear()
     cfg = SamplerConfig(ScheduleParams(M=3), n_samples=2, record_trajectory=True)
     batch = sample_many(bank, obs, cfg, 3)
-    assert d.live == [0, 1, 1, 1, 1] * 5  # 3 steps and 2 corrector steps
+    assert d.live == [0, 1, 1, 1, 1] * 3  # one denoise in each of the 3 steps
     assert sorted(batch.gains[0]) == ["a", "b", "c"]
 
 
