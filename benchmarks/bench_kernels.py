@@ -129,7 +129,8 @@ def bench_ampd_peaks():
         x = render_waveform(hypnogram, spec, np.random.default_rng(5))
         band = "full band" if bandwidth_hz is None else f"{bandwidth_hz:g} Hz band"
         print(f"  {name} (max scale {max_scale_s:g} s, {band})")
-        _, starts = dsp._ampd_windows(x.size, dsp.TARGET_FS, dsp.AMPD_WINDOW_S, dsp.AMPD_OVERLAP_S)
+        _, starts, _ = dsp.ampd_window_plan(x.size, dsp.TARGET_FS, dsp.AMPD_WINDOW_S,
+                                            dsp.AMPD_OVERLAP_S, max_scale_s)
         ranges = dsp._fork.range_count(len(starts), dsp._usable_cores())
         split_min_work = dsp._SPLIT_MIN_WORK
         for label, gate in ((f"split, {ranges} ranges", split_min_work),

@@ -8,7 +8,8 @@ ground truth: closed-form schedule values, the linear-ODE argument for
 point-mass worlds, exact posterior enumeration (including enumeration
 against the forward-backward denoisers of Markov worlds), the
 algebraic identities of the combination rule, or the full-rate AMPD
-scalogram.
+scalogram, searched over the windows that ``dsp.ampd_window_plan`` lays
+out for peak detection.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .dsp import (
     SignalKind,
     ampd_decimation,
     ampd_scale,
-    ampd_window_starts,
+    ampd_window_plan,
     preprocess,
 )
 from .hypno import Hypnogram, SleepStage, one_hot
@@ -369,24 +370,24 @@ def suite_forward_backward(seed: int = 0, n_worlds: int = 8,
 def suite_ampd(seed: int = 0, n_epochs: int = 40) -> list[CheckResult]:
     """AMPD's decimated scale search against the full scalogram, window
     by window, on synthetic ``rip_belt`` and ``thermistor`` recordings
-    through ``preprocess``.
+    through ``preprocess``.  The windows and their scales are the ones
+    ``ampd_peaks`` searches: ``dsp.ampd_window_plan`` at the default
+    windows and the respiratory scale cap.
 
     The peak masks at the two scales must agree in every window.  The
     scales themselves are measured only: where the scalogram is flat
     near its minimum, two scales can give the same mask.
     """
     rng = np.random.default_rng(seed)
-    window_len = int(round(AMPD_WINDOW_S * TARGET_FS))
-    step = window_len - int(round(AMPD_OVERLAP_S * TARGET_FS))
-    scale_cap = int(round(RESPIRATORY_MAX_SCALE_S * TARGET_FS))
     differ_peaks = differ_scale = 0
     for kind_name in ("rip_belt", "thermistor"):
         raw = breathing_signal(KINDS[kind_name], n_epochs, rng)
         x = preprocess(raw, target_epochs=n_epochs).samples
         decimation = ampd_decimation(TARGET_FS, raw.kind.lp_cutoff)
-        for a in ampd_window_starts(x.size, window_len, step):
-            w = x[a:a + window_len]
-            max_scale = min(scale_cap, (w.size - 1) // 2)
+        length, starts, max_scale = ampd_window_plan(
+            x.size, TARGET_FS, AMPD_WINDOW_S, AMPD_OVERLAP_S, RESPIRATORY_MAX_SCALE_S)
+        for a in starts:
+            w = x[a:a + length]
             exact = ampd_scale(w, max_scale)
             fast = ampd_scale(w, max_scale, decimation)
             differ_scale += exact != fast

@@ -15,7 +15,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, fields, replace
+from dataclasses import MISSING, asdict, fields, replace
 from pathlib import Path
 
 import jsonschema
@@ -46,11 +46,13 @@ _STAGE_COLUMNS = [stage.name.lower() for stage in SleepStage]
 
 def _fields_schema(cls) -> dict:
     """Object schema accepting exactly the dataclass's fields, typed by
-    their annotations."""
+    their annotations, and requiring each field without a default."""
     return {
         "type": "object",
         "additionalProperties": False,
         "properties": {f.name: _JSON_TYPES[f.type] for f in fields(cls)},
+        "required": [f.name for f in fields(cls)
+                     if f.default is MISSING and f.default_factory is MISSING],
     }
 
 

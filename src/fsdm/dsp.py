@@ -8,8 +8,11 @@ zero-padding to a common epoch count.  Cardiac and respiratory kinds
 additionally yield an instantaneous rate signal: multi-scale peak
 detection, inter-event intervals by sample-and-hold, removal of
 biologically implausible intervals, and conversion to events/second.
-A kind low-passed to B Hz chooses each AMPD window's scale on every
-D-th sample, D = ⌊128 / 2B⌋, and refines it at the full rate; only
+``ampd_window_plan`` is the one place that lays out the AMPD windows
+and the scales each one searches; peak detection, the rate extraction's
+layout check and the ``ampd`` oracle-check suite all read it.  A kind
+low-passed to B Hz chooses each AMPD window's scale on every D-th
+sample, D = ⌊128 / 2B⌋, and refines it at the full rate; only
 ``rip_belt`` and ``thermistor`` (15 Hz, D = 4) have D > 1.  Peaks are
 always detected at the full rate.  Each window's scale search and peak
 mask depend on that window alone, so a call with enough work splits its
@@ -274,22 +277,27 @@ def ampd_scale(x: np.ndarray, max_scale: int, decimation: int = 1) -> int:
     return lo + int(np.argmin(ampd_gamma_range(x, lo, hi)))
 
 
-def ampd_window_starts(n: int, window_len: int, step: int) -> list[int]:
-    """Starts of the AMPD windows over n samples; the last ends at n."""
+def ampd_window_plan(n: int, fs: float, window_s: float, overlap_s: float,
+                     max_scale_s: float) -> tuple[int, list[int], int]:
+    """The AMPD windows over n samples at fs and the scales they search:
+    (samples per window, window starts, largest scale).
+
+    A window of window_s seconds starts every window_s − overlap_s
+    seconds, and one more ends at n when the last would stop short of it;
+    a signal no longer than a window is one window.  So every window holds
+    the same number of samples, at most n, and searches the scales up to
+    max_scale_s·fs, at most half its length.  ValueError when the overlap
+    is not shorter than the window.
+    """
+    window_len = int(round(window_s * fs))
+    step = window_len - int(round(overlap_s * fs))
     if step <= 0:
         raise ValueError("window overlap must be smaller than the window")
     starts = [0] if window_len >= n else list(range(0, n - window_len + 1, step))
     if window_len < n and starts[-1] + window_len < n:
         starts.append(n - window_len)
-    return starts
-
-
-def _ampd_windows(n: int, fs: float, window_s: float, overlap_s: float) -> tuple[int, list[int]]:
-    """The AMPD window length in samples and the window starts over n
-    samples at fs; ValueError when the overlap is not shorter than the
-    window."""
-    window_len = int(round(window_s * fs))
-    return window_len, ampd_window_starts(n, window_len, window_len - int(round(overlap_s * fs)))
+    length = min(window_len, n)
+    return length, starts, min(int(round(max_scale_s * fs)), (length - 1) // 2)
 
 
 def ampd_peaks(s: np.ndarray, fs: float, window_s: float = AMPD_WINDOW_S,
@@ -298,10 +306,11 @@ def ampd_peaks(s: np.ndarray, fs: float, window_s: float = AMPD_WINDOW_S,
                bandwidth_hz: float | None = None) -> np.ndarray:
     """Automatic multi-scale peak detection over overlapping windows.
 
-    Within each window the scale with the most local maxima is selected
-    from the local-maxima scalogram (scales capped at max_scale_s·fs) and
-    samples that are maxima at every scale up to it become peaks.  Peaks
-    found by more than one window are kept once (earliest detection).
+    Within each window of ampd_window_plan the scale with the most local
+    maxima is selected from the local-maxima scalogram over the plan's
+    scales, and samples that are maxima at every scale up to it become
+    peaks.  Peaks found by more than one window are kept once (earliest
+    detection).
     A signal band-limited to bandwidth_hz chooses its scale on a
     decimated view (see ampd_scale and ampd_decimation); the peaks are
     always detected at the full rate.  From _SPLIT_MIN_WORK scalogram
@@ -310,18 +319,14 @@ def ampd_peaks(s: np.ndarray, fs: float, window_s: float = AMPD_WINDOW_S,
     split.
     """
     s = np.asarray(s, dtype=np.float64)
-    window_len, starts = _ampd_windows(s.size, fs, window_s, overlap_s)
+    length, starts, max_scale = ampd_window_plan(s.size, fs, window_s, overlap_s, max_scale_s)
     decimation = ampd_decimation(fs, bandwidth_hz)
-    scale_cap = int(round(max_scale_s * fs))
 
     def peaks(chunk: list[int]) -> list[np.ndarray]:
         found = []
         for a in chunk:
-            x = s[a:a + window_len]
-            if x.size < 4 or np.all(x == x[0]):
-                continue
-            max_scale = min(scale_cap, (x.size - 1) // 2)
-            if max_scale < 1:
+            x = s[a:a + length]
+            if x.size < 4 or max_scale < 1 or np.all(x == x[0]):
                 continue
             mask = ampd_local_maxima(x, ampd_scale(x, max_scale, decimation))
             found.append(a + np.flatnonzero(mask))
@@ -329,8 +334,7 @@ def ampd_peaks(s: np.ndarray, fs: float, window_s: float = AMPD_WINDOW_S,
 
     # The scale search compares about (window / D)·(max scale / D) sample
     # pairs per window.
-    length = min(window_len, s.size)
-    work = len(starts) * length * min(scale_cap, (length - 1) // 2) // decimation ** 2
+    work = len(starts) * length * max_scale // decimation ** 2
     n_ranges = _fork.range_count(len(starts), _usable_cores()) if work >= _SPLIT_MIN_WORK else 1
     found = [np.empty(0, dtype=np.int64)]
     for chunk_peaks in _fork.fork_map(peaks, starts, n_ranges):
@@ -388,7 +392,7 @@ def _rate(s: np.ndarray, fs: float, category: str, n_out: int,
     caller that replaces either name here replaces it for every path.
     """
     max_scale, _ = _rate_category(category)
-    _ampd_windows(s.size, fs, window_s, overlap_s)  # a bad layout is an error too
+    ampd_window_plan(s.size, fs, window_s, overlap_s, max_scale)  # a bad layout is an error too
     try:
         peaks = ampd_peaks(s, fs, window_s=window_s, overlap_s=overlap_s,
                            max_scale_s=max_scale, bandwidth_hz=bandwidth_hz)

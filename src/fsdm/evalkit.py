@@ -127,23 +127,18 @@ def overnight_stats(h: Hypnogram, valid_epochs: int | None = None) -> StatReport
     counts = np.bincount(stages, minlength=5)
     minutes = counts * EPOCH_MIN
     sleep_idx = np.flatnonzero(stages != SleepStage.W)
-    tst = float(sleep_idx.size * EPOCH_MIN)
-    time_in_rem = float(minutes[SleepStage.R])
-    if sleep_idx.size == 0:
-        return StatReport(
-            tst_min=0.0, sol_min=None, waso_min=0.0, rem_latency_min=None,
-            time_in_rem_min=0.0,
-            w_min=float(minutes[0]), n1_min=float(minutes[1]), n2_min=float(minutes[2]),
-            n3_min=float(minutes[3]), r_min=float(minutes[4]),
-        )
-    onset, last = int(sleep_idx[0]), int(sleep_idx[-1])
-    sol = onset * EPOCH_MIN
-    waso = float(np.sum(stages[onset + 1:last + 1] == SleepStage.W) * EPOCH_MIN)
     rem_idx = np.flatnonzero(stages == SleepStage.R)
-    rem_latency = float((rem_idx[0] - onset) * EPOCH_MIN) if rem_idx.size else None
+    sol = rem_latency = None
+    waso = 0.0
+    if sleep_idx.size:
+        onset, last = int(sleep_idx[0]), int(sleep_idx[-1])
+        sol = onset * EPOCH_MIN
+        waso = float(np.sum(stages[onset + 1:last + 1] == SleepStage.W) * EPOCH_MIN)
+        if rem_idx.size:
+            rem_latency = float((rem_idx[0] - onset) * EPOCH_MIN)
     return StatReport(
-        tst_min=tst, sol_min=sol, waso_min=waso, rem_latency_min=rem_latency,
-        time_in_rem_min=time_in_rem,
+        tst_min=float(sleep_idx.size * EPOCH_MIN), sol_min=sol, waso_min=waso,
+        rem_latency_min=rem_latency, time_in_rem_min=float(minutes[SleepStage.R]),
         w_min=float(minutes[0]), n1_min=float(minutes[1]), n2_min=float(minutes[2]),
         n3_min=float(minutes[3]), r_min=float(minutes[4]),
     )

@@ -20,6 +20,15 @@ N_STAGES = 5
 EPOCH_S = 30.0
 
 
+def freeze_array(obj, name: str, value) -> np.ndarray:
+    """Set field ``name`` of the frozen dataclass ``obj`` to a private
+    read-only float64 copy of ``value``, and return that copy."""
+    v = np.asarray(value, dtype=np.float64).copy()
+    v.setflags(write=False)
+    object.__setattr__(obj, name, v)
+    return v
+
+
 class SleepStage(IntEnum):
     """The five scoring stages, in fixed order."""
 
@@ -63,7 +72,16 @@ class Hypnogram:
 
     @classmethod
     def from_labels(cls, labels: Iterable[str]) -> "Hypnogram":
-        return cls(tuple(SleepStage[label.strip()] for label in labels))
+        """Stages from their labels (W, N1, N2, N3, R), each stripped of
+        surrounding whitespace; ValueError names an unknown label."""
+        stages = []
+        for label in labels:
+            name = label.strip()
+            if name not in SleepStage.__members__:
+                raise ValueError(f"unknown stage label {name!r} "
+                                 f"(accepted: {', '.join(SleepStage.__members__)})")
+            stages.append(SleepStage[name])
+        return cls(tuple(stages))
 
     def to_indices(self) -> np.ndarray:
         return np.array(self.stages, dtype=np.int64)
@@ -83,16 +101,13 @@ class Hypnodensity:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
+        v = freeze_array(self, "values", self.values)
         if v.ndim != 2 or v.shape[0] != N_STAGES:
             raise ValueError(f"hypnodensity must be 5×E, got shape {v.shape}")
         if v.shape[1] < 1:
             raise ValueError("hypnodensity must have at least one epoch")
         if not np.all(np.isfinite(v)):
             raise ValueError("hypnodensity entries must be finite")
-        v = v.copy()
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
 
     @property
     def n_epochs(self) -> int:

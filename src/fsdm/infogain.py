@@ -25,6 +25,7 @@ import numpy as np
 
 from .bundle import write_csv
 from .evalkit import scored_epochs
+from .hypno import freeze_array
 from .sampler import SamplerConfig
 from .scorekit import Observations, SensorBank
 
@@ -36,14 +37,11 @@ class InfoGain:
     n_trajectories: int
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
+        v = freeze_array(self, "values", self.values)
         if v.ndim != 1:
             raise ValueError("values must be a vector of per-epoch gains")
         if not np.all((v >= 0) & (v <= 1)):  # NaN fails both comparisons
             raise ValueError("information gain values must lie in [0, 1]")
-        v = v.copy()
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
 
 
 def information_gain(

@@ -66,8 +66,6 @@ MODEL_FORMAT = "fsdm-model-v1"
 _SKIP_SCALE = math.sqrt(0.5)
 # Tags of the residual blocks, in forward order, as in the weight names.
 _BLOCKS = ("0", "1")
-# The bias rows, which the network adds after its affine maps.
-_ROWS = ("b_enc", *(f"b{k}_{tag}" for tag in _BLOCKS for k in "12"), "b_out")
 # Architecture of every network: epochs on each side of the encoder
 # window, hidden width, and the σ_data of the input scaling.
 WINDOW_RADIUS = 2
@@ -141,20 +139,32 @@ def _window_stack(mat: np.ndarray, radius: int) -> np.ndarray:
     return np.concatenate(blocks, axis=0).T
 
 
+def _weight_shapes(n_features: int) -> dict[str, tuple[int, ...]]:
+    """Each weight's name and shape, in the network's parameter order; a
+    matrix (named w...) is (out, in), a bias row (named b...) is (out,)."""
+    width, c = 2 * WINDOW_RADIUS + 1, CHANNELS
+    shapes = {"w_y": (c, 5 * width), "w_x": (c, n_features * width), "b_enc": (c,)}
+    for tag in _BLOCKS:
+        shapes.update({f"w1_{tag}": (c, c), f"b1_{tag}": (c,),
+                       f"w2_{tag}": (c, c), f"b2_{tag}": (c,)})
+    shapes.update(w_out=(5, c), b_out=(5,))
+    return shapes
+
+
+# The bias rows, which the network adds after its affine maps.
+_ROWS = tuple(name for name in _weight_shapes(1) if name.startswith("b"))
+
+
 class ReferenceDenoiser:
     """Windowed-affine denoiser with residual blocks; Denoiser-contract member."""
 
-    PARAM_ORDER = (
-        "w_y", "w_x", "b_enc",
-        "w1_0", "b1_0", "w2_0", "b2_0",
-        "w1_1", "b1_1", "w2_1", "b2_1",
-        "w_out", "b_out",
-    )
+    # The weight names in the order training flattens them.
+    PARAM_ORDER = tuple(_weight_shapes(1))
 
     def __init__(self, n_features: int, weights: dict[str, np.ndarray]):
         self.n_features = int(n_features)
         self.weights = {k: np.asarray(v, dtype=np.float64) for k, v in weights.items()}
-        for name, shape in self._weight_shapes(self.n_features).items():
+        for name, shape in _weight_shapes(self.n_features).items():
             if name not in self.weights:
                 raise ValueError(f"missing weight array {name!r}")
             if self.weights[name].shape != shape:
@@ -165,24 +175,13 @@ class ReferenceDenoiser:
             if not np.all(np.isfinite(self.weights[name])):
                 raise ValueError(f"weight array {name!r} has non-finite entries")
 
-    @staticmethod
-    def _weight_shapes(n_features: int) -> dict[str, tuple[int, ...]]:
-        """Each weight's shape, in PARAM_ORDER; a matrix is (out, in)."""
-        width, c = 2 * WINDOW_RADIUS + 1, CHANNELS
-        shapes = {"w_y": (c, 5 * width), "w_x": (c, n_features * width), "b_enc": (c,)}
-        for tag in _BLOCKS:
-            shapes.update({f"w1_{tag}": (c, c), f"b1_{tag}": (c,),
-                           f"w2_{tag}": (c, c), f"b2_{tag}": (c,)})
-        shapes.update(w_out=(5, c), b_out=(5,))
-        return shapes
-
     @classmethod
     def init(cls, n_features: int, rng: np.random.Generator) -> "ReferenceDenoiser":
         """A new network: matrices drawn N(0, 1/in) in PARAM_ORDER, biases zero."""
         weights = {
             name: (rng.standard_normal(shape) * (1.0 / math.sqrt(max(shape[1], 1)))
                    if name.startswith("w") else np.zeros(shape))
-            for name, shape in cls._weight_shapes(n_features).items()
+            for name, shape in _weight_shapes(n_features).items()
         }
         return cls(n_features, weights)
 

@@ -31,7 +31,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ._kernels import _log_weights, markov_marginals, mixture_marginals
-from .hypno import N_STAGES
+from .hypno import N_STAGES, freeze_array
 from .scorekit import ABSENT, Conditioning, Features, SensorBank, tweedie_score
 
 ENUMERATION_CAP = 8
@@ -52,14 +52,11 @@ class CategoricalEmission:
     table: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.table, dtype=np.float64)
+        t = freeze_array(self, "table", self.table)
         if t.ndim != 2 or t.shape[0] != N_STAGES or t.shape[1] < 1:
             raise ValueError(f"categorical table must be 5×K, got {t.shape}")
         if np.any(t < 0) or np.any(np.abs(t.sum(axis=1) - 1.0) > _NORM_TOL):
             raise ValueError("categorical rows must be nonnegative and sum to 1")
-        t = t.copy()
-        t.setflags(write=False)
-        object.__setattr__(self, "table", t)
 
     @property
     def n_symbols(self) -> int:
@@ -74,16 +71,12 @@ class GaussianEmission:
     sds: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.means, dtype=np.float64)
-        s = np.asarray(self.sds, dtype=np.float64)
+        m = freeze_array(self, "means", self.means)
+        s = freeze_array(self, "sds", self.sds)
         if m.shape != (N_STAGES,) or s.shape != (N_STAGES,):
             raise ValueError("means and sds must each have 5 entries")
         if np.any(s <= 0):
             raise ValueError("sds must be positive")
-        for name, v in (("means", m), ("sds", s)):
-            v = v.copy()
-            v.setflags(write=False)
-            object.__setattr__(self, name, v)
 
 
 EmissionModel = CategoricalEmission | GaussianEmission
@@ -97,12 +90,9 @@ class ExplicitPrior:
     table: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.table, dtype=np.float64)
+        t = freeze_array(self, "table", self.table)
         if t.ndim != 1 or np.any(t < 0) or abs(t.sum() - 1.0) > _NORM_TOL:
             raise ValueError("prior table must be a 1-D distribution summing to 1")
-        t = t.copy()
-        t.setflags(write=False)
-        object.__setattr__(self, "table", t)
 
 
 @dataclass(frozen=True)
@@ -111,8 +101,8 @@ class MarkovPrior:
     transition: np.ndarray
 
     def __post_init__(self):
-        init = np.asarray(self.initial, dtype=np.float64)
-        trans = np.asarray(self.transition, dtype=np.float64)
+        init = freeze_array(self, "initial", self.initial)
+        trans = freeze_array(self, "transition", self.transition)
         if init.shape != (N_STAGES,) or abs(init.sum() - 1.0) > _NORM_TOL:
             raise ValueError("initial distribution must have 5 entries summing to 1")
         if trans.shape != (N_STAGES, N_STAGES) or np.any(
@@ -121,12 +111,6 @@ class MarkovPrior:
             raise ValueError("transition matrix must be 5×5 row-stochastic")
         if np.any(init < 0) or np.any(trans < 0):
             raise ValueError("probabilities must be nonnegative")
-        init = init.copy()
-        init.setflags(write=False)
-        trans = trans.copy()
-        trans.setflags(write=False)
-        object.__setattr__(self, "initial", init)
-        object.__setattr__(self, "transition", trans)
 
 
 Prior = ExplicitPrior | MarkovPrior
@@ -380,52 +364,41 @@ def exact_smoothed_score(
 
 
 # ---------------------------------------------------------------------------
-# JSON serialization (explicit field names, matrices row-major)
+# JSON serialization: {"type": tag, field: nested list, ...}, with each
+# dataclass field under its own name (matrices row-major)
 # ---------------------------------------------------------------------------
 
-
-def _emission_to_dict(em: EmissionModel) -> dict:
-    if isinstance(em, CategoricalEmission):
-        return {"type": "categorical", "table": em.table.tolist()}
-    return {"type": "gaussian", "means": em.means.tolist(), "sds": em.sds.tolist()}
+_PRIOR_TYPES = {"explicit": ExplicitPrior, "markov": MarkovPrior}
+_EMISSION_TYPES = {"categorical": CategoricalEmission, "gaussian": GaussianEmission}
+_TAGS = {cls: tag for types in (_PRIOR_TYPES, _EMISSION_TYPES) for tag, cls in types.items()}
 
 
-def _emission_from_dict(d: dict) -> EmissionModel:
-    if d["type"] == "categorical":
-        return CategoricalEmission(np.array(d["table"]))
-    if d["type"] == "gaussian":
-        return GaussianEmission(np.array(d["means"]), np.array(d["sds"]))
-    raise ValueError(f"unknown emission type {d['type']!r}")
+def _to_dict(value: Prior | EmissionModel) -> dict:
+    return {"type": _TAGS[type(value)],
+            **{f.name: getattr(value, f.name).tolist() for f in fields(value)}}
+
+
+def _from_dict(d: dict, types: dict, kind: str):
+    if d["type"] not in types:
+        raise ValueError(f"unknown {kind} type {d['type']!r}")
+    cls = types[d["type"]]
+    return cls(**{f.name: np.array(d[f.name]) for f in fields(cls)})
 
 
 def world_to_dict(world: WorldModel) -> dict:
-    if isinstance(world.prior, ExplicitPrior):
-        prior = {"type": "explicit", "table": world.prior.table.tolist()}
-    else:
-        prior = {
-            "type": "markov",
-            "initial": world.prior.initial.tolist(),
-            "transition": world.prior.transition.tolist(),
-        }
     return {
         "n_epochs": world.n_epochs,
-        "prior": prior,
+        "prior": _to_dict(world.prior),
         "sensors": [
-            {"name": name, "emission": _emission_to_dict(em)}
-            for name, em in world.sensors
+            {"name": name, "emission": _to_dict(em)} for name, em in world.sensors
         ],
     }
 
 
 def world_from_dict(d: dict) -> WorldModel:
-    pd = d["prior"]
-    if pd["type"] == "explicit":
-        prior: Prior = ExplicitPrior(np.array(pd["table"]))
-    elif pd["type"] == "markov":
-        prior = MarkovPrior(np.array(pd["initial"]), np.array(pd["transition"]))
-    else:
-        raise ValueError(f"unknown prior type {pd['type']!r}")
+    prior = _from_dict(d["prior"], _PRIOR_TYPES, "prior")
     sensors = tuple(
-        (s["name"], _emission_from_dict(s["emission"])) for s in d.get("sensors", [])
+        (s["name"], _from_dict(s["emission"], _EMISSION_TYPES, "emission"))
+        for s in d.get("sensors", [])
     )
     return WorldModel(n_epochs=int(d["n_epochs"]), prior=prior, sensors=sensors)

@@ -34,7 +34,7 @@ from typing import Iterator, Protocol, Sequence
 
 import numpy as np
 
-from .hypno import project_manifold
+from .hypno import freeze_array, project_manifold
 
 
 class _Absent:
@@ -69,15 +69,11 @@ class Features:
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim == 1:
-            v = v[None, :]
+        v = freeze_array(self, "values", v[None, :] if v.ndim == 1 else v)
         if v.ndim != 2 or v.shape[1] < 1:
             raise ValueError(f"features must be F×E, got shape {v.shape}")
         if np.isinf(v).any():
             raise ValueError("features hold an infinite value (NaN marks a missing epoch)")
-        v = v.copy()
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
 
     @property
     def n_epochs(self) -> int:

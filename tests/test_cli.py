@@ -87,9 +87,14 @@ def test_unknown_config_keys_rejected(tmp_path):
     with pytest.raises(Exception):
         load_config(path)
 
+    stage_rates = {"W": 1.4, "N1": 1.2, "N2": 1.0, "N3": 0.8, "R": 1.1}
+
     def accepted(section, key, value):
         body = {key: value}
-        cfg = {"world": {"waveform": {"pulse": body}}} if section == "waveform" else {section: body}
+        if section == "waveform":  # a waveform section requires its stage rates
+            cfg = {"world": {"waveform": {"pulse": {"stage_rates": stage_rates, **body}}}}
+        else:
+            cfg = {section: body}
         path.write_text(json.dumps(cfg), encoding="utf-8")
         try:
             load_config(path)
@@ -99,7 +104,6 @@ def test_unknown_config_keys_rejected(tmp_path):
 
     # The schedule, train and waveform sections accept exactly their
     # dataclass's fields, each with a value of its type.
-    stage_rates = {"W": 1.4, "N1": 1.2, "N2": 1.0, "N3": 0.8, "R": 1.1}
     for section, cls in (("schedule", ScheduleParams), ("train", TrainConfig),
                          ("waveform", WaveformSpec)):
         for f in fields(cls):
@@ -107,6 +111,17 @@ def test_unknown_config_keys_rejected(tmp_path):
             assert accepted(section, f.name, value), f.name
             assert not accepted(section, f.name, 16 if isinstance(value, str) else "16"), f.name
         assert not accepted(section, "unknown_key", 1)
+
+
+def test_a_waveform_section_without_stage_rates_names_the_missing_field(config_path, tmp_path,
+                                                                       capsys):
+    cfg = json.loads(Path(config_path).read_text())
+    del cfg["world"]["waveform"]["pulse"]["stage_rates"]
+    path = tmp_path / "no_rates.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    assert main(["synth", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "error: 'stage_rates' is a required property\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_readme_config_builds_the_library_settings(tmp_path):
@@ -189,6 +204,19 @@ def test_eval_report(config_path, bundles):
     rows = (out / "rows.csv").read_text().strip().splitlines()
     assert len(rows) == 2
     assert rows[0].startswith("recording,accuracy_five")
+
+
+def test_eval_of_an_unknown_stage_label_names_it(config_path, bundles, tmp_path, capsys):
+    cfg = json.loads(Path(config_path).read_text())
+    cfg["paths"]["predictions_dir"] = str(tmp_path / "preds")
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    pred = tmp_path / "preds" / "rec_0000" / "hypnogram.txt"
+    pred.parent.mkdir(parents=True)
+    pred.write_text("W\nN1\nN4\nN2\nN2\nR\n", encoding="utf-8")
+    assert main(["eval", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        "error: unknown stage label 'N4' (accepted: W, N1, N2, N3, R)\n")
 
 
 def test_infogain_csv_has_epoch_rows(config_path, bundles, tmp_path):

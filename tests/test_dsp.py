@@ -21,7 +21,7 @@ from fsdm.dsp import (
     ampd_decimation,
     ampd_peaks,
     ampd_scale,
-    ampd_window_starts,
+    ampd_window_plan,
     apply_filter,
     clip,
     degrade,
@@ -258,8 +258,9 @@ def test_preprocess_makes_one_scalogram_call_per_window(kind_name, monkeypatch, 
     x = np.random.default_rng(2).standard_normal(int(12 * 60 * TARGET_FS)) / kind.scale
     preprocess(RawSignal(x, TARGET_FS, kind), target_epochs=24)
     window = int(AMPD_WINDOW_S * TARGET_FS)
-    windows = len(ampd_window_starts(x.size, window, window - int(AMPD_OVERLAP_S * TARGET_FS)))
     cap, _ = RATE_CATEGORIES[kind.category]
+    _, starts, _ = ampd_window_plan(x.size, TARGET_FS, AMPD_WINDOW_S, AMPD_OVERLAP_S, cap)
+    windows = len(starts)
     d = ampd_decimation(TARGET_FS, kind.lp_cutoff)
     assert windows == 2
     calls = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
@@ -320,9 +321,8 @@ def test_split_ampd_peaks_equal_the_in_process_ones_bitwise(monkeypatch, case, b
                   bandwidth_hz=bandwidth_hz)
     want, counts = _split_ampd(monkeypatch, 1, x, TARGET_FS, **kwargs)
     assert counts == [1] and want.size > 0
-    windows = len(ampd_window_starts(x.size, int(round(window_s * TARGET_FS)),
-                                     int(round(window_s * TARGET_FS))
-                                     - int(round(window_s / 4 * TARGET_FS))))
+    _, starts, _ = ampd_window_plan(x.size, TARGET_FS, window_s, window_s / 4, 1.0)
+    windows = len(starts)
     for cores in (2, 3, 8):
         got, counts = _split_ampd(monkeypatch, cores, x, TARGET_FS, **kwargs)
         assert counts == [min(cores, windows)], cores
@@ -396,6 +396,16 @@ def test_calls_below_the_split_gate_start_no_process(monkeypatch):
     # One 300 s finger_ppg channel through preprocess: a single window.
     raw = RawSignal(rng.standard_normal(300 * 64) * 100 + 1.0, 64.0, KINDS["finger_ppg"])
     assert preprocess(raw, target_epochs=10).rate is not None
+
+
+@pytest.mark.parametrize("n", [1, 5, 255, 256, 257, 383, 384, 385, 1000])
+def test_ampd_windows_cover_the_signal_with_one_length_and_scale_range(n):
+    # 256-sample windows every 192 samples, scales capped at 100.
+    length, starts, max_scale = ampd_window_plan(n, TARGET_FS, 2.0, 0.5, 100 / TARGET_FS)
+    assert length == min(256, n)
+    assert max_scale == min(100, (length - 1) // 2)
+    assert starts[0] == 0 and starts[-1] + length == n
+    assert all(0 < b - a <= 192 for a, b in zip(starts, starts[1:]))
 
 
 def test_a_bad_window_layout_is_an_error_not_a_missing_rate():

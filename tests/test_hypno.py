@@ -14,6 +14,14 @@ from fsdm.hypno import (
     read_hypnogram,
     write_hypnogram,
 )
+from fsdm.infogain import InfoGain
+from fsdm.oracle import (
+    CategoricalEmission,
+    ExplicitPrior,
+    GaussianEmission,
+    MarkovPrior,
+)
+from fsdm.scorekit import Features
 
 
 def test_stage_enum_fixed_order():
@@ -166,6 +174,32 @@ def test_hypnodensity_immutable():
     y = Hypnodensity(np.ones((5, 2)) / 5)
     with pytest.raises(ValueError):
         y.values[0, 0] = 2.0
+
+
+_VALUE_TYPES = {
+    "Hypnodensity": (Hypnodensity, {"values": np.full((5, 2), 0.2)}, {}),
+    "Features": (Features, {"values": np.array([[1.0, np.nan, 3.0]])}, {}),
+    "InfoGain": (InfoGain, {"values": np.array([0.25, 0.5])},
+                 {"sensor": "s", "n_trajectories": 1}),
+    "CategoricalEmission": (CategoricalEmission, {"table": np.full((5, 2), 0.5)}, {}),
+    "GaussianEmission": (GaussianEmission, {"means": np.zeros(5), "sds": np.ones(5)}, {}),
+    "ExplicitPrior": (ExplicitPrior, {"table": np.full(5, 0.2)}, {}),
+    "MarkovPrior": (MarkovPrior, {"initial": np.full(5, 0.2),
+                                  "transition": np.full((5, 5), 0.2)}, {}),
+}
+
+
+@pytest.mark.parametrize("name", list(_VALUE_TYPES))
+def test_value_types_hold_a_private_read_only_copy(name):
+    cls, arrays, other = _VALUE_TYPES[name]
+    inputs = {field: a.copy() for field, a in arrays.items()}
+    value = cls(**inputs, **other)
+    for field, a in inputs.items():
+        a[...] = 7.0
+        stored = getattr(value, field)
+        np.testing.assert_array_equal(stored, arrays[field])
+        with pytest.raises(ValueError, match="read-only"):
+            stored[(0,) * stored.ndim] = 1.0
 
 
 def test_hypnogram_text_round_trip(tmp_path):

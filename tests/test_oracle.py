@@ -282,6 +282,51 @@ def test_world_json_round_trip():
     assert world_to_dict(world_from_dict(world_to_dict(world))) == world_to_dict(world)
 
 
+_JSON_SENSORS = (
+    ("cat", CategoricalEmission(np.array([[0.75, 0.25]] * 4 + [[0.5, 0.5]]))),
+    ("gauss", GaussianEmission(np.arange(5.0), np.array([1.0, 0.5, 0.5, 2.0, 1.0]))),
+)
+_JSON_SENSORS_TEXT = (
+    '"sensors": [{"emission": {"table": [[0.75, 0.25], [0.75, 0.25], [0.75, 0.25], '
+    '[0.75, 0.25], [0.5, 0.5]], "type": "categorical"}, "name": "cat"}, '
+    '{"emission": {"means": [0.0, 1.0, 2.0, 3.0, 4.0], "sds": [1.0, 0.5, 0.5, 2.0, 1.0], '
+    '"type": "gaussian"}, "name": "gauss"}]}'
+)
+
+
+@pytest.mark.parametrize("world, text", [
+    (WorldModel(2, MarkovPrior(np.array([0.5, 0.2, 0.1, 0.1, 0.1]),
+                               np.full((5, 5), 0.1) + 0.5 * np.eye(5)), _JSON_SENSORS),
+     '{"n_epochs": 2, "prior": {"initial": [0.5, 0.2, 0.1, 0.1, 0.1], "transition": '
+     '[[0.6, 0.1, 0.1, 0.1, 0.1], [0.1, 0.6, 0.1, 0.1, 0.1], [0.1, 0.1, 0.6, 0.1, 0.1], '
+     '[0.1, 0.1, 0.1, 0.6, 0.1], [0.1, 0.1, 0.1, 0.1, 0.6]], "type": "markov"}, '),
+    (WorldModel(1, ExplicitPrior(np.array([0.5, 0.125, 0.125, 0.125, 0.125])), _JSON_SENSORS),
+     '{"n_epochs": 1, "prior": {"table": [0.5, 0.125, 0.125, 0.125, 0.125], '
+     '"type": "explicit"}, '),
+], ids=["markov", "explicit"])
+def test_world_json_text_is_fixed_and_round_trips(world, text):
+    # Benchmark input digests hash this text, so it must not change.
+    dumped = json.dumps(world_to_dict(world), sort_keys=True)
+    assert dumped == text + _JSON_SENSORS_TEXT
+    loaded = world_from_dict(json.loads(dumped))
+    assert type(loaded.prior) is type(world.prior) and loaded.n_epochs == world.n_epochs
+    assert json.dumps(world_to_dict(loaded), sort_keys=True) == dumped
+
+
+@pytest.mark.parametrize("prior, emission, message", [
+    ({"type": "nosuch"}, None, "unknown prior type 'nosuch'"),
+    ({"type": "categorical", "table": [[1.0]] * 5}, None, "unknown prior type 'categorical'"),
+    (None, {"type": "nosuch"}, "unknown emission type 'nosuch'"),
+    (None, {"type": "markov"}, "unknown emission type 'markov'"),
+])
+def test_world_json_unknown_type_tags_are_named(prior, emission, message):
+    d = {"n_epochs": 1, "prior": prior or {"type": "explicit", "table": [0.2] * 5}}
+    if emission is not None:
+        d["sensors"] = [{"name": "x", "emission": emission}]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        world_from_dict(d)
+
+
 def test_probability_validation():
     with pytest.raises(ValueError):
         ExplicitPrior(np.array([0.5, 0.4]))
