@@ -35,7 +35,6 @@ from .dsp import (
 from .hypno import Hypnogram, SleepStage, one_hot
 from .oracle import (
     ENUMERATION_CAP,
-    JOINT,
     PRIOR,
     CategoricalEmission,
     ExplicitPrior,
@@ -270,10 +269,9 @@ def suite_identities(seed: int = 0) -> list[CheckResult]:
     results.append(CheckResult("identities.duplication_invariance", 1e-12, worst_dup))
     results.append(CheckResult("identities.column_sums_pre_projection", 1e-9, worst_colsum))
 
-    joint = exact_denoiser(world, JOINT)
     post = enumerate_posterior(world, {"s0": obs_seq})
     marg = posterior_marginals(world, post)
-    big = joint.evaluate_batch(one_hot(h).values[None], cond, 1e6)[0]
+    big = likelihood.evaluate_batch(one_hot(h).values[None], cond, 1e6)[0]
     err = float(np.abs(big - marg).max())
     results.append(CheckResult("identities.large_sigma_prior_marginals", 1e-6, err))
     return results

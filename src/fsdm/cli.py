@@ -243,6 +243,9 @@ def cmd_train(args) -> int:
     if not dataset:
         raise ValueError(f"no training recordings in {bundles_dir}")
     sensors = args.sensor or sorted(dataset[0][1])
+    missing = [s for s in sensors if any(s not in features for _, features in dataset)]
+    if missing:
+        raise KeyError(f"training recordings have no features for sensors {missing}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     net = neural.train(dataset, neural.PRIOR, train_cfg)
@@ -493,7 +496,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (ValueError, KeyError, TypeError, OSError, SamplingError,
             jsonschema.ValidationError) as err:
-        message = str(err).splitlines()[0] if str(err) else repr(err)
+        # str() of a KeyError is the repr of its message; print the message.
+        text = str(err.args[0]) if isinstance(err, KeyError) and err.args else str(err)
+        message = text.splitlines()[0] if text else repr(err)
         print(f"error: {message}", file=sys.stderr)
         return 1
 

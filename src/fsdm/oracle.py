@@ -14,11 +14,15 @@ a hidden Markov model and the denoiser runs forward-backward, with no
 epoch cap.  Denoisers of worlds with the same prior run the same kernel
 and differ only in their conditioning term, so a bank of them stacks
 every term of one denoise into one kernel call (``evaluate_stacked``).
-An explicit prior (a table over all 5^E hypnograms) and the
-enumeration oracles (``hypnogram_table``, ``log_prior_table``,
-``enumerate_posterior``) are capped at 8 epochs.  Each of their 5^E
-tables is a C-order (5,)*E tensor, flattened, whose axis e is epoch e;
-the explicit-prior kernel and ``enumerate_posterior`` build it with the
+A denoiser targets the prior or one sensor.  Given several sensors,
+the posterior sums their log likelihoods (``enumerate_posterior``) and
+the smoothed score runs the prior's kernel on that sum
+(``exact_smoothed_score``).  An explicit prior (a table over all 5^E
+hypnograms) and the enumeration oracles (``hypnogram_table``,
+``log_prior_table``, ``enumerate_posterior``) are capped at 8 epochs, a
+cap ``_check_enumerable`` alone tests.  Each of their 5^E tables is a
+C-order (5,)*E tensor, flattened, whose axis e is epoch e; the
+explicit-prior kernel and ``enumerate_posterior`` build it with the
 same helper.  All mixture computations run in log space.
 """
 
@@ -36,7 +40,6 @@ from .scorekit import ABSENT, Conditioning, Features, SensorBank, tweedie_score
 
 ENUMERATION_CAP = 8
 PRIOR = "PRIOR"
-JOINT = "JOINT"
 
 # exp(-745) is the smallest positive normal-ish double; flooring log
 # densities here keeps -inf out of Gaussian likelihood sums.
@@ -130,8 +133,7 @@ class WorldModel:
         if len(set(names)) != len(names):
             raise ValueError("sensor names must be unique")
         if isinstance(self.prior, ExplicitPrior):
-            if self.n_epochs > ENUMERATION_CAP:
-                raise ValueError("explicit priors require n_epochs <= 8")
+            _check_enumerable(self.n_epochs)
             if self.prior.table.shape[0] != N_STAGES**self.n_epochs:
                 raise ValueError("explicit prior table must have 5^E entries")
 
@@ -145,13 +147,17 @@ class WorldModel:
         raise KeyError(f"unknown sensor {name!r}")
 
 
-@lru_cache(maxsize=None)
-def hypnogram_table(n_epochs: int) -> np.ndarray:
-    """All 5^E hypnograms as a (5^E, E) uint8 array, big-endian order."""
+def _check_enumerable(n_epochs: int) -> None:
     if n_epochs > ENUMERATION_CAP:
         raise ValueError(
             f"n_epochs={n_epochs} too large for enumeration (cap {ENUMERATION_CAP})"
         )
+
+
+@lru_cache(maxsize=None)
+def hypnogram_table(n_epochs: int) -> np.ndarray:
+    """All 5^E hypnograms as a (5^E, E) uint8 array, big-endian order."""
+    _check_enumerable(n_epochs)
     grids = np.meshgrid(*([np.arange(N_STAGES, dtype=np.uint8)] * n_epochs), indexing="ij")
     table = np.stack([g.ravel() for g in grids], axis=1)
     table.setflags(write=False)
@@ -160,10 +166,7 @@ def hypnogram_table(n_epochs: int) -> np.ndarray:
 
 def log_prior_table(world: WorldModel) -> np.ndarray:
     """Log prior over all 5^E hypnograms, matching hypnogram_table order."""
-    if world.n_epochs > ENUMERATION_CAP:
-        raise ValueError(
-            f"E={world.n_epochs} too large for enumeration (cap {ENUMERATION_CAP})"
-        )
+    _check_enumerable(world.n_epochs)
     with np.errstate(divide="ignore"):
         if isinstance(world.prior, ExplicitPrior):
             return np.log(world.prior.table)
@@ -221,30 +224,16 @@ def enumerate_posterior(world: WorldModel, obs: dict[str, np.ndarray]) -> np.nda
     return w / w.sum()
 
 
-def joint_conditioning(world: WorldModel, obs: dict[str, np.ndarray]) -> Features:
-    """Stack observations into the JOINT denoiser's conditioning matrix.
-
-    Rows follow world sensor order; sensors without observations are NaN.
-    """
-    mat = np.full((len(world.sensors), world.n_epochs), np.nan)
-    names = world.sensor_names()
-    for name, seq in obs.items():
-        if name not in names:
-            raise KeyError(f"unknown sensor {name!r}")
-        mat[names.index(name)] = np.asarray(seq, dtype=np.float64).ravel()
-    return Features(mat)
-
-
 class ExactDenoiser:
-    """Bayes-optimal denoiser for a world, for one sensor, the prior, or
-    the joint posterior.  Satisfies the scorekit Denoiser contract.
+    """Bayes-optimal denoiser for a world, for the prior or one sensor.
+    Satisfies the scorekit Denoiser contract.
 
     A Markov prior is evaluated by forward-backward, an explicit prior
     by enumeration; the kernel is fixed at construction.
     """
 
     def __init__(self, world: WorldModel, target: str):
-        if target not in (PRIOR, JOINT) and target not in world.sensor_names():
+        if target != PRIOR and target not in world.sensor_names():
             raise KeyError(f"unknown denoiser target {target!r}")
         self.world = world
         self.target = target
@@ -284,10 +273,6 @@ class ExactDenoiser:
         v = cond.values
         if v.shape[1] != self.world.n_epochs:
             raise ValueError("conditioning epoch count does not match world")
-        if self.target == JOINT:
-            if v.shape[0] != len(self.world.sensors):
-                raise ValueError("JOINT conditioning needs one row per world sensor")
-            return _conditional_loglik(self.world, dict(zip(self.world.sensor_names(), v)))
         if v.shape[0] != 1:
             raise ValueError("per-sensor conditioning must have a single row")
         return emission_loglik(self.world.emission(self.target), v[0])
@@ -357,10 +342,10 @@ def exact_smoothed_score(
     sigma: float,
 ) -> np.ndarray:
     """∇_y log of the σ-smoothed posterior mixture at each state of a
-    (B, 5, E) batch, via the JOINT denoiser."""
-    denoiser = ExactDenoiser(world, JOINT)
-    cond: Conditioning = joint_conditioning(world, obs) if obs else ABSENT
-    return tweedie_score(denoiser.evaluate_batch(ys, cond, sigma), ys, sigma)
+    (B, 5, E) batch: the prior's kernel on the summed log likelihoods of
+    the observed sensors."""
+    loglik = _conditional_loglik(world, obs)[None]
+    return tweedie_score(ExactDenoiser(world, PRIOR)._run(ys, loglik, sigma)[0], ys, sigma)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ import fsdm
 import fsdm.sampler
 import fsdm.scorekit
 from fsdm.bundle import Bundle, SignalEntry, read_bundle, write_bundle, write_csv
-from fsdm.checks import CheckResult, informative_emission, persistent_markov, random_world
+from fsdm.checks import SUITES, CheckResult, informative_emission, persistent_markov, random_world
 from fsdm.cli import build_parser, emit_plot_data, load_config, main
 from fsdm.evalkit import MergeScheme, accuracy, aggregate_stat, cohens_kappa, overnight_stats
 from fsdm.hypno import Hypnogram, SleepStage, read_hypnogram
@@ -270,6 +270,16 @@ def test_train_on_empty_bundles_dir_exits_1(tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+def test_train_unknown_sensor_fails_before_training(config_path, bundles, tmp_path, capsys):
+    out = tmp_path / "models"
+    assert main(["train", "--config", str(config_path), "--sensor", "pulse",
+                 "--sensor", "nosuch", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: training recordings have no features for sensors ['nosuch']\n"
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_trained_models_usable_for_sampling(config_path, bundles, tmp_path):
     cfg = json.loads(Path(config_path).read_text())
     models = Path(cfg["paths"]["models_dir"])
@@ -389,7 +399,16 @@ def test_oracle_check_schedule_suite(config_path, tmp_path):
 def test_oracle_check_unknown_suite_fails(config_path, tmp_path, capsys):
     rc = main(["oracle-check", "--config", str(config_path), "--suite", "nope",
                "--out", str(tmp_path / "oc2")])
-    assert rc != 0
+    assert rc == 1
+    # A KeyError prints its message, not the repr of it.
+    assert capsys.readouterr().err == (
+        f"error: unknown suite 'nope' (have {sorted(SUITES)})\n")
+
+
+def test_sample_unknown_sensor_prints_the_message(config_path, bundles, tmp_path, capsys):
+    assert main(["sample", "--config", str(config_path), "--sensor", "nosuch",
+                 "--out", str(tmp_path / "pred")]) == 1
+    assert capsys.readouterr().err == "error: bundle has no features for sensors ['nosuch']\n"
 
 
 def test_oracle_check_rejects_missing_or_invalid_config(tmp_path, capsys):

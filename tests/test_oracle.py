@@ -16,7 +16,6 @@ from fsdm.checks import (
 )
 from fsdm.hypno import Hypnodensity, Hypnogram, one_hot
 from fsdm.oracle import (
-    JOINT,
     PRIOR,
     CategoricalEmission,
     ExplicitPrior,
@@ -28,7 +27,6 @@ from fsdm.oracle import (
     exact_denoiser,
     exact_smoothed_score,
     hypnogram_table,
-    joint_conditioning,
     log_prior_table,
     world_from_dict,
     world_to_dict,
@@ -58,6 +56,23 @@ def _log_smoothed_density(world, obs, y, sigma):
         terms.append(math.log(post[idx]) - sq / (2 * sigma**2))
     m = max(terms)
     return m + math.log(sum(math.exp(t - m) for t in terms))
+
+
+def _smoothed_marginals(post, y, sigma):
+    """Per-epoch marginals (5×E) of the σ-smoothed posterior at y, from
+    an enumerated posterior table, row by row."""
+    n_epochs = y.shape[1]
+    ht = hypnogram_table(n_epochs)
+    with np.errstate(divide="ignore"):
+        log_w = np.log(post)
+    for idx in range(ht.shape[0]):
+        onehot = np.zeros((5, n_epochs))
+        onehot[ht[idx], np.arange(n_epochs)] = 1.0
+        log_w[idx] -= float(((y - onehot) ** 2).sum()) / (2 * sigma**2)
+    w = np.exp(log_w - log_w.max())
+    w /= w.sum()
+    return np.stack([np.bincount(ht[:, e], weights=w, minlength=5) for e in range(n_epochs)],
+                    axis=1)
 
 
 def _fd_score(world, obs, y, sigma, step=1e-4):
@@ -119,8 +134,11 @@ def test_enumerate_posterior_gaussian_hand_fixture():
 def test_enumeration_cap_enforced():
     prior = MarkovPrior(np.full(5, 0.2), np.full((5, 5), 0.2))
     world = WorldModel(9, prior, ())
-    with pytest.raises(ValueError):
-        enumerate_posterior(world, {})
+    message = r"^n_epochs=9 too large for enumeration \(cap 8\)$"
+    for build in (lambda: enumerate_posterior(world, {}), lambda: hypnogram_table(9),
+                  lambda: WorldModel(9, ExplicitPrior(np.array([1.0])), ())):
+        with pytest.raises(ValueError, match=message):
+            build()
 
 
 def test_obs_for_unknown_sensor_rejected():
@@ -166,11 +184,11 @@ def test_large_sigma_flattens_to_prior_marginals():
 def test_denoiser_score_matches_finite_differences():
     rng = np.random.default_rng(5)
     world = random_world(3, 1, rng, base=0.7, markov=False)
-    denoiser = exact_denoiser(world, JOINT)
+    denoiser = exact_denoiser(world, "s0")
     obs = {"s0": np.array([0.0, 2.0, 4.0])}
     sigma = 0.5
     y = rng.standard_normal((5, 3)) * 0.5
-    denoised = denoiser.evaluate_batch(y[None], joint_conditioning(world, obs), sigma)[0]
+    denoised = denoiser.evaluate_batch(y[None], Features(obs["s0"]), sigma)[0]
     analytic = (denoised - y) / sigma**2
     numeric = _fd_score(world, obs, y, sigma)
     np.testing.assert_allclose(analytic, numeric, rtol=0, atol=1e-5)
@@ -217,20 +235,31 @@ def test_denoiser_columns_are_smoothed_posterior_marginals():
     obs = {"s0": np.array([0.0, 1.0, 2.0, 3.0])}
     sigma = 0.9
     y = rng.standard_normal((5, 4)) * 0.3
-    denoised = exact_denoiser(world, JOINT).evaluate_batch(
-        y[None], joint_conditioning(world, obs), sigma
-    )[0]
-    post = enumerate_posterior(world, obs)
-    ht = hypnogram_table(4)
-    log_w = np.log(post)
-    for idx in range(ht.shape[0]):
-        onehot = np.zeros((5, 4))
-        onehot[ht[idx], np.arange(4)] = 1.0
-        log_w[idx] -= float(((y - onehot) ** 2).sum()) / (2 * sigma**2)
-    w = np.exp(log_w - log_w.max())
-    w /= w.sum()
-    expected = np.stack([np.bincount(ht[:, e], weights=w, minlength=5) for e in range(4)], axis=1)
+    denoised = exact_denoiser(world, "s0").evaluate_batch(y[None], Features(obs["s0"]), sigma)[0]
+    expected = _smoothed_marginals(enumerate_posterior(world, obs), y, sigma)
     np.testing.assert_allclose(denoised, expected, rtol=0, atol=1e-10)
+
+
+def test_smoothed_score_of_several_sensors_is_brute_force_posterior_score():
+    # Two of three sensors observed, named out of world order.  The
+    # posterior is built here hypnogram by hypnogram from the prior and
+    # emission tables, without the oracle's likelihood sum.
+    rng = np.random.default_rng(18)
+    world = random_world(4, 3, rng, base=0.7, markov=False)
+    obs = {"s2": np.array([4.0, 4.0, 1.0, 0.0]), "s0": np.array([3.0, 1.0, 1.0, 2.0])}
+    post = world.prior.table.copy()
+    for h_idx, h in enumerate(hypnogram_table(4)):
+        for name, seq in obs.items():
+            post[h_idx] *= np.prod(world.emission(name).table[h, seq.astype(int)])
+    post /= post.sum()
+    sigma = 0.7
+    ys = rng.standard_normal((3, 5, 4)) * 0.4
+    expected = np.stack([(_smoothed_marginals(post, y, sigma) - y) / sigma**2 for y in ys])
+    score = exact_smoothed_score(world, obs, ys, sigma)
+    np.testing.assert_allclose(score, expected, rtol=0, atol=1e-8)
+    in_world_order = {name: obs[name] for name in world.sensor_names() if name in obs}
+    assert list(in_world_order) != list(obs)
+    assert exact_smoothed_score(world, in_world_order, ys, sigma).tobytes() == score.tobytes()
 
 
 def test_denoiser_output_on_simplex():
@@ -251,16 +280,15 @@ def test_unknown_target_rejected():
 
 
 def test_partial_joint_conditioning_uses_subset():
+    # One of two sensors observed: the posterior score is that sensor's
+    # own denoiser's score.
     rng = np.random.default_rng(12)
     world = random_world(3, 2, rng)
     obs = {"s1": np.array([1.0, 1.0, 0.0])}
-    cond = joint_conditioning(world, obs)
-    assert np.isnan(cond.values[0]).all()
-    denoiser = exact_denoiser(world, JOINT)
     ys = rng.standard_normal((1, 5, 3))
-    via_joint = denoiser.evaluate_batch(ys, cond, 0.8)
     via_sensor = exact_denoiser(world, "s1").evaluate_batch(ys, Features(obs["s1"]), 0.8)
-    np.testing.assert_allclose(via_joint, via_sensor, atol=1e-12)
+    np.testing.assert_allclose(exact_smoothed_score(world, obs, ys, 0.8),
+                               tweedie_score(via_sensor, ys, 0.8), rtol=0, atol=1e-12)
 
 
 def test_world_json_round_trip():
