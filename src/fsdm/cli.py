@@ -1,12 +1,14 @@
 """Command-line surface tying the modules into reproducible experiments.
 
 Commands: synth, train, sample, eval, infogain, preprocess, oracle-check,
-degrade.  Every command reads a JSON run configuration (schema-validated,
-unknown keys rejected), writes machine-readable JSON/CSV under --out, and
-prints a short human summary.  Each command accepts only the flags it
-reads, and a value set in neither the config nor a flag keeps the
-library's default.  Outputs carry no timestamps, so a fixed
-(config, seed) pair reproduces byte-identical files.
+degrade.  Every command reads a JSON run configuration, checked once
+against the library dataclasses its sections set (the first unknown key,
+wrongly typed value or missing required field is named), writes
+machine-readable JSON/CSV under --out, and prints a short human summary.
+Each command accepts only the flags it reads, and a value set in neither
+the config nor a flag keeps the library's default.  Outputs carry no
+timestamps, so a fixed (config, seed) pair reproduces byte-identical
+files.
 """
 
 from __future__ import annotations
@@ -17,87 +19,77 @@ import math
 import sys
 from dataclasses import MISSING, asdict, fields, replace
 from pathlib import Path
+from types import GenericAlias
 
-import jsonschema
 import numpy as np
 
 from . import checks, evalkit, experiments, neural
 from .bundle import Bundle, SignalEntry, dump_json, read_bundle, write_bundle, write_csv
 from .dsp import KINDS, TARGET_EPOCHS, TARGET_FS, RawSignal, preprocess, write_signal_f32
-from .hypno import SleepStage, argmax_stages, read_hypnogram, write_hypnogram
+from .hypno import SleepStage, argmax_stages, read_hypnogram, stage_of_label, write_hypnogram
 from .infogain import information_gain, mean_information_gain, write_infogain_csv
-from .oracle import WorldModel, exact_bank, world_from_dict
+from .oracle import exact_bank, world_from_dict
 from .sampler import SamplerConfig, SamplingError, infer, sample_many
 from .sched import ScheduleParams, time_steps
 from .scorekit import Features, SensorBank
 from .synth import SynthConfig, WaveformSpec, gen_recording, split_of_index
 
-_NUMBER = {"type": "number"}
-_INT = {"type": "integer"}
-# JSON schema of each dataclass field annotation a config section holds;
-# stage rates map stage names (W, N1, ...) to numbers.
-_JSON_TYPES = {
-    "float": _NUMBER, "int": _INT, "str": {"type": "string"},
-    "dict[SleepStage, float]": {"type": "object", "additionalProperties": _NUMBER},
-}
 # Column names of per-stage values (F1 scores, trajectory states).
 _STAGE_COLUMNS = [stage.name.lower() for stage in SleepStage]
 
 
-def _fields_schema(cls) -> dict:
-    """Object schema accepting exactly the dataclass's fields, typed by
-    their annotations, and requiring each field without a default."""
-    return {
-        "type": "object",
-        "additionalProperties": False,
-        "properties": {f.name: _JSON_TYPES[f.type] for f in fields(cls)},
-        "required": [f.name for f in fields(cls)
-                     if f.default is MISSING and f.default_factory is MISSING],
-    }
-
-
-CONFIG_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "schedule": _fields_schema(ScheduleParams),
-        "sampler": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "n_samples": _INT,
-                "lambda": {"oneOf": [_NUMBER, {"const": "auto"}]},
-                "base_seed": _INT,
-                "record_trajectory": {"type": "boolean"},
-                "denoisers": {"enum": ["exact", "trained"]},
-            },
-        },
-        "train": _fields_schema(neural.TrainConfig),
-        "world": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "model": {"type": "object"},
-                "n_recordings": _INT,
-                "waveform": {
-                    "type": "object",
-                    "additionalProperties": _fields_schema(WaveformSpec),
-                },
-            },
-        },
-        "paths": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "bundles_dir": {"type": "string"},
-                "bundle": {"type": "string"},
-                "models_dir": {"type": "string"},
-                "predictions_dir": {"type": "string"},
-                "pad_epochs": _INT,
-            },
-        },
-    },
+# The check of each leaf of a config, under the name an error gives for
+# what it expects.  json.load makes exact types, and a bool is neither a
+# number nor an integer.
+_LEAVES = {
+    "number": lambda v: type(v) in (int, float),
+    "integer": lambda v: type(v) is int,
+    "string": lambda v: type(v) is str,
+    "boolean": lambda v: type(v) is bool,
+    "object": lambda v: type(v) is dict,
+    'number or "auto"': lambda v: v == "auto" or type(v) in (int, float),
+    '"exact" or "trained"': lambda v: v in ("exact", "trained"),
 }
+# What a dataclass field holds, by its annotation; stage rates map stage
+# names (W, N1, ...) to numbers.
+_ANNOTATIONS = {"float": "number", "int": "integer", "str": "string",
+                "dict[SleepStage, float]": dict[str, "number"]}
+# What each config key holds: a dataclass (exactly its fields, typed by
+# their annotations, each field without a default required), a dict of
+# optional keys, dict[str, X] (free keys, each holding X) or a leaf.
+_CONFIG = {
+    "schedule": ScheduleParams,
+    "sampler": {"n_samples": "integer", "lambda": 'number or "auto"', "base_seed": "integer",
+                "record_trajectory": "boolean", "denoisers": '"exact" or "trained"'},
+    "train": neural.TrainConfig,
+    "world": {"model": "object", "n_recordings": "integer", "waveform": dict[str, WaveformSpec]},
+    "paths": {"bundles_dir": "string", "bundle": "string", "models_dir": "string",
+              "predictions_dir": "string", "pad_epochs": "integer"},
+}
+
+
+def _check(value, holds, path: str = "") -> None:
+    """Raise ValueError at the first key of ``value`` that ``holds``
+    rejects, naming it by its dotted path."""
+    expected = holds if isinstance(holds, str) else "object"
+    if not _LEAVES[expected](value):
+        raise ValueError(f"config {path or 'file'} is {json.dumps(value)}, expected {expected}")
+    if isinstance(holds, str):
+        return
+    if isinstance(holds, GenericAlias):
+        keys = dict.fromkeys(value, holds.__args__[1])
+    elif isinstance(holds, dict):
+        keys = holds
+    else:
+        keys = {f.name: _ANNOTATIONS[f.type] for f in fields(holds)}
+        for f in fields(holds):
+            if f.default is MISSING and f.default_factory is MISSING and f.name not in value:
+                raise ValueError(f"{f.name!r} is a required property")
+    for key, item in value.items():
+        at = f"{path}.{key}" if path else key
+        if key not in keys:
+            raise ValueError(f"config {at} is not a known key")
+        _check(item, keys[key], at)
 
 
 def _non_finite(literal: str):
@@ -105,11 +97,11 @@ def _non_finite(literal: str):
 
 
 def load_config(path) -> dict:
-    # json.load accepts NaN and ±Infinity literals, and the schema's
-    # number type lets them through.
+    # json.load accepts NaN and ±Infinity literals, and the number leaf
+    # would let them through.
     with open(path, "r", encoding="utf-8") as f:
         cfg = json.load(f, parse_constant=_non_finite)
-    jsonschema.validate(cfg, CONFIG_SCHEMA)
+    _check(cfg, _CONFIG)
     return cfg
 
 
@@ -143,18 +135,18 @@ def _train_config(cfg: dict, args) -> neural.TrainConfig:
     return neural.TrainConfig(**{**cfg.get("train", {}), **_given(seed=args.seed)})
 
 
-def _world(cfg: dict) -> WorldModel:
-    section = cfg.get("world", {})
-    if "model" not in section:
-        raise ValueError("config world.model is required for this command")
-    return world_from_dict(section["model"])
+def _required(cfg: dict, section: str, key: str):
+    """The config's value at section.key; ValueError names it if unset."""
+    if key not in cfg.get(section, {}):
+        raise ValueError(f"config {section}.{key} is required for this command")
+    return cfg[section][key]
 
 
 def _waveform_specs(cfg: dict) -> dict[str, WaveformSpec]:
     return {
         name: WaveformSpec(**{
             **spec,
-            "stage_rates": {SleepStage[k]: v for k, v in spec["stage_rates"].items()},
+            "stage_rates": {stage_of_label(k): v for k, v in spec["stage_rates"].items()},
         })
         for name, spec in cfg.get("world", {}).get("waveform", {}).items()
     }
@@ -169,7 +161,7 @@ def _bank_and_obs(cfg: dict, args, bundle: Bundle) -> tuple[SensorBank, list]:
         raise KeyError(f"bundle has no features for sensors {missing}")
     obs = [(name, Features(bundle.features[name])) for name in wanted]
     if mode == "exact":
-        bank = exact_bank(_world(cfg), wanted)
+        bank = exact_bank(world_from_dict(_required(cfg, "world", "model")), wanted)
     else:
         models_dir = Path(cfg.get("paths", {}).get("models_dir", "models"))
         prior = neural.load_model(models_dir / "prior.json")
@@ -189,9 +181,8 @@ def emit_plot_data(rows: list[dict], path) -> None:
 # -- commands ------------------------------------------------------------------
 
 
-def cmd_synth(args) -> int:
-    cfg = load_config(args.config)
-    world = _world(cfg)
+def cmd_synth(cfg: dict, args) -> int:
+    world = world_from_dict(_required(cfg, "world", "model"))
     specs = _waveform_specs(cfg)
     n = cfg.get("world", {}).get("n_recordings", 10)
     seed = _flag_or(args.seed, cfg.get("sampler", {}), "base_seed")
@@ -229,14 +220,16 @@ def _load_dataset(bundles_dir: Path, ids: list[str]):
     return dataset
 
 
-def cmd_train(args) -> int:
-    cfg = load_config(args.config)
+def cmd_train(cfg: dict, args) -> int:
     train_cfg = _train_config(cfg, args)
     bundles_dir = Path(cfg.get("paths", {}).get("bundles_dir", "bundles"))
     split_file = bundles_dir / "split.json"
     if split_file.exists():
         with open(split_file, "r", encoding="utf-8") as f:
-            ids = json.load(f)["train"]
+            split = json.load(f)
+        if not (isinstance(split, dict) and isinstance(split.get("train"), list)):
+            raise ValueError(f"{split_file} has no \"train\" list")
+        ids = split["train"]
     else:
         ids = sorted(p.name for p in bundles_dir.iterdir() if p.is_dir())
     dataset = _load_dataset(bundles_dir, ids)
@@ -258,9 +251,8 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_sample(args) -> int:
-    cfg = load_config(args.config)
-    bundle = read_bundle(Path(cfg["paths"]["bundle"]))
+def cmd_sample(cfg: dict, args) -> int:
+    bundle = read_bundle(Path(_required(cfg, "paths", "bundle")))
     bank, obs = _bank_and_obs(cfg, args, bundle)
     sampler_cfg = _sampler_config(cfg, args)
     # The config key asks for trajectories.csv: each step's m, σ and states.
@@ -292,10 +284,9 @@ def cmd_sample(args) -> int:
     return 0
 
 
-def cmd_eval(args) -> int:
-    cfg = load_config(args.config)
-    bundles_dir = Path(cfg["paths"]["bundles_dir"])
-    pred_dir = Path(cfg["paths"]["predictions_dir"])
+def cmd_eval(cfg: dict, args) -> int:
+    bundles_dir = Path(_required(cfg, "paths", "bundles_dir"))
+    pred_dir = Path(_required(cfg, "paths", "predictions_dir"))
     rows = []
     stat_pairs: dict[str, list[tuple[float, float]]] = {}
     for rec_dir in sorted(p for p in bundles_dir.iterdir() if p.is_dir()):
@@ -344,11 +335,10 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def cmd_infogain(args) -> int:
-    cfg = load_config(args.config)
+def cmd_infogain(cfg: dict, args) -> int:
     if not args.sensor:
         raise ValueError("--sensor is required for infogain")
-    bundle = read_bundle(Path(cfg["paths"]["bundle"]))
+    bundle = read_bundle(Path(_required(cfg, "paths", "bundle")))
     bank, obs = _bank_and_obs(cfg, args, bundle)
     sampler_cfg = replace(_sampler_config(cfg, args), record_trajectory=True)
     # One sampler run carries the gain sums of every observed sensor.
@@ -363,9 +353,8 @@ def cmd_infogain(args) -> int:
     return 0
 
 
-def cmd_preprocess(args) -> int:
-    cfg = load_config(args.config)
-    bundle = read_bundle(Path(cfg["paths"]["bundle"]))
+def cmd_preprocess(cfg: dict, args) -> int:
+    bundle = read_bundle(Path(_required(cfg, "paths", "bundle")))
     pad_epochs = cfg.get("paths", {}).get("pad_epochs", TARGET_EPOCHS)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -389,8 +378,7 @@ def cmd_preprocess(args) -> int:
     return 0
 
 
-def cmd_oracle_check(args) -> int:
-    load_config(args.config)  # the suites take no settings, but the file must be valid
+def cmd_oracle_check(cfg: dict, args) -> int:
     names = list(checks.SUITES) if args.suite in (None, "all") else [args.suite]
     results = checks.run_suites(names)
     out = Path(args.out)
@@ -413,8 +401,7 @@ def cmd_oracle_check(args) -> int:
     return 0
 
 
-def cmd_degrade(args) -> int:
-    cfg = load_config(args.config)
+def cmd_degrade(cfg: dict, args) -> int:
     sampler = cfg.get("sampler", {})
     rows, summaries = experiments.degradation_sweep(
         schedule=_schedule(cfg),
@@ -493,9 +480,9 @@ def main(argv=None) -> int:
             return 2
         args.lambda_ = lam
     try:
-        return args.fn(args)
-    except (ValueError, KeyError, TypeError, OSError, SamplingError,
-            jsonschema.ValidationError) as err:
+        # Every command reads the config, if only to reject a bad file.
+        return args.fn(load_config(args.config), args)
+    except (ValueError, KeyError, TypeError, OSError, SamplingError) as err:
         # str() of a KeyError is the repr of its message; print the message.
         text = str(err.args[0]) if isinstance(err, KeyError) and err.args else str(err)
         message = text.splitlines()[0] if text else repr(err)

@@ -39,6 +39,15 @@ class SleepStage(IntEnum):
     R = 4
 
 
+def stage_of_label(label: str) -> SleepStage:
+    """The stage a label (W, N1, N2, N3, R) names; ValueError names an
+    unknown label."""
+    if label not in SleepStage.__members__:
+        raise ValueError(f"unknown stage label {label!r} "
+                         f"(accepted: {', '.join(SleepStage.__members__)})")
+    return SleepStage[label]
+
+
 @dataclass(frozen=True)
 class Hypnogram:
     """A sequence of sleep stages, one per EPOCH_S-second epoch.
@@ -72,16 +81,9 @@ class Hypnogram:
 
     @classmethod
     def from_labels(cls, labels: Iterable[str]) -> "Hypnogram":
-        """Stages from their labels (W, N1, N2, N3, R), each stripped of
-        surrounding whitespace; ValueError names an unknown label."""
-        stages = []
-        for label in labels:
-            name = label.strip()
-            if name not in SleepStage.__members__:
-                raise ValueError(f"unknown stage label {name!r} "
-                                 f"(accepted: {', '.join(SleepStage.__members__)})")
-            stages.append(SleepStage[name])
-        return cls(tuple(stages))
+        """Stages from their labels, each stripped of surrounding
+        whitespace and read by stage_of_label."""
+        return cls(tuple(stage_of_label(label.strip()) for label in labels))
 
     def to_indices(self) -> np.ndarray:
         return np.array(self.stages, dtype=np.int64)

@@ -363,11 +363,19 @@ def _to_dict(value: Prior | EmissionModel) -> dict:
             **{f.name: getattr(value, f.name).tolist() for f in fields(value)}}
 
 
+def _field(d: dict, name: str, holder: str):
+    """d[name]; a missing key raises ValueError naming it and its holder."""
+    if name not in d:
+        raise ValueError(f"{holder} has no field {name!r}")
+    return d[name]
+
+
 def _from_dict(d: dict, types: dict, kind: str):
-    if d["type"] not in types:
-        raise ValueError(f"unknown {kind} type {d['type']!r}")
-    cls = types[d["type"]]
-    return cls(**{f.name: np.array(d[f.name]) for f in fields(cls)})
+    tag = _field(d, "type", kind)
+    if tag not in types:
+        raise ValueError(f"unknown {kind} type {tag!r}")
+    cls = types[tag]
+    return cls(**{f.name: np.array(_field(d, f.name, f"{tag} {kind}")) for f in fields(cls)})
 
 
 def world_to_dict(world: WorldModel) -> dict:
@@ -381,9 +389,11 @@ def world_to_dict(world: WorldModel) -> dict:
 
 
 def world_from_dict(d: dict) -> WorldModel:
-    prior = _from_dict(d["prior"], _PRIOR_TYPES, "prior")
+    prior = _from_dict(_field(d, "prior", "world model"), _PRIOR_TYPES, "prior")
     sensors = tuple(
-        (s["name"], _from_dict(s["emission"], _EMISSION_TYPES, "emission"))
+        (_field(s, "name", "world model sensor"),
+         _from_dict(_field(s, "emission", "world model sensor"), _EMISSION_TYPES, "emission"))
         for s in d.get("sensors", [])
     )
-    return WorldModel(n_epochs=int(d["n_epochs"]), prior=prior, sensors=sensors)
+    return WorldModel(n_epochs=int(_field(d, "n_epochs", "world model")), prior=prior,
+                      sensors=sensors)

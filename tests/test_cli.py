@@ -11,7 +11,6 @@ import warnings
 from dataclasses import MISSING, asdict, fields
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -98,7 +97,7 @@ def test_unknown_config_keys_rejected(tmp_path):
         path.write_text(json.dumps(cfg), encoding="utf-8")
         try:
             load_config(path)
-        except jsonschema.ValidationError:
+        except ValueError:
             return False
         return True
 
@@ -122,6 +121,76 @@ def test_a_waveform_section_without_stage_rates_names_the_missing_field(config_p
     assert main(["synth", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == "error: 'stage_rates' is a required property\n"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", [2.0, True])
+@pytest.mark.parametrize("section, key", [
+    ("schedule", "M"), ("sampler", "n_samples"), ("sampler", "base_seed"), ("train", "steps"),
+    ("train", "seed"), ("world", "n_recordings"), ("paths", "pad_epochs"),
+])
+def test_an_integer_field_rejects_floats_and_bools(tmp_path, section, key, value):
+    # An integral float here once passed the check and crashed a command later.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({section: {key: value}}), encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        load_config(path)
+    assert str(err.value) == f"config {section}.{key} is {json.dumps(value)}, expected integer"
+
+
+_STAGE_RATES_WITH_X = {"X": 1.4, "N1": 1.2, "N2": 1.0, "N3": 0.8, "R": 1.1}
+
+
+@pytest.mark.parametrize("argv, keys, value, message", [
+    (["sample"], ("paths",), None, "config paths.bundle is required for this command"),
+    (["preprocess"], ("paths",), None, "config paths.bundle is required for this command"),
+    (["infogain", "--sensor", "pulse"], ("paths",), None,
+     "config paths.bundle is required for this command"),
+    (["sample"], ("paths", "bundle"), None, "config paths.bundle is required for this command"),
+    (["eval"], ("paths", "bundles_dir"), None,
+     "config paths.bundles_dir is required for this command"),
+    (["eval"], ("paths", "predictions_dir"), None,
+     "config paths.predictions_dir is required for this command"),
+    (["synth"], ("world", "model"), None, "config world.model is required for this command"),
+    (["synth"], ("world", "model", "prior"), None, "world model has no field 'prior'"),
+    (["synth"], ("world", "model", "prior", "transition"), None,
+     "markov prior has no field 'transition'"),
+    (["synth"], ("world", "waveform", "pulse", "stage_rates"), _STAGE_RATES_WITH_X,
+     "unknown stage label 'X' (accepted: W, N1, N2, N3, R)"),
+    (["sample"], ("schedule", "M"), 16.0, "config schedule.M is 16.0, expected integer"),
+    (["sample"], ("sampler", "denoisers"), "neural",
+     'config sampler.denoisers is "neural", expected "exact" or "trained"'),
+    (["sample"], ("paths", "bundle_dir"), "x", "config paths.bundle_dir is not a known key"),
+], ids=["sample-no-paths", "preprocess-no-paths", "infogain-no-paths", "sample-no-bundle",
+        "eval-no-bundles_dir", "eval-no-predictions_dir", "synth-no-model", "synth-no-prior",
+        "synth-no-transition", "synth-stage-X", "sample-float-M", "sample-denoisers",
+        "sample-unknown-key"])
+def test_a_bad_or_missing_config_value_is_named(config_path, tmp_path, capsys, argv, keys,
+                                                value, message):
+    # value None deletes the key.
+    cfg = json.loads(config_path.read_text())
+    section = cfg
+    for key in keys[:-1]:
+        section = section[key]
+    if value is None:
+        del section[keys[-1]]
+    else:
+        section[keys[-1]] = value
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main([*argv, "--config", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_train_names_a_split_file_without_a_train_list(tmp_path, capsys):
+    bundles = tmp_path / "bundles"
+    bundles.mkdir()
+    (bundles / "split.json").write_text('{"val": []}', encoding="utf-8")
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"paths": {"bundles_dir": str(bundles)}}), encoding="utf-8")
+    assert main(["train", "--config", str(path), "--out", str(tmp_path / "models")]) == 1
+    assert capsys.readouterr().err == f'error: {bundles / "split.json"} has no "train" list\n'
 
 
 def test_readme_config_builds_the_library_settings(tmp_path):
@@ -843,18 +912,33 @@ def test_console_entry_point_runs():
         assert cmd in proc.stdout
 
 
+def _child_output(code: str) -> str:
+    """What a fresh interpreter running ``code`` prints, stripped."""
+    src = str(Path(fsdm.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
 @pytest.mark.parametrize("module", ["fsdm.cli", "fsdm.bundle"])
 def test_import_leaves_scipy_signal_unloaded(module):
     # scipy.signal takes most of a CLI process's start-up; only a filter
     # or a resampler imports it.
-    src = str(Path(fsdm.__file__).resolve().parent.parent)
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-c", f"import sys, {module}; print('scipy.signal' in sys.modules)"],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert _child_output(f"import sys, {module}; print('scipy.signal' in sys.modules)") == "False"
+
+
+def test_cli_import_loads_only_the_declared_dependencies():
+    # Beyond the standard library, importing the CLI loads only the runtime
+    # dependencies pyproject.toml declares: the config check is fsdm's own.
+    loaded = _child_output(
+        "import sys; before = set(sys.modules); import fsdm.cli; "
+        "print(' '.join(sorted({m.partition('.')[0] for m in set(sys.modules) - before}"
+        " - set(sys.stdlib_module_names))))")
+    assert {m for m in loaded.split() if not m.startswith("_")} <= {"fsdm", "numpy", "scipy"}
 
 
 _SPECIAL_FLOATS = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 9.999999999999999e-05, 1e-4,
