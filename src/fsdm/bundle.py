@@ -27,7 +27,7 @@ from typing import Iterable
 import numpy as np
 
 from .dsp import read_signal_f32, write_signal_f32
-from .hypno import Hypnogram, read_hypnogram, write_hypnogram
+from .hypno import Hypnogram, read_hypnogram, required_field, write_hypnogram
 
 
 @dataclass(frozen=True)
@@ -114,46 +114,52 @@ def write_bundle(directory, bundle: Bundle) -> None:
 
 
 def read_bundle(directory) -> Bundle:
+    """The bundle in ``directory``.  A manifest, or a signal or feature
+    entry of it, without a field it needs raises ValueError naming the
+    field and the manifest file."""
     root = Path(directory)
-    with open(root / "manifest.json", "r", encoding="utf-8") as f:
+    manifest_path = root / "manifest.json"
+    with open(manifest_path, "r", encoding="utf-8") as f:
         manifest = json.load(f)
     hypnogram = read_hypnogram(root / "hypnogram.txt")
-    n_epochs = int(manifest["n_epochs"])
+    n_epochs = int(required_field(manifest, "n_epochs", manifest_path))
     if len(hypnogram) != n_epochs:
         raise ValueError("hypnogram length does not match manifest n_epochs")
-    valid_epochs = int(manifest["valid_epochs"])
+    valid_epochs = int(required_field(manifest, "valid_epochs", manifest_path))
     if not 1 <= valid_epochs <= n_epochs:
         raise ValueError(
             f"manifest valid_epochs={valid_epochs} must lie in 1..n_epochs={n_epochs}"
         )
+    recording_id = required_field(manifest, "recording_id", manifest_path)
     features = {}
-    for entry in manifest.get("features", []):
-        path = root / entry["file"]
+    for i, entry in enumerate(manifest.get("features", [])):
+        name, file = (required_field(entry, key, f"{manifest_path} feature entry {i}")
+                      for key in ("name", "file"))
+        path = root / file
         if not path.exists():
             raise FileNotFoundError(f"manifest references missing file {path}")
         values = read_features_csv(path)
         if values.shape[1] != n_epochs:
-            raise ValueError(f"features {entry['name']} are not epoch-aligned")
+            raise ValueError(f"features {name} are not epoch-aligned")
         if np.isinf(values).any():
             raise ValueError(
-                f"features {entry['name']} hold an infinite value "
-                "(NaN marks a missing epoch)"
+                f"features {name} hold an infinite value (NaN marks a missing epoch)"
             )
-        features[entry["name"]] = values
+        features[name] = values
     signals = {}
-    for entry in manifest.get("signals", []):
+    for i, entry in enumerate(manifest.get("signals", [])):
+        name, kind, fs, file = (required_field(entry, key, f"{manifest_path} signal entry {i}")
+                                for key in ("name", "kind", "fs", "file"))
         encoding = entry.get("encoding", "f32")
         if encoding != "f32":
-            raise ValueError(f"signal {entry['name']} has unsupported encoding {encoding!r}")
-        path = root / entry["file"]
+            raise ValueError(f"signal {name} has unsupported encoding {encoding!r}")
+        path = root / file
         if not path.exists():
             raise FileNotFoundError(f"manifest references missing file {path}")
-        signals[entry["name"]] = (read_signal_f32(path), SignalEntry(
-            name=entry["name"], kind=entry["kind"], fs=float(entry["fs"]),
-            file=entry["file"],
-        ))
+        signals[name] = (read_signal_f32(path),
+                         SignalEntry(name=name, kind=kind, fs=float(fs), file=file))
     return Bundle(
-        recording_id=manifest["recording_id"],
+        recording_id=recording_id,
         n_epochs=n_epochs,
         valid_epochs=valid_epochs,
         hypnogram=hypnogram,

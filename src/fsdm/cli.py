@@ -172,12 +172,6 @@ def _bank_and_obs(cfg: dict, args, bundle: Bundle) -> tuple[SensorBank, list]:
     return bank, obs
 
 
-def emit_plot_data(rows: list[dict], path) -> None:
-    """One CSV row per (sensor-set, recording): gain, accuracy, kappa."""
-    header = ["sensor_set", "recording", "mean_info_gain", "accuracy", "kappa"]
-    write_csv(path, header, ([row[k] for k in header] for row in rows))
-
-
 # -- commands ------------------------------------------------------------------
 
 
@@ -416,12 +410,11 @@ def cmd_degrade(cfg: dict, args) -> int:
     write_csv(out / "sweep.csv", ["mode", "level", "mean_info_gain", "accuracy", "kappa"], (
         [s.mode, s.level, s.mean_info_gain, s.accuracy, s.kappa] for s in summaries
     ))
-    emit_plot_data([
-        {"sensor_set": f"{r.mode}:{r.level:g}", "recording": r.recording,
-         "mean_info_gain": r.mean_info_gain, "accuracy": r.accuracy,
-         "kappa": r.kappa}
-        for r in rows
-    ], out / "plot_data.csv")
+    # One row per (sensor set, recording).
+    write_csv(out / "plot_data.csv",
+              ["sensor_set", "recording", "mean_info_gain", "accuracy", "kappa"],
+              ([f"{r.mode}:{r.level:g}", r.recording, r.mean_info_gain, r.accuracy, r.kappa]
+               for r in rows))
     for s in summaries:
         print(f"degrade {s.mode}:{s.level:g}: gain {s.mean_info_gain:.4f} "
               f"accuracy {s.accuracy:.4f}")

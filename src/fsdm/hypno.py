@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -27,6 +27,13 @@ def freeze_array(obj, name: str, value) -> np.ndarray:
     v.setflags(write=False)
     object.__setattr__(obj, name, v)
     return v
+
+
+def required_field(d: dict, name: str, holder: str):
+    """d[name]; a missing key raises ValueError naming it and its holder."""
+    if name not in d:
+        raise ValueError(f"{holder} has no field {name!r}")
+    return d[name]
 
 
 class SleepStage(IntEnum):
@@ -144,16 +151,12 @@ def argmax_stages(y: Hypnodensity) -> Hypnogram:
     return Hypnogram.from_indices(np.argmax(y.values, axis=0))
 
 
-def majority_vote(samples: Sequence[Hypnodensity]) -> Hypnogram:
-    """Argmax of the element-wise mean over samples (per-epoch vote)."""
-    if len(samples) == 0:
+def majority_vote(states: np.ndarray) -> Hypnogram:
+    """Argmax of the element-wise mean of a (B, 5, E) batch of samples
+    (per-epoch vote)."""
+    if len(states) == 0:
         raise ValueError("majority_vote requires at least one sample")
-    n_epochs = samples[0].n_epochs
-    for s in samples:
-        if s.n_epochs != n_epochs:
-            raise ValueError("all samples must share the same epoch count")
-    mean = np.mean([s.values for s in samples], axis=0)
-    return argmax_stages(Hypnodensity(mean))
+    return argmax_stages(Hypnodensity(np.mean(states, axis=0)))
 
 
 def write_hypnogram(path, h: Hypnogram) -> None:

@@ -44,9 +44,10 @@ noise level from ln σ ~ N(0.2, 1.4²), corrupt the one-hot target,
 optionally blank part or all of the conditioning so the same network
 doubles as its own prior estimator, and minimize per-epoch cross
 entropy with Adam.  The recipe and the architecture are module
-constants; only the step count and the seed are settings.  A network is
-its feature count and its weights, and a model file whose architecture
-differs from the constants fails to load.
+constants, which the helpers (``timestep_embedding``, ``input_scale``,
+``_window_stack``) read themselves; only the step count and the seed are
+settings.  A network is its feature count and its weights, and a model
+file whose architecture differs from the constants fails to load.
 """
 
 from __future__ import annotations
@@ -58,10 +59,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .hypno import Hypnogram, one_hot
-from .scorekit import ABSENT, Conditioning, Features
+from .hypno import Hypnogram, one_hot, required_field
+from .scorekit import ABSENT, PRIOR, Conditioning, Features
 
-PRIOR = "PRIOR"
 MODEL_FORMAT = "fsdm-model-v1"
 _SKIP_SCALE = math.sqrt(0.5)
 # Tags of the residual blocks, in forward order, as in the weight names.
@@ -90,25 +90,21 @@ class TrainConfig:
             raise ValueError("steps must be >= 0")
 
 
-def timestep_embedding(sigma: float, channels: int) -> np.ndarray:
-    """Sine–cosine embedding of the scaled log noise level (length C)."""
+def timestep_embedding(sigma: float) -> np.ndarray:
+    """Sine–cosine embedding of the scaled log noise level (length CHANNELS)."""
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    if channels % 2 != 0 or channels < 4:
-        raise ValueError("channels must be an even integer >= 4")
-    half = channels // 2
+    half = CHANNELS // 2
     scaled = 0.25 * math.log(sigma)
     freqs = 1000.0 ** (-np.arange(half) / (half - 1))
     return np.concatenate([np.cos(scaled * freqs), np.sin(scaled * freqs)])
 
 
-def input_scale(y: np.ndarray, sigma: float, sigma_data: float) -> np.ndarray:
-    """Divide the state by √(σ_data² + σ²)."""
-    if sigma_data <= 0:
-        raise ValueError("sigma_data must be positive")
+def input_scale(y: np.ndarray, sigma: float) -> np.ndarray:
+    """Divide the state by √(σ_data² + σ²), σ_data = SIGMA_DATA."""
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
-    factor = 1.0 / math.sqrt(sigma_data * sigma_data + sigma * sigma)
+    factor = 1.0 / math.sqrt(SIGMA_DATA * SIGMA_DATA + sigma * sigma)
     return np.asarray(y, dtype=np.float64) * factor
 
 
@@ -130,12 +126,14 @@ def _silu_grad(x: np.ndarray, den: np.ndarray) -> np.ndarray:
     return s * (1.0 + x * (1.0 - s))
 
 
-def _window_stack(mat: np.ndarray, radius: int) -> np.ndarray:
-    """(D, E) → (E, D·(2r+1)); epoch e's row is mat[:, e−r..e+r], zero-padded."""
+def _window_stack(mat: np.ndarray) -> np.ndarray:
+    """(D, E) → (E, D·(2r+1)) at r = WINDOW_RADIUS; epoch e's row is
+    mat[:, e−r..e+r], zero-padded."""
+    r = WINDOW_RADIUS
     depth, n_epochs = mat.shape
-    padded = np.zeros((depth, n_epochs + 2 * radius))
-    padded[:, radius:radius + n_epochs] = mat
-    blocks = [padded[:, k:k + n_epochs] for k in range(2 * radius + 1)]
+    padded = np.zeros((depth, n_epochs + 2 * r))
+    padded[:, r:r + n_epochs] = mat
+    blocks = [padded[:, k:k + n_epochs] for k in range(2 * r + 1)]
     return np.concatenate(blocks, axis=0).T
 
 
@@ -209,10 +207,10 @@ class ReferenceDenoiser:
         return np.where(np.isnan(v), 0.0, v)
 
     def _y_windows(self, y: np.ndarray, sigma: float) -> np.ndarray:
-        return _window_stack(input_scale(y, sigma, SIGMA_DATA), WINDOW_RADIUS)
+        return _window_stack(input_scale(y, sigma))
 
     def _x_windows(self, cond: Conditioning, n_epochs: int) -> np.ndarray:
-        return _window_stack(self._cond_matrix(cond, n_epochs), WINDOW_RADIUS)
+        return _window_stack(self._cond_matrix(cond, n_epochs))
 
     def _work_set(self, n_epochs: int, sigma: float, training: bool) -> dict[str, np.ndarray]:
         """The arrays one network pass writes, and the rows it adds.
@@ -233,7 +231,7 @@ class ReferenceDenoiser:
         broadcasting a row, faster."""
         c = CHANNELS
         rows = {name: self.weights[name] for name in _ROWS}
-        rows["z"] = timestep_embedding(sigma, c)
+        rows["z"] = timestep_embedding(sigma)
         if training:
             work = {f"{k}{tag}": np.empty((n_epochs, c))
                     for tag in _BLOCKS for k in ("u", "a", "den", "h")}
@@ -363,11 +361,6 @@ class ReferenceDenoiser:
         })
         return d_sum + d_a @ w[f"w1_{tag}"]
 
-    def training_loss(self, y_noisy: np.ndarray, cond: Conditioning, sigma: float,
-                      target: np.ndarray) -> float:
-        loss, _ = self.loss_and_grads(y_noisy, cond, sigma, target)
-        return loss
-
 
 Dataset = Sequence[tuple[Hypnogram, dict[str, np.ndarray]]]
 
@@ -477,9 +470,9 @@ def grad_check(
         idx = np.unravel_index(flat_idx, w.shape)
         original = w[idx]
         w[idx] = original + eps
-        loss_hi = net.training_loss(y_noisy, cond, sigma, target)
+        loss_hi, _ = net.loss_and_grads(y_noisy, cond, sigma, target)
         w[idx] = original - eps
-        loss_lo = net.training_loss(y_noisy, cond, sigma, target)
+        loss_lo, _ = net.loss_and_grads(y_noisy, cond, sigma, target)
         w[idx] = original
         numeric = (loss_hi - loss_lo) / (2 * eps)
         analytic = grads[name][idx]
@@ -514,5 +507,5 @@ def load_model(path) -> ReferenceDenoiser:
         if doc.get(field) != value:
             raise ValueError(
                 f"model {field} is {doc.get(field)!r}, but every network has {value!r}")
-    weights = {k: np.array(v) for k, v in doc["weights"].items()}
-    return ReferenceDenoiser(doc["n_features"], weights)
+    weights = {k: np.array(v) for k, v in required_field(doc, "weights", path).items()}
+    return ReferenceDenoiser(required_field(doc, "n_features", path), weights)

@@ -35,11 +35,10 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ._kernels import _log_weights, markov_marginals, mixture_marginals
-from .hypno import N_STAGES, freeze_array
-from .scorekit import ABSENT, Conditioning, Features, SensorBank, tweedie_score
+from .hypno import N_STAGES, freeze_array, required_field
+from .scorekit import ABSENT, PRIOR, Conditioning, Features, SensorBank, tweedie_score
 
 ENUMERATION_CAP = 8
-PRIOR = "PRIOR"
 
 # exp(-745) is the smallest positive normal-ish double; flooring log
 # densities here keeps -inf out of Gaussian likelihood sums.
@@ -363,19 +362,13 @@ def _to_dict(value: Prior | EmissionModel) -> dict:
             **{f.name: getattr(value, f.name).tolist() for f in fields(value)}}
 
 
-def _field(d: dict, name: str, holder: str):
-    """d[name]; a missing key raises ValueError naming it and its holder."""
-    if name not in d:
-        raise ValueError(f"{holder} has no field {name!r}")
-    return d[name]
-
-
 def _from_dict(d: dict, types: dict, kind: str):
-    tag = _field(d, "type", kind)
+    tag = required_field(d, "type", kind)
     if tag not in types:
         raise ValueError(f"unknown {kind} type {tag!r}")
     cls = types[tag]
-    return cls(**{f.name: np.array(_field(d, f.name, f"{tag} {kind}")) for f in fields(cls)})
+    return cls(**{f.name: np.array(required_field(d, f.name, f"{tag} {kind}"))
+                  for f in fields(cls)})
 
 
 def world_to_dict(world: WorldModel) -> dict:
@@ -389,11 +382,12 @@ def world_to_dict(world: WorldModel) -> dict:
 
 
 def world_from_dict(d: dict) -> WorldModel:
-    prior = _from_dict(_field(d, "prior", "world model"), _PRIOR_TYPES, "prior")
+    prior = _from_dict(required_field(d, "prior", "world model"), _PRIOR_TYPES, "prior")
     sensors = tuple(
-        (_field(s, "name", "world model sensor"),
-         _from_dict(_field(s, "emission", "world model sensor"), _EMISSION_TYPES, "emission"))
+        (required_field(s, "name", "world model sensor"),
+         _from_dict(required_field(s, "emission", "world model sensor"), _EMISSION_TYPES,
+                    "emission"))
         for s in d.get("sensors", [])
     )
-    return WorldModel(n_epochs=int(_field(d, "n_epochs", "world model")), prior=prior,
-                      sensors=sensors)
+    return WorldModel(n_epochs=int(required_field(d, "n_epochs", "world model")),
+                      prior=prior, sensors=sensors)

@@ -22,7 +22,8 @@ the sampling loop: one (B, E) array per observed sensor, which each
 step's denoise adds to where it combines the terms
 (``scorekit.fsdm_combine_batch``).  The trajectories are one
 (B, M, 5, E) array that the loop fills with the state at the start of
-each step m, at σ = ``time_steps(schedule)[m]``.
+each step m, at σ = ``time_steps(schedule)[m]``; without ``keep_states``
+the array has no steps, and the loop keeps no state.
 
 The samples run as contiguous ranges of indices, one per usable core
 from ``_SPLIT_MIN_EPOCHS`` epochs, through ``_fork.fork_map``.  The
@@ -105,7 +106,7 @@ class Batch(NamedTuple):
 
     states: np.ndarray
     gains: tuple[dict[str, np.ndarray], ...]
-    trajectories: np.ndarray = np.empty((0, 0, 5, 0))
+    trajectories: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -134,15 +135,14 @@ def _run_range(
     cfg: SamplerConfig,
     indices: Sequence[int],
     n_epochs: int,
-    keep_states: bool = False,
-    trajectories: np.ndarray | None = None,
+    trajectories: np.ndarray,
 ) -> tuple[Batch | None, tuple[int, Exception] | None]:
     """Integrate the samples ``indices`` in lockstep down the time grid.
 
     Returns their Batch, or the grid step at which they failed (the
-    number of steps they completed) and the error.  With ``keep_states``
-    the trajectories are written into ``trajectories``, a
-    (len(indices), M, 5, E) array, allocated here when None."""
+    number of steps they completed) and the error.  When
+    ``trajectories``, a (len(indices), M or 0, 5, E) array, has steps,
+    each step's state is written into it."""
     m = 0
     try:
         ts = time_steps(cfg.schedule)
@@ -152,9 +152,7 @@ def _run_range(
         # With record_trajectory, each observed sensor's (B, E) gain sums.
         gains = {name: np.zeros((len(indices), n_epochs))
                  for name, _ in (obs if cfg.record_trajectory else ())}
-        if trajectories is None:
-            trajectories = np.empty((len(indices), cfg.schedule.M if keep_states else 0, 5,
-                                     n_epochs))
+        keep_states = trajectories.shape[1] > 0
         denoised_prev = h_prev = None
         for m in range(cfg.schedule.M):
             sigma = float(ts[m])  # σ(t) = t, as a Python float for SamplingError's repr
@@ -238,7 +236,7 @@ def _run_ranges(bank: SensorBank, obs: Observations, cfg: SamplerConfig, n_epoch
 
     def run(indices: range) -> tuple[range, tuple[Batch | None, tuple[int, Exception] | None]]:
         rows = trajectories[indices.start:indices.stop]
-        return indices, _run_range(bank, obs, cfg, indices, n_epochs, keep_states, rows)
+        return indices, _run_range(bank, obs, cfg, indices, n_epochs, rows)
 
     gains, failures = [], []
     with contextlib.closing(_fork.fork_map(run, range(cfg.n_samples), n_ranges)) as outcomes:
@@ -282,7 +280,7 @@ def infer(
     """
     batch = sample_many(bank, obs, cfg, n_epochs, keep_states)
     samples = tuple(Hypnodensity(y) for y in batch.states)
-    hypnogram = majority_vote(samples)
+    hypnogram = majority_vote(batch.states)
     reports = [
         evalkit.overnight_stats(argmax_stages(y), valid_epochs) for y in samples
     ]

@@ -25,6 +25,10 @@ an (N+1)·B batch.  The combination also keeps the information-gain sums
 when asked: a sensor's first observation adds the cosine distance
 between its likelihood and the prior (``cosine_distance``), so no
 likelihood outlives its term of the sum.
+
+A conditioning is ``Features`` or ``ABSENT``, which is ``None``: no
+data from that sensor.  ``PRIOR`` is the target name of the global
+prior denoiser.
 """
 
 from __future__ import annotations
@@ -37,25 +41,12 @@ import numpy as np
 from .hypno import freeze_array, project_manifold
 
 
-class _Absent:
-    """Semantic "no sensor data", a conditioning value distinct from a
-    matrix of measured zeros.  An exact denoiser gives it no likelihood
-    terms.  A reference network reads it, like a missing (NaN) epoch,
-    as zeros (``ReferenceDenoiser._cond_matrix``), so its input does not
-    tell it from measured zeros."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "ABSENT"
-
-
-ABSENT = _Absent()
+# Semantic "no sensor data", a conditioning value distinct from a matrix
+# of measured zeros.  An exact denoiser gives it no likelihood terms.  A
+# reference network reads it, like a missing (NaN) epoch, as zeros
+# (``ReferenceDenoiser._cond_matrix``), so its input does not tell it
+# from measured zeros.
+ABSENT = None
 
 
 @dataclass(frozen=True)
@@ -80,7 +71,7 @@ class Features:
         return self.values.shape[1]
 
 
-Conditioning = Features | _Absent
+Conditioning = Features | None
 
 
 class Denoiser(Protocol):
@@ -95,6 +86,11 @@ class Denoiser(Protocol):
     def evaluate_batch(
         self, ys: np.ndarray, cond: Conditioning, sigma: float
     ) -> np.ndarray: ...
+
+
+# The target name that trains or builds the global prior denoiser
+# (``neural.train``, ``oracle.exact_denoiser``) instead of a sensor's.
+PRIOR = "PRIOR"
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ import filecmp
 import json
 import math
 import os
+import shutil
 import struct
 import subprocess
 import sys
@@ -21,7 +22,7 @@ import fsdm.sampler
 import fsdm.scorekit
 from fsdm.bundle import Bundle, SignalEntry, read_bundle, write_bundle, write_csv
 from fsdm.checks import SUITES, CheckResult, informative_emission, persistent_markov, random_world
-from fsdm.cli import build_parser, emit_plot_data, load_config, main
+from fsdm.cli import build_parser, load_config, main
 from fsdm.evalkit import MergeScheme, accuracy, aggregate_stat, cohens_kappa, overnight_stats
 from fsdm.hypno import Hypnogram, SleepStage, read_hypnogram
 from fsdm.infogain import information_gain, write_infogain_csv
@@ -676,21 +677,16 @@ def test_only_infogain_builds_gain_sums(config_path, bundles, tmp_path, monkeypa
     assert len(built) == 16
 
 
-def test_emit_plot_data(tmp_path):
-    rows = [
-        {"sensor_set": "a", "recording": f"rec_{i:04d}", "mean_info_gain": 0.1 * i,
-         "accuracy": 0.5, "kappa": 0.2}
-        for i in range(10)
-    ] + [
-        {"sensor_set": "b", "recording": f"rec_{i:04d}", "mean_info_gain": 0.05 * i,
-         "accuracy": 0.4, "kappa": 0.1}
-        for i in range(10)
-    ]
-    path = tmp_path / "plot.csv"
-    emit_plot_data(rows, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "sensor_set,recording,mean_info_gain,accuracy,kappa"
-    assert len(lines) == 21  # two sensor sets × 10 recordings
+def test_degrade_writes_one_plot_data_row_per_set_and_recording(config_path, tmp_path):
+    out = tmp_path / "degrade"
+    assert main(["degrade", "--config", str(config_path), "--out", str(out),
+                 "--n-samples", "2"]) == 0
+    with open(out / "plot_data.csv", encoding="utf-8", newline="") as f:
+        header, *rows = list(csv.reader(f))
+    assert header == ["sensor_set", "recording", "mean_info_gain", "accuracy", "kappa"]
+    # n_recordings = 4 recordings under each of the sweep's 8 sensor sets.
+    assert len(rows) == 4 * 8
+    assert len({(row[0], row[1]) for row in rows}) == 4 * 8
 
 
 def test_lambda_flag_parsing(config_path, bundles, tmp_path):
@@ -1124,3 +1120,50 @@ def test_sample_bad_valid_epochs_exits_1(config_path, tmp_path, capsys):
     rc = main(["sample", "--config", str(path), "--out", str(tmp_path / "pred")])
     assert rc == 1
     assert "valid_epochs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, entry, key", [
+    ("sample", None, "recording_id"), ("sample", None, "n_epochs"),
+    ("sample", None, "valid_epochs"), ("train", None, "valid_epochs"),
+    ("sample", "features", "name"), ("sample", "features", "file"),
+    ("sample", "signals", "name"), ("sample", "signals", "kind"),
+    ("sample", "signals", "fs"), ("sample", "signals", "file"),
+])
+def test_a_missing_manifest_field_is_named(config_path, bundles, tmp_path, capsys, command,
+                                           entry, key):
+    rec = tmp_path / "bundles" / "rec_0000"
+    shutil.copytree(bundles / "rec_0000", rec)
+    manifest = rec / "manifest.json"
+    doc = json.loads(manifest.read_text())
+    del (doc if entry is None else doc[entry][0])[key]
+    manifest.write_text(json.dumps(doc), encoding="utf-8")
+    cfg = json.loads(config_path.read_text())
+    cfg["paths"].update(bundle=str(rec), bundles_dir=str(rec.parent))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 1
+    holder = manifest if entry is None else f"{manifest} {entry[:-1]} entry 0"
+    assert capsys.readouterr().err == f"error: {holder} has no field {key!r}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["n_features", "weights"])
+def test_sample_names_a_missing_model_field(config_path, bundles, tmp_path, capsys, key):
+    models = tmp_path / "models"
+    models.mkdir()
+    rng = np.random.default_rng(0)
+    save_model(models / "prior.json", ReferenceDenoiser.init(0, rng))
+    save_model(models / "pulse.json", ReferenceDenoiser.init(1, rng))
+    doc = json.loads((models / "pulse.json").read_text())
+    del doc[key]
+    (models / "pulse.json").write_text(json.dumps(doc), encoding="utf-8")
+    cfg = json.loads(config_path.read_text())
+    cfg["paths"]["models_dir"] = str(models)
+    cfg["sampler"] = dict(cfg["sampler"], denoisers="trained", n_samples=2)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    out = tmp_path / "pred"
+    assert main(["sample", "--config", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {models / 'pulse.json'} has no field {key!r}\n"
+    assert not out.exists()

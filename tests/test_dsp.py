@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from conftest import no_child_left
 import fsdm._fork
 import fsdm.dsp
 from fsdm.checks import breathing_signal
@@ -327,13 +328,7 @@ def test_split_ampd_peaks_equal_the_in_process_ones_bitwise(monkeypatch, case, b
         got, counts = _split_ampd(monkeypatch, cores, x, TARGET_FS, **kwargs)
         assert counts == [min(cores, windows)], cores
         assert got.dtype == want.dtype and np.array_equal(got, want), cores
-    _no_child_left()
-
-
-def _no_child_left():
-    assert multiprocessing.active_children() == []
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    no_child_left()
 
 
 @pytest.mark.parametrize("kind_name, fs", [("finger_ppg", 64.0), ("rip_belt", 32.0)])
@@ -357,7 +352,7 @@ def test_two_hour_preprocess_bytes_do_not_depend_on_the_split(monkeypatch, kind_
                        p.valid_epochs)
     assert counts == [1, 2]
     assert runs[2] == runs[1]
-    _no_child_left()
+    no_child_left()
 
 
 def test_a_value_error_in_a_worker_window_reaches_rate_as_a_value_error(monkeypatch):
@@ -376,7 +371,7 @@ def test_a_value_error_in_a_worker_window_reaches_rate_as_a_value_error(monkeypa
     with pytest.raises(ValueError, match="^injected in a worker$"):
         ampd_peaks(x, TARGET_FS, window_s=2.0, overlap_s=0.5)
     assert fsdm.dsp._rate(x, TARGET_FS, "cardiac", x.size, 2.0, 0.5) is None
-    _no_child_left()
+    no_child_left()
 
 
 def test_calls_below_the_split_gate_start_no_process(monkeypatch):

@@ -6,15 +6,9 @@ import warnings
 
 import pytest
 
+from conftest import no_child_left
 from fsdm import _fork
 from fsdm._fork import fork_map, range_count
-
-
-def _no_child_left():
-    assert multiprocessing.active_children() == []
-    # Every forked worker has been reaped: no zombie is left to wait for.
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 def _pids_and_squares(chunk):
@@ -30,7 +24,7 @@ def test_results_come_back_in_item_order(n_ranges):
     pids = [{pid for pid, _ in chunk} for chunk in results]
     assert pids[0] == {os.getpid()}
     assert len(set().union(*pids)) == n_ranges
-    _no_child_left()
+    no_child_left()
 
 
 def _fail_in(ranges_by_first_item):
@@ -51,7 +45,7 @@ def test_the_earliest_failure_is_raised(failing, want):
     # Four ranges of three items each, starting at items 0, 3, 6 and 9.
     with pytest.raises(want[0], match=want[1]):
         list(fork_map(_fail_in(failing), range(12), 4))
-    _no_child_left()
+    no_child_left()
 
 
 def test_an_error_that_does_not_pickle_comes_back_as_runtime_error():
@@ -73,7 +67,7 @@ def test_an_error_that_does_not_pickle_comes_back_as_runtime_error():
     mine, theirs = fork_map(return_it, range(2), 2)
     assert type(mine) is Unpicklable
     assert type(theirs) is RuntimeError and str(theirs) == "Unpicklable: 7: no pickle"
-    _no_child_left()
+    no_child_left()
 
 
 def test_a_worker_that_dies_raises():
@@ -84,7 +78,7 @@ def test_a_worker_that_dies_raises():
 
     with pytest.raises(RuntimeError, match="exited with code 3"):
         list(fork_map(die, range(2), 2))
-    _no_child_left()
+    no_child_left()
 
 
 def _warn(chunk):
@@ -101,17 +95,17 @@ def test_a_warning_prints_as_often_as_in_process(action, want, n_ranges):
         list(fork_map(_warn, range(6), n_ranges))
     assert [str(w.message) for w in caught] == ["from a range"] * want
     assert {(w.filename, w.lineno) for w in caught} == {(__file__, _warn.__code__.co_firstlineno + 2)}
-    _no_child_left()
+    no_child_left()
 
 
 def test_no_worker_outlives_its_call():
     list(fork_map(_pids_and_squares, range(4), 4))
-    _no_child_left()
+    no_child_left()
     # Closing the iterator early ends the workers and joins them.
     results = fork_map(_pids_and_squares, range(4), 4)
     assert next(results) == [(os.getpid(), 0)]
     results.close()
-    _no_child_left()
+    no_child_left()
 
 
 def test_blas_runs_on_one_thread_while_workers_run_and_is_restored():
@@ -129,7 +123,7 @@ def test_blas_runs_on_one_thread_while_workers_run_and_is_restored():
         assert list(fork_map(lambda chunk: get(), range(2), 1)) == [2]
     finally:
         set_(before)
-    _no_child_left()
+    no_child_left()
 
 
 def test_range_count_falls_back_to_one_range(monkeypatch):

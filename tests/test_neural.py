@@ -49,10 +49,8 @@ def _reference_pass(net, y, cond, sigma):
     w = net.weights
     x = (np.zeros((net.n_features, y.shape[1])) if cond is ABSENT
          else np.where(np.isnan(cond.values), 0.0, cond.values))
-    cache = {"y_win": _window_stack(input_scale(y, sigma, neural.SIGMA_DATA),
-                                    neural.WINDOW_RADIUS),
-             "x_win": _window_stack(x, neural.WINDOW_RADIUS)}
-    z = timestep_embedding(sigma, neural.CHANNELS)
+    cache = {"y_win": _window_stack(input_scale(y, sigma)), "x_win": _window_stack(x)}
+    z = timestep_embedding(sigma)
     u = cache["y_win"] @ w["w_y"].T + cache["x_win"] @ w["w_x"].T + w["b_enc"]
     for tag in ("0", "1"):
         a = u @ w[f"w1_{tag}"].T + w[f"b1_{tag}"] + z
@@ -120,45 +118,45 @@ def test_network_equals_allocating_reference_bitwise(n_epochs, n_features):
 
 
 def test_embedding_sigma_one_is_cos_sin_of_zero():
-    z = timestep_embedding(1.0, 8)
-    np.testing.assert_array_equal(z[:4], np.ones(4))
-    np.testing.assert_array_equal(z[4:], np.zeros(4))
+    z = timestep_embedding(1.0)
+    assert z.shape == (neural.CHANNELS,) == (32,)
+    np.testing.assert_array_equal(z[:16], np.ones(16))
+    np.testing.assert_array_equal(z[16:], np.zeros(16))
 
 
 def test_embedding_first_frequency_is_one():
-    for c in (4, 8, 32):
-        z = timestep_embedding(math.e, c)
-        assert z[0] == pytest.approx(math.cos(0.25), abs=1e-15)
+    z = timestep_embedding(math.e)
+    assert z[0] == pytest.approx(math.cos(0.25), abs=1e-15)
 
 
 def test_embedding_exp4_c4_fixture():
-    z = timestep_embedding(math.exp(4.0), 4)
+    # The lowest and highest frequencies, 1 and 1/1000, at indices 0 and
+    # 15 (cos) and 16 and 31 (sin).
+    z = timestep_embedding(math.exp(4.0))
     expected = [math.cos(1.0), math.cos(0.001), math.sin(1.0), math.sin(0.001)]
-    np.testing.assert_allclose(z, expected, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(z[[0, 15, 16, 31]], expected, rtol=0, atol=1e-15)
 
 
 def test_embedding_rejects_bad_inputs():
     with pytest.raises(ValueError):
-        timestep_embedding(0.0, 8)
-    with pytest.raises(ValueError):
-        timestep_embedding(1.0, 7)
+        timestep_embedding(0.0)
 
 
 def test_input_scale_at_zero_sigma():
     y = np.full((5, 2), 0.316)
-    out = input_scale(y, 0.0, 0.3160)
+    out = input_scale(y, 0.0)
     np.testing.assert_allclose(out, y / 0.3160)
 
 
 def test_input_scale_large_sigma_shrink():
     y = np.ones((5, 1))
-    out = input_scale(y, 40.0, 0.3160)
+    out = input_scale(y, 40.0)
     np.testing.assert_allclose(out, 1.0 / math.sqrt(0.3160**2 + 1600.0))
     assert out[0, 0] == pytest.approx(1 / 40.0012, rel=1e-4)
 
 
 def test_input_scale_zero_is_zero():
-    np.testing.assert_array_equal(input_scale(np.zeros((5, 3)), 2.0, 0.3), np.zeros((5, 3)))
+    np.testing.assert_array_equal(input_scale(np.zeros((5, 3)), 2.0), np.zeros((5, 3)))
 
 
 def test_silu_saturates_without_overflow_warning():
@@ -231,7 +229,7 @@ def test_perfect_prediction_has_zero_loss():
     net.weights["b_out"] = np.array([-100.0, 100.0, -100.0, -100.0, -100.0])
     h = Hypnogram.from_indices([1, 1, 1])
     target = one_hot(h).values
-    loss = net.training_loss(target + 0.1, ABSENT, 0.5, target)
+    loss, _ = net.loss_and_grads(target + 0.1, ABSENT, 0.5, target)
     assert loss == 0.0
 
 
@@ -258,9 +256,9 @@ def test_grad_check_error_scales_quadratically_in_eps():
             idx = np.unravel_index(flat, w.shape)
             orig = w[idx]
             w[idx] = orig + eps
-            hi = net.training_loss(y_noisy, cond, sigma, target)
+            hi, _ = net.loss_and_grads(y_noisy, cond, sigma, target)
             w[idx] = orig - eps
-            lo = net.training_loss(y_noisy, cond, sigma, target)
+            lo, _ = net.loss_and_grads(y_noisy, cond, sigma, target)
             w[idx] = orig
             diffs.append((hi - lo) / (2 * eps) - grads[name][idx])
         return np.linalg.norm(diffs)
@@ -316,7 +314,7 @@ def test_validation_loss_non_increasing_over_ten_step_windows():
     # the 300-step run stopped after step 10k.
     losses = [
         train([(hstar, {})], PRIOR, TrainConfig(steps=steps, seed=1))
-        .training_loss(val_y, ABSENT, 0.3, target)
+        .loss_and_grads(val_y, ABSENT, 0.3, target)[0]
         for steps in range(10, 301, 10)
     ]
     assert len(losses) == 30

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from scipy.stats import binom
 
+from conftest import no_child_left
 from fsdm import sampler, scorekit
 from fsdm.checks import (
     hypnogram_index,
@@ -35,7 +36,8 @@ def _alone(bank, obs, cfg, index, n_epochs):
     """Sample ``index`` run by itself, as a batch of one with its
     trajectory kept: the reference that each sample of a batch equals
     bitwise."""
-    batch, failure = sampler._run_range(bank, obs, cfg, [index], n_epochs, True)
+    trajectory = np.empty((1, cfg.schedule.M, 5, n_epochs))
+    batch, failure = sampler._run_range(bank, obs, cfg, [index], n_epochs, trajectory)
     assert failure is None
     return batch
 
@@ -357,13 +359,6 @@ def test_invalid_n_samples():
 # -- the split across worker processes --------------------------------------
 
 
-def _no_child_left():
-    assert multiprocessing.active_children() == []
-    # Every forked worker has been reaped: no zombie is left to wait for.
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 def _split_runs(monkeypatch, bank, obs, cfg, n_epochs, cores_list=(1, 2, 3, 8),
                 keep_states=False):
     """{cores: Batch} of sample_many with the split open at every epoch
@@ -381,7 +376,7 @@ def _split_runs(monkeypatch, bank, obs, cfg, n_epochs, cores_list=(1, 2, 3, 8),
     for cores in cores_list:
         monkeypatch.setattr(sampler, "_usable_cores", lambda: cores)
         runs[cores] = sample_many(bank, obs, cfg, n_epochs, keep_states)
-    _no_child_left()
+    no_child_left()
     return runs, split_counts
 
 
@@ -484,14 +479,14 @@ def test_no_worker_outlives_its_call(monkeypatch):
     cfg = SamplerConfig(schedule=ScheduleParams(M=3), n_samples=8)
     bank = SensorBank(_ByProcessDenoiser("nowhere", None), ())
     assert len(sample_many(bank, [], cfg, 3).states) == 8
-    _no_child_left()
+    no_child_left()
     # A range that fails, in a worker or in the caller, fails the call once
     # every range has ended.
     for where in ("worker", "caller"):
         bank = SensorBank(_ByProcessDenoiser(where, _raise_floating_point_error), ())
         with pytest.raises(FloatingPointError, match="injected"):
             sample_many(bank, [], cfg, 3)
-        _no_child_left()
+        no_child_left()
 
 
 def test_workers_keep_the_callers_floating_point_error_handling(monkeypatch):
@@ -504,7 +499,7 @@ def test_workers_keep_the_callers_floating_point_error_handling(monkeypatch):
     with np.errstate(under="raise"):
         with pytest.raises(FloatingPointError, match="underflow"):
             sample_many(bank, [], cfg, 3)
-    _no_child_left()
+    no_child_left()
 
 
 def _failing_samples(monkeypatch, fail_at):
@@ -542,7 +537,7 @@ def test_sampling_error_in_a_worker_range_keeps_the_serial_message(monkeypatch):
         with pytest.raises(SamplingError) as split:
             sample_many(bank, [], cfg, 3)
         assert str(split.value) == str(serial.value), cores
-    _no_child_left()
+    no_child_left()
 
 
 def test_an_error_that_does_not_pickle_keeps_its_type_name_and_message(monkeypatch):
@@ -558,7 +553,7 @@ def test_an_error_that_does_not_pickle_keeps_its_type_name_and_message(monkeypat
     bank = SensorBank(_ByProcessDenoiser("worker", fail), ())
     with pytest.raises(RuntimeError, match="^Unpicklable: 7: no pickle$"):
         sample_many(bank, [], SamplerConfig(schedule=ScheduleParams(M=2), n_samples=2), 3)
-    _no_child_left()
+    no_child_left()
 
 
 def test_a_worker_that_dies_fails_the_call(monkeypatch):
@@ -567,7 +562,7 @@ def test_a_worker_that_dies_fails_the_call(monkeypatch):
     bank = SensorBank(_ByProcessDenoiser("worker", lambda ys: os._exit(3)), ())
     with pytest.raises(RuntimeError, match="exited with code 3"):
         sample_many(bank, [], SamplerConfig(schedule=ScheduleParams(M=2), n_samples=2), 3)
-    _no_child_left()
+    no_child_left()
 
 
 def test_fall_back_cases_start_no_process(monkeypatch):
