@@ -11,12 +11,13 @@ denoise with two sensors and 64 samples.  The AMPD scalogram is timed
 at three window lengths and scale ranges.  The reference denoiser's
 ``evaluate_batch`` (one network pass per state) is timed conditioned
 and under ABSENT, the two kinds of pass a denoise makes, on a new
-network at a training length and a whole night; the network runs in the calling process.  ``sample_many`` is
-timed on a whole night with a neural bank, split across worker processes
-and in the calling process, with the CPU time of the caller and its
-workers beside the wall time, and so is ``ampd_peaks`` on 2-hour
-128 Hz PPG-like and belt-like signals (the belt searched on its 15 Hz
-band's decimated view).  BLAS runs on one thread, as in
+network at a training length and a whole night; the network runs in the
+calling process.  ``sample_many`` is timed on a whole night with a
+neural bank, with and without its trajectories kept (``keep_states``),
+split across worker processes and in the calling process, with the CPU
+time of the caller and its workers beside the wall time, and so is
+``ampd_peaks`` on 2-hour 128 Hz PPG-like and belt-like signals (the belt
+searched on its 15 Hz band's decimated view).  BLAS runs on one thread, as in
 ``perfbench/run.py``.
 """
 
@@ -114,7 +115,7 @@ def _best_wall_and_cpu(fn, *args, repeat=3):
 
 
 def _print_split_row(label, wall, cpu):
-    print(f"  {label:>17}: wall {wall*1e3:8.1f} ms | CPU {cpu*1e3:8.1f} ms"
+    print(f"  {label:>30}: wall {wall*1e3:8.1f} ms | CPU {cpu*1e3:8.1f} ms"
           f" | CPU/wall {cpu / wall:.2f}")
 
 
@@ -156,14 +157,18 @@ def bench_sampling():
     cfg = sampler.SamplerConfig(schedule=ScheduleParams(M=steps), n_samples=n_samples,
                                 record_trajectory=True)
     split_min_epochs = sampler._SPLIT_MIN_EPOCHS
-    for label, gate in ((f"split, {sampler._split_count(n_samples, n_epochs)} ranges",
-                         split_min_epochs), ("in-process", n_epochs + 1)):
-        sampler._SPLIT_MIN_EPOCHS = gate
-        try:
-            wall, cpu = _best_wall_and_cpu(sampler.sample_many, bank, obs, cfg, n_epochs)
-        finally:
-            sampler._SPLIT_MIN_EPOCHS = split_min_epochs
-        _print_split_row(label, wall, cpu)
+    ranges = sampler._split_count(n_samples, n_epochs)
+    for keep_states in (False, True):
+        kept = ", states kept" if keep_states else ""
+        for label, gate in ((f"split, {ranges} ranges{kept}", split_min_epochs),
+                            (f"in-process{kept}", n_epochs + 1)):
+            sampler._SPLIT_MIN_EPOCHS = gate
+            try:
+                wall, cpu = _best_wall_and_cpu(sampler.sample_many, bank, obs, cfg, n_epochs,
+                                               keep_states)
+            finally:
+                sampler._SPLIT_MIN_EPOCHS = split_min_epochs
+            _print_split_row(label, wall, cpu)
 
 
 if __name__ == "__main__":

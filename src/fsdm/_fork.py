@@ -1,10 +1,11 @@
 """One ordered fork-map: independent work split over forked worker processes.
 
 ``fork_map(fn, items, n_ranges)`` cuts ``items`` into n_ranges contiguous
-ranges and yields ``fn`` of each range, in range order.  The calling
-process runs range 0; each other range runs in a worker forked for the
-call, which starts with the caller's memory (so ``fn`` may be a closure
-over large inputs) and sends back its result with the warnings it met.
+ranges and returns the list of ``fn`` of each range, in range order.  The
+calling process runs range 0; each other range runs in a worker forked
+for the call, which starts with the caller's memory (so ``fn`` may be a
+closure over large inputs, or write into ``shared_zeros`` arrays made
+before the call) and sends back its result with the warnings it met.
 The rules:
 
 - the error of the earliest failing range is raised, and an error that
@@ -13,7 +14,7 @@ The rules:
 - a worker that dies before sending its result raises ``RuntimeError``;
 - workers ignore SIGINT, which is the caller's to handle, and the caller
   terminates them on any exception;
-- every worker is joined before the iteration ends or is closed;
+- every worker is joined before the call returns or raises;
 - the warnings a worker met are issued in the caller as if met there;
 - OpenBLAS is held to one thread while workers run.
 
@@ -30,6 +31,8 @@ import contextlib
 import ctypes
 import functools
 import io
+import math
+import mmap
 import multiprocessing
 import os
 import pickle
@@ -39,6 +42,8 @@ import threading
 import warnings
 from multiprocessing.connection import Connection
 from typing import Callable, Iterator, Sequence, TypeVar
+
+import numpy as np
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -58,6 +63,14 @@ def range_count(n_items: int, cores: int) -> int:
             or multiprocessing.current_process().daemon):
         return 1
     return max(1, min(cores, n_items))
+
+
+def shared_zeros(shape: tuple[int, ...]) -> np.ndarray:
+    """A float64 zero array in an anonymous shared mapping: the workers
+    forked after it is made write into the caller's pages, not copies."""
+    if 0 in shape:  # mmap rejects a length of 0
+        return np.zeros(shape)
+    return np.frombuffer(mmap.mmap(-1, math.prod(shape) * 8), dtype=np.float64).reshape(shape)
 
 
 @functools.cache
@@ -145,16 +158,14 @@ def _issue(met: Sequence[tuple[str, type[Warning], str, int]]) -> None:
                                vars(module).setdefault("__warningregistry__", {}))
 
 
-def fork_map(fn: Callable[[Sequence[T]], R], items: Sequence[T], n_ranges: int) -> Iterator[R]:
-    """Yield fn(items[lo:hi]) for n_ranges contiguous ranges of items, in
+def fork_map(fn: Callable[[Sequence[T]], R], items: Sequence[T], n_ranges: int) -> list[R]:
+    """[fn(items[lo:hi])] for n_ranges contiguous ranges of items, in
     order: the first computed in this process, each other in a worker
-    forked for the call.  Iterate to the end, or close the iterator: its
-    workers are joined then."""
+    forked for the call."""
     bounds = [len(items) * k // n_ranges for k in range(n_ranges + 1)]
     chunks = [items[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
     if n_ranges == 1:
-        yield fn(chunks[0])
-        return
+        return [fn(chunks[0])]
     workers = []
     with _one_blas_thread():
         try:
@@ -167,7 +178,7 @@ def fork_map(fn: Callable[[Sequence[T]], R], items: Sequence[T], n_ranges: int) 
                 worker.start()
                 workers.append((worker, receiver))
                 sender.close()
-            yield fn(chunks[0])
+            results = [fn(chunks[0])]
             for worker, receiver in workers:
                 try:
                     # recv unpickles the message in its buffer; recv_bytes
@@ -180,8 +191,8 @@ def fork_map(fn: Callable[[Sequence[T]], R], items: Sequence[T], n_ranges: int) 
                 _issue(met)
                 if not returned:
                     raise value
-                yield value
-                del value  # the caller's to keep: not held while the next one arrives
+                results.append(value)
+            return results
         except BaseException:
             for worker, _ in workers:
                 worker.terminate()

@@ -402,10 +402,9 @@ def _rate(s: np.ndarray, fs: float, category: str, n_out: int,
     caller that replaces either name here replaces it for every path.
     """
     max_scale, _ = _rate_category(category)
-    ampd_window_plan(s.size, fs, window_s, overlap_s, max_scale)  # a bad layout is an error too
+    peaks = ampd_peaks(s, fs, window_s=window_s, overlap_s=overlap_s,
+                       max_scale_s=max_scale, bandwidth_hz=bandwidth_hz)
     try:
-        peaks = ampd_peaks(s, fs, window_s=window_s, overlap_s=overlap_s,
-                           max_scale_s=max_scale, bandwidth_hz=bandwidth_hz)
         return peaks_to_rate(peaks, fs, category, n_out=n_out)
     except ValueError:
         return None

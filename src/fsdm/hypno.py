@@ -29,9 +29,16 @@ def freeze_array(obj, name: str, value) -> np.ndarray:
     return v
 
 
+def json_object(value, holder: str) -> dict:
+    """value if it is a JSON object; else a ValueError names its holder."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{holder} is not a JSON object")
+    return value
+
+
 def required_field(d: dict, name: str, holder: str):
-    """d[name]; a missing key raises ValueError naming it and its holder."""
-    if name not in d:
+    """d[name]; ValueError names the holder if it is no JSON object or lacks name."""
+    if name not in json_object(d, holder):
         raise ValueError(f"{holder} has no field {name!r}")
     return d[name]
 

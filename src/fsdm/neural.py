@@ -59,7 +59,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .hypno import Hypnogram, one_hot, required_field
+from .hypno import Hypnogram, json_object, one_hot, required_field
 from .scorekit import ABSENT, PRIOR, Conditioning, Features
 
 MODEL_FORMAT = "fsdm-model-v1"
@@ -500,12 +500,13 @@ def save_model(path, net: ReferenceDenoiser) -> None:
 
 def load_model(path) -> ReferenceDenoiser:
     with open(path, "r", encoding="utf-8") as f:
-        doc = json.load(f)
+        doc = json_object(json.load(f), path)
     if doc.get("format") != MODEL_FORMAT:
         raise ValueError(f"unsupported model format {doc.get('format')!r}")
     for field, value in _ARCHITECTURE.items():
         if doc.get(field) != value:
             raise ValueError(
                 f"model {field} is {doc.get(field)!r}, but every network has {value!r}")
-    weights = {k: np.array(v) for k, v in required_field(doc, "weights", path).items()}
+    weights = json_object(required_field(doc, "weights", path), f"{path} field 'weights'")
+    weights = {k: np.array(v) for k, v in weights.items()}
     return ReferenceDenoiser(required_field(doc, "n_features", path), weights)

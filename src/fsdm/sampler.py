@@ -28,11 +28,10 @@ the array has no steps, and the loop keeps no state.
 The samples run as contiguous ranges of indices, one per usable core
 from ``_SPLIT_MIN_EPOCHS`` epochs, through ``_fork.fork_map``.  The
 calling process integrates the first range; each other range runs in a
-worker forked for the call, over the whole time grid with its own gain
-sums and trajectories, and sends them back with its final states.  The
-results land in arrays allocated once for the whole batch: the caller's
-range writes its trajectories into its own slice, and each worker's are
-copied into theirs as they arrive.  A sample's arithmetic does not
+worker forked for the call, over the whole time grid.  Each range
+writes its final states, gain sums and trajectories into its rows of one
+batch that the caller and its workers share (``_fork.shared_zeros``),
+and sends back only its failure, if any.  A sample's arithmetic does not
 depend on the other samples of its batch, and each range draws its
 initial states by sample index, so the output is bitwise the same for
 any split.  The fork-map's rules hold: warnings print as in-process,
@@ -43,7 +42,6 @@ unavailable or unsafe.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass, field, fields
 from typing import NamedTuple, Sequence
@@ -129,29 +127,21 @@ def _check_epochs(obs: Observations, n_epochs: int) -> None:
             raise ValueError("observation epoch count does not match n_epochs")
 
 
-def _run_range(
-    bank: SensorBank,
-    obs: Observations,
-    cfg: SamplerConfig,
-    indices: Sequence[int],
-    n_epochs: int,
-    trajectories: np.ndarray,
-) -> tuple[Batch | None, tuple[int, Exception] | None]:
-    """Integrate the samples ``indices`` in lockstep down the time grid.
-
-    Returns their Batch, or the grid step at which they failed (the
-    number of steps they completed) and the error.  When
-    ``trajectories``, a (len(indices), M or 0, 5, E) array, has steps,
-    each step's state is written into it."""
+def _run_range(bank: SensorBank, obs: Observations, cfg: SamplerConfig, indices: Sequence[int],
+               n_epochs: int, states: np.ndarray, gains: dict[str, np.ndarray],
+               trajectories: np.ndarray) -> tuple[int, Exception] | None:
+    """Integrate the samples ``indices`` in lockstep down the time grid
+    into their rows of a batch: the final states into ``states``; each
+    step's state into ``trajectories``, (len(indices), M or 0, 5, E), when
+    it has steps; and each observed sensor's gain sums into ``gains``
+    (empty without record_trajectory).  Returns None, or the grid step at
+    which they failed (the number of steps they completed) and the error."""
     m = 0
     try:
         ts = time_steps(cfg.schedule)
         y = np.stack(
             [_initial_state(cfg.base_seed, i, n_epochs, ts[0]) for i in indices]
         )
-        # With record_trajectory, each observed sensor's (B, E) gain sums.
-        gains = {name: np.zeros((len(indices), n_epochs))
-                 for name, _ in (obs if cfg.record_trajectory else ())}
         keep_states = trajectories.shape[1] > 0
         denoised_prev = h_prev = None
         for m in range(cfg.schedule.M):
@@ -184,10 +174,9 @@ def _run_range(
                 f"(sigma_min={cfg.schedule.sigma_min!r}, M={cfg.schedule.M})"
             )
     except Exception as err:
-        return None, (m, err)
-    per_sample = tuple({name: s[b] for name, s in gains.items()}
-                       for b in range(len(indices))) if cfg.record_trajectory else ()
-    return Batch(y, per_sample, trajectories), None
+        return m, err
+    states[:] = y
+    return None
 
 
 def sample_many(
@@ -224,38 +213,28 @@ def _split_count(n_samples: int, n_epochs: int) -> int:
 def _run_ranges(bank: SensorBank, obs: Observations, cfg: SamplerConfig, n_epochs: int,
                 n_ranges: int, keep_states: bool = False) -> Batch:
     """Run the samples as n_ranges contiguous index ranges through
-    ``_fork.fork_map``: the first in the calling process, which keeps its
-    trajectories straight in their slice of the joined array, and each
-    other in a forked worker, whose states and trajectories are copied
-    into their slices as they arrive.  If a range failed, the error of
-    the one that failed at the earliest grid step (the first such range
-    on a tie) is raised: the error a lockstep run of all the samples
-    meets first."""
-    states = None
-    trajectories = np.empty((cfg.n_samples, cfg.schedule.M if keep_states else 0, 5, n_epochs))
+    ``_fork.fork_map``, the first in the calling process and each other in
+    a forked worker; each range writes its rows of one shared batch.  If
+    a range failed, the error of the one that failed at the earliest grid
+    step (the first such range on a tie) is raised: the error a lockstep
+    run of all the samples meets first."""
+    # Each observed sensor once, in order, as fsdm_combine_batch sums it.
+    names = list(dict.fromkeys(name for name, _ in obs)) if cfg.record_trajectory else []
+    states = _fork.shared_zeros((cfg.n_samples, 5, n_epochs))
+    gain_sums = _fork.shared_zeros((len(names), cfg.n_samples, n_epochs))
+    trajectories = _fork.shared_zeros(
+        (cfg.n_samples, cfg.schedule.M if keep_states else 0, 5, n_epochs))
 
-    def run(indices: range) -> tuple[range, tuple[Batch | None, tuple[int, Exception] | None]]:
-        rows = trajectories[indices.start:indices.stop]
-        return indices, _run_range(bank, obs, cfg, indices, n_epochs, rows)
+    def run(indices: range) -> tuple[int, Exception] | None:
+        rows = slice(indices.start, indices.stop)
+        return _run_range(bank, obs, cfg, indices, n_epochs, states[rows],
+                          dict(zip(names, gain_sums[:, rows])), trajectories[rows])
 
-    gains, failures = [], []
-    with contextlib.closing(_fork.fork_map(run, range(cfg.n_samples), n_ranges)) as outcomes:
-        for indices, (batch, failure) in outcomes:
-            if failure is not None:
-                failures.append(failure)
-                continue
-            rows = slice(indices.start, indices.stop)
-            if states is None:  # allocated after the caller's range, off its peak
-                states = np.empty((cfg.n_samples, 5, n_epochs))
-            states[rows] = batch.states
-            # The caller's range already wrote its slice; copy the others'.
-            if not np.may_share_memory(batch.trajectories, trajectories):
-                trajectories[rows] = batch.trajectories
-            gains.extend(batch.gains)
-            del batch  # its states are copied; free them before the next range arrives
+    failures = [f for f in _fork.fork_map(run, range(cfg.n_samples), n_ranges) if f is not None]
     if failures:
         raise min(failures, key=lambda failure: failure[0])[1]
-    return Batch(states, tuple(gains), trajectories)
+    gains = tuple(dict(zip(names, gain_sums[:, b])) for b in range(cfg.n_samples))
+    return Batch(states, gains if cfg.record_trajectory else (), trajectories)
 
 
 _STAT_NAMES = tuple(f.name for f in fields(evalkit.StatReport))

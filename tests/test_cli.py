@@ -1122,6 +1122,26 @@ def test_sample_bad_valid_epochs_exits_1(config_path, tmp_path, capsys):
     assert "valid_epochs" in capsys.readouterr().err
 
 
+def _run_on_an_edited_manifest(config_path, bundles, tmp_path, capsys, command, edit):
+    """Run ``command`` on a copy of rec_0000 whose manifest holds edit(doc)
+    of the original's JSON; check that it exits 1 and writes no output,
+    and return the manifest's path and the standard error."""
+    rec = tmp_path / "bundles" / "rec_0000"
+    shutil.copytree(bundles / "rec_0000", rec)
+    manifest = rec / "manifest.json"
+    doc = json.loads(manifest.read_text())
+    edit(doc)
+    manifest.write_text(json.dumps(doc), encoding="utf-8")
+    cfg = json.loads(config_path.read_text())
+    cfg["paths"].update(bundle=str(rec), bundles_dir=str(rec.parent))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 1
+    assert not out.exists()
+    return manifest, capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command, entry, key", [
     ("sample", None, "recording_id"), ("sample", None, "n_epochs"),
     ("sample", None, "valid_epochs"), ("train", None, "valid_epochs"),
@@ -1131,33 +1151,32 @@ def test_sample_bad_valid_epochs_exits_1(config_path, tmp_path, capsys):
 ])
 def test_a_missing_manifest_field_is_named(config_path, bundles, tmp_path, capsys, command,
                                            entry, key):
-    rec = tmp_path / "bundles" / "rec_0000"
-    shutil.copytree(bundles / "rec_0000", rec)
-    manifest = rec / "manifest.json"
-    doc = json.loads(manifest.read_text())
-    del (doc if entry is None else doc[entry][0])[key]
-    manifest.write_text(json.dumps(doc), encoding="utf-8")
-    cfg = json.loads(config_path.read_text())
-    cfg["paths"].update(bundle=str(rec), bundles_dir=str(rec.parent))
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(cfg), encoding="utf-8")
-    out = tmp_path / "out"
-    assert main([command, "--config", str(path), "--out", str(out)]) == 1
+    manifest, err = _run_on_an_edited_manifest(
+        config_path, bundles, tmp_path, capsys, command,
+        lambda doc: (doc if entry is None else doc[entry][0]).pop(key))
     holder = manifest if entry is None else f"{manifest} {entry[:-1]} entry 0"
-    assert capsys.readouterr().err == f"error: {holder} has no field {key!r}\n"
-    assert not out.exists()
+    assert err == f"error: {holder} has no field {key!r}\n"
 
 
-@pytest.mark.parametrize("key", ["n_features", "weights"])
-def test_sample_names_a_missing_model_field(config_path, bundles, tmp_path, capsys, key):
+@pytest.mark.parametrize("entry", ["features", "signals"])
+def test_a_manifest_entry_that_is_not_an_object_is_named(config_path, bundles, tmp_path, capsys,
+                                                         entry):
+    manifest, err = _run_on_an_edited_manifest(
+        config_path, bundles, tmp_path, capsys, "sample", lambda doc: doc.update({entry: [1]}))
+    assert err == f"error: {manifest} {entry[:-1]} entry 0 is not a JSON object\n"
+
+
+def _sample_with_a_bad_pulse_model(config_path, tmp_path, capsys, edit) -> tuple[Path, str]:
+    """Run fsdm sample on trained denoisers whose pulse model file holds
+    edit(doc) of a good one's JSON; check that it exits 1 and writes no
+    output, and return the model file's path and the standard error."""
     models = tmp_path / "models"
     models.mkdir()
     rng = np.random.default_rng(0)
     save_model(models / "prior.json", ReferenceDenoiser.init(0, rng))
     save_model(models / "pulse.json", ReferenceDenoiser.init(1, rng))
     doc = json.loads((models / "pulse.json").read_text())
-    del doc[key]
-    (models / "pulse.json").write_text(json.dumps(doc), encoding="utf-8")
+    (models / "pulse.json").write_text(json.dumps(edit(doc)), encoding="utf-8")
     cfg = json.loads(config_path.read_text())
     cfg["paths"]["models_dir"] = str(models)
     cfg["sampler"] = dict(cfg["sampler"], denoisers="trained", n_samples=2)
@@ -1165,5 +1184,21 @@ def test_sample_names_a_missing_model_field(config_path, bundles, tmp_path, caps
     path.write_text(json.dumps(cfg), encoding="utf-8")
     out = tmp_path / "pred"
     assert main(["sample", "--config", str(path), "--out", str(out)]) == 1
-    assert capsys.readouterr().err == f"error: {models / 'pulse.json'} has no field {key!r}\n"
     assert not out.exists()
+    return models / "pulse.json", capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["n_features", "weights"])
+def test_sample_names_a_missing_model_field(config_path, bundles, tmp_path, capsys, key):
+    model, err = _sample_with_a_bad_pulse_model(
+        config_path, tmp_path, capsys, lambda doc: {k: v for k, v in doc.items() if k != key})
+    assert err == f"error: {model} has no field {key!r}\n"
+
+
+@pytest.mark.parametrize("edit, holder", [
+    (lambda doc: [], ""), (lambda doc: dict(doc, weights=[]), " field 'weights'"),
+], ids=["file", "weights"])
+def test_sample_names_a_model_part_that_is_not_an_object(config_path, bundles, tmp_path, capsys,
+                                                         edit, holder):
+    model, err = _sample_with_a_bad_pulse_model(config_path, tmp_path, capsys, edit)
+    assert err == f"error: {model}{holder} is not a JSON object\n"

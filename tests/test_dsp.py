@@ -370,7 +370,8 @@ def test_a_value_error_in_a_worker_window_reaches_rate_as_a_value_error(monkeypa
     monkeypatch.setattr(fsdm.dsp, "_usable_cores", lambda: 2)
     with pytest.raises(ValueError, match="^injected in a worker$"):
         ampd_peaks(x, TARGET_FS, window_s=2.0, overlap_s=0.5)
-    assert fsdm.dsp._rate(x, TARGET_FS, "cardiac", x.size, 2.0, 0.5) is None
+    with pytest.raises(ValueError, match="^injected in a worker$"):
+        fsdm.dsp._rate(x, TARGET_FS, "cardiac", x.size, 2.0, 0.5)
     no_child_left()
 
 

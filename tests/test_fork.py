@@ -4,11 +4,12 @@ import threading
 import types
 import warnings
 
+import numpy as np
 import pytest
 
 from conftest import no_child_left
 from fsdm import _fork
-from fsdm._fork import fork_map, range_count
+from fsdm._fork import fork_map, range_count, shared_zeros
 
 
 def _pids_and_squares(chunk):
@@ -99,13 +100,38 @@ def test_a_warning_prints_as_often_as_in_process(action, want, n_ranges):
 
 
 def test_no_worker_outlives_its_call():
-    list(fork_map(_pids_and_squares, range(4), 4))
+    assert fork_map(_pids_and_squares, range(4), 4)[0] == [(os.getpid(), 0)]
     no_child_left()
-    # Closing the iterator early ends the workers and joins them.
-    results = fork_map(_pids_and_squares, range(4), 4)
-    assert next(results) == [(os.getpid(), 0)]
-    results.close()
+    # A raise, in the caller's range or a worker's, joins every worker first.
+    for failing in ({0: ValueError}, {3: ValueError}):
+        with pytest.raises(ValueError):
+            fork_map(_fail_in(failing), range(4), 4)
+        no_child_left()
+
+
+@pytest.mark.parametrize("n_ranges", [1, 2, 4])
+def test_workers_write_shared_rows_that_the_caller_sees(n_ranges):
+    # Each range writes its rows only; a write lost in a worker's copy of
+    # the memory would leave a row of zeros.
+    rows = shared_zeros((5, 3))
+
+    def fill(chunk):
+        for i in chunk:
+            rows[i] = os.getpid() + i
+        return None
+
+    assert fork_map(fill, range(5), n_ranges) == [None] * n_ranges
+    pids = {int(row[0]) - i for i, row in enumerate(rows)}
+    assert len(pids) == n_ranges and os.getpid() in pids
+    assert all(np.all(row == row[0]) for row in rows)
     no_child_left()
+
+
+def test_a_zero_size_shared_array_is_plain_zeros():
+    for shape in [(0,), (4, 0, 5, 3), (0, 2, 3)]:
+        empty = shared_zeros(shape)
+        assert empty.shape == shape and empty.dtype == np.float64
+    assert np.array_equal(shared_zeros((2, 3)), np.zeros((2, 3)))
 
 
 def test_blas_runs_on_one_thread_while_workers_run_and_is_restored():

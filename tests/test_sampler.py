@@ -36,10 +36,11 @@ def _alone(bank, obs, cfg, index, n_epochs):
     """Sample ``index`` run by itself, as a batch of one with its
     trajectory kept: the reference that each sample of a batch equals
     bitwise."""
-    trajectory = np.empty((1, cfg.schedule.M, 5, n_epochs))
-    batch, failure = sampler._run_range(bank, obs, cfg, [index], n_epochs, trajectory)
-    assert failure is None
-    return batch
+    states, trajectory = np.empty((1, 5, n_epochs)), np.empty((1, cfg.schedule.M, 5, n_epochs))
+    gains = {name: np.zeros((1, n_epochs)) for name, _ in (obs if cfg.record_trajectory else ())}
+    assert sampler._run_range(bank, obs, cfg, [index], n_epochs, states, gains, trajectory) is None
+    per_sample = ({name: s[0] for name, s in gains.items()},) if cfg.record_trajectory else ()
+    return sampler.Batch(states, per_sample, trajectory)
 
 
 def test_single_atom_lands_on_vertex():
