@@ -16,8 +16,9 @@ calling process.  ``sample_many`` is timed on a whole night with a
 neural bank, with and without its trajectories kept (``keep_states``),
 split across worker processes and in the calling process, with the CPU
 time of the caller and its workers beside the wall time, and so is
-``ampd_peaks`` on 2-hour 128 Hz PPG-like and belt-like signals (the belt
-searched on its 15 Hz band's decimated view).  BLAS runs on one thread, as in
+``ampd_peaks`` on 2-hour 128 Hz PPG-like and belt-like signals, each with
+the exact scale search and with its rate category's search band
+(cardiac 16 Hz, respiratory 4 Hz).  BLAS runs on one thread, as in
 ``perfbench/run.py``.
 """
 
@@ -122,28 +123,30 @@ def _print_split_row(label, wall, cpu):
 def bench_ampd_peaks():
     print("2-hour ampd_peaks at 128 Hz (600 s windows, 120 s overlap)")
     hypnogram = Hypnogram.from_indices(np.random.default_rng(4).integers(0, 5, 240))
-    for name, rates, pulse_width_s, max_scale_s, bandwidth_hz in (
-            ("PPG-like", (1.1, 1.0, 0.95, 0.85, 1.05), 0.3, dsp.CARDIAC_MAX_SCALE_S, None),
-            ("belt-like", (0.33, 0.29, 0.25, 0.22, 0.31), 1.5, dsp.RESPIRATORY_MAX_SCALE_S, 15.0)):
+    for name, rates, pulse_width_s, category in (
+            ("PPG-like", (1.1, 1.0, 0.95, 0.85, 1.05), 0.3, "cardiac"),
+            ("belt-like", (0.33, 0.29, 0.25, 0.22, 0.31), 1.5, "respiratory")):
         spec = WaveformSpec(stage_rates=dict(enumerate(rates)), noise_sd=0.02,
                             pulse_width_s=pulse_width_s)
         x = render_waveform(hypnogram, spec, np.random.default_rng(5))
-        band = "full band" if bandwidth_hz is None else f"{bandwidth_hz:g} Hz band"
-        print(f"  {name} (max scale {max_scale_s:g} s, {band})")
+        max_scale_s, _, band = dsp.RATE_CATEGORIES[category]
         _, starts, _ = dsp.ampd_window_plan(x.size, dsp.TARGET_FS, dsp.AMPD_WINDOW_S,
                                             dsp.AMPD_OVERLAP_S, max_scale_s)
         ranges = dsp._fork.range_count(len(starts), dsp._usable_cores())
         split_min_work = dsp._SPLIT_MIN_WORK
-        for label, gate in ((f"split, {ranges} ranges", split_min_work),
-                            ("in-process", float("inf"))):
-            dsp._SPLIT_MIN_WORK = gate
-            try:
-                wall, cpu = _best_wall_and_cpu(dsp.ampd_peaks, x, dsp.TARGET_FS,
-                                               dsp.AMPD_WINDOW_S, dsp.AMPD_OVERLAP_S,
-                                               max_scale_s, bandwidth_hz)
-            finally:
-                dsp._SPLIT_MIN_WORK = split_min_work
-            _print_split_row(label, wall, cpu)
+        for search_hz in (None, band):
+            search = "exact search" if search_hz is None else f"{search_hz:g} Hz search band"
+            print(f"  {name} (max scale {max_scale_s:g} s, {search})")
+            for label, gate in ((f"split, {ranges} ranges", 0),
+                                ("in-process", float("inf"))):
+                dsp._SPLIT_MIN_WORK = gate
+                try:
+                    wall, cpu = _best_wall_and_cpu(dsp.ampd_peaks, x, dsp.TARGET_FS,
+                                                   dsp.AMPD_WINDOW_S, dsp.AMPD_OVERLAP_S,
+                                                   max_scale_s, search_hz)
+                finally:
+                    dsp._SPLIT_MIN_WORK = split_min_work
+                _print_split_row(label, wall, cpu)
 
 
 def bench_sampling():

@@ -17,8 +17,10 @@ every comparison with NaN is false, as in the per-sample definition.
 The scalogram writes each scale's comparisons into bool buffers
 allocated once per call and counts them with ``np.count_nonzero``.
 ``ampd_gamma`` covers scales 1..L and is the ``ampd_gamma_range`` case
-of one contiguous range lo..hi, which refines a scale chosen on a
-decimated view (see ``dsp.ampd_scale``) at the full rate.  The peak
+of one contiguous range lo..hi.  ``dsp.ampd_scale`` calls ``ampd_gamma``
+once per window, on the full window (the exact search) or on a
+low-passed, decimated copy (the coarse search of a search band), and
+refines a coarse choice at the full rate with ``ampd_gamma_range``.  The peak
 mask compares every sample until at most 1/16 of them survive, then
 only the survivors.
 """

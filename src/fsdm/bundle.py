@@ -27,7 +27,7 @@ from typing import Iterable
 import numpy as np
 
 from .dsp import read_signal_f32, write_signal_f32
-from .hypno import Hypnogram, read_hypnogram, required_field, write_hypnogram
+from .hypno import Hypnogram, json_list, read_hypnogram, required_field, write_hypnogram
 
 
 @dataclass(frozen=True)
@@ -115,8 +115,9 @@ def write_bundle(directory, bundle: Bundle) -> None:
 
 def read_bundle(directory) -> Bundle:
     """The bundle in ``directory``.  A manifest, or a signal or feature
-    entry of it, without a field it needs raises ValueError naming the
-    field and the manifest file."""
+    entry of it, without a field it needs, or whose ``features`` or
+    ``signals`` is not a list, raises ValueError naming the field and the
+    manifest file."""
     root = Path(directory)
     manifest_path = root / "manifest.json"
     with open(manifest_path, "r", encoding="utf-8") as f:
@@ -132,7 +133,8 @@ def read_bundle(directory) -> Bundle:
         )
     recording_id = required_field(manifest, "recording_id", manifest_path)
     features = {}
-    for i, entry in enumerate(manifest.get("features", [])):
+    for i, entry in enumerate(json_list(manifest.get("features", []),
+                                        f"{manifest_path} field 'features'")):
         name, file = (required_field(entry, key, f"{manifest_path} feature entry {i}")
                       for key in ("name", "file"))
         path = root / file
@@ -147,7 +149,8 @@ def read_bundle(directory) -> Bundle:
             )
         features[name] = values
     signals = {}
-    for i, entry in enumerate(manifest.get("signals", [])):
+    for i, entry in enumerate(json_list(manifest.get("signals", []),
+                                        f"{manifest_path} field 'signals'")):
         name, kind, fs, file = (required_field(entry, key, f"{manifest_path} signal entry {i}")
                                 for key in ("name", "kind", "fs", "file"))
         encoding = entry.get("encoding", "f32")

@@ -23,12 +23,12 @@ from .dsp import (
     AMPD_OVERLAP_S,
     AMPD_WINDOW_S,
     KINDS,
-    RESPIRATORY_MAX_SCALE_S,
+    RATE_CATEGORIES,
     TARGET_FS,
     RawSignal,
     SignalKind,
-    ampd_decimation,
     ampd_scale,
+    ampd_search,
     ampd_window_plan,
     preprocess,
 )
@@ -157,16 +157,32 @@ def near_vertex_states(rng: np.random.Generator, h: Hypnogram, n_points: int,
     return np.stack(out)
 
 
-def breathing_signal(kind: SignalKind, n_epochs: int, rng: np.random.Generator) -> RawSignal:
-    """A 32 Hz breathing waveform of n_epochs random-stage epochs (0.22 to
-    0.33 breaths/s), scaled so that the kind's scaling maps it to ~1."""
+def _stage_waveform(kind: SignalKind, n_epochs: int, rng: np.random.Generator,
+                    rates: tuple[float, ...], fs: float, jitter_sd: float,
+                    pulse_width_s: float) -> RawSignal:
+    """A waveform of n_epochs random-stage epochs at the stages' event
+    rates, scaled so that the kind's scaling maps it to ~1."""
     spec = WaveformSpec(
-        stage_rates=dict(zip(SleepStage, (0.33, 0.29, 0.25, 0.22, 0.31))),
-        base_amplitude=1.0 / kind.scale, noise_sd=0.02 / kind.scale, fs=32.0,
-        jitter_sd=0.05, pulse_width_s=1.5, kind_name=kind.name,
+        stage_rates=dict(zip(SleepStage, rates)),
+        base_amplitude=1.0 / kind.scale, noise_sd=0.02 / kind.scale, fs=fs,
+        jitter_sd=jitter_sd, pulse_width_s=pulse_width_s, kind_name=kind.name,
     )
     h = Hypnogram.from_indices(rng.integers(0, 5, n_epochs))
     return RawSignal(render_waveform(h, spec, rng), spec.fs, kind)
+
+
+def breathing_signal(kind: SignalKind, n_epochs: int, rng: np.random.Generator) -> RawSignal:
+    """A 32 Hz breathing waveform of n_epochs random-stage epochs (0.22 to
+    0.33 breaths/s), scaled so that the kind's scaling maps it to ~1."""
+    return _stage_waveform(kind, n_epochs, rng, (0.33, 0.29, 0.25, 0.22, 0.31), 32.0,
+                           jitter_sd=0.05, pulse_width_s=1.5)
+
+
+def pulse_signal(kind: SignalKind, n_epochs: int, rng: np.random.Generator) -> RawSignal:
+    """A 64 Hz pulse waveform of n_epochs random-stage epochs (0.90 to
+    1.25 beats/s), scaled so that the kind's scaling maps it to ~1."""
+    return _stage_waveform(kind, n_epochs, rng, (1.25, 1.10, 1.00, 0.90, 1.15), 64.0,
+                           jitter_sd=0.01, pulse_width_s=0.3)
 
 
 # -- suites -------------------------------------------------------------------
@@ -366,11 +382,13 @@ def suite_forward_backward(seed: int = 0, n_worlds: int = 8,
 
 
 def suite_ampd(seed: int = 0, n_epochs: int = 40) -> list[CheckResult]:
-    """AMPD's decimated scale search against the full scalogram, window
-    by window, on synthetic ``rip_belt`` and ``thermistor`` recordings
-    through ``preprocess``.  The windows and their scales are the ones
-    ``ampd_peaks`` searches: ``dsp.ampd_window_plan`` at the default
-    windows and the respiratory scale cap.
+    """AMPD's band-limited scale search against the full scalogram, window
+    by window, on synthetic cardiac (``finger_ppg``, ``ecg``) and
+    respiratory (``rip_belt``, ``thermistor``, ``nasal_cannula``,
+    ``pap_flow``) recordings through ``preprocess``.  The windows, their
+    scales and the search are the ones ``preprocess`` gives ``ampd_peaks``:
+    ``dsp.ampd_window_plan`` at the default windows, and the category's
+    scale cap and search band.
 
     The peak masks at the two scales must agree in every window.  The
     scales themselves are measured only: where the scalogram is flat
@@ -378,16 +396,20 @@ def suite_ampd(seed: int = 0, n_epochs: int = 40) -> list[CheckResult]:
     """
     rng = np.random.default_rng(seed)
     differ_peaks = differ_scale = 0
-    for kind_name in ("rip_belt", "thermistor"):
-        raw = breathing_signal(KINDS[kind_name], n_epochs, rng)
+    for kind_name, signal in (("finger_ppg", pulse_signal), ("ecg", pulse_signal),
+                              ("rip_belt", breathing_signal), ("thermistor", breathing_signal),
+                              ("nasal_cannula", breathing_signal),
+                              ("pap_flow", breathing_signal)):
+        raw = signal(KINDS[kind_name], n_epochs, rng)
         x = preprocess(raw, target_epochs=n_epochs).samples
-        decimation = ampd_decimation(TARGET_FS, raw.kind.lp_cutoff)
+        cap, _, search_hz = RATE_CATEGORIES[raw.kind.category]
+        decimation, lowpass = ampd_search(TARGET_FS, search_hz)
         length, starts, max_scale = ampd_window_plan(
-            x.size, TARGET_FS, AMPD_WINDOW_S, AMPD_OVERLAP_S, RESPIRATORY_MAX_SCALE_S)
+            x.size, TARGET_FS, AMPD_WINDOW_S, AMPD_OVERLAP_S, cap)
         for a in starts:
             w = x[a:a + length]
             exact = ampd_scale(w, max_scale)
-            fast = ampd_scale(w, max_scale, decimation)
+            fast = ampd_scale(w, max_scale, decimation, lowpass)
             differ_scale += exact != fast
             differ_peaks += not np.array_equal(ampd_local_maxima(w, exact),
                                                ampd_local_maxima(w, fast))

@@ -10,16 +10,18 @@ detection, inter-event intervals by sample-and-hold, removal of
 biologically implausible intervals, and conversion to events/second.
 ``ampd_window_plan`` is the one place that lays out the AMPD windows
 and the scales each one searches; peak detection, the rate extraction's
-layout check and the ``ampd`` oracle-check suite all read it.  A kind
-low-passed to B Hz chooses each AMPD window's scale on every D-th
-sample, D = ⌊128 / 2B⌋, and refines it at the full rate; only
-``rip_belt`` and ``thermistor`` (15 Hz, D = 4) have D > 1.  Peaks are
-always detected at the full rate.  Each window's scale search and peak
-mask depend on that window alone, so a call with enough work splits its
-windows into contiguous ranges, one per usable core: the calling process
-searches the first range and a forked worker each other range
-(``_fork.fork_map``), and the peaks join in window order, the same for
-any split.  Raw samples must be finite.
+layout check and the ``ampd`` oracle-check suite all read it.
+``preprocess`` chooses each AMPD window's scale on a copy of the window
+low-passed at its rate category's search band B (cardiac 16 Hz,
+respiratory 4 Hz) and decimated by D = ⌊128 / 2B⌋ (4 and 16), and
+refines it on the unfiltered window at the full rate; the kind's own
+low-pass plays no part.  ``epoch_rate_features`` keeps the exact search.
+Peaks are always detected on the unfiltered window at the full rate.
+Each window's scale search and peak mask depend on that window alone,
+so a call with enough work splits its windows into contiguous ranges,
+one per usable core: the calling process searches the first range and a
+forked worker each other range (``_fork.fork_map``), and the peaks join
+in window order, the same for any split.  Raw samples must be finite.
 
 Filtering is causal single-pass (the label-alignment consequences of a
 zero-phase variant are a deliberate non-feature here).
@@ -44,21 +46,28 @@ CLIP_LO, CLIP_HI = -5.0, 5.0
 CARDIAC_MAX_SCALE_S = 5.0
 RESPIRATORY_MAX_SCALE_S = 60.0
 # Per rate category: the AMPD scale cap and the plausible inter-event
-# interval range, in seconds.  Other categories yield no rate.
+# interval range, in seconds, and the band in Hz that preprocess
+# searches the AMPD scale on (see ampd_scale).  A pulse lives below
+# 16 Hz and a breath below 4 Hz.  Other categories yield no rate.
 RATE_CATEGORIES = {
-    "cardiac": (CARDIAC_MAX_SCALE_S, (0.3, 2.0)),
-    "respiratory": (RESPIRATORY_MAX_SCALE_S, (1.0, 30.0)),
+    "cardiac": (CARDIAC_MAX_SCALE_S, (0.3, 2.0), 16.0),
+    "respiratory": (RESPIRATORY_MAX_SCALE_S, (1.0, 30.0), 4.0),
 }
 AMPD_WINDOW_S, AMPD_OVERLAP_S = 600.0, 120.0
 # ampd_peaks splits its windows across worker processes only from this
-# many scalogram cells per call: windows × window samples × scales, over
-# D² on a decimated search.  A fork costs ~5 ms.  On a 2-vCPU VM, with
-# two ranges, a split call took 1.59 times the in-process time at 2.5 M
-# cells (two 30 s windows), 1.29 at 9.8 M (two 60 s windows, 5 s cap),
-# 0.86 at 19.7 M (two 120 s windows) and 0.68 at 39 M (four; medians of
-# 15 alternated pairs).  The degradation sweep's six 30 s windows (3.7 M)
-# stay in the calling process.
-_SPLIT_MIN_WORK = 16_000_000
+# many scalogram cells per call (see the estimate there).  A fork costs
+# ~4 ms.  On a 2-vCPU VM (shared host), with two ranges and the category
+# bands, a split call took this many times the in-process time (medians
+# of 11 alternated pairs, the range over 3 runs): cardiac 0.58–0.65 at
+# 230 M cells (an 8-hour channel) and 0.63–0.71 at 115 M (4 hours),
+# respiratory 0.54–0.60 at 350 M (8 hours) and 0.59 at 175 M (4 hours).
+# At 2-hour sizes the runs move with the load of the shared host:
+# cardiac 0.68–0.72 at 58 M and respiratory 0.70–0.74 at 88 M in one set
+# of runs, 1.03–1.30 and 0.55–1.14 in an earlier one, which also read
+# 1.33–1.36 at 46 M and 1.74–1.83 at 15 M cardiac.  So 2-hour channels
+# and the degradation sweep's six 30 s windows (3.7 M) stay in the
+# calling process.
+_SPLIT_MIN_WORK = 100_000_000
 # An epoch with more than this fraction of exact-zero samples is missing.
 MISSING_FRAC = 0.5
 
@@ -257,34 +266,49 @@ def _map_missing_indices(missing: np.ndarray, fs_from: float, n_out: int) -> np.
     return np.arange(int(lengths.sum()), dtype=np.int64) + np.repeat(lo - offsets, lengths)
 
 
-def ampd_decimation(fs: float, bandwidth_hz: float | None) -> int:
-    """The AMPD scale search's decimation factor, max(1, ⌊fs / (2·bandwidth)⌋).
+def ampd_search(fs: float, search_hz: float | None) -> tuple[int, np.ndarray | None]:
+    """The AMPD scale search on the band search_hz: its decimation
+    D = max(1, ⌊fs / (2·search_hz)⌋) and the low-pass at search_hz that
+    comes before it, for ampd_scale.
 
-    Every D-th sample keeps the Nyquist rate of a signal band-limited to
-    bandwidth_hz, so the decimated view needs no anti-alias filter.  No
-    bandwidth (None) means D = 1.
+    Every D-th sample of a window low-passed at search_hz keeps the
+    Nyquist rate of that band.  No band (None), or D = 1, is the exact
+    search: (1, None).  The low-pass is designed at TARGET_FS, so a band
+    with D > 1 at another fs is a ValueError.
     """
-    if bandwidth_hz is None:
-        return 1
-    return max(1, int(fs // (2.0 * bandwidth_hz)))
+    decimation = 1 if search_hz is None else max(1, int(fs // (2.0 * search_hz)))
+    if decimation == 1:
+        return 1, None
+    if fs != TARGET_FS:
+        raise ValueError(f"an AMPD search band needs fs = {TARGET_FS:g} Hz, not {fs:g}")
+    return decimation, design_butterworth("lowpass", search_hz)
 
 
-def ampd_scale(x: np.ndarray, max_scale: int, decimation: int = 1) -> int:
+def ampd_scale(x: np.ndarray, max_scale: int, decimation: int = 1,
+               lowpass: np.ndarray | None = None) -> int:
     """The AMPD scale λ of one window: the first argmin of its scalogram
     over scales 1..max_scale.
 
-    With decimation D > 1 the scalogram of x[::D] over scales
-    1..max_scale // D gives λ0 = D·(argmin + 1), and the full-rate
-    scalogram over the scales within D − 1 of λ0 gives λ.  D = 1 is the
-    exact search.
+    With decimation D > 1 the coarse search takes the scalogram of x
+    low-passed by the second-order sections ``lowpass`` (causal, from
+    rest) and decimated by D, over scales 1..max_scale // D; it gives
+    λ0 = D·(argmin + 1).  λ is then the first argmin of the full-rate
+    scalogram of the unfiltered x over the scales within D − 1 of λ0 and
+    the scales below D.  A rhythm of period P samples has its scale near
+    P / 2, so the scales below D are those of rhythms faster than the
+    band, which the low-passed view cannot see.  D = 1, or fewer scales
+    than D, is the exact search and needs no ``lowpass``.
     """
     if decimation == 1 or max_scale < decimation:
         return int(np.argmin(ampd_gamma(x, max_scale))) + 1
-    coarse = ampd_gamma(x[::decimation], max_scale // decimation)
+    coarse = ampd_gamma(apply_filter(lowpass, x)[::decimation], max_scale // decimation)
     lam0 = decimation * (int(np.argmin(coarse)) + 1)
-    lo = max(1, lam0 - decimation + 1)
+    lo = max(decimation, lam0 - decimation + 1)
     hi = min(max_scale, lam0 + decimation - 1)
-    return lo + int(np.argmin(ampd_gamma_range(x, lo, hi)))
+    scales = np.r_[1:decimation, lo:hi + 1]
+    gamma = np.concatenate((ampd_gamma_range(x, 1, decimation - 1),
+                            ampd_gamma_range(x, lo, hi)))
+    return int(scales[np.argmin(gamma)])
 
 
 def ampd_window_plan(n: int, fs: float, window_s: float, overlap_s: float,
@@ -313,7 +337,7 @@ def ampd_window_plan(n: int, fs: float, window_s: float, overlap_s: float,
 def ampd_peaks(s: np.ndarray, fs: float, window_s: float = AMPD_WINDOW_S,
                overlap_s: float = AMPD_OVERLAP_S,
                max_scale_s: float = CARDIAC_MAX_SCALE_S,
-               bandwidth_hz: float | None = None) -> np.ndarray:
+               search_hz: float | None = None) -> np.ndarray:
     """Automatic multi-scale peak detection over overlapping windows.
 
     Within each window of ampd_window_plan the scale with the most local
@@ -321,16 +345,17 @@ def ampd_peaks(s: np.ndarray, fs: float, window_s: float = AMPD_WINDOW_S,
     scales, and samples that are maxima at every scale up to it become
     peaks.  Peaks found by more than one window are kept once (earliest
     detection).
-    A signal band-limited to bandwidth_hz chooses its scale on a
-    decimated view (see ampd_scale and ampd_decimation); the peaks are
-    always detected at the full rate.  From _SPLIT_MIN_WORK scalogram
-    cells per call, the windows run as contiguous ranges, one per usable
-    core, through ``_fork.fork_map``; the peaks are the same for any
-    split.
+    With a search band search_hz, each window chooses its scale on its
+    own copy low-passed at search_hz and decimated (see ampd_search), and
+    refines it at the full rate (see ampd_scale).  No band is the exact
+    search.  The peaks are always detected on the unfiltered window.
+    From _SPLIT_MIN_WORK scalogram cells per call, the windows run as
+    contiguous ranges, one per usable core, through ``_fork.fork_map``;
+    the peaks are the same for any split.
     """
     s = np.asarray(s, dtype=np.float64)
     length, starts, max_scale = ampd_window_plan(s.size, fs, window_s, overlap_s, max_scale_s)
-    decimation = ampd_decimation(fs, bandwidth_hz)
+    decimation, lowpass = ampd_search(fs, search_hz)
 
     def peaks(chunk: list[int]) -> list[np.ndarray]:
         found = []
@@ -338,13 +363,18 @@ def ampd_peaks(s: np.ndarray, fs: float, window_s: float = AMPD_WINDOW_S,
             x = s[a:a + length]
             if x.size < 4 or max_scale < 1 or np.all(x == x[0]):
                 continue
-            mask = ampd_local_maxima(x, ampd_scale(x, max_scale, decimation))
+            mask = ampd_local_maxima(x, ampd_scale(x, max_scale, decimation, lowpass))
             found.append(a + np.flatnonzero(mask))
         return found
 
-    # The scale search compares about (window / D)·(max scale / D) sample
-    # pairs per window.
-    work = len(starts) * length * max_scale // decimation ** 2
+    # The exact search compares about window × max scale sample pairs per
+    # window; a band search (window / D)·(max scale / D) in its coarse
+    # search and up to window × (3D − 2) at the full rate.
+    if decimation == 1 or max_scale < decimation:
+        cells = length * max_scale
+    else:
+        cells = length * max_scale // decimation ** 2 + length * (3 * decimation - 2)
+    work = len(starts) * cells
     n_ranges = _fork.range_count(len(starts), _usable_cores()) if work >= _SPLIT_MIN_WORK else 1
     found = [np.empty(0, dtype=np.int64)]
     for chunk_peaks in _fork.fork_map(peaks, starts, n_ranges):
@@ -352,8 +382,9 @@ def ampd_peaks(s: np.ndarray, fs: float, window_s: float = AMPD_WINDOW_S,
     return np.unique(np.concatenate(found))
 
 
-def _rate_category(category: str) -> tuple[float, tuple[float, float]]:
-    """The category's (AMPD scale cap, interval range); ValueError if it has none."""
+def _rate_category(category: str) -> tuple[float, tuple[float, float], float]:
+    """The category's (AMPD scale cap, interval range, search band);
+    ValueError if it has none."""
     if category not in RATE_CATEGORIES:
         raise ValueError(f"no rate extraction for category {category!r}")
     return RATE_CATEGORIES[category]
@@ -370,7 +401,7 @@ def peaks_to_rate(peaks: np.ndarray, fs: float, category: str, n_out: int) -> np
     rate; invalid intervals before the first valid one take the first
     valid rate.
     """
-    _, (lo, hi) = _rate_category(category)
+    _, (lo, hi), _ = _rate_category(category)
     peaks = np.asarray(peaks, dtype=np.int64)
     if peaks.size < 2:
         raise ValueError("rate extraction requires at least 2 peaks")
@@ -393,7 +424,7 @@ def peaks_to_rate(peaks: np.ndarray, fs: float, category: str, n_out: int) -> np
 
 def _rate(s: np.ndarray, fs: float, category: str, n_out: int,
           window_s: float, overlap_s: float,
-          bandwidth_hz: float | None = None) -> np.ndarray | None:
+          search_hz: float | None = None) -> np.ndarray | None:
     """AMPD peaks → n_out-sample rate at 128 Hz; None when extraction fails.
 
     An unknown category or a window overlap not shorter than the window
@@ -401,9 +432,9 @@ def _rate(s: np.ndarray, fs: float, category: str, n_out: int,
     Calls ampd_peaks and peaks_to_rate through this module's names, so a
     caller that replaces either name here replaces it for every path.
     """
-    max_scale, _ = _rate_category(category)
+    max_scale, _, _ = _rate_category(category)
     peaks = ampd_peaks(s, fs, window_s=window_s, overlap_s=overlap_s,
-                       max_scale_s=max_scale, bandwidth_hz=bandwidth_hz)
+                       max_scale_s=max_scale, search_hz=search_hz)
     try:
         return peaks_to_rate(peaks, fs, category, n_out=n_out)
     except ValueError:
@@ -464,8 +495,9 @@ def preprocess(raw: RawSignal, target_epochs: int = TARGET_EPOCHS) -> ProcessedS
     s = clip(s)
     rate = None
     if kind.category in RATE_CATEGORIES:
+        _, _, search_hz = RATE_CATEGORIES[kind.category]
         rate = _rate(s, TARGET_FS, kind.category, s.size, AMPD_WINDOW_S, AMPD_OVERLAP_S,
-                     bandwidth_hz=kind.lp_cutoff)
+                     search_hz=search_hz)
         rate, _ = zero_pad(np.zeros(s.size) if rate is None else rate, target_epochs)
     s, valid = zero_pad(s, target_epochs)
     return ProcessedSignal(samples=s, valid_epochs=valid, rate=rate, missing_indices=mapped)

@@ -36,6 +36,13 @@ def json_object(value, holder: str) -> dict:
     return value
 
 
+def json_list(value, holder: str) -> list:
+    """value if it is a JSON array; else a ValueError names its holder."""
+    if not isinstance(value, list):
+        raise ValueError(f"{holder} is not a JSON array")
+    return value
+
+
 def required_field(d: dict, name: str, holder: str):
     """d[name]; ValueError names the holder if it is no JSON object or lacks name."""
     if name not in json_object(d, holder):

@@ -35,7 +35,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ._kernels import _log_weights, markov_marginals, mixture_marginals
-from .hypno import N_STAGES, freeze_array, required_field
+from .hypno import N_STAGES, freeze_array, json_list, required_field
 from .scorekit import ABSENT, PRIOR, Conditioning, Features, SensorBank, tweedie_score
 
 ENUMERATION_CAP = 8
@@ -387,7 +387,7 @@ def world_from_dict(d: dict) -> WorldModel:
         (required_field(s, "name", "world model sensor"),
          _from_dict(required_field(s, "emission", "world model sensor"), _EMISSION_TYPES,
                     "emission"))
-        for s in d.get("sensors", [])
+        for s in json_list(d.get("sensors", []), "world model field 'sensors'")
     )
     return WorldModel(n_epochs=int(required_field(d, "n_epochs", "world model")),
                       prior=prior, sensors=sensors)

@@ -1166,6 +1166,27 @@ def test_a_manifest_entry_that_is_not_an_object_is_named(config_path, bundles, t
     assert err == f"error: {manifest} {entry[:-1]} entry 0 is not a JSON object\n"
 
 
+@pytest.mark.parametrize("entry", ["features", "signals"])
+def test_a_manifest_list_that_is_not_a_list_is_named(config_path, bundles, tmp_path, capsys,
+                                                     entry):
+    manifest, err = _run_on_an_edited_manifest(
+        config_path, bundles, tmp_path, capsys, "sample", lambda doc: doc.update({entry: 5}))
+    assert err == f"error: {manifest} field {entry!r} is not a JSON array\n"
+
+
+@pytest.mark.parametrize("command", ["sample", "synth"])
+def test_world_model_sensors_that_are_not_a_list_are_named(config_path, tmp_path, capsys,
+                                                           command):
+    cfg = json.loads(config_path.read_text())
+    cfg["world"]["model"]["sensors"] = 5
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 1
+    assert not out.exists()
+    assert capsys.readouterr().err == "error: world model field 'sensors' is not a JSON array\n"
+
+
 def _sample_with_a_bad_pulse_model(config_path, tmp_path, capsys, edit) -> tuple[Path, str]:
     """Run fsdm sample on trained denoisers whose pulse model file holds
     edit(doc) of a good one's JSON; check that it exits 1 and writes no

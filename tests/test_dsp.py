@@ -7,7 +7,7 @@ import pytest
 from conftest import no_child_left
 import fsdm._fork
 import fsdm.dsp
-from fsdm.checks import breathing_signal
+from fsdm.checks import breathing_signal, pulse_signal
 from fsdm.dsp import (
     AMPD_OVERLAP_S,
     AMPD_WINDOW_S,
@@ -19,9 +19,9 @@ from fsdm.dsp import (
     SignalKind,
     ZeroSpan,
     _map_missing_indices,
-    ampd_decimation,
     ampd_peaks,
     ampd_scale,
+    ampd_search,
     ampd_window_plan,
     apply_filter,
     clip,
@@ -205,10 +205,22 @@ def test_ampd_window_longer_than_signal_is_single_window():
 
 
 def test_ampd_decimation_keeps_the_nyquist_rate_of_the_low_pass_band():
-    assert ampd_decimation(128.0, None) == 1
-    assert {name: ampd_decimation(128.0, k.lp_cutoff) for name, k in KINDS.items()
-            if ampd_decimation(128.0, k.lp_cutoff) > 1} == {"rip_belt": 4, "thermistor": 4}
-    assert ampd_decimation(128.0, 100.0) == 1
+    # Each rate category searches its own band: every D-th sample of the
+    # window low-passed at the band keeps the band's Nyquist rate.
+    searches = {category: ampd_search(TARGET_FS, band)
+                for category, (_, _, band) in RATE_CATEGORIES.items()}
+    assert {category: d for category, (d, _) in searches.items()} == {
+        "cardiac": 4, "respiratory": 16}
+    for category, (d, lowpass) in searches.items():
+        _, _, band = RATE_CATEGORIES[category]
+        assert TARGET_FS / d >= 2 * band
+        np.testing.assert_array_equal(lowpass, design_butterworth("lowpass", band))
+    # No band, or a band too wide to decimate, is the exact search.
+    assert ampd_search(TARGET_FS, None) == (1, None)
+    assert ampd_search(TARGET_FS, 40.0) == (1, None)
+    assert ampd_search(64.0, 40.0) == (1, None)
+    with pytest.raises(ValueError, match="needs fs = 128 Hz, not 64"):
+        ampd_search(64.0, 4.0)
 
 
 def test_ampd_windows_with_fewer_scales_than_the_decimation_search_all_scales():
@@ -216,34 +228,47 @@ def test_ampd_windows_with_fewer_scales_than_the_decimation_search_all_scales():
     for n in range(4, x.size + 1):
         # max_scale = (n - 1) // 2 is below D = 4: no decimated search.
         np.testing.assert_array_equal(
-            ampd_peaks(x[:n], TARGET_FS, max_scale_s=60.0, bandwidth_hz=15.0),
+            ampd_peaks(x[:n], TARGET_FS, max_scale_s=60.0, search_hz=16.0),
             ampd_peaks(x[:n], TARGET_FS, max_scale_s=60.0))
 
 
-@pytest.mark.parametrize("kind_name", ["rip_belt", "thermistor"])
+_RATE_KINDS = [k.name for k in KINDS.values() if k.category in RATE_CATEGORIES]
+
+
+def _rate_signal(kind, n_epochs, rng):
+    """A synthetic recording of the kind's rate category."""
+    signal = pulse_signal if kind.category == "cardiac" else breathing_signal
+    return signal(kind, n_epochs, rng)
+
+
+@pytest.mark.parametrize("kind_name", _RATE_KINDS)
 @pytest.mark.parametrize("seed", [0, 1])
 def test_preprocess_peaks_and_rate_equal_the_full_scalogram(kind_name, seed):
     # 20 minutes: three 600 s windows, the last overlapping the second.
-    raw = breathing_signal(KINDS[kind_name], 40, np.random.default_rng(seed))
-    processed = preprocess(raw, target_epochs=40)
+    kind = KINDS[kind_name]
+    processed = preprocess(_rate_signal(kind, 40, np.random.default_rng(seed)),
+                           target_epochs=40)
     s = processed.samples
-    full = ampd_peaks(s, TARGET_FS, max_scale_s=60.0)
-    fast = ampd_peaks(s, TARGET_FS, max_scale_s=60.0, bandwidth_hz=raw.kind.lp_cutoff)
+    cap, _, band = RATE_CATEGORIES[kind.category]
+    full = ampd_peaks(s, TARGET_FS, max_scale_s=cap)
+    fast = ampd_peaks(s, TARGET_FS, max_scale_s=cap, search_hz=band)
     np.testing.assert_array_equal(fast, full)
     np.testing.assert_array_equal(processed.rate,
-                                  peaks_to_rate(full, TARGET_FS, "respiratory", s.size))
-    # The refinement also recovers the exact scale of the first window,
-    # which the coarse search alone misses on these recordings.
+                                  peaks_to_rate(full, TARGET_FS, kind.category, s.size))
+    # The band-limited search finds the exact scale of the first window.
     window = s[:int(AMPD_WINDOW_S * TARGET_FS)]
-    assert ampd_scale(window, 7680, 4) == ampd_scale(window, 7680)
+    max_scale = int(cap * TARGET_FS)
+    assert ampd_scale(window, max_scale, *ampd_search(TARGET_FS, band)) == \
+        ampd_scale(window, max_scale)
 
 
-@pytest.mark.parametrize("kind_name", [k.name for k in KINDS.values()
-                                       if k.category in RATE_CATEGORIES])
+@pytest.mark.parametrize("kind_name", _RATE_KINDS)
 def test_preprocess_makes_one_scalogram_call_per_window(kind_name, monkeypatch, tmp_path):
-    # Kinds low-passed at 49 Hz (D = 1) search every scale of the
-    # full-rate window; the two 15 Hz kinds (D = 4) search a quarter of
-    # them on every 4th sample.  The stub's flat scalogram keeps the run
+    # Each window's coarse search is one scalogram call on that window
+    # low-passed at its category's band and decimated by D: cardiac kinds
+    # (16 Hz, D = 4) search a quarter of their scales on every 4th sample,
+    # respiratory kinds (4 Hz, D = 16) a sixteenth on every 16th, whatever
+    # the kind's own low-pass.  The stub's flat scalogram keeps the run
     # cheap.  It logs its calls to a file, so that the calls a forked
     # worker makes for its windows count too.
     log = tmp_path / "calls"
@@ -251,21 +276,23 @@ def test_preprocess_makes_one_scalogram_call_per_window(kind_name, monkeypatch, 
 
     def gamma(x, max_scale):
         with open(log, "a", encoding="utf-8") as f:
-            f.write(f"{x.size} {max_scale}\n")
+            f.write(f"{x.size} {max_scale} {float(np.sum(x))!r}\n")
         return np.zeros(max_scale, dtype=np.int64)
 
     monkeypatch.setattr(fsdm.dsp, "ampd_gamma", gamma)
     kind = KINDS[kind_name]
     x = np.random.default_rng(2).standard_normal(int(12 * 60 * TARGET_FS)) / kind.scale
-    preprocess(RawSignal(x, TARGET_FS, kind), target_epochs=24)
+    s = preprocess(RawSignal(x, TARGET_FS, kind), target_epochs=24).samples
     window = int(AMPD_WINDOW_S * TARGET_FS)
-    cap, _ = RATE_CATEGORIES[kind.category]
+    cap, _, band = RATE_CATEGORIES[kind.category]
     _, starts, _ = ampd_window_plan(x.size, TARGET_FS, AMPD_WINDOW_S, AMPD_OVERLAP_S, cap)
-    windows = len(starts)
-    d = ampd_decimation(TARGET_FS, kind.lp_cutoff)
-    assert windows == 2
-    calls = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
-    assert calls == [(-(-window // d), int(cap * TARGET_FS) // d)] * windows
+    d = {"cardiac": 4, "respiratory": 16}[kind.category]
+    lowpass = design_butterworth("lowpass", band)
+    assert len(starts) == 2
+    calls = [line.split() for line in log.read_text().splitlines()]
+    assert calls == [[str(-(-window // d)), str(int(cap * TARGET_FS) // d),
+                      repr(float(np.sum(apply_filter(lowpass, s[a:a + window])[::d])))]
+                     for a in starts]
 
 
 def _ampd_cases():
@@ -285,6 +312,21 @@ def _ampd_cases():
         "plateaus": np.clip(3 * sine, -3.0, 3.0),
         "constant windows": constant,
     }
+
+
+@pytest.mark.parametrize("band", [4.0, 16.0])
+def test_a_band_search_finds_an_exact_scale_below_d(band):
+    # The clipped, noisy sine's exact scale is 1 or 2 in most 2 s windows:
+    # its fastest rhythm lies above any band, so the low-passed copy cannot
+    # see it, and the full-rate refine compares the scales below D.
+    x = _ampd_cases()["plateaus"]
+    length, starts, max_scale = ampd_window_plan(x.size, TARGET_FS, 2.0, 0.5, 1.0)
+    decimation, lowpass = ampd_search(TARGET_FS, band)
+    exact = {a: ampd_scale(x[a:a + length], max_scale) for a in starts}
+    below = [a for a in starts if exact[a] < decimation]
+    assert len(below) >= 10
+    assert [ampd_scale(x[a:a + length], max_scale, decimation, lowpass) for a in below] == \
+        [exact[a] for a in below]
 
 
 def _count_ranges(monkeypatch):
@@ -312,14 +354,16 @@ def _split_ampd(monkeypatch, cores, *args, **kwargs):
 
 
 @pytest.mark.parametrize("case", list(_ampd_cases()))
-@pytest.mark.parametrize("bandwidth_hz, window_s", [(None, 2.0), (15.0, 2.0), (15.0, 0.06)])
-def test_split_ampd_peaks_equal_the_in_process_ones_bitwise(monkeypatch, case, bandwidth_hz,
+@pytest.mark.parametrize("search_hz, window_s",
+                         [(None, 2.0), (4.0, 2.0), (15.0, 2.0), (16.0, 2.0), (15.0, 0.06)])
+def test_split_ampd_peaks_equal_the_in_process_ones_bitwise(monkeypatch, case, search_hz,
                                                           window_s):
     # 2 s windows hold 256 samples; 0.06 s windows hold 8, so their 3
-    # scales are fewer than D = 4 and the whole range is searched.
+    # scales are fewer than D = 4 and the whole range is searched.  The
+    # 15 Hz and 16 Hz bands both give D = 4, and 4 Hz D = 16.
     x = _ampd_cases()[case]
     kwargs = dict(window_s=window_s, overlap_s=window_s / 4, max_scale_s=1.0,
-                  bandwidth_hz=bandwidth_hz)
+                  search_hz=search_hz)
     want, counts = _split_ampd(monkeypatch, 1, x, TARGET_FS, **kwargs)
     assert counts == [1] and want.size > 0
     _, starts, _ = ampd_window_plan(x.size, TARGET_FS, window_s, window_s / 4, 1.0)
@@ -344,14 +388,17 @@ def test_two_hour_preprocess_bytes_do_not_depend_on_the_split(monkeypatch, kind_
     wave = render_waveform(Hypnogram.from_indices(rng.integers(0, 5, 240)), spec, rng)
     wave[10_000:12_000] = 0.0
     raw = RawSignal(wave, fs, KINDS[kind_name])
-    runs, counts = {}, _count_ranges(monkeypatch)
-    for cores in (1, 2):
+    # A 2-hour channel stays below the split gate; the gate opened at any
+    # work splits it.
+    runs, counts = [], _count_ranges(monkeypatch)
+    for cores, gate in ((1, fsdm.dsp._SPLIT_MIN_WORK), (2, fsdm.dsp._SPLIT_MIN_WORK), (2, 0)):
         monkeypatch.setattr(fsdm.dsp, "_usable_cores", lambda: cores)
+        monkeypatch.setattr(fsdm.dsp, "_SPLIT_MIN_WORK", gate)
         p = preprocess(raw, target_epochs=240)
-        runs[cores] = (p.samples.tobytes(), p.rate.tobytes(), p.missing_indices.tobytes(),
-                       p.valid_epochs)
-    assert counts == [1, 2]
-    assert runs[2] == runs[1]
+        runs.append((p.samples.tobytes(), p.rate.tobytes(), p.missing_indices.tobytes(),
+                     p.valid_epochs))
+    assert counts == [1, 1, 2]
+    assert runs[2] == runs[1] == runs[0]
     no_child_left()
 
 
