@@ -9,10 +9,11 @@ priors) on the same inputs where E ≤ 8, and alone on whole-night
 lengths; the B = 192 rows are the stacked batch of one exact-bank
 denoise with two sensors and 64 samples.  The AMPD scalogram is timed
 at three window lengths and scale ranges.  The reference denoiser's
-``evaluate_batch`` (one network pass per state) is timed conditioned
-and under ABSENT, the two kinds of pass a denoise makes, on a new
-network at a training length and a whole night; the network runs in the
-calling process.  ``sample_many`` is timed on a whole night with a
+float32 ``evaluate_batch`` (one network pass per state) is timed
+conditioned and under ABSENT, the two kinds of pass a denoise makes,
+beside training's float64 pass (``_forward``, one state at a time), on a
+new network at a training length and a whole night, as the time per
+pass; the network runs in the calling process.  ``sample_many`` is timed on a whole night with a
 neural bank, with and without its trajectories kept (``keep_states``),
 split across worker processes and in the calling process, with the CPU
 time of the caller and its workers beside the wall time, and so is
@@ -84,16 +85,22 @@ def bench_ampd():
 
 
 def bench_network():
-    print("reference denoiser network (one feature row, sigma = 0.8)")
+    print("reference denoiser network, time per pass (one feature row, sigma = 0.8)")
     rng = np.random.default_rng(2)
     net = ReferenceDenoiser.init(1, rng)
+
+    def training_passes(ys, cond):
+        for y in ys:
+            net._forward(y, cond, 0.8)
+
     for n_epochs, batch in ((120, 64), (960, 64)):
         ys = rng.standard_normal((batch, 5, n_epochs))
         cond = Features(rng.standard_normal((1, n_epochs)))
-        t_batch = timeit(net.evaluate_batch, ys, cond, 0.8, repeat=3)
-        t_absent = timeit(net.evaluate_batch, ys, ABSENT, 0.8, repeat=3)
-        print(f"  E={n_epochs:3d} B={batch:3d}: evaluate_batch {t_batch*1e3:8.2f} ms"
-              f" | ABSENT {t_absent*1e3:8.2f} ms")
+        t_batch = timeit(net.evaluate_batch, ys, cond, 0.8, repeat=3) / batch
+        t_absent = timeit(net.evaluate_batch, ys, ABSENT, 0.8, repeat=3) / batch
+        t_train = timeit(training_passes, ys, cond, repeat=3) / batch
+        print(f"  E={n_epochs:3d} B={batch:3d}: float32 evaluate_batch {t_batch*1e6:6.0f} µs"
+              f" | ABSENT {t_absent*1e6:6.0f} µs | float64 _forward {t_train*1e6:6.0f} µs")
 
 
 def _cpu_s():

@@ -8,13 +8,26 @@ It honors the same evaluation contract as any other denoiser (scaled
 input, σ embedding, simplex output), which is all the combination rule
 exercises.  Training and inference run one network routine, on a work
 set: preallocated arrays that every matmul and ufunc writes with
-``out=``.  Training builds a fresh work set per step, with one array
-per intermediate, and keeps it as the cache its hand-derived gradients
-read (checked against central finite differences); the SiLU's
-denominator stays there for its derivative.  Inference has one loop,
-``evaluate_batch``, one pass per state under one conditioning;
-``forward`` runs it on a batch of one.  The σ embedding and the
-conditioning's encoding are computed once per batch, and each state's
+``out=``, and the weights it multiplies by.  The two work sets differ in
+precision only.  Training's is float64: it builds a fresh one per step,
+with one array per intermediate, and keeps it as the cache its
+hand-derived gradients read (checked against central finite
+differences); the SiLU's denominator stays there for its derivative.
+The weights and the model files stay float64 too.  Inference's is
+float32 up to the head's logits, which are widened to float64 for the
+head's bias and the softmax, so the estimate is float64 with columns
+that sum to 1; the weights are cast once per call, so a cast never goes
+stale while ``train`` updates them in place.  An estimate stays within
+5e-6 of training's float64 pass (random networks read up to 1.6e-6),
+and whole-night sampling with float32 inference gives the final argmaxes
+of sampling with the float64 pass (the tests check both).  This is the
+mixed-precision recipe of Micikevicius et al. 2018 (float64 master
+weights, lower-precision passes); it about halves the time of a
+whole-night pass (``benchmarks/bench_kernels.py``).
+
+Inference has one loop, ``evaluate_batch``, one pass per state under one
+conditioning; ``forward`` runs it on a batch of one.  The σ embedding and
+the conditioning's encoding are computed once per batch, and each state's
 encoding once per sample.  A call builds one work set, whose blocks
 share arrays, and reuses it for every sample.  Every sample runs the
 same operations on arrays of the same shapes and layouts whatever batch
@@ -23,21 +36,22 @@ batch; whole-night sampling relies on this when it splits its samples
 across processes (see ``sampler``).
 
 The work set makes no new arithmetic, so outputs are bitwise equal to
-allocating one array per operation:
+allocating one array per operation in the work set's precision: a
+float32 allocating pass for inference, a float64 one for training.
 
 * Inference tiles the bias rows and the σ embedding to (E, ·) once per
   call; adding a contiguous array is faster than broadcasting a row and
   gives the same sums.  Training adds the (C,) rows.
-* The softmax runs stage-major on a (5, E) copy of the logits: the max
-  and the sum reduce elementwise down five contiguous rows, the sum in
-  stage order ((((e0 + e1) + e2) + e3) + e4) as numpy's reduction over
-  a 5-wide row adds, and the result is exponentiated straight into the
-  output.
+* The softmax runs stage-major on a float64 (5, E) copy of the logits,
+  where the head's bias is added: the max and the sum reduce elementwise
+  down five contiguous rows, the sum in stage order
+  ((((e0 + e1) + e2) + e3) + e4) as numpy's reduction over a 5-wide row
+  adds, and the result is exponentiated straight into the output.
 * Every matmul keeps the operand layouts of ``x @ w.T`` on (E, ·) rows.
-  OpenBLAS rounds differently for other layouts at some epoch counts: a
-  contiguous copy of w.T for E ≤ 37 with the 32×32 blocks and E ≤ 240
-  with the 5×32 head, and channel-major (C, E) arrays for most E ≥ 5.
-  Those layouts would change outputs.
+  OpenBLAS rounds differently for other layouts at some epoch counts: in
+  float64, a contiguous copy of w.T for E ≤ 37 with the 32×32 blocks and
+  E ≤ 240 with the 5×32 head, and channel-major (C, E) arrays for most
+  E ≥ 5.  Those layouts would change outputs.
 
 Training follows one fixed denoising recipe: draw a recording, draw a
 noise level from ln σ ~ N(0.2, 1.4²), corrupt the one-hot target,
@@ -46,8 +60,9 @@ doubles as its own prior estimator, and minimize per-epoch cross
 entropy with Adam.  The recipe and the architecture are module
 constants, which the helpers (``timestep_embedding``, ``input_scale``,
 ``_window_stack``) read themselves; only the step count and the seed are
-settings.  A network is its feature count and its weights, and a model
-file whose architecture differs from the constants fails to load.
+settings.  A network is its feature count, a nonnegative integer, and
+its weights, exactly the ones its architecture names; a model file whose
+architecture differs from the constants fails to load.
 """
 
 from __future__ import annotations
@@ -112,8 +127,9 @@ def _silu(x: np.ndarray, den: np.ndarray, out: np.ndarray | None = None) -> np.n
     """x / (1 + exp(−x)), computed in ``out`` (a new array by default).
     The denominator 1 + exp(−x) is formed in ``den``, which may be ``out``."""
     np.negative(x, out=den)
-    # exp(−x) overflows to inf below x ≈ −709, where x / inf = −0.0 and
-    # 1 / inf = 0.0 are the exact limits, so the overflow is not reported.
+    # exp(−x) overflows to inf below x ≈ −709 in float64 (−88.7 in
+    # float32), where x / inf = −0.0 and 1 / inf = 0.0 are the exact
+    # limits, so the overflow is not reported.
     with np.errstate(over="ignore"):
         np.exp(den, out=den)
     den += 1.0
@@ -126,12 +142,12 @@ def _silu_grad(x: np.ndarray, den: np.ndarray) -> np.ndarray:
     return s * (1.0 + x * (1.0 - s))
 
 
-def _window_stack(mat: np.ndarray) -> np.ndarray:
-    """(D, E) → (E, D·(2r+1)) at r = WINDOW_RADIUS; epoch e's row is
-    mat[:, e−r..e+r], zero-padded."""
+def _window_stack(mat: np.ndarray, dtype=np.float64) -> np.ndarray:
+    """(D, E) → (E, D·(2r+1)) at r = WINDOW_RADIUS, in ``dtype``; epoch
+    e's row is mat[:, e−r..e+r], zero-padded."""
     r = WINDOW_RADIUS
     depth, n_epochs = mat.shape
-    padded = np.zeros((depth, n_epochs + 2 * r))
+    padded = np.zeros((depth, n_epochs + 2 * r), dtype=dtype)
     padded[:, r:r + n_epochs] = mat
     blocks = [padded[:, k:k + n_epochs] for k in range(2 * r + 1)]
     return np.concatenate(blocks, axis=0).T
@@ -149,8 +165,12 @@ def _weight_shapes(n_features: int) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-# The bias rows, which the network adds after its affine maps.
-_ROWS = tuple(name for name in _weight_shapes(1) if name.startswith("b"))
+# The rows the network adds after its hidden affine maps: the bias rows and
+# the σ embedding ``z``.  The head's bias ``b_out`` is added to the float64
+# logits.
+_ROWS = (*(name for name in _weight_shapes(1) if name.startswith("b") and name != "b_out"), "z")
+# The dtype of inference's work set; training's is float64.
+_INFERENCE_DTYPE = np.float32
 
 
 class ReferenceDenoiser:
@@ -160,9 +180,16 @@ class ReferenceDenoiser:
     PARAM_ORDER = tuple(_weight_shapes(1))
 
     def __init__(self, n_features: int, weights: dict[str, np.ndarray]):
+        if (isinstance(n_features, bool) or not isinstance(n_features, (int, np.integer))
+                or n_features < 0):
+            raise ValueError(f"n_features is {n_features!r}, expected a nonnegative integer")
         self.n_features = int(n_features)
+        shapes = _weight_shapes(self.n_features)
+        for name in weights:
+            if name not in shapes:
+                raise ValueError(f"unknown weight array {name!r}")
         self.weights = {k: np.asarray(v, dtype=np.float64) for k, v in weights.items()}
-        for name, shape in _weight_shapes(self.n_features).items():
+        for name, shape in shapes.items():
             if name not in self.weights:
                 raise ValueError(f"missing weight array {name!r}")
             if self.weights[name].shape != shape:
@@ -188,9 +215,9 @@ class ReferenceDenoiser:
     # The encoder input splits into the state's share y_win @ w_y.T and the
     # conditioning's share x_win @ w_x.T, so inference encodes the
     # conditioning once per batch.  Training and inference run the same
-    # ``_network`` on a work set: inference builds one per call and reuses
-    # it for every sample, training builds one per step and keeps it as
-    # its cache.
+    # ``_network`` on a work set: inference builds a float32 one per call
+    # and reuses it for every sample, training builds a float64 one per
+    # step and keeps it as its cache.
 
     def _cond_matrix(self, cond: Conditioning, n_epochs: int) -> np.ndarray:
         if cond is ABSENT:
@@ -206,45 +233,53 @@ class ReferenceDenoiser:
         # NaN marks a missing epoch; training writes 0.0 into blanked spans.
         return np.where(np.isnan(v), 0.0, v)
 
-    def _y_windows(self, y: np.ndarray, sigma: float) -> np.ndarray:
-        return _window_stack(input_scale(y, sigma))
+    def _y_windows(self, y: np.ndarray, sigma: float, dtype=np.float64) -> np.ndarray:
+        return _window_stack(input_scale(y, sigma), dtype)
 
-    def _x_windows(self, cond: Conditioning, n_epochs: int) -> np.ndarray:
-        return _window_stack(self._cond_matrix(cond, n_epochs))
+    def _x_windows(self, cond: Conditioning, n_epochs: int, dtype=np.float64) -> np.ndarray:
+        return _window_stack(self._cond_matrix(cond, n_epochs), dtype)
 
     def _work_set(self, n_epochs: int, sigma: float, training: bool) -> dict[str, np.ndarray]:
-        """The arrays one network pass writes, and the rows it adds.
+        """The arrays one network pass writes, the matrices it multiplies
+        by and the rows it adds.
 
         Each block's input u, pre-activation a, SiLU denominator
         1 + exp(−a) and activation h have keys ``u0``, ``a0``, ``den0``,
         ``h0``, ``u1``, ...; the head reads ``u2`` and writes the (E, 5)
         ``logits``, the (5, E) ``log_probs`` and the (E,) ``max`` and
-        ``sum`` rows of its softmax.  The rows are the bias rows and the
-        σ embedding ``z``.
+        ``sum`` rows of its softmax.  The weights keep their names, and
+        the rows (``_ROWS``) are the hidden bias rows and the σ embedding
+        ``z``; ``b_out`` is the head's bias as a float64 (5, 1) column.
 
-        Training's work set is the cache its gradients read: one array
-        per intermediate, and the (C,) rows.  Inference keeps no
+        Training's work set is float64 and is the cache its gradients
+        read: one array per intermediate, the weights themselves and the
+        (C,) rows.  Inference's is float32 up to the logits, which it
+        keeps (E, 5); the softmax reads them widened to float64 in
+        ``log_probs``, so the estimate is float64.  The weights are cast
+        here, once per call, so the casts follow the weights as ``train``
+        updates them in place.  Inference keeps no
         intermediate, so its blocks share four (E, C) arrays (``u2`` is
         ``u0``, ``a1`` is ``a0``, and ``h0``, ``h1``, ``den0`` and
         ``den1`` are one array) instead of nine, and it tiles the rows to
         (E, ·): adding a contiguous array gives the values of
         broadcasting a row, faster."""
         c = CHANNELS
-        rows = {name: self.weights[name] for name in _ROWS}
-        rows["z"] = timestep_embedding(sigma)
+        dtype = np.float64 if training else _INFERENCE_DTYPE
+        work = {name: weight.astype(dtype, copy=False) for name, weight in self.weights.items()}
+        work["z"] = timestep_embedding(sigma).astype(dtype, copy=False)
         if training:
-            work = {f"{k}{tag}": np.empty((n_epochs, c))
-                    for tag in _BLOCKS for k in ("u", "a", "den", "h")}
+            work.update({f"{k}{tag}": np.empty((n_epochs, c))
+                         for tag in _BLOCKS for k in ("u", "a", "den", "h")})
             work["u2"] = np.empty((n_epochs, c))
         else:
-            rows = {name: np.tile(row, (n_epochs, 1)) for name, row in rows.items()}
-            u_even, u_odd, a, h = np.empty((4, n_epochs, c))
-            work = {"u0": u_even, "u1": u_odd, "u2": u_even}
+            work.update({name: np.tile(work[name], (n_epochs, 1)) for name in _ROWS})
+            u_even, u_odd, a, h = np.empty((4, n_epochs, c), dtype)
+            work.update(u0=u_even, u1=u_odd, u2=u_even)
             for tag in _BLOCKS:
                 work.update({f"a{tag}": a, f"den{tag}": h, f"h{tag}": h})
-        work.update(logits=np.empty((n_epochs, 5)), log_probs=np.empty((5, n_epochs)),
-                    max=np.empty(n_epochs), sum=np.empty(n_epochs))
-        work.update(rows)
+        work.update(logits=np.empty((n_epochs, 5), dtype), log_probs=np.empty((5, n_epochs)),
+                    max=np.empty(n_epochs), sum=np.empty(n_epochs),
+                    b_out=self.weights["b_out"][:, None])
         return work
 
     def _network(self, y_enc: np.ndarray, x_enc: np.ndarray, work: dict[str, np.ndarray],
@@ -252,29 +287,30 @@ class ReferenceDenoiser:
         """Write the (5, E) probabilities from the two encoder shares into
         probs and return the work set's log-probabilities.  Every
         intermediate goes into its work array, in the order of operations
-        of an allocating pass, so the values are bitwise equal to it."""
-        w = self.weights
+        of an allocating pass in the work set's dtype, so the values are
+        bitwise equal to it."""
         u = np.add(y_enc, x_enc, out=work["u0"])
         u += work["b_enc"]
         for i, tag in enumerate(_BLOCKS):
-            a = np.matmul(u, w[f"w1_{tag}"].T, out=work[f"a{tag}"])
+            a = np.matmul(u, work[f"w1_{tag}"].T, out=work[f"a{tag}"])
             a += work[f"b1_{tag}"]
             a += work["z"]
             h = _silu(a, work[f"den{tag}"], out=work[f"h{tag}"])
-            out = np.matmul(h, w[f"w2_{tag}"].T, out=work[f"u{i + 1}"])
+            out = np.matmul(h, work[f"w2_{tag}"].T, out=work[f"u{i + 1}"])
             out += u
             out += work[f"b2_{tag}"]
             out *= _SKIP_SCALE
             u = out
-        logits = np.matmul(u, w["w_out"].T, out=work["logits"])
-        logits += work["b_out"]
-        # Stage-major softmax on a (5, E) copy: reducing over its five rows
-        # runs elementwise down contiguous rows and adds them in stage
-        # order, ((((e0 + e1) + e2) + e3) + e4), as numpy's reduction over
-        # a 5-wide row of the logits does.  probs holds the exponentials
+        logits = np.matmul(u, work["w_out"].T, out=work["logits"])
+        # Stage-major softmax on a float64 (5, E) copy of the logits, with
+        # the head's bias added there: reducing over its five rows runs
+        # elementwise down contiguous rows and adds them in stage order,
+        # ((((e0 + e1) + e2) + e3) + e4), as numpy's reduction over a
+        # 5-wide row of the logits does.  probs holds the exponentials
         # until their sum is taken.
         log_probs = work["log_probs"]
         np.copyto(log_probs, logits.T)
+        log_probs += work["b_out"]
         log_probs -= np.maximum.reduce(log_probs, axis=0, out=work["max"])
         np.exp(log_probs, out=probs)
         log_probs -= np.log(np.add.reduce(probs, axis=0, out=work["sum"]), out=work["sum"])
@@ -285,14 +321,13 @@ class ReferenceDenoiser:
         """Training's pass over one state: the network on a fresh work set,
         returned as the cache the gradients read.  ``log_probs`` and
         ``probs`` become (E, 5) copies, the layout the gradients use."""
-        w = self.weights
         n_epochs = y.shape[1]
         cache = self._work_set(n_epochs, sigma, training=True)
         cache["y_win"] = self._y_windows(y, sigma)
         cache["x_win"] = self._x_windows(cond, n_epochs)
         probs = np.empty((5, n_epochs))
-        log_probs = self._network(cache["y_win"] @ w["w_y"].T, cache["x_win"] @ w["w_x"].T,
-                                  cache, probs)
+        log_probs = self._network(cache["y_win"] @ cache["w_y"].T,
+                                  cache["x_win"] @ cache["w_x"].T, cache, probs)
         cache["log_probs"] = np.ascontiguousarray(log_probs.T)
         cache["probs"] = np.ascontiguousarray(probs.T)
         return cache
@@ -301,20 +336,21 @@ class ReferenceDenoiser:
 
     def evaluate_batch(self, ys: np.ndarray, cond: Conditioning,
                        sigma: float) -> np.ndarray:
-        """The (B, 5, E) estimate under one conditioning.  The σ embedding,
-        the tiled rows and the conditioning's encoding are computed once
-        per batch; one work set serves every sample's pass."""
+        """The float64 (B, 5, E) estimate under one conditioning, from
+        float32 passes.  The σ embedding, the cast weights, the tiled rows
+        and the conditioning's encoding are computed once per batch; one
+        work set serves every sample's pass."""
         ys = np.asarray(ys)
         if ys.ndim != 3 or ys.shape[1] != 5:
             raise ValueError("states must be a B×5×E batch")
-        w = self.weights
+        dtype = _INFERENCE_DTYPE
         n_batch, _, n_epochs = ys.shape
-        x_enc = self._x_windows(cond, n_epochs) @ w["w_x"].T
-        out = np.empty(ys.shape)
         work = self._work_set(n_epochs, sigma, training=False)
-        y_enc = np.empty((n_epochs, CHANNELS))
+        x_enc = self._x_windows(cond, n_epochs, dtype) @ work["w_x"].T
+        out = np.empty(ys.shape)
+        y_enc = np.empty((n_epochs, CHANNELS), dtype)
         for b in range(n_batch):
-            np.matmul(self._y_windows(ys[b], sigma), w["w_y"].T, out=y_enc)
+            np.matmul(self._y_windows(ys[b], sigma, dtype), work["w_y"].T, out=y_enc)
             self._network(y_enc, x_enc, work, out[b])
         return out
 

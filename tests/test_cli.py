@@ -1223,3 +1223,20 @@ def test_sample_names_a_model_part_that_is_not_an_object(config_path, bundles, t
                                                          edit, holder):
     model, err = _sample_with_a_bad_pulse_model(config_path, tmp_path, capsys, edit)
     assert err == f"error: {model}{holder} is not a JSON object\n"
+
+
+@pytest.mark.parametrize("value", [1.5, True, "1", -1],
+                         ids=["float", "bool", "string", "negative"])
+def test_sample_names_a_model_n_features_that_is_not_a_nonnegative_integer(
+        config_path, bundles, tmp_path, capsys, value):
+    _, err = _sample_with_a_bad_pulse_model(
+        config_path, tmp_path, capsys, lambda doc: dict(doc, n_features=value))
+    assert err == f"error: n_features is {value!r}, expected a nonnegative integer\n"
+
+
+def test_sample_names_an_unknown_model_weight(config_path, bundles, tmp_path, capsys):
+    def edit(doc):
+        doc["weights"]["w_typo"] = [[0.0]]
+        return doc
+    _, err = _sample_with_a_bad_pulse_model(config_path, tmp_path, capsys, edit)
+    assert err == "error: unknown weight array 'w_typo'\n"

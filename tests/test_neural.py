@@ -43,14 +43,17 @@ def _sample_case(net, n_epochs=6, seed=1, sigma=0.7):
     return y_noisy, cond, sigma, target
 
 
-def _reference_pass(net, y, cond, sigma):
-    """The network written plainly, one new array per operation: the
-    cache training's gradients read, with (E, 5) ``probs``."""
-    w = net.weights
+def _reference_pass(net, y, cond, sigma, dtype):
+    """The network written plainly in ``dtype``, one new array per
+    operation: in float64, the cache training's gradients read, with
+    (E, 5) ``probs``.  The logits are widened to float64 before the
+    head's float64 bias is added, and the softmax runs in float64."""
+    w = {name: value.astype(dtype) for name, value in net.weights.items()}
     x = (np.zeros((net.n_features, y.shape[1])) if cond is ABSENT
          else np.where(np.isnan(cond.values), 0.0, cond.values))
-    cache = {"y_win": _window_stack(input_scale(y, sigma)), "x_win": _window_stack(x)}
-    z = timestep_embedding(sigma)
+    cache = {"y_win": _window_stack(input_scale(y, sigma)).astype(dtype),
+             "x_win": _window_stack(x).astype(dtype)}
+    z = timestep_embedding(sigma).astype(dtype)
     u = cache["y_win"] @ w["w_y"].T + cache["x_win"] @ w["w_x"].T + w["b_enc"]
     for tag in ("0", "1"):
         a = u @ w[f"w1_{tag}"].T + w[f"b1_{tag}"] + z
@@ -58,11 +61,18 @@ def _reference_pass(net, y, cond, sigma):
         h = a / den
         cache.update({f"u{tag}": u, f"a{tag}": a, f"den{tag}": den, f"h{tag}": h})
         u = (h @ w[f"w2_{tag}"].T + u + w[f"b2_{tag}"]) * neural._SKIP_SCALE
-    logits = u @ w["w_out"].T + w["b_out"]
+    logits = (u @ w["w_out"].T).astype(np.float64) + net.weights["b_out"]
     logits = logits - logits.max(axis=1, keepdims=True)
     log_probs = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
     cache.update(u2=u, log_probs=log_probs, probs=np.exp(log_probs))
     return cache
+
+
+# The largest |Δ| allowed between an estimate of inference's float32
+# pass and training's float64 one: ~40 float32 ulps of 1.  Random biased
+# networks read up to 1.6e-6 over the grid of
+# test_float32_inference_is_within_the_tolerance_of_the_float64_pass.
+FLOAT32_TOL = 5e-6
 
 
 def _layout(a):
@@ -80,12 +90,14 @@ def _biased_net(n_features, seed):
     return net
 
 
-# Epoch counts on both sides of where OpenBLAS's rounding depends on the
-# weights' layout: a contiguous copy of w.T gives other bits than the
-# w.T view for E ≤ 37 with the 32×32 blocks and E ≤ 240 with the head.
+# Epoch counts on both sides of where OpenBLAS's float64 rounding depends
+# on the weights' layout: a contiguous copy of w.T gives other bits than
+# the w.T view for E ≤ 37 with the 32×32 blocks and E ≤ 240 with the head.
 @pytest.mark.parametrize("n_epochs", [1, 7, 37, 38, 120, 240, 960])
 @pytest.mark.parametrize("n_features", [0, 2])
 def test_network_equals_allocating_reference_bitwise(n_epochs, n_features):
+    # Inference equals a float32 allocating pass, and training's cache a
+    # float64 one.
     net = _biased_net(n_features, seed=n_epochs)
     rng = np.random.default_rng([n_epochs, n_features])
     ys = 2.0 * rng.standard_normal((3, 5, n_epochs))
@@ -94,15 +106,17 @@ def test_network_equals_allocating_reference_bitwise(n_epochs, n_features):
     cond = Features(x) if n_features else ABSENT
     target = one_hot(Hypnogram.from_indices(rng.integers(0, 5, n_epochs))).values
     for sigma in (1e-3, 0.8, 80.0):
-        want = np.stack([_reference_pass(net, y, cond, sigma)["probs"].T for y in ys])
-        want_absent = np.stack([_reference_pass(net, y, ABSENT, sigma)["probs"].T for y in ys])
+        want = np.stack([_reference_pass(net, y, cond, sigma, np.float32)["probs"].T
+                         for y in ys])
+        want_absent = np.stack([_reference_pass(net, y, ABSENT, sigma, np.float32)["probs"].T
+                                for y in ys])
         assert np.array_equal(net.evaluate_batch(ys, cond, sigma), want)
         assert np.array_equal(net.evaluate_batch(ys, ABSENT, sigma), want_absent)
         assert np.array_equal(net.forward(ys[0], cond, sigma), want[0])
 
         # Training's cache holds the reference's values in its layouts, so
         # the loss and every gradient match the reference's cached pass.
-        ref = _reference_pass(net, ys[1], cond, sigma)
+        ref = _reference_pass(net, ys[1], cond, sigma, np.float64)
         cache = net._forward(ys[1], cond, sigma)
         for key, value in ref.items():
             assert np.array_equal(cache[key], value), key
@@ -115,6 +129,23 @@ def test_network_equals_allocating_reference_bitwise(n_epochs, n_features):
         assert grads.keys() == ref_grads.keys()
         for key in grads:
             assert np.array_equal(grads[key], ref_grads[key]), key
+
+
+@pytest.mark.parametrize("n_epochs", [1, 7, 37, 38, 120, 240, 960])
+@pytest.mark.parametrize("n_features", [0, 2])
+def test_float32_inference_is_within_the_tolerance_of_the_float64_pass(n_epochs, n_features):
+    net = _biased_net(n_features, seed=n_epochs)
+    rng = np.random.default_rng([n_epochs, n_features, 2])
+    ys = 2.0 * rng.standard_normal((3, 5, n_epochs))
+    x = rng.standard_normal((n_features, n_epochs))
+    x[:, n_epochs // 2] = np.nan
+    for cond in (Features(x) if n_features else ABSENT, ABSENT):
+        for sigma in (1e-4, 1e-3, 0.8, 40.0, 80.0):
+            got = net.evaluate_batch(ys, cond, sigma)
+            want = np.stack([net._forward(y, cond, sigma)["probs"].T for y in ys])
+            assert got.dtype == np.float64
+            assert np.abs(got - want).max() <= FLOAT32_TOL, (cond, sigma)
+            np.testing.assert_allclose(got.sum(axis=1), 1.0, rtol=0, atol=1e-9)
 
 
 def test_embedding_sigma_one_is_cos_sin_of_zero():
@@ -160,17 +191,23 @@ def test_input_scale_zero_is_zero():
 
 
 def test_silu_saturates_without_overflow_warning():
-    x = np.array([-1000.0, 0.0, 1000.0])
-    with np.errstate(over="warn"), warnings.catch_warnings():
-        warnings.simplefilter("error")
-        den = np.empty_like(x)
-        y = _silu(x, den)
-        g = _silu_grad(x, den)
-    np.testing.assert_array_equal(y, [-0.0, 0.0, 1000.0])
-    np.testing.assert_array_equal(g, [-0.0, 0.5, 1.0])
-    # x / inf and 0 · (negative) keep the sign of zero.
-    np.testing.assert_array_equal(np.signbit(y), [True, False, False])
-    np.testing.assert_array_equal(np.signbit(g), [True, False, False])
+    # exp(−x) overflows below x ≈ −709 in float64 and below x ≈ −88.7 in
+    # float32, where −100 saturates too.
+    for dtype, x in ((np.float64, [-1000.0, 0.0, 1000.0]),
+                     (np.float32, [-1000.0, -100.0, 0.0, 1000.0])):
+        x = np.array(x, dtype=dtype)
+        negative = x < 0
+        with np.errstate(over="warn"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            den = np.empty_like(x)
+            y = _silu(x, den)
+            g = _silu_grad(x, den)
+        assert y.dtype == g.dtype == dtype
+        np.testing.assert_array_equal(y, np.where(negative, -0.0, x))
+        np.testing.assert_array_equal(g, np.where(negative, -0.0, np.where(x == 0, 0.5, 1.0)))
+        # x / inf and 0 · (negative) keep the sign of zero.
+        np.testing.assert_array_equal(np.signbit(y), negative)
+        np.testing.assert_array_equal(np.signbit(g), negative)
 
 
 def test_forward_outputs_simplex_columns():
@@ -349,10 +386,11 @@ def test_evaluate_batch_equals_forward_calls(monkeypatch):
     cond = Features(x)
     batch = net.evaluate_batch(ys, cond, 0.8)
     for b in range(3):
-        # Inference and training's cached pass run one network.
+        # Inference and training's cached pass run one network, in float32
+        # and float64.
         want = net._forward(ys[b], cond, 0.8)["probs"].T
-        assert np.array_equal(batch[b], want)
-        assert np.array_equal(net.forward(ys[b], cond, 0.8), want)
+        assert np.abs(batch[b] - want).max() <= FLOAT32_TOL
+        assert np.array_equal(net.forward(ys[b], cond, 0.8), batch[b])
     forwards = [(net.forward(y, cond, 0.8), net.forward(y, ABSENT, 0.8)) for y in ys]
     # Inference builds none of the training caches.
     monkeypatch.setattr(net, "_forward", None)
@@ -402,8 +440,9 @@ def test_batch_split_keeps_every_sample_bitwise(n_batch, n_epochs):
     x = rng.standard_normal((2, n_epochs))
     x[1, ::3] = np.nan
     cond = Features(x)
-    want = np.stack([_reference_pass(net, y, cond, 0.8)["probs"].T for y in ys])
-    want_absent = np.stack([_reference_pass(net, y, ABSENT, 0.8)["probs"].T for y in ys])
+    want = np.stack([_reference_pass(net, y, cond, 0.8, np.float32)["probs"].T for y in ys])
+    want_absent = np.stack([_reference_pass(net, y, ABSENT, 0.8, np.float32)["probs"].T
+                            for y in ys])
     for n_ranges in (1, 2, 3, 8):
         bounds = [n_batch * k // n_ranges for k in range(n_ranges + 1)]
         for lo, hi in zip(bounds[:-1], bounds[1:]):
@@ -502,6 +541,21 @@ def test_weight_shapes_checked_at_construction(name, shape, expected):
     del weights[name]
     with pytest.raises(ValueError, match=f"missing weight array {name!r}"):
         ReferenceDenoiser(net.n_features, weights)
+
+
+@pytest.mark.parametrize("n_features", [1.5, True, "1", -1, None])
+def test_n_features_must_be_a_nonnegative_integer(n_features):
+    weights = _sample_net(n_features=1).weights
+    message = f"n_features is {n_features!r}, expected a nonnegative integer"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ReferenceDenoiser(n_features, weights)
+    assert ReferenceDenoiser(np.int64(1), weights).n_features == 1
+
+
+def test_unknown_weight_names_are_rejected():
+    weights = dict(_sample_net(n_features=1).weights, w_typo=np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="^unknown weight array 'w_typo'$"):
+        ReferenceDenoiser(1, weights)
 
 
 def test_train_config_validation():

@@ -13,6 +13,7 @@ from scipy.stats import binom
 
 from conftest import no_child_left
 from fsdm import sampler, scorekit
+from fsdm._kernels import markov_marginals
 from fsdm.checks import (
     hypnogram_index,
     informative_emission,
@@ -25,7 +26,7 @@ from fsdm.checks import (
 from fsdm.hypno import Hypnodensity, Hypnogram, argmax_stages, one_hot
 from fsdm.neural import PRIOR, ReferenceDenoiser, TrainConfig, train
 from fsdm.oracle import (
-    GaussianEmission, MarkovPrior, WorldModel, enumerate_posterior, exact_bank, exact_denoiser,
+    GaussianEmission, MarkovPrior, WorldModel, emission_loglik, enumerate_posterior, exact_bank,
 )
 from fsdm.sampler import SamplerConfig, SamplingError, infer, sample_many
 from fsdm.sched import ScheduleParams, time_steps
@@ -258,21 +259,38 @@ def test_posterior_recovery_sanity():
     assert tv <= 0.2
 
 
-def _noisy_markov_case(seed, n_epochs=240):
-    """An N = 1 Markov world with persistence 0.9 and a 0.6-diagonal
-    emission, observations drawn from it, and the forward-backward
-    posterior marginals of its stages given them, (5, E)."""
+def _markov_draw(world, rng):
+    """Stages drawn from a world's Markov prior, and each sensor's
+    symbols for them, as float features."""
+    prior = world.prior
+    stages = [rng.choice(5, p=prior.initial)]
+    for _ in range(world.n_epochs - 1):
+        stages.append(rng.choice(5, p=prior.transition[stages[-1]]))
+    return stages, {name: np.array([rng.choice(5, p=emission.table[k]) for k in stages],
+                                   dtype=float)
+                    for name, emission in world.sensors}
+
+
+def _noisy_markov_case(seed, n_epochs=240, n_sensors=1, base=0.6):
+    """A Markov world with persistence 0.9 and ``n_sensors`` emissions
+    with diagonal ``base``, observations drawn from it, and the
+    forward-backward posterior marginals of its stages given them, (5, E)."""
     rng = np.random.default_rng(seed)
     prior = persistent_markov(rng, persistence=0.9)
-    emission = informative_emission(rng, base=0.6)
-    world = WorldModel(n_epochs, prior, (("s0", emission),))
-    stages = [rng.choice(5, p=prior.initial)]
-    for _ in range(n_epochs - 1):
-        stages.append(rng.choice(5, p=prior.transition[stages[-1]]))
-    cond = Features(np.array([rng.choice(5, p=emission.table[k]) for k in stages], dtype=float))
-    # At y = 0 the kernel's terms are the likelihood's alone.
-    marginals = exact_denoiser(world, "s0").evaluate_batch(np.zeros((1, 5, n_epochs)), cond, 1.0)
-    return exact_bank(world), [("s0", cond)], marginals[0]
+    sensors = tuple((f"s{i}", informative_emission(rng, base=base)) for i in range(n_sensors))
+    world = WorldModel(n_epochs, prior, sensors)
+    _, features = _markov_draw(world, rng)
+    loglik = sum(emission_loglik(world.emission(name), v) for name, v in features.items())
+    marginals = markov_marginals(np.log(prior.initial), np.log(prior.transition), loglik[None])
+    return world, [(name, Features(v)) for name, v in features.items()], marginals[0]
+
+
+def _raw_tv(states, marginals):
+    """The mean per-epoch TV between the samples' argmax frequencies and
+    the marginals."""
+    stages = states.argmax(axis=1)
+    freqs = (stages[:, None] == np.arange(5)[:, None]).mean(axis=0)
+    return 0.5 * np.abs(freqs - marginals).sum(axis=0).mean()
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -282,17 +300,50 @@ def test_argmax_frequencies_match_the_posterior_marginals(seed):
     # marginals (the floor, ~0.027 here).  With 256 samples it read +0.006
     # to +0.007 at M = 8, where the first-order solver (D′ = D_m) reads
     # +0.022 to +0.027, and −0.001 to +0.001 at the default M = 32.
-    bank, obs, marginals = _noisy_markov_case(seed)
+    world, obs, marginals = _noisy_markov_case(seed)
+    bank = exact_bank(world)
     n = 256
     # Each stage's count is Binomial(n, p) under iid draws.
     k = np.arange(n + 1)[:, None, None]
     floor = 0.5 * (binom.pmf(k, n, marginals) * np.abs(k / n - marginals)).sum(axis=(0, 1)).mean()
     for M, margin in ((8, 0.012), (32, 0.004)):
         cfg = SamplerConfig(schedule=ScheduleParams(M=M), n_samples=n, base_seed=seed)
-        stages = sample_many(bank, obs, cfg, marginals.shape[1]).states.argmax(axis=1)
-        freqs = (stages[:, None] == np.arange(5)[:, None]).mean(axis=0)
-        excess = 0.5 * np.abs(freqs - marginals).sum(axis=0).mean() - floor
+        excess = _raw_tv(sample_many(bank, obs, cfg, marginals.shape[1]).states, marginals) - floor
         assert abs(excess) <= margin, (M, excess)
+
+
+class _Float64Network:
+    """A reference network evaluated by training's float64 pass, one
+    state at a time."""
+
+    def __init__(self, net):
+        self.net = net
+
+    def evaluate_batch(self, ys, cond, sigma):
+        return np.stack([self.net._forward(y, cond, sigma)["probs"].T for y in ys])
+
+
+def test_float32_inference_samples_as_the_float64_pass():
+    # A bank trained on a Markov world with two sensors samples at E = 240
+    # with its float32 inference and with training's float64 pass.  Every
+    # final argmax agreed, so the raw TVs against the exact marginals were
+    # equal: 0.341 here, and 0.277, 0.345 and 0.354 on three other sets of
+    # seeds (states moved by at most 3.4e-5).  Float16 inference flips 11
+    # of the 15,360 argmaxes here, more than the 7 allowed.
+    world, obs, marginals = _noisy_markov_case(0, n_sensors=2, base=0.8)
+    train_world = WorldModel(120, world.prior, world.sensors)
+    rng = np.random.default_rng(1)
+    dataset = [(Hypnogram.from_indices(stages), features)
+               for stages, features in (_markov_draw(train_world, rng) for _ in range(8))]
+    nets = {target: train(dataset, target, TrainConfig(steps=800, seed=0))
+            for target in (PRIOR, "s0", "s1")}
+    cfg = SamplerConfig(schedule=ScheduleParams(M=32), n_samples=64, base_seed=0)
+    float32, float64 = (
+        sample_many(SensorBank(wrap(nets[PRIOR]), tuple((n, wrap(nets[n])) for n in ("s0", "s1"))),
+                    obs, cfg, world.n_epochs).states
+        for wrap in (lambda net: net, _Float64Network))
+    assert np.mean(float32.argmax(axis=1) == float64.argmax(axis=1)) >= 0.9995
+    assert abs(_raw_tv(float32, marginals) - _raw_tv(float64, marginals)) <= 0.002
 
 
 class ExplodingDenoiser:
